@@ -235,7 +235,7 @@ def _need(args, name):
 
 
 _NOT_RESIDUALS = frozenset({
-    "cocommutativity_gap",  # informational: the interesting coproducts are non-cocommutative
+    "cocommutativity_gap",  # informational, except for delta1 (see _coproduct_values)
     "epsilon",              # branch label, not a residual
 })
 
@@ -246,6 +246,14 @@ def _residual_values(report):
             continue
         if isinstance(val, (int, float)) and not isinstance(val, bool):
             yield key, float(val)
+
+
+def _coproduct_values(source, report):
+    """Residuals of a coproduct report.  delta1 must be cocommutative, so its
+    gap counts; delta_uh and delta2 are non-cocommutative by design."""
+    yield from _residual_values(report)
+    if source == "delta1":
+        yield "cocommutativity_gap", float(report["cocommutativity_gap"])
 
 
 # -- verbs ---------------------------------------------------------------------
@@ -379,7 +387,7 @@ def _cmd_hopf_verify(args):
     ct = _hopf_build(args)
     tol = float(args.tol if args.tol is not None else DEFAULT_TOL)
     report = hopf.verify_coproduct(ct)
-    worst = max(v for _, v in _residual_values(report))
+    worst = max(v for _, v in _coproduct_values(ct.source, report))
     ok = worst <= tol
     payload = {
         "which": args.which,
@@ -478,7 +486,8 @@ def _cmd_verify_all(args):
         symbolic_ok = symbolic_ok and autos.inversion_symbolic_report(h, k, eps)["all_zero"]
 
     for name, report in sections.items():
-        for _, v in _residual_values(report):
+        source = "delta1" if name == "hopf_delta1" else None
+        for _, v in _coproduct_values(source, report):
             worst = max(worst, v)
     ok = worst <= tol and symbolic_ok
     payload = {
@@ -494,9 +503,9 @@ def _cmd_verify_all(args):
 # -- sweep ---------------------------------------------------------------------
 
 
-def _sweep_row(task):
-    family, j, h, k, tol = task
-    row = {"family": family, "j": j, "h": h, "k": k, "status": "ok"}
+def _sweep_checks(cell):
+    """Residual checks of one sweep cell, or the DomainError message."""
+    family, j, h, k = cell
     try:
         if family == "deform":
             rep = build_spin(j)
@@ -506,20 +515,31 @@ def _sweep_row(task):
                 t = build_elliptic_triplet(rep, DeformParams(h=h, k=k))
             checks = dict(relation_residuals(t))
             checks.update({f"casimir_{kk}": v for kk, v in _casimir_gaps(t).items()})
-        elif family == "elliptic":
-            scalars = autos.scalar_shift_identities(k, n_samples=25)
-            checks = dict(scalars["max_gaps"])
         else:
-            raise DomainError(f"unknown sweep family {family!r}")
-        worst = max(v for _, v in _residual_values(checks))
-        row.update({key: val for key, val in checks.items()
-                    if isinstance(val, (int, float)) and not isinstance(val, bool)})
-        row["worst"] = worst
-        row["pass"] = worst <= tol
+            checks = dict(autos.scalar_shift_identities(k, n_samples=25)["max_gaps"])
     except DomainError as exc:
-        row["status"] = "error"
-        row["error"] = str(exc)
-        row["pass"] = False
+        return str(exc)
+    return checks
+
+
+def _sweep_key(cell):
+    """The cell's inputs that its checks depend on: the elliptic family is a
+    function of k alone."""
+    family, _, _, k = cell
+    return cell if family == "deform" else (family, None, None, k)
+
+
+def _sweep_row(cell, tol, checks):
+    family, j, h, k = cell
+    row = {"family": family, "j": j, "h": h, "k": k, "status": "ok"}
+    if isinstance(checks, str):
+        row.update({"status": "error", "error": checks, "pass": False})
+        return row
+    worst = max(v for _, v in _residual_values(checks))
+    row.update({key: val for key, val in checks.items()
+                if isinstance(val, (int, float)) and not isinstance(val, bool)})
+    row["worst"] = worst
+    row["pass"] = worst <= tol
     return row
 
 
@@ -533,13 +553,15 @@ def _cmd_sweep(args):
     hs = _parse_float_list(args.h) if args.h is not None else [0.7]
     ks = _parse_float_list(args.k) if args.k is not None else [0.4, 0.8]
     workers = int(args.workers) if args.workers is not None else 1
-    tasks = [(fam, j, h, k, tol)
-             for fam, j, h, k in itertools.product(families, js, hs, ks)]
+    cells = list(itertools.product(families, js, hs, ks))
+    keys = list(dict.fromkeys(_sweep_key(c) for c in cells))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_row, tasks))
+            results = list(pool.map(_sweep_checks, keys))
     else:
-        rows = [_sweep_row(t) for t in tasks]
+        results = [_sweep_checks(key) for key in keys]
+    by_key = dict(zip(keys, results))
+    rows = [_sweep_row(c, tol, by_key[_sweep_key(c)]) for c in cells]
     ok = all(r.get("pass") for r in rows)
     payload = {"tol": tol, "families": families, "rows": rows, "pass": ok}
     return (0 if ok else 1), payload

@@ -22,12 +22,6 @@ from .errors import DomainError
 
 __all__ = [
     "TruncatedSeries",
-    "ts_mul",
-    "ts_compose",
-    "ts_revert",
-    "ts_pow_rational",
-    "ts_derive",
-    "ts_eval",
     "exp_series",
     "sinh_series",
     "cosh_series",
@@ -176,36 +170,6 @@ class TruncatedSeries:
         head = ", ".join(f"{c:.6g}" for c in self.coeffs[: min(4, self.coeffs.size)])
         tail = ", ..." if self.coeffs.size > 4 else ""
         return f"TruncatedSeries(order={self.order}, [{head}{tail}])"
-
-
-def ts_mul(a, b):
-    """Cauchy product truncated at min(a.order, b.order)."""
-    return a * b
-
-
-def ts_compose(outer, inner):
-    """outer(inner(u)) truncated at the common order."""
-    return outer.compose(inner)
-
-
-def ts_revert(s):
-    """Compositional inverse of s (needs c0 = 0, c1 != 0)."""
-    return s.revert()
-
-
-def ts_pow_rational(s, p):
-    """s**p for rational exponent p (needs c0 = 1)."""
-    return s.pow_rational(p)
-
-
-def ts_derive(s):
-    """Termwise derivative."""
-    return s.deriv()
-
-
-def ts_eval(s, u):
-    """Evaluate the truncated polynomial at complex u."""
-    return s.eval(u)
 
 
 def exp_series(order):

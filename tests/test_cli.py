@@ -149,6 +149,58 @@ def test_sweep_deterministic_and_parallel_identical(tmp_path):
     assert header[:5] == ["family", "j", "h", "k", "status"]
 
 
+def test_hopf_verify_counts_the_delta1_cocommutativity_gap():
+    proc = run("hopf", "verify", "--which", "1", "--j1", "1", "--j2", "1",
+               "--h", "0.8", "--k", "0.6")
+    assert proc.returncode == 0
+    payload = json.loads(proc.stdout)
+    assert payload["pass"] is True
+    assert payload["worst"] >= payload["report"]["cocommutativity_gap"]
+
+
+def test_cocommutativity_gap_decides_only_the_delta1_verdict(monkeypatch, capsys):
+    from elliptic_sl2 import cli, hopf
+
+    real = hopf.verify_coproduct
+
+    def inflated(ct):
+        report = real(ct)
+        report["cocommutativity_gap"] = 0.5
+        return report
+
+    monkeypatch.setattr(hopf, "verify_coproduct", inflated)
+    common = ["--j1", "0.5", "--j2", "1", "--h", "0.8", "--k", "0.6"]
+    assert cli.main(["hopf", "verify", "--which", "1", *common]) == 1
+    assert json.loads(capsys.readouterr().out)["worst"] == 0.5
+    for which in ("2", "uh"):
+        assert cli.main(["hopf", "verify", "--which", which, *common]) == 0
+        assert json.loads(capsys.readouterr().out)["worst"] < 0.5
+
+
+def test_sweep_computes_the_elliptic_family_once_per_modulus(monkeypatch, capsys):
+    from elliptic_sl2 import autos, cli
+
+    calls = []
+    real = autos.scalar_shift_identities
+
+    def counted(k, **kw):
+        calls.append(k)
+        return real(k, **kw)
+
+    monkeypatch.setattr(autos, "scalar_shift_identities", counted)
+    args = ["sweep", "--families", "deform,elliptic", "--j", "0.5,1.5", "--h", "0.6,0.7",
+            "--k", "0.4,0.8"]
+    assert cli.main(args) == 0
+    assert sorted(calls) == [0.4, 0.8]
+    serial = capsys.readouterr().out
+    rows = json.loads(serial)["rows"]
+    elliptic = [r for r in rows if r["family"] == "elliptic"]
+    assert [(r["j"], r["h"], r["k"]) for r in elliptic] == [
+        (j, h, k) for j in (0.5, 1.5) for h in (0.6, 0.7) for k in (0.4, 0.8)]
+    par = run(*args, "--workers", "2")
+    assert par.returncode == 0 and par.stdout == serial
+
+
 def test_sweep_elliptic_marks_unit_modulus_as_error():
     proc = run("sweep", "--families", "elliptic", "--j", "0.5", "--h", "0.7",
                "--k", "0.6,1.0")

@@ -15,6 +15,7 @@ from elliptic_sl2.hopf import (
     delta1_x_from_factor_sn,
     delta2_x_from_factor_sn,
     verify_coproduct,
+    _swap_factors,
 )
 from elliptic_sl2.liealg import build_spin, coproduct_classical, frobenius, kron
 
@@ -102,3 +103,22 @@ def test_cocommutativity_gap_keys():
     gaps = cocommutativity_gap(ct)
     assert set(gaps) == {"X", "Y", "J0", "max"}
     assert gaps["max"] < 1e-12
+
+
+@pytest.mark.parametrize("d1,d2", [(2, 3), (3, 2), (4, 4)])
+def test_factor_swap_is_the_permutation_conjugation(d1, d2):
+    p = np.zeros((d1 * d2, d1 * d2))
+    for i1 in range(d1):
+        for i2 in range(d2):
+            p[i2 * d1 + i1, i1 * d2 + i2] = 1.0
+    rng = np.random.default_rng(d1 * 10 + d2)
+    a = rng.standard_normal((d1 * d2,) * 2) + 1j * rng.standard_normal((d1 * d2,) * 2)
+    assert np.array_equal(_swap_factors(a, d1, d2), p @ a @ p.T)
+    b1 = rng.standard_normal((d1, d1))
+    b2 = rng.standard_normal((d2, d2))
+    assert np.array_equal(_swap_factors(kron(b1, b2), d1, d2), kron(b2, b1))
+
+
+def test_delta1_is_cocommutative_on_unequal_factors():
+    ct = delta1(DeformParams(h=0.35, k=0.7), build_spin(1.5), build_spin(2.0))
+    assert cocommutativity_gap(ct)["max"] <= 1e-13

@@ -63,6 +63,62 @@ def test_mat_apply_series_is_polynomial_evaluation():
     assert np.max(np.abs(got - expect)) == 0.0
 
 
+def _strictly_upper(rng, dim):
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return np.triu(z, 1)
+
+
+def _nilpotent_inputs():
+    """Random strictly upper-triangular matrices of dim 1..30, then the
+    Kronecker sums Jp x 1 + 1 x Jp of a few spin-module pairs (nilpotent far
+    below dim)."""
+    rng = np.random.default_rng(20)
+    for dim in range(1, 31):
+        yield _strictly_upper(rng, dim)
+    for j1, j2 in ((0.5, 1.0), (1.0, 1.5), (2.0, 2.5), (3.0, 3.0)):
+        yield coproduct_classical(build_spin(j1), build_spin(j2))[0]
+
+
+def test_mat_apply_series_matches_explicit_power_sum():
+    rng = np.random.default_rng(21)
+    worst = 0.0
+    for m in _nilpotent_inputs():
+        dim = m.shape[0]
+        powers = [np.linalg.matrix_power(m, i) for i in range(3 * dim + 1)]
+        for order in range(3 * dim + 1):
+            c = rng.standard_normal(order + 1) + 1j * rng.standard_normal(order + 1)
+            expect = sum(ci * p for ci, p in zip(c, powers))
+            got = mat_apply_series(TruncatedSeries(c), m)
+            worst = max(worst, frobenius(got - expect) / frobenius(expect))
+    assert worst <= 1e-13
+
+
+def test_mat_apply_series_is_bit_identical_past_the_nilpotency_bound():
+    rng = np.random.default_rng(22)
+    for m in _nilpotent_inputs():
+        dim = m.shape[0]
+        c = rng.standard_normal(3 * dim + 1) + 1j * rng.standard_normal(3 * dim + 1)
+        first = mat_apply_series(TruncatedSeries(c[:dim]), m)
+        for order in range(dim, 3 * dim + 1):
+            assert np.array_equal(mat_apply_series(TruncatedSeries(c[: order + 1]), m), first)
+
+
+def test_mat_apply_series_rejects_entries_on_or_below_the_diagonal():
+    rng = np.random.default_rng(23)
+    s = TruncatedSeries(np.ones(4, dtype=complex))
+    for dim in range(1, 31):
+        m = _strictly_upper(rng, dim)
+        row = int(rng.integers(dim))
+        col = int(rng.integers(row + 1))  # col <= row: on or below the diagonal
+        m[row, col] = complex(rng.standard_normal(), rng.standard_normal())
+        with pytest.raises(DomainError):
+            mat_apply_series(s, m)
+    with pytest.raises(DomainError):
+        mat_apply_series(s, np.eye(3))
+    with pytest.raises(DomainError):
+        mat_apply_series(s, np.zeros((2, 3)))
+
+
 def test_classical_coproduct_satisfies_relations():
     r1, r2 = build_spin(0.5), build_spin(1.0)
     djp, djm, dj0 = coproduct_classical(r1, r2)
