@@ -163,15 +163,19 @@ def scalar_shift_identities(k, n_samples=50, seed=20260818):
         upd("sn_shift_iKp", sn_s, 1.0 / (k * sn))
         upd("cn_shift_iKp", cn_s, -1j * dn / (k * sn))
         upd("dn_shift_iKp", dn_s, -1j * cn / sn)
-        sn_s2, _, _ = jacobi_numeric(u + 2 * K + 1j * Kp, k)
+        sn_s2, cn_s2, _ = jacobi_numeric(u + 2 * K + 1j * Kp, k)
         upd("sn_shift_2K_iKp", sn_s2, -1.0 / (k * sn))
-        upd("sn_period_4K", jacobi_numeric(u + 4 * K, k)[0], sn)
-        upd("sn_period_2iKp", jacobi_numeric(u + 2j * Kp, k)[0], sn)
-        upd("cn_period_4K", jacobi_numeric(u + 4 * K, k)[1], cn)
-        upd("cn_period_2K_2iKp", jacobi_numeric(u + 2 * complex(K, Kp), k)[1], cn)
+        sn_4K, cn_4K, _ = jacobi_numeric(u + 4 * K, k)
+        upd("sn_period_4K", sn_4K, sn)
+        upd("cn_period_4K", cn_4K, cn)
         upd("dn_period_2K", jacobi_numeric(u + 2 * K, k)[2], dn)
-        # the full imaginary period of dn, straddled so both evaluation
-        # points sit at height ~2K' where double precision keeps its digits
+        # The imaginary periods are straddled: the two points of each pair
+        # sit on either side of the real axis, at heights near K' (sn, cn)
+        # or 2K' (dn), where double precision keeps its digits; a point near
+        # height 2K' against one near the real axis loses them at small k.
+        sn_m, cn_m, _ = jacobi_numeric(u - 1j * Kp, k)
+        upd("sn_period_2iKp", sn_s, sn_m)
+        upd("cn_period_2K_2iKp", cn_s2, cn_m)
         upd("dn_period_4iKp",
             jacobi_numeric(u + 2j * Kp, k)[2],
             jacobi_numeric(u - 2j * Kp, k)[2])

@@ -16,7 +16,8 @@ Verbs:
     sweep              grid of residual reports (optionally in parallel)
 
 Exit codes: 0 all residuals within tolerance, 1 a residual check failed,
-2 usage error, 3 domain error (reported as structured JSON on stderr).
+2 usage error, 3 domain error.  A flag value that does not parse is a usage
+error; it and every domain error are reported as structured JSON on stderr.
 
 Output is deterministic: floats are emitted with repr-faithful precision,
 row order in sweeps follows the cartesian product of the parameter lists,
@@ -49,11 +50,15 @@ from .deform import (
 from .elliptic import complete_K, complete_Kprime, jacobi_numeric, periods
 from .errors import DomainError
 from .liealg import build_spin, frobenius, matrix_to_json
-from .rewrite import nf_word, parse_expression
+from .rewrite import parse_expression
 from .version import __version__
 
 DEFAULT_TOL = 1e-9
 _FMT = ".17g"
+
+
+class UsageError(ValueError):
+    """A flag value that does not parse (exit code 2)."""
 
 
 # -- deterministic emitters ----------------------------------------------------
@@ -179,18 +184,21 @@ def _write_payload(payload, fmt, out_path):
 # -- argument plumbing ---------------------------------------------------------
 
 
-def _parse_complex(text):
+def _parse(convert, name, text):
+    """A flag's value through ``convert``; a value that does not parse is a
+    usage error."""
     try:
-        return complex(text.replace("i", "j").replace(" ", ""))
+        return convert(text)
     except ValueError as exc:
-        raise DomainError(f"cannot parse complex number {text!r}") from exc
+        raise UsageError(f"cannot parse --{name.replace('_', '-')} value {text!r}") from exc
 
 
-def _parse_float_list(text):
-    try:
-        return [float(v) for v in text.split(",") if v != ""]
-    except ValueError as exc:
-        raise DomainError(f"cannot parse number list {text!r}") from exc
+def _complex(text):
+    return complex(text.replace("i", "j").replace(" ", ""))
+
+
+def _float_list(text):
+    return [float(v) for v in text.split(",") if v != ""]
 
 
 def _load_config(path):
@@ -227,11 +235,15 @@ def _resolve_format(args):
     return fmt
 
 
-def _need(args, name):
+def _need(args, name, default=None):
+    """A numeric flag; a missing one takes ``default`` or, without one, is a
+    domain error."""
     val = getattr(args, name, None)
     if val is None:
-        raise DomainError(f"missing required value --{name.replace('_', '-')}")
-    return float(val)
+        if default is None:
+            raise DomainError(f"missing required value --{name.replace('_', '-')}")
+        return default
+    return _parse(float, name, val)
 
 
 _NOT_RESIDUALS = frozenset({
@@ -279,7 +291,7 @@ def _cmd_elliptic_K(args):
 
 def _cmd_elliptic_eval(args):
     k = _need(args, "k")
-    u = _parse_complex(args.u if args.u is not None else _err_missing("u"))
+    u = _parse(_complex, "u", args.u if args.u is not None else _err_missing("u"))
     sn, cn, dn = jacobi_numeric(u, k)
     return 0, {"u": u, "k": k, "sn": sn, "cn": cn, "dn": dn}
 
@@ -329,7 +341,7 @@ def _casimir_gaps(t):
 
 def _cmd_deform_verify(args):
     t = _build_triplet(args)
-    tol = float(args.tol if args.tol is not None else DEFAULT_TOL)
+    tol = _need(args, "tol", DEFAULT_TOL)
     residuals = relation_residuals(t)
     gaps = _casimir_gaps(t)
     jp, jm = invert_map(t)
@@ -385,7 +397,7 @@ def _cmd_hopf_delta(args):
 
 def _cmd_hopf_verify(args):
     ct = _hopf_build(args)
-    tol = float(args.tol if args.tol is not None else DEFAULT_TOL)
+    tol = _need(args, "tol", DEFAULT_TOL)
     report = hopf.verify_coproduct(ct)
     worst = max(v for _, v in _coproduct_values(ct.source, report))
     ok = worst <= tol
@@ -403,7 +415,7 @@ def _cmd_hopf_verify(args):
 
 def _cmd_auto_shift(args):
     which = args.which
-    tol = float(args.tol if args.tol is not None else DEFAULT_TOL)
+    tol = _need(args, "tol", DEFAULT_TOL)
     j = _need(args, "j")
     h = _need(args, "h")
     rep = build_spin(j)
@@ -444,20 +456,13 @@ def _cmd_rewrite_nf(args):
         raise DomainError("missing required value --expr")
     strategy = args.strategy or "leftmost"
     poly = parse_expression(args.expr)
-    if strategy != "leftmost":
-        # re-normalize every monomial under the requested scan order
-        from .rewrite import NCPoly, _monomial_word
-        acc = NCPoly.zero()
-        for key, coeff in poly.terms.items():
-            acc = acc + nf_word(_monomial_word(key), strategy).scale(coeff)
-        poly = acc
     return 0, {"expr": args.expr, "strategy": strategy, "terms": poly.to_terms()}
 
 
 def _cmd_verify_all(args):
-    tol = float(args.tol if args.tol is not None else DEFAULT_TOL)
-    h = float(args.h) if args.h is not None else 0.7
-    k = float(args.k) if args.k is not None else 0.6
+    tol = _need(args, "tol", DEFAULT_TOL)
+    h = _need(args, "h", 0.7)
+    k = _need(args, "k", 0.6)
     sections = {}
     worst = 0.0
 
@@ -544,15 +549,15 @@ def _sweep_row(cell, tol, checks):
 
 
 def _cmd_sweep(args):
-    tol = float(args.tol if args.tol is not None else DEFAULT_TOL)
+    tol = _need(args, "tol", DEFAULT_TOL)
     families = [f.strip() for f in (args.families or "deform").split(",") if f.strip()]
     for fam in families:
         if fam not in ("deform", "elliptic"):
             raise DomainError(f"unknown sweep family {fam!r}")
-    js = _parse_float_list(args.j) if args.j is not None else [0.5, 1.0]
-    hs = _parse_float_list(args.h) if args.h is not None else [0.7]
-    ks = _parse_float_list(args.k) if args.k is not None else [0.4, 0.8]
-    workers = int(args.workers) if args.workers is not None else 1
+    js = _parse(_float_list, "j", args.j) if args.j is not None else [0.5, 1.0]
+    hs = _parse(_float_list, "h", args.h) if args.h is not None else [0.7]
+    ks = _parse(_float_list, "k", args.k) if args.k is not None else [0.4, 0.8]
+    workers = _parse(int, "workers", args.workers) if args.workers is not None else 1
     cells = list(itertools.product(families, js, hs, ks))
     keys = list(dict.fromkeys(_sweep_key(c) for c in cells))
     if workers > 1:
@@ -638,7 +643,8 @@ def build_parser():
     rw = top.add_parser("rewrite", help="exact normal ordering").add_subparsers(dest="sub", required=True)
     p = rw.add_parser("nf", help="normal form of an expression")
     p.add_argument("--expr", help="expression over Jp, Jm, J0, Jpinv")
-    p.add_argument("--strategy", choices=("leftmost", "rightmost"))
+    p.add_argument("--strategy", choices=("leftmost", "rightmost"),
+                   help="echoed in the report; the normal form does not depend on it")
     _add_common(p)
     p.set_defaults(fn=_cmd_rewrite_nf)
 
@@ -665,13 +671,13 @@ def main(argv=None):
         code, payload = args.fn(args)
         _write_payload(payload, fmt, getattr(args, "out", None))
         return code
-    except DomainError as exc:
+    except (DomainError, UsageError) as exc:
         err = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         buf = io.StringIO()
         _emit_json(err, buf)
         buf.write("\n")
         sys.stderr.write(buf.getvalue())
-        return 3
+        return 2 if isinstance(exc, UsageError) else 3
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """Exact normal ordering in the enveloping algebra localized at the raiser.
 
-Words in the letters Jm, J0, Jp, Jpinv are rewritten to the ordered basis
+Elements are exact polynomials in the ordered basis
 
     Jm**a  J0**b  Jp**c        (a, b >= 0, c any integer),
 
@@ -8,7 +8,19 @@ with Jpinv a two-sided formal inverse of Jp.  All coefficients are exact
 rationals; nothing in this module touches floating point except the spin
 evaluation helpers used to cross-check against matrices.
 
-The rewrite rules replace one out-of-order adjacent pair at a time:
+Products are computed in closed form (``_monomial_product``).  Three
+identities, valid for every integer power c of Jp, carry Jp**c past Jm**a
+and J0-polynomials past both (Kassel, *Quantum Groups*, GTM 155, ch. V):
+
+    f(J0) Jm     = Jm f(J0 - 1)
+    Jp**c f(J0)  = f(J0 - c) Jp**c
+    [Jp**c, Jm]  = c (2 J0 - c + 1) Jp**(c-1)
+
+so the product of two ordered monomials is a finite sum with integer
+structure coefficients, computed with no rewriting, recursion or memo.
+
+``nf_word`` and ``nf`` are the independent rule-based reference.  They
+replace one out-of-order adjacent pair at a time:
 
     J0 Jm    -> Jm J0 - Jm
     Jp Jm    -> Jm Jp + 2 J0
@@ -22,6 +34,16 @@ Termination holds for any choice of redex (interpret the letters as the
 strictly monotone maps Jm: x -> 5x+100, J0: x -> 2x+1, Jp, Jpinv: x -> 2x;
 every rule strictly shrinks every replacement word pointwise), and the two
 scan orders exposed here give a hook for testing order independence.
+
+Caps keep every call bounded in time and memory; each raises ``DomainError``:
+
+* ``MAX_DEGREE`` bounds the degree a + b + |c| of a product's result, and
+  the exponent and the degree of a power; checked before any work;
+* ``MAX_TERM_PAIRS`` bounds the term pairs of one product, checked before
+  that product's work;
+* ``MAX_REFERENCE_LETTERS`` bounds the length of a word given to the
+  reference rewriter, and ``MAX_REFERENCE_WORDS`` the memo entries one call
+  of it may add: its cost grows exponentially with the length.
 """
 
 from __future__ import annotations
@@ -29,6 +51,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, lcm
 
 import numpy as np
 
@@ -52,20 +75,34 @@ __all__ = [
 LETTERS = ("Jm", "J0", "Jp", "Jpinv")
 
 _RULES = {
-    ("J0", "Jm"): ((Fraction(1), ("Jm", "J0")), (Fraction(-1), ("Jm",))),
-    ("Jp", "Jm"): ((Fraction(1), ("Jm", "Jp")), (Fraction(2), ("J0",))),
-    ("Jp", "J0"): ((Fraction(1), ("J0", "Jp")), (Fraction(-1), ("Jp",))),
-    ("Jpinv", "J0"): ((Fraction(1), ("J0", "Jpinv")), (Fraction(1), ("Jpinv",))),
+    ("J0", "Jm"): ((1, ("Jm", "J0")), (-1, ("Jm",))),
+    ("Jp", "Jm"): ((1, ("Jm", "Jp")), (2, ("J0",))),
+    ("Jp", "J0"): ((1, ("J0", "Jp")), (-1, ("Jp",))),
+    ("Jpinv", "J0"): ((1, ("J0", "Jpinv")), (1, ("Jpinv",))),
     ("Jpinv", "Jm"): (
-        (Fraction(1), ("Jm", "Jpinv")),
-        (Fraction(-2), ("J0", "Jpinv", "Jpinv")),
-        (Fraction(-2), ("Jpinv", "Jpinv")),
+        (1, ("Jm", "Jpinv")),
+        (-2, ("J0", "Jpinv", "Jpinv")),
+        (-2, ("Jpinv", "Jpinv")),
     ),
-    ("Jp", "Jpinv"): ((Fraction(1), ()),),
-    ("Jpinv", "Jp"): ((Fraction(1), ()),),
+    ("Jp", "Jpinv"): ((1, ()),),
+    ("Jpinv", "Jp"): ((1, ()),),
 }
 
 STRATEGIES = ("leftmost", "rightmost")
+
+# Largest degree a + b + |c| of a product or power, and largest exponent.
+# (Jp + Jm + J0)**48, 20,824 terms, takes about 2.5 s on a 2-vCPU VM.
+MAX_DEGREE = 48
+
+# Largest number of term pairs one product may multiply.  The degree alone
+# does not bound the work: (Jp + Jm + J0)**20 (Jp + Jm + J0)**20 is 3.1M pairs.
+MAX_TERM_PAIRS = 100_000
+
+# Longest word the rule-based reference accepts, which bounds its recursion
+# depth, and the most memo entries one call of it may add, which bounds its
+# time and memory: the rightmost scan is exponential on Jpinv Jm**n.
+MAX_REFERENCE_LETTERS = 24
+MAX_REFERENCE_WORDS = 50_000
 
 
 def _monomial_word(key):
@@ -79,6 +116,100 @@ def _key_of_normal_word(word):
     b = sum(1 for w in word if w == "J0")
     c = sum(1 for w in word if w == "Jp") - sum(1 for w in word if w == "Jpinv")
     return (a, b, c)
+
+
+def _degree(key):
+    a, b, c = key
+    return a + b + abs(c)
+
+
+def _commutations(a2, c1):
+    """How many terms Jp**c1 Jm**a2 has: the falling factorial c1 (c1-1) ...
+    vanishes past i = c1 when c1 >= 0."""
+    return a2 if c1 < 0 else min(a2, c1)
+
+
+def _product_degree(k1, k2):
+    """Exact degree of the product of two ordered monomials: term i has
+    degree a1 + a2 + b1 + b2 + |c1 + c2 - i|, largest at an end of the range."""
+    a1, b1, c1 = k1
+    a2, b2, c2 = k2
+    c = c1 + c2
+    return a1 + a2 + b1 + b2 + max(abs(c), abs(c - _commutations(a2, c1)))
+
+
+def _check_degree(degree, what):
+    if degree > MAX_DEGREE:
+        raise DomainError(f"{what} of degree {degree} exceeds MAX_DEGREE = {MAX_DEGREE}")
+
+
+def _power_degree(keys, n):
+    """Bound on the degree of the n-th power: n times the largest term degree,
+    plus one for every Jm that may commute past an inverse raiser power (a
+    commutation trades a Jm for a J0 and lowers c by one)."""
+    degree = max(map(_degree, keys), default=0)
+    if any(c < 0 for _, _, c in keys):
+        degree += max(a for a, _, _ in keys)
+    return n * degree
+
+
+def _times_2x_plus(p, const):
+    """Coefficients, lowest first, of p(x) (2x + const)."""
+    out = [const * p[0]]
+    out.extend(const * p[k] + 2 * p[k - 1] for k in range(1, len(p)))
+    out.append(2 * p[-1])
+    return out
+
+
+def _times_shifted_power(p, s, b):
+    """Coefficients, lowest first, of p(x) (x + s)**b, for s != 0."""
+    q = [comb(b, k) * s ** (b - k) for k in range(b + 1)]
+    out = [0] * (len(p) + b)
+    for i, u in enumerate(p):
+        for k, v in enumerate(q, i):
+            out[k] += u * v
+    return out
+
+
+def _monomial_product(k1, k2):
+    """Jm**a1 J0**b1 Jp**c1 . Jm**a2 J0**b2 Jp**c2 in the ordered basis, as
+    (key, integer coefficient) pairs.
+
+    With x = J0, Jp**c Jm**a = sum_i C(a, i) c(c-1)...(c-i+1) Jm**(a-i)
+    prod_{j=1..i} (2x - c - a + i + j) Jp**(c-i) for every integer c, and
+    J0-polynomials move past Jm**(a2-i) and Jp**(c1-i) by shifts, so term i is
+
+        C(a2, i) c1(c1-1)...(c1-i+1) Jm**(a1+a2-i) (x - a2 + i)**b1
+        prod_j (2x - c1 - a2 + i + j) (x - c1 + i)**b2 Jp**(c1+c2-i).
+    """
+    a1, b1, c1 = k1
+    a2, b2, c2 = k2
+    top = _commutations(a2, c1)
+    if not top and (not a2 or not b1) and (not c1 or not b2):
+        return (((a1 + a2, b1 + b2, c1 + c2), 1),)
+    out = []
+    coeff = 1
+    for i in range(top + 1):
+        if i:
+            coeff = coeff * (a2 - i + 1) * (c1 - i + 1) // i
+        p = [coeff]
+        for j in range(1, i + 1):
+            p = _times_2x_plus(p, i + j - c1 - a2)
+        low = 0     # a zero shift leaves a power of x, kept as an offset
+        for s, b in ((i - a2, b1), (i - c1, b2)):
+            if s and b:
+                p = _times_shifted_power(p, s, b)
+            else:
+                low += b
+        a, c = a1 + a2 - i, c1 + c2 - i
+        out.extend(((a, low + k, c), n) for k, n in enumerate(p) if n)
+    return out
+
+
+def _integral(terms):
+    """A polynomial's terms as integer numerators over one common denominator."""
+    d = lcm(*(q.denominator for q in terms.values()))
+    return [(key, q.numerator * (d // q.denominator)) for key, q in terms.items()], d
 
 
 class NCPoly:
@@ -99,6 +230,13 @@ class NCPoly:
         self.terms = clean
 
     # -- constructors --
+
+    @classmethod
+    def _exact(cls, terms):
+        """Wrap a dict of nonzero Fractions as it is, without re-validating."""
+        poly = object.__new__(cls)
+        poly.terms = terms
+        return poly
 
     @classmethod
     def zero(cls):
@@ -142,11 +280,12 @@ class NCPoly:
             return NotImplemented
         out = dict(self.terms)
         for key, q in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + q
-        return NCPoly(out)
+            prev = out.get(key)
+            out[key] = q if prev is None else prev + q
+        return NCPoly._exact({key: q for key, q in out.items() if q})
 
     def __neg__(self):
-        return NCPoly({k: -q for k, q in self.terms.items()})
+        return NCPoly._exact({k: -q for k, q in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, NCPoly):
@@ -155,22 +294,31 @@ class NCPoly:
 
     def scale(self, value):
         q = Fraction(value)
-        return NCPoly({k: q * c for k, c in self.terms.items()})
+        return NCPoly._exact({k: q * c for k, c in self.terms.items()} if q else {})
 
     def __mul__(self, other):
+        """Closed-form product: integer structure coefficients from
+        ``_monomial_product``, over the common denominator of both factors."""
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, NCPoly):
             return NotImplemented
+        pairs = len(self.terms) * len(other.terms)
+        if pairs > MAX_TERM_PAIRS:
+            raise DomainError(f"product of {pairs} term pairs exceeds "
+                              f"MAX_TERM_PAIRS = {MAX_TERM_PAIRS}")
+        _check_degree(max((_product_degree(k1, k2) for k1 in self.terms for k2 in other.terms),
+                          default=0), "product")
+        xs, dx = _integral(self.terms)
+        ys, dy = _integral(other.terms)
         acc = {}
-        for k1, q1 in self.terms.items():
-            w1 = _monomial_word(k1)
-            for k2, q2 in other.terms.items():
-                prod = nf_word(w1 + _monomial_word(k2))
-                q12 = q1 * q2
-                for key, q in prod.terms.items():
-                    acc[key] = acc.get(key, Fraction(0)) + q12 * q
-        return NCPoly(acc)
+        for k1, n1 in xs:
+            for k2, n2 in ys:
+                n12 = n1 * n2
+                for key, n in _monomial_product(k1, k2):
+                    acc[key] = acc.get(key, 0) + n12 * n
+        d = dx * dy
+        return NCPoly._exact({key: Fraction(n, d) for key, n in acc.items() if n})
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -192,8 +340,11 @@ class NCPoly:
             raise DomainError("exponents must be integers")
         if n < 0:
             return self.inverse() ** (-n)
-        out = NCPoly.one()
-        for _ in range(n):
+        if n > MAX_DEGREE:
+            raise DomainError(f"exponent {n} exceeds MAX_DEGREE = {MAX_DEGREE}")
+        _check_degree(_power_degree(self.terms, n), "power")
+        out = self if n else NCPoly.one()
+        for _ in range(n - 1):
             out = out * self
         return out
 
@@ -227,19 +378,35 @@ _NF_MEMO = {}
 
 
 def nf_word(word, strategy="leftmost"):
-    """Normal form of one word, as an NCPoly.  The strategy picks which
-    out-of-order pair is rewritten first; all strategies agree on the result
-    (exercised by the order-independence tests)."""
+    """Normal form of one word by the rewrite rules, as an NCPoly: the
+    reference the closed-form product is tested against.  The strategy picks
+    which out-of-order pair is rewritten first; all strategies agree on the
+    result (exercised by the order-independence tests)."""
     if strategy not in STRATEGIES:
         raise DomainError(f"unknown strategy {strategy!r}")
     word = tuple(word)
     for w in word:
         if w not in LETTERS:
             raise DomainError(f"unknown letter {w!r}")
+    if len(word) > MAX_REFERENCE_LETTERS:
+        raise DomainError(f"the reference rewriter takes at most {MAX_REFERENCE_LETTERS} "
+                          f"letters, got {len(word)}")
+    limit = len(_NF_MEMO) + MAX_REFERENCE_WORDS
+    return NCPoly._exact({key: Fraction(n) for key, n in _rewrite(word, strategy, limit).items()})
+
+
+def _rewrite(word, strategy, limit):
+    """Rewrite the first redex in scan order and recurse on each branch,
+    summing the branches in one dict.  Every rule has integer coefficients,
+    so the result is {key: int}; memoised in ``_NF_MEMO``, which may grow to
+    ``limit`` entries."""
     memo_key = (word, strategy)
     hit = _NF_MEMO.get(memo_key)
     if hit is not None:
         return hit
+    if len(_NF_MEMO) >= limit:
+        raise DomainError(f"the reference rewriter needs more than MAX_REFERENCE_WORDS = "
+                          f"{MAX_REFERENCE_WORDS} words for this input")
 
     positions = range(len(word) - 1)
     if strategy == "rightmost":
@@ -251,25 +418,31 @@ def nf_word(word, strategy="leftmost"):
             break
 
     if redex is None:
-        result = NCPoly({_key_of_normal_word(word): Fraction(1)})
+        result = {_key_of_normal_word(word): 1}
     else:
-        result = NCPoly.zero()
+        acc = {}
         for coeff, repl in _RULES[(word[redex], word[redex + 1])]:
             rewritten = word[:redex] + repl + word[redex + 2:]
-            result = result + nf_word(rewritten, strategy).scale(coeff)
+            for key, n in _rewrite(rewritten, strategy, limit).items():
+                acc[key] = acc.get(key, 0) + coeff * n
+        result = {key: n for key, n in acc.items() if n}
 
     _NF_MEMO[memo_key] = result
     return result
 
 
 def nf(obj, strategy="leftmost"):
-    """Normal form of an NCPoly or an iterable of (coeff, word) pairs."""
+    """Normal form of an NCPoly or an iterable of (coeff, word) pairs, the
+    words normalised by the reference rewriter."""
     if isinstance(obj, NCPoly):
         return obj
-    acc = NCPoly.zero()
+    acc = {}
     for coeff, word in obj:
-        acc = acc + nf_word(word, strategy).scale(Fraction(coeff))
-    return acc
+        coeff = Fraction(coeff)
+        for key, q in nf_word(word, strategy).terms.items():
+            prev = acc.get(key)
+            acc[key] = coeff * q if prev is None else prev + coeff * q
+    return NCPoly._exact({key: q for key, q in acc.items() if q})
 
 
 # -- generator maps ------------------------------------------------------------
@@ -314,7 +487,8 @@ def inversion_map(h, k, eps):
     if h == 0 or k == 0:
         raise DomainError("inversion map needs nonzero h and k")
     jp = NCPoly({(0, 0, -1): eps * Fraction(4) / (k * h * h)})
-    jm = nf_word(("Jp", "Jm", "Jp")).scale(eps * k * h * h / 4)
+    jp_gen = NCPoly.generator("Jp")
+    jm = (jp_gen * NCPoly.generator("Jm") * jp_gen).scale(eps * k * h * h / 4)
     j0 = -NCPoly.generator("J0")
     return GeneratorMap(jp=jp, jm=jm, j0=j0)
 
@@ -323,8 +497,11 @@ def apply_map(m, poly):
     """Push an NCPoly through a generator map (ordered-monomial by monomial)."""
     acc = NCPoly.zero()
     for (a, b, c), coeff in poly.terms.items():
-        img = (m.jm ** a) * (m.j0 ** b) * (m.jp ** c)
-        acc = acc + img.scale(coeff)
+        img = NCPoly.scalar(coeff)
+        for image, n in ((m.jm, a), (m.j0, b), (m.jp, c)):
+            if n:
+                img = img * image ** n
+        acc = acc + img
     return acc
 
 
@@ -496,7 +673,10 @@ class _Parser:
         kind, val, pos = self.next()
         if kind != "number" or "/" in val:
             raise DomainError(f"exponent must be an integer at position {pos}")
-        return sign * int(val)
+        try:
+            return sign * int(val)
+        except ValueError:  # more digits than int() converts
+            raise DomainError(f"exponent at position {pos} exceeds MAX_DEGREE = {MAX_DEGREE}") from None
 
     def atom(self):
         kind, val, pos = self.peek()
@@ -505,7 +685,10 @@ class _Parser:
             return NCPoly.generator(val)
         if kind == "number":
             self.next()
-            return NCPoly.scalar(Fraction(val))
+            try:
+                return NCPoly.scalar(Fraction(val))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise DomainError(f"bad number {val!r} at position {pos}: {exc}") from None
         if kind == "op" and val == "-":
             self.next()
             return -self.factor()
@@ -528,4 +711,7 @@ def parse_expression(text):
     """Parse an expression over Jp, Jm, J0, Jpinv into normal form."""
     if not text or not text.strip():
         raise DomainError("empty expression")
-    return _Parser(text).parse()
+    try:
+        return _Parser(text).parse()
+    except RecursionError:
+        raise DomainError("expression nested too deeply") from None

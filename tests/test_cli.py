@@ -6,13 +6,19 @@ import json
 import os
 import subprocess
 import sys
+import time
+
+import elliptic_sl2
 
 CLI = [sys.executable, "-m", "elliptic_sl2"]
+# The child imports the package this test process imported.
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(elliptic_sl2.__file__)))
 
 
 def run(*args, env_extra=None, timeout=120):
     env = dict(os.environ)
     env.pop("ELLIPTIC_SL2_FORMAT", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(CLI + list(args), capture_output=True, text=True,
@@ -80,11 +86,40 @@ def test_rewrite_nf_and_strategies():
     assert json.loads(left.stdout)["terms"] == json.loads(right.stdout)["terms"]
 
 
+def test_rewrite_nf_long_expression_under_both_strategies():
+    left = run("rewrite", "nf", "--expr", "(Jp Jm)^20", "--strategy", "leftmost")
+    right = run("rewrite", "nf", "--expr", "(Jp Jm)^20", "--strategy", "rightmost")
+    assert left.returncode == 0 and right.returncode == 0, right.stderr
+    assert json.loads(right.stdout)["terms"] == json.loads(left.stdout)["terms"]
+
+
+def test_rewrite_nf_huge_exponent_is_a_fast_domain_error(capsys):
+    from elliptic_sl2 import cli
+
+    t0 = time.perf_counter()
+    assert cli.main(["rewrite", "nf", "--expr", "Jp^-1000000"]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "DomainError" and "MAX_DEGREE" in err["message"]
+
+
 def test_usage_error_is_exit_2():
     proc = run("no-such-verb")
     assert proc.returncode == 2
     proc = run("deform")
     assert proc.returncode == 2
+
+
+def test_unparseable_values_are_exit_2_with_structured_report():
+    for args, flag in ((("deform", "verify", "--j", "abc", "--h", "0.7", "--k", "0.6"), "--j"),
+                       (("deform", "verify", "--j", "1", "--h", "0.7", "--k", "0.6",
+                         "--tol", "xyz"), "--tol"),
+                       (("sweep", "--workers", "abc"), "--workers")):
+        proc = run(*args)
+        assert proc.returncode == 2, (args, proc.stderr)
+        err = json.loads(proc.stderr)["error"]
+        assert err["type"] == "UsageError"
+        assert flag in err["message"]
 
 
 def test_domain_error_is_exit_3_with_structured_report():
@@ -211,6 +246,13 @@ def test_sweep_elliptic_marks_unit_modulus_as_error():
     assert by_k[1.0]["status"] == "error"
     assert "0 < k < 1" in by_k[1.0]["error"]
     assert payload["pass"] is False
+
+
+def test_sweep_elliptic_passes_at_small_modulus():
+    proc = run("sweep", "--families", "elliptic", "--k", "0.08")
+    assert proc.returncode == 0, proc.stdout
+    row = json.loads(proc.stdout)["rows"][0]
+    assert row["pass"] is True and row["worst"] < 1e-9
 
 
 def test_verify_all_passes():

@@ -2,15 +2,21 @@
 independence, localization consistency, generator maps, the parser."""
 
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from elliptic_sl2 import rewrite
 from elliptic_sl2.errors import DomainError
 from elliptic_sl2.liealg import build_spin
 from elliptic_sl2.rewrite import (
     LETTERS,
+    MAX_DEGREE,
+    MAX_REFERENCE_LETTERS,
     GeneratorMap,
     NCPoly,
     apply_map,
@@ -25,6 +31,7 @@ from elliptic_sl2.rewrite import (
     verify_automorphism,
     verify_involution,
 )
+from elliptic_sl2.rewrite import _monomial_word, _power_degree
 
 Jp = NCPoly.generator("Jp")
 Jm = NCPoly.generator("Jm")
@@ -237,3 +244,149 @@ def test_parser_error_positions():
         parse_expression("Jp^(1/2)")
     with pytest.raises(DomainError):
         parse_expression("(Jp + Jm)^-1")
+
+
+def test_parser_malformed_numbers_and_nesting_are_domain_errors():
+    with pytest.raises(DomainError, match="bad number"):
+        parse_expression("1/0 Jp")
+    with pytest.raises(DomainError, match="MAX_DEGREE"):
+        parse_expression("Jp^" + "9" * 5000)
+    with pytest.raises(DomainError, match="nested"):
+        parse_expression("(" * 3000 + "Jp" + ")" * 3000)
+    with pytest.raises(DomainError, match="nested"):
+        parse_expression("Jp * " + "-" * 3000 + "Jp")
+
+
+# -- closed-form products against the rule-based reference --
+
+def _reference_product(x, y):
+    """x * y by normalising the concatenated words of every term pair."""
+    return nf([(q1 * q2, _monomial_word(k1) + _monomial_word(k2))
+               for k1, q1 in x.terms.items() for k2, q2 in y.terms.items()])
+
+
+_keys = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-4, 4))
+_coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=12).filter(bool)
+_polys = st.dictionaries(_keys, _coeffs, min_size=1, max_size=3).map(NCPoly)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_polys, _polys)
+def test_closed_form_product_matches_the_reference(x, y):
+    assert x * y == _reference_product(x, y)
+
+
+@pytest.mark.parametrize("c", range(-5, 6))
+def test_raiser_power_past_lowering_power_matches_the_reference(c):
+    for a in range(6):
+        x = NCPoly({(0, 0, c): 1})
+        y = NCPoly({(a, 0, 0): 1})
+        assert x * y == nf_word(_monomial_word((0, 0, c)) + ("Jm",) * a)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_polys, _polys, _polys)
+def test_closed_form_product_is_associative(x, y, z):
+    assert (x * y) * z == x * (y * z)
+
+
+def test_closed_form_product_matches_matrices():
+    rng = random.Random(11)
+    reps = [build_spin(j) for j in (1.0, 2.5)]
+    for _ in range(40):
+        x, y = (NCPoly({(rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)):
+                        Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(3)})
+                for _ in range(2))
+        for rep in reps:
+            direct = eval_poly_on_spin(x, rep) @ eval_poly_on_spin(y, rep)
+            got = eval_poly_on_spin(x * y, rep)
+            assert np.max(np.abs(direct - got)) <= 1e-9 * max(1.0, float(np.max(np.abs(direct))))
+
+
+def test_power_degree_bound_holds():
+    rng = random.Random(5)
+    for _ in range(60):
+        x = NCPoly({(rng.randint(0, 2), rng.randint(0, 2), rng.randint(-2, 2)): 1
+                    for _ in range(rng.randint(1, 3))})
+        for n in range(1, 4):
+            power = x ** n
+            assert max(map(rewrite._degree, power.terms), default=0) <= _power_degree(x.terms, n)
+
+
+def _exact_spin(j):
+    """Spin-j matrices (integer j) in the basis where Jp is the plain shift and
+    Jm has the integer entries (j + m)(j - m + 1): exact, as Python integers."""
+    dim = 2 * j + 1
+    jp, jm, j0 = (np.zeros((dim, dim), dtype=object) for _ in range(3))
+    for i in range(dim):
+        m = j - i
+        j0[i, i] = m
+        if i:
+            jp[i - 1, i] = 1
+        if i + 1 < dim:
+            jm[i + 1, i] = (j + m) * (j - m + 1)
+    return jp, jm, j0
+
+
+def _exact_eval(poly, mats):
+    jp, jm, j0 = mats
+    out = np.zeros_like(jp)
+    for (a, b, c), q in poly.terms.items():
+        mat = np.identity(jp.shape[0], dtype=int).astype(object)
+        for m, n in ((jm, a), (j0, b), (jp, c)):
+            for _ in range(n):
+                mat = mat @ m
+        out = out + mat * q
+    return out
+
+
+def test_long_products_need_no_recursion_or_memo():
+    rewrite._NF_MEMO.clear()
+    got = parse_expression("(Jp Jm)^20")
+    assert rewrite._NF_MEMO == {}
+    mats = _exact_spin(2)
+    direct = np.identity(5, dtype=int).astype(object)
+    for _ in range(20):
+        direct = direct @ mats[0] @ mats[1]
+    assert (_exact_eval(got, mats) == direct).all()
+
+
+# -- caps --
+
+def test_degree_cap_is_checked_before_any_work():
+    t0 = time.perf_counter()
+    with pytest.raises(DomainError, match="MAX_DEGREE"):
+        parse_expression("Jp^-1000000")
+    with pytest.raises(DomainError, match="MAX_DEGREE"):
+        parse_expression(f"2^{MAX_DEGREE + 1}")
+    with pytest.raises(DomainError, match="MAX_DEGREE"):
+        parse_expression(f"(Jp Jm)^{MAX_DEGREE // 2 + 1}")
+    with pytest.raises(DomainError, match="MAX_DEGREE"):
+        Jpinv ** (MAX_DEGREE // 2) * Jm ** (MAX_DEGREE // 2)
+    assert time.perf_counter() - t0 < 1.0
+    assert max(map(rewrite._degree, parse_expression(f"Jp^{MAX_DEGREE}").terms)) == MAX_DEGREE
+
+
+def test_term_pair_cap():
+    half = parse_expression("(Jp + Jm + J0)^20")
+    with pytest.raises(DomainError, match="MAX_TERM_PAIRS"):
+        half * half
+
+
+def test_reference_caps():
+    with pytest.raises(DomainError, match="at most"):
+        nf_word(("J0",) * 1200 + ("Jm",))
+    with pytest.raises(DomainError, match="at most"):
+        nf_word(("Jp",) * (MAX_REFERENCE_LETTERS + 1))
+    assert nf_word(("J0",) * (MAX_REFERENCE_LETTERS - 1) + ("Jm",)) == J0 ** 23 * Jm
+
+
+def test_reference_word_budget(monkeypatch):
+    # the rightmost scan is exponential on Jpinv Jm**n; the budget stops it
+    monkeypatch.setattr(rewrite, "MAX_REFERENCE_WORDS", 1000)
+    rewrite._NF_MEMO.clear()
+    word = ("Jpinv",) + ("Jm",) * 6
+    with pytest.raises(DomainError, match="MAX_REFERENCE_WORDS"):
+        nf_word(word, "rightmost")
+    rewrite._NF_MEMO.clear()
+    assert nf_word(word, "leftmost") == Jpinv * Jm ** 6
