@@ -16,22 +16,31 @@ Verbs:
     sweep              grid of residual reports (optionally in parallel)
 
 Exit codes: 0 all residuals within tolerance, 1 a residual check failed,
-2 usage error, 3 domain error.  A flag value that does not parse is a usage
-error; it and every domain error are reported as structured JSON on stderr.
+2 usage error, 3 domain error.  A flag value that does not parse to a finite
+number is a usage error; it and every domain error are reported as structured
+JSON on stderr.
 
-Output is deterministic: floats are emitted with repr-faithful precision,
-row order in sweeps follows the cartesian product of the parameter lists,
-and sampled checks are seeded.  A config file (key=value lines, # comments)
-can provide defaults; explicit flags always win.  The environment variable
-ELLIPTIC_SL2_FORMAT picks the default output format only.
+Output is deterministic.  JSON is one line from the standard library's
+encoder, where a float is the shortest text that reads back to the same
+double; a CSV float has 17 significant digits, which read back to the same
+double too; a complex number is [re, im] in JSON and re+imi in CSV; NaN and the infinities are the strings "NaN", "Infinity" and
+"-Infinity", so every document is RFC 8259 JSON.  A NaN residual is the worst
+residual and always fails.  Row order in sweeps follows the cartesian product
+of the parameter lists, and sampled checks are seeded.  A config file
+(key=value lines, # comments) can provide defaults; explicit flags always win.
+The environment variable ELLIPTIC_SL2_FORMAT picks the default output format
+only.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import itertools
+import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -49,12 +58,12 @@ from .deform import (
 )
 from .elliptic import complete_K, complete_Kprime, jacobi_numeric, periods
 from .errors import DomainError
-from .liealg import build_spin, frobenius, matrix_to_json
+from .liealg import build_spin, frobenius, matrix_to_json, worst
 from .rewrite import parse_expression
 from .version import __version__
 
 DEFAULT_TOL = 1e-9
-_FMT = ".17g"
+_NONFINITE = {math.inf: "Infinity", -math.inf: "-Infinity"}
 
 
 class UsageError(ValueError):
@@ -64,63 +73,27 @@ class UsageError(ValueError):
 # -- deterministic emitters ----------------------------------------------------
 
 
-def _fmt_float(x):
-    if x != x:
-        return "NaN"
-    return format(float(x), _FMT)
+def _json_float(x):
+    """A finite float as itself, NaN and the infinities as strings."""
+    x = float(x)
+    return x if math.isfinite(x) else _NONFINITE.get(x, "NaN")
 
 
-def _fmt_complex_csv(z):
-    z = complex(z)
-    return f"{format(z.real, _FMT)}{'+' if z.imag >= 0 else '-'}{format(abs(z.imag), _FMT)}i"
-
-
-def _emit_json(obj, out, indent=0):
-    pad = "  " * indent
+def _jsonable(obj):
+    """The payload in plain JSON values: complex numbers become [re, im]."""
+    if isinstance(obj, float):
+        return _json_float(obj)
     if isinstance(obj, dict):
-        if not obj:
-            out.write("{}")
-            return
-        out.write("{\n")
-        items = list(obj.items())
-        for i, (key, val) in enumerate(items):
-            out.write(f'{pad}  "{key}": ')
-            _emit_json(val, out, indent + 1)
-            out.write(",\n" if i + 1 < len(items) else "\n")
-        out.write(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.write("[]")
-            return
-        flat = all(not isinstance(v, (dict, list, tuple)) for v in obj)
-        if flat:
-            out.write("[" + ", ".join(_json_scalar(v) for v in obj) + "]")
-        else:
-            out.write("[\n")
-            for i, val in enumerate(obj):
-                out.write(pad + "  ")
-                _emit_json(val, out, indent + 1)
-                out.write(",\n" if i + 1 < len(obj) else "\n")
-            out.write(pad + "]")
-    else:
-        out.write(_json_scalar(obj))
+        return {key: _jsonable(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(val) for val in obj]
+    if isinstance(obj, complex):
+        return [_json_float(obj.real), _json_float(obj.imag)]
+    return obj
 
 
-def _json_scalar(v):
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if v is None:
-        return "null"
-    if isinstance(v, complex):
-        return f"[{_fmt_float(v.real)}, {_fmt_float(v.imag)}]"
-    if isinstance(v, float):
-        return _fmt_float(v)
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, np.floating):
-        return _fmt_float(float(v))
-    text = str(v)
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+def _json_text(obj):
+    return json.dumps(_jsonable(obj), allow_nan=False) + "\n"
 
 
 def _flatten(prefix, obj, rows):
@@ -134,15 +107,21 @@ def _flatten(prefix, obj, rows):
         rows.append((prefix, obj))
 
 
+def _csv_float(x):
+    """17 significant digits, which read back to the same double."""
+    x = float(x)
+    return format(x, ".17g") if math.isfinite(x) else _json_float(x)
+
+
 def _csv_cell(v):
     if isinstance(v, bool):
         return "true" if v else "false"
     if v is None:
         return ""
     if isinstance(v, complex):
-        return _fmt_complex_csv(v)
-    if isinstance(v, (float, np.floating)):
-        return _fmt_float(v)
+        return f"{_csv_float(v.real)}{'+' if v.imag >= 0 else '-'}{_csv_float(abs(v.imag))}i"
+    if isinstance(v, float):
+        return _csv_float(v)
     return str(v)
 
 
@@ -167,13 +146,12 @@ def _emit_csv(payload, out):
 
 
 def _write_payload(payload, fmt, out_path):
-    buf = io.StringIO()
     if fmt == "csv":
+        buf = io.StringIO()
         _emit_csv(payload, buf)
+        text = buf.getvalue()
     else:
-        _emit_json(payload, buf)
-        buf.write("\n")
-    text = buf.getvalue()
+        text = _json_text(payload)
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -185,20 +163,31 @@ def _write_payload(payload, fmt, out_path):
 
 
 def _parse(convert, name, text):
-    """A flag's value through ``convert``; a value that does not parse is a
-    usage error."""
+    """A flag's value through ``convert``; a value that does not parse, or
+    that parses to a number that is not finite, is a usage error."""
     try:
         return convert(text)
     except ValueError as exc:
-        raise UsageError(f"cannot parse --{name.replace('_', '-')} value {text!r}") from exc
+        raise UsageError(f"cannot parse --{name.replace('_', '-')} value {text!r} "
+                         f"as a finite number") from exc
+
+
+def _finite(x):
+    if not cmath.isfinite(x):
+        raise ValueError(f"{x} is not finite")
+    return x
+
+
+def _float(text):
+    return _finite(float(text))
 
 
 def _complex(text):
-    return complex(text.replace("i", "j").replace(" ", ""))
+    return _finite(complex(text.replace("i", "j").replace(" ", "")))
 
 
 def _float_list(text):
-    return [float(v) for v in text.split(",") if v != ""]
+    return [_float(v) for v in text.split(",") if v != ""]
 
 
 def _load_config(path):
@@ -243,7 +232,7 @@ def _need(args, name, default=None):
         if default is None:
             raise DomainError(f"missing required value --{name.replace('_', '-')}")
         return default
-    return _parse(float, name, val)
+    return _parse(_float, name, val)
 
 
 _NOT_RESIDUALS = frozenset({
@@ -257,7 +246,15 @@ def _residual_values(report):
         if key in _NOT_RESIDUALS:
             continue
         if isinstance(val, (int, float)) and not isinstance(val, bool):
-            yield key, float(val)
+            yield float(val)
+
+
+def _judge(payload, values, tol, ok=True):
+    """Append the worst residual and the verdict to a report; returns the
+    exit code.  ``ok`` is a verdict from outside the residuals."""
+    payload["worst"] = worst(values)
+    payload["pass"] = ok and payload["worst"] <= tol
+    return 0 if payload["pass"] else 1
 
 
 def _coproduct_values(source, report):
@@ -265,7 +262,7 @@ def _coproduct_values(source, report):
     gap counts; delta_uh and delta2 are non-cocommutative by design."""
     yield from _residual_values(report)
     if source == "delta1":
-        yield "cocommutativity_gap", float(report["cocommutativity_gap"])
+        yield float(report["cocommutativity_gap"])
 
 
 # -- verbs ---------------------------------------------------------------------
@@ -345,25 +342,21 @@ def _cmd_deform_verify(args):
     residuals = relation_residuals(t)
     gaps = _casimir_gaps(t)
     jp, jm = invert_map(t)
-    roundtrip = max(
+    roundtrip = worst((
         frobenius(jp - t.rep.Jp) / max(1.0, frobenius(t.rep.Jp)),
         frobenius(jm - t.rep.Jm) / max(1.0, frobenius(t.rep.Jm)),
-    )
+    ))
     checks = dict(residuals)
     checks.update({f"casimir_{k}": v for k, v in gaps.items()})
     checks["roundtrip"] = roundtrip
-    worst = max(v for _, v in _residual_values(checks))
-    ok = worst <= tol
     payload = {
         "j": t.rep.j, "h": t.params.h, "k": t.params.k,
         "provenance": t.provenance, "tol": tol,
         "residuals": residuals,
         "casimir": gaps,
         "roundtrip": roundtrip,
-        "worst": worst,
-        "pass": ok,
     }
-    return (0 if ok else 1), payload
+    return _judge(payload, _residual_values(checks), tol), payload
 
 
 def _hopf_build(args):
@@ -399,23 +392,20 @@ def _cmd_hopf_verify(args):
     ct = _hopf_build(args)
     tol = _need(args, "tol", DEFAULT_TOL)
     report = hopf.verify_coproduct(ct)
-    worst = max(v for _, v in _coproduct_values(ct.source, report))
-    ok = worst <= tol
     payload = {
         "which": args.which,
         "j1": ct.r1.j, "j2": ct.r2.j,
         "h": ct.params.h, "k": ct.params.k,
         "tol": tol,
         "report": report,
-        "worst": worst,
-        "pass": ok,
     }
-    return (0 if ok else 1), payload
+    return _judge(payload, _coproduct_values(ct.source, report), tol), payload
 
 
 def _cmd_auto_shift(args):
     which = args.which
     tol = _need(args, "tol", DEFAULT_TOL)
+    exact = True
     j = _need(args, "j")
     h = _need(args, "h")
     rep = build_spin(j)
@@ -436,19 +426,12 @@ def _cmd_auto_shift(args):
         spec = autos.ELL_IKP if which == "ell-iKp" else autos.ELL_2K_IKP
         image, report = autos.period_shift_elliptic(t, spec)
         symbolic = autos.inversion_symbolic_report(h, k, spec.epsilon)
-        report["induced_map_exact"] = symbolic["all_zero"]
+        exact = report["induced_map_exact"] = symbolic["all_zero"]
         payload = {"which": which, "j": j, "h": h, "k": k,
                    "epsilon": spec.epsilon, "report": report}
-        if not symbolic["all_zero"]:
-            payload["pass"] = False
-            return 1, payload
     else:
         raise DomainError(f"unknown shift {which!r}")
-    worst = max(v for _, v in _residual_values(payload["report"]))
-    ok = worst <= tol
-    payload["worst"] = worst
-    payload["pass"] = ok
-    return (0 if ok else 1), payload
+    return _judge(payload, _residual_values(payload["report"]), tol, exact), payload
 
 
 def _cmd_rewrite_nf(args):
@@ -464,7 +447,6 @@ def _cmd_verify_all(args):
     h = _need(args, "h", 0.7)
     k = _need(args, "k", 0.6)
     sections = {}
-    worst = 0.0
 
     for j in (0.5, 1.0, 1.5):
         rep = build_spin(j)
@@ -490,19 +472,14 @@ def _cmd_verify_all(args):
     for eps in (+1, -1):
         symbolic_ok = symbolic_ok and autos.inversion_symbolic_report(h, k, eps)["all_zero"]
 
-    for name, report in sections.items():
-        source = "delta1" if name == "hopf_delta1" else None
-        for _, v in _coproduct_values(source, report):
-            worst = max(worst, v)
-    ok = worst <= tol and symbolic_ok
+    values = (v for name, report in sections.items()
+              for v in _coproduct_values("delta1" if name == "hopf_delta1" else None, report))
     payload = {
         "h": h, "k": k, "tol": tol,
         "sections": sections,
         "induced_maps_exact": symbolic_ok,
-        "worst": worst,
-        "pass": ok,
     }
-    return (0 if ok else 1), payload
+    return _judge(payload, values, tol, symbolic_ok), payload
 
 
 # -- sweep ---------------------------------------------------------------------
@@ -540,11 +517,9 @@ def _sweep_row(cell, tol, checks):
     if isinstance(checks, str):
         row.update({"status": "error", "error": checks, "pass": False})
         return row
-    worst = max(v for _, v in _residual_values(checks))
     row.update({key: val for key, val in checks.items()
                 if isinstance(val, (int, float)) and not isinstance(val, bool)})
-    row["worst"] = worst
-    row["pass"] = worst <= tol
+    _judge(row, _residual_values(checks), tol)
     return row
 
 
@@ -668,15 +643,14 @@ def main(argv=None):
         if getattr(args, "config", None):
             _apply_config(args, _load_config(args.config))
         fmt = _resolve_format(args)
-        code, payload = args.fn(args)
+        # No floating-point warnings on stderr: a non-finite value shows in
+        # the report, where it fails the verdict.
+        with np.errstate(all="ignore"):
+            code, payload = args.fn(args)
         _write_payload(payload, fmt, getattr(args, "out", None))
         return code
     except (DomainError, UsageError) as exc:
-        err = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        buf = io.StringIO()
-        _emit_json(err, buf)
-        buf.write("\n")
-        sys.stderr.write(buf.getvalue())
+        sys.stderr.write(_json_text({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 2 if isinstance(exc, UsageError) else 3
 
 

@@ -168,14 +168,25 @@ def _F_of_v_series(k, order):
     return (1.0 - (v2 * v2) * (k * k)) * den.pow_rational(-1)
 
 
+def _half_h_powers(h, n):
+    """(h/2)**i for i = 0..n; a domain error when one of them overflows."""
+    half = complex(h) / 2.0
+    try:
+        powers = np.array([half ** i for i in range(n + 1)], dtype=complex)
+        # complex ** int may raise on overflow, or return NaN parts
+        if np.isfinite(powers).all():
+            return powers
+    except OverflowError:
+        pass
+    raise DomainError(f"(h/2)**i for i <= {n} overflows at h = {h}")
+
+
 def _odd_rescaled(s, mat, h):
     """(2/h) F((h/2) M) for an odd series F, written without the division."""
     if s.coeffs[0] != 0:
         raise DomainError("rescaled application needs a series with zero constant term")
-    half = complex(h) / 2.0
     d = np.zeros_like(s.coeffs)
-    powers = np.array([half ** (i - 1) for i in range(1, s.order + 1)], dtype=complex)
-    d[1:] = s.coeffs[1:] * powers
+    d[1:] = s.coeffs[1:] * _half_h_powers(h, s.order - 1)
     return mat_apply_series(TruncatedSeries(d), mat)
 
 
@@ -350,14 +361,13 @@ def relations_on_generators(X, Y, J0, params, order, g_mat=None, f_mat=None):
 def _f_vs_dG_gap(k, h, order):
     """Max coefficient gap between the f-series and d/dXhat of the G-series,
     both written in the rescaled Xhat variable."""
-    half = complex(h) / 2.0
+    powers = _half_h_powers(h, order)
     G = _G_series(k, order)
     F = _F_series(k, order)
     g_resc = np.zeros(order + 1, dtype=complex)
-    powers = np.array([half ** (i - 1) for i in range(1, order + 1)], dtype=complex)
-    g_resc[1:] = G.coeffs[1:] * powers
+    g_resc[1:] = G.coeffs[1:] * powers[:-1]
     dg = TruncatedSeries(g_resc).deriv()
-    f_resc = F.coeffs * np.array([half ** i for i in range(order + 1)], dtype=complex)
+    f_resc = F.coeffs * powers
     n = dg.order
     return float(np.max(np.abs(dg.coeffs - f_resc[: n + 1])))
 
@@ -368,10 +378,10 @@ def relation_residuals(t):
     labels used throughout the residual reports."""
     k, h = t.params.k, t.params.h
     order = t.rep.dim
+    fm = f_matrices(t)  # its primary form is f_of(t) up to the shift parity
     out = relations_on_generators(t.Xhat, t.Yhat, t.J0, t.params, order,
-                                  g_mat=G_of(t), f_mat=f_of(t))
+                                  g_mat=G_of(t), f_mat=_parity_sign(t) * fm["primary"])
     out["f_vs_dG"] = _f_vs_dG_gap(k, h, order)
-    fm = f_matrices(t)
     out["f_eq15_vs_eq16"] = frobenius(fm["primary"] - fm["doubled"]) / _scale(fm["primary"])
     out["f_eq15_vs_eq17"] = frobenius(fm["primary"] - fm["algebraic"]) / _scale(fm["primary"])
     return out
@@ -402,11 +412,8 @@ def casimir(t, form):
         sinh_resc = _odd_rescaled(sinh_series(rep.dim), x, h)
         return cosh_x @ y @ sinh_resc + quad
     if form == "elliptic":
-        k = t.params.k
-        m = _at_half_h(_g_inv_of_u(k, rep.dim), t.Xhat, h)
-        sn, _, _ = _sncndn(k, rep.dim)
-        sn_resc = _odd_rescaled(sn, t.Xhat, h)
-        return m @ t.Yhat @ m @ sn_resc + quad
+        jp, jm = invert_map(t)
+        return jm @ jp + quad
     raise DomainError(f"unknown casimir form {form!r}")
 
 

@@ -30,6 +30,7 @@ __all__ = [
     "matrix_to_json",
     "matrix_from_json",
     "frobenius",
+    "worst",
 ]
 
 
@@ -46,9 +47,10 @@ class SpinRep:
 
 def build_spin(j):
     """Spin-j matrices with [J0, J+-] = +-J+-, [J+, J-] = 2 J0."""
-    two_j = round(2 * float(j))
-    if two_j < 0 or abs(2 * float(j) - two_j) > 0:
+    two_j = 2 * float(j)
+    if not (two_j >= 0 and two_j.is_integer()):
         raise DomainError(f"spin must be a non-negative half-integer, got {j}")
+    two_j = int(two_j)
     j = two_j / 2.0
     dim = two_j + 1
     m = j - np.arange(dim)  # descending magnetic quantum numbers
@@ -120,6 +122,13 @@ def coproduct_classical(r1, r2):
 
 def frobenius(a):
     return float(np.linalg.norm(np.asarray(a), "fro"))
+
+
+def worst(values):
+    """The largest of some residuals, where a NaN outranks every number: a
+    non-finite residual is always the worst and never passes a tolerance.
+    The worst of no residuals is 0.0."""
+    return max(map(float, values), key=lambda v: (v != v, v), default=0.0)
 
 
 def matrix_to_json(mat):

@@ -43,7 +43,8 @@ Caps keep every call bounded in time and memory; each raises ``DomainError``:
   that product's work;
 * ``MAX_REFERENCE_LETTERS`` bounds the length of a word given to the
   reference rewriter, and ``MAX_REFERENCE_WORDS`` the memo entries one call
-  of it may add: its cost grows exponentially with the length.
+  of it may add: its cost grows exponentially with the length.  A call that
+  fails takes its entries back out of the memo.
 """
 
 from __future__ import annotations
@@ -391,8 +392,15 @@ def nf_word(word, strategy="leftmost"):
     if len(word) > MAX_REFERENCE_LETTERS:
         raise DomainError(f"the reference rewriter takes at most {MAX_REFERENCE_LETTERS} "
                           f"letters, got {len(word)}")
-    limit = len(_NF_MEMO) + MAX_REFERENCE_WORDS
-    return NCPoly._exact({key: Fraction(n) for key, n in _rewrite(word, strategy, limit).items()})
+    start = len(_NF_MEMO)
+    try:
+        result = _rewrite(word, strategy, start + MAX_REFERENCE_WORDS)
+    except BaseException:
+        # A failed call keeps none of its entries; they are the memo's tail.
+        while len(_NF_MEMO) > start:
+            _NF_MEMO.popitem()
+        raise
+    return NCPoly._exact({key: Fraction(n) for key, n in result.items()})
 
 
 def _rewrite(word, strategy, limit):

@@ -269,3 +269,86 @@ def test_out_file_matches_stdout(tmp_path):
     to_file = run("elliptic", "K", "--k", "0.3", "--out", str(out))
     assert to_file.returncode == 0 and to_file.stdout == ""
     assert out.read_text() == direct.stdout
+
+
+def strict_loads(text):
+    """json.loads that refuses the non-standard NaN and Infinity tokens."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def main_json(capsys, *argv):
+    from elliptic_sl2 import cli
+
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    return code, strict_loads(captured.out if code in (0, 1) else captured.err)
+
+
+def test_nan_residuals_fail_the_verdict(capsys):
+    code, payload = main_json(capsys, "sweep", "--families", "deform", "--j", "1",
+                              "--h", "1e100", "--k", "0.6")
+    row = payload["rows"][0]
+    assert code == 1 and payload["pass"] is False and row["pass"] is False
+    assert row["eq14"] == "NaN" and row["worst"] == "NaN"
+    code, payload = main_json(capsys, "auto", "shift", "--which", "sign", "--j", "1",
+                              "--h", "1e100", "--k", "0.6")
+    assert code == 1 and payload["pass"] is False
+    assert payload["report"]["eq14"] == "NaN" and payload["worst"] == "NaN"
+
+
+def test_non_finite_flag_values_are_usage_errors(capsys):
+    for argv, flag in ((("elliptic", "K", "--k", "nan"), "--k"),
+                       (("elliptic", "K", "--k", "inf"), "--k"),
+                       (("elliptic", "eval", "--k", "0.6", "--u", "1e400+0.1i"), "--u"),
+                       (("deform", "verify", "--j", "nan", "--h", "0.7", "--k", "0.6"), "--j"),
+                       (("deform", "verify", "--j", "1", "--h", "0.7", "--k", "0.6",
+                         "--tol", "nan"), "--tol"),
+                       (("sweep", "--h", "0.7,1e999"), "--h")):
+        code, err = main_json(capsys, *argv)
+        assert code == 2, argv
+        assert err["error"]["type"] == "UsageError" and flag in err["error"]["message"]
+
+
+def test_overflowing_scale_is_a_domain_error(capsys):
+    for argv in (("deform", "verify", "--j", "1", "--h", "1e150", "--k", "0.6"),
+                 ("verify-all", "--h", "1e100")):
+        code, err = main_json(capsys, *argv)
+        assert code == 3, argv
+        assert err["error"]["type"] == "DomainError" and "overflows" in err["error"]["message"]
+    # numpy's overflow warnings stay off stderr, which holds the JSON error alone
+    proc = run("verify-all", "--h", "1e100")
+    assert proc.returncode == 3
+    assert strict_loads(proc.stderr)["error"]["type"] == "DomainError"
+
+
+def test_json_is_one_strict_line_from_the_standard_encoder(capsys):
+    code, payload = main_json(capsys, "rewrite", "nf", "--expr", "Jp\nJm")
+    assert code == 0 and payload["expr"] == "Jp\nJm"
+    code, err = main_json(capsys, "rewrite", "nf", "--expr", 'Jp \\ "')
+    assert code == 3 and '\\ "' in err["error"]["message"]
+    from elliptic_sl2 import cli
+
+    assert cli.main(["elliptic", "eval", "--k", "0.6", "--u", "0.1+0.2i"]) == 0
+    text = capsys.readouterr().out
+    assert text.endswith("}\n") and text.count("\n") == 1
+    payload = strict_loads(text)
+    assert payload["u"] == [0.1, 0.2] and payload["k"] == 0.6
+    assert cli._json_text({"a": [float("nan"), float("inf"), -float("inf"), complex(1, float("nan"))]}) \
+        == '{"a": ["NaN", "Infinity", "-Infinity", [1.0, "NaN"]]}\n'
+
+
+def test_csv_floats_read_back_to_the_json_doubles(capsys):
+    from elliptic_sl2 import cli
+
+    assert cli.main(["elliptic", "eval", "--k", "0.6", "--u", "0.1+0.2i"]) == 0
+    payload = strict_loads(capsys.readouterr().out)
+    assert cli.main(["elliptic", "eval", "--k", "0.6", "--u", "0.1+0.2i", "--format", "csv"]) == 0
+    rows = dict(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows["k"] == format(0.6, ".17g") and float(rows["k"]) == payload["k"]
+    re, im = payload["sn"]
+    assert rows["sn"] == f"{re:.17g}{'+' if im >= 0 else '-'}{abs(im):.17g}i"
+    assert complex(rows["sn"].replace("i", "j")) == complex(re, im)
+    assert cli._csv_cell(complex(3.5, 0.0)) == "3.5+0i"
+    assert cli._csv_cell(float("nan")) == "NaN" and cli._csv_cell(-float("inf")) == "-Infinity"

@@ -4,22 +4,30 @@ Casimir forms, the hyperbolic reduction and its lift, structure functions."""
 import numpy as np
 import pytest
 
+from elliptic_sl2 import autos
 from elliptic_sl2.deform import (
     DeformParams,
+    G_of,
+    _at_half_h,
     _f_vs_dG_gap,
+    _g_inv_of_u,
+    _half_h_powers,
+    _odd_rescaled,
+    _sncndn,
     build_elliptic_triplet,
     build_jordanian_triplet,
     casimir,
     deform_generators,
     dressing_quartic_crosscheck,
     f_matrices,
+    f_of,
     invert_map,
     lift_uh_to_elliptic,
     relation_residuals,
+    relations_on_generators,
 )
 from elliptic_sl2.errors import DomainError
 from elliptic_sl2.liealg import build_spin, frobenius
-from elliptic_sl2.autos import half_period_shift_uh
 
 
 def residual_ok(report, tol, skip=("epsilon",)):
@@ -149,7 +157,7 @@ def test_casimir_rejects_unknown_form_and_shifted_input():
     t = build_jordanian_triplet(build_spin(1.0), 0.6)
     with pytest.raises(DomainError):
         casimir(t, "nope")
-    shifted = half_period_shift_uh(t)
+    shifted = autos.half_period_shift_uh(t)
     with pytest.raises(DomainError):
         casimir(shifted, "classical")
 
@@ -192,3 +200,44 @@ def test_invert_map_rejects_elliptic_shifted_triplets():
     image, _ = period_shift_elliptic(t, ELL_IKP)
     with pytest.raises(DomainError):
         invert_map(image)
+
+
+def _images(j, k):
+    t = build_elliptic_triplet(build_spin(j), DeformParams(h=0.8, k=k))
+    out = [t, autos.sign_involution(t)]
+    if k < 1:
+        out += [autos.period_shift_elliptic(t, spec)[0]
+                for spec in (autos.ELL_IKP, autos.ELL_2K_IKP)]
+    return out
+
+
+@pytest.mark.parametrize("k", [0.6, 1.0])
+@pytest.mark.parametrize("j", [1.0, 2.5, 6.0])
+def test_each_identity_is_computed_once_with_the_same_bits(j, k):
+    for t in _images(j, k):
+        # the relations take f_of(t), which is the primary f-matrix times the parity
+        direct = relations_on_generators(t.Xhat, t.Yhat, t.J0, t.params, t.rep.dim,
+                                         g_mat=G_of(t), f_mat=f_of(t))
+        report = relation_residuals(t)
+        assert {key: report[key] for key in direct} == direct
+    t = _images(j, k)[0]
+    # the elliptic Casimir form is J- J+ + J0**2 + J0 through the inverse map
+    h, dim = t.params.h, t.rep.dim
+    m = _at_half_h(_g_inv_of_u(t.params.k, dim), t.Xhat, h)
+    sn_resc = _odd_rescaled(_sncndn(t.params.k, dim)[0], t.Xhat, h)
+    expected = m @ t.Yhat @ m @ sn_resc + (t.J0 @ t.J0 + t.J0)
+    assert np.array_equal(casimir(t, "elliptic"), expected)
+
+
+def test_half_h_powers_keep_their_bits_and_refuse_overflow():
+    for h in (0.0, 0.7, 0.8 - 0.3j, 1e-200):
+        half = complex(h) / 2.0
+        assert np.array_equal(_half_h_powers(h, 6), [half ** i for i in range(7)])
+    assert _half_h_powers(1e150, 2)[2] == (5e149) ** 2
+    for h, n in ((1e150, 3), (1e200 + 1e200j, 2)):  # OverflowError, then NaN parts
+        with pytest.raises(DomainError, match="overflows"):
+            _half_h_powers(h, n)
+    with pytest.raises(DomainError, match="overflows"):
+        _f_vs_dG_gap(0.6, 1e150, 3)
+    with pytest.raises(DomainError, match="overflows"):
+        build_elliptic_triplet(build_spin(1.5), DeformParams(h=1e150, k=0.6))

@@ -1,6 +1,8 @@
 """Coproducts: relations on tensor products, re-expressed raising images,
 cocommutativity gaps, coassociativity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -122,3 +124,13 @@ def test_factor_swap_is_the_permutation_conjugation(d1, d2):
 def test_delta1_is_cocommutative_on_unequal_factors():
     ct = delta1(DeformParams(h=0.35, k=0.7), build_spin(1.5), build_spin(2.0))
     assert cocommutativity_gap(ct)["max"] <= 1e-13
+
+
+def test_a_nan_gap_is_the_max_gap():
+    r = build_spin(0.5)
+    ct = delta1(DeformParams(h=0.4, k=0.3), r, r)
+    broken = dataclasses.replace(ct, DY=ct.DY * np.nan)
+    gap = cocommutativity_gap(broken)["max"]
+    assert gap != gap
+    gap = verify_coproduct(broken)["cocommutativity_gap"]
+    assert gap != gap

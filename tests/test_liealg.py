@@ -13,6 +13,7 @@ from elliptic_sl2.liealg import (
     mat_apply_series,
     matrix_from_json,
     matrix_to_json,
+    worst,
 )
 from elliptic_sl2.series import TruncatedSeries
 
@@ -53,6 +54,9 @@ def test_build_spin_rejects_bad_labels():
         build_spin(0.3)
     with pytest.raises(DomainError):
         build_spin(-1.0)
+    for label in (float("nan"), float("inf"), -1e308, 1e308):
+        with pytest.raises(DomainError):
+            build_spin(label)
 
 
 def test_mat_apply_series_is_polynomial_evaluation():
@@ -140,3 +144,19 @@ def test_matrix_json_roundtrip():
 def test_matrix_from_json_validates_entry_count():
     with pytest.raises(DomainError):
         matrix_from_json({"dim": 2, "entries": [[0.0, 0.0]] * 3})
+
+
+def test_worst_is_the_largest_residual():
+    assert worst([3e-16, 1e-12, 0.0]) == 1e-12
+    assert worst(v for v in (2.0, 5.0)) == 5.0
+    assert worst([]) == 0.0
+    assert worst([1e-16, float("inf")]) == float("inf")
+
+
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_worst_ranks_a_nan_above_every_number(where):
+    values = [1e-16, float("inf"), 2e-15]
+    values.insert(where, float("nan"))
+    top = worst(values)
+    assert top != top
+    assert not top <= 1e-9

@@ -390,3 +390,15 @@ def test_reference_word_budget(monkeypatch):
         nf_word(word, "rightmost")
     rewrite._NF_MEMO.clear()
     assert nf_word(word, "leftmost") == Jpinv * Jm ** 6
+
+
+def test_a_failed_reference_call_leaves_the_memo_as_it_found_it(monkeypatch):
+    monkeypatch.setattr(rewrite, "MAX_REFERENCE_WORDS", 1000)
+    rewrite._NF_MEMO.clear()
+    assert nf_word(("Jm", "Jp"), "rightmost") == Jm * Jp
+    before = dict(rewrite._NF_MEMO)
+    with pytest.raises(DomainError, match="MAX_REFERENCE_WORDS"):
+        nf_word(("Jpinv",) + ("Jm",) * 6, "rightmost")
+    assert rewrite._NF_MEMO == before
+    assert list(rewrite._NF_MEMO) == list(before)
+    rewrite._NF_MEMO.clear()
