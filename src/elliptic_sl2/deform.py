@@ -32,7 +32,7 @@ import numpy as np
 
 from .elliptic import asn_series, complete_K, complete_Kprime, sn_cn_dn_series
 from .errors import DomainError
-from .liealg import SpinRep, commutator, frobenius, mat_apply_series
+from .liealg import KronSum, SpinRep, commutator, frobenius, mat_apply_series
 from .series import (
     TruncatedSeries,
     arctanh_series,
@@ -191,8 +191,10 @@ def _odd_rescaled(s, mat, h):
 
 
 def _at_half_h(s, mat, h):
-    """F((h/2) M) for a plain series F."""
-    return mat_apply_series(s, (complex(h) / 2.0) * np.asarray(mat, dtype=complex))
+    """F((h/2) M) for a plain series F; a KronSum M is scaled factorwise."""
+    if not isinstance(mat, KronSum):
+        mat = np.asarray(mat, dtype=complex)
+    return mat_apply_series(s, (complex(h) / 2.0) * mat)
 
 
 def _x_offset(t):

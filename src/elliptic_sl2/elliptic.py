@@ -95,11 +95,12 @@ def complete_K(k):
 
 
 def complete_Kprime(k):
-    """Complementary integral K'(k) = K(sqrt(1-k^2)), real 0 < k <= 1."""
+    """Complementary integral K'(k) = K(sqrt(1-k^2)) = pi / (2 agm(1, k)),
+    real 0 < k <= 1; the closed form never rounds k' up to 1."""
     k = float(k)
     if not 0.0 < k <= 1.0:
         raise DomainError(f"K'(k) needs 0 < k <= 1, got {k}")
-    return complete_K(math.sqrt((1.0 - k) * (1.0 + k)))
+    return math.pi / (2.0 * _agm(1.0, k))
 
 
 def _modulus_ladder(k):

@@ -14,6 +14,15 @@ finite polynomials because X is nilpotent on every spin module.
 
 Everything is a matrix on the tensor-product module; series orders are set
 to 2(j1+j2)+1 so each application is exact, never truncated.
+
+Series whose argument is a primitive sum A x 1 + 1 x B take the factor
+route of `liealg.mat_apply_series`, on a `KronSum`: arcsn and the dressing g
+at delta1's DJ+, the lift series at delta_uh's DX inside delta2, the outer
+series of both re-expressed raising images, the threefold sums of
+coassociativity_delta1 and exp(-+h DX) in coassociativity_uh.  The coproduct
+images themselves are dense, and `verify_coproduct` evaluates the structure
+functions at them with dense Paterson-Stockmeyer, so an error on the factor
+route shows up in the relation residuals.
 """
 
 from __future__ import annotations
@@ -33,8 +42,16 @@ from .deform import (
     _sncndn,
 )
 from .errors import DomainError
-from .liealg import SpinRep, coproduct_classical, frobenius, kron, mat_apply_series, worst
-from .series import TruncatedSeries, arctanh_series, exp_series, tanh_series
+from .liealg import (
+    KronSum,
+    SpinRep,
+    coproduct_classical,
+    frobenius,
+    kron,
+    mat_apply_series,
+    worst,
+)
+from .series import arctanh_series, exp_series, tanh_series
 
 __all__ = [
     "CoproductTriple",
@@ -75,34 +92,37 @@ def _exp_nilpotent(mat, order):
 
 def delta1(params, r1, r2):
     """Deform the primitive coproduct of the undeformed generators."""
-    djp, djm, dj0 = coproduct_classical(r1, r2)
+    _, djm, dj0 = coproduct_classical(r1, r2)
     order = _pair_order(r1, r2)
-    dx, dy = deform_generators(djp, djm, params, order)
+    dx, dy = deform_generators(KronSum(r1.Jp, r2.Jp), djm, params, order)
     return CoproductTriple(DX=dx, DY=dy, DJ0=dj0, params=params,
                            r1=r1, r2=r2, source="delta1")
 
 
+def _twisted(t1, t2):
+    """The twisted images on the product of two Jordanian triplets, with DX
+    kept as the KronSum of the factor Xhats."""
+    h = t1.params.h
+    ep2 = _exp_nilpotent(h * t2.Xhat, t2.rep.dim)
+    em1 = _exp_nilpotent(-h * t1.Xhat, t1.rep.dim)
+    dx = KronSum(t1.Xhat, t2.Xhat)
+    dy = kron(t1.Yhat, ep2) + kron(em1, t2.Yhat)
+    dj0 = kron(t1.J0, ep2) + kron(em1, t2.J0)
+    return dx, dy, dj0
+
+
 def delta_uh(h, r1, r2):
     """Twisted coproduct of the hyperbolic (k**2 = 1) algebra."""
-    t1 = build_jordanian_triplet(r1, h)
-    t2 = build_jordanian_triplet(r2, h)
-    e1 = np.eye(r1.dim, dtype=complex)
-    e2 = np.eye(r2.dim, dtype=complex)
-    ep2 = _exp_nilpotent(complex(h) * t2.Xhat, r2.dim)
-    em1 = _exp_nilpotent(-complex(h) * t1.Xhat, r1.dim)
-    dx = kron(t1.Xhat, e2) + kron(e1, t2.Xhat)
-    dy = kron(t1.Yhat, ep2) + kron(em1, t2.Yhat)
-    dj0 = kron(r1.J0, ep2) + kron(em1, r2.J0)
-    return CoproductTriple(DX=dx, DY=dy, DJ0=dj0, params=DeformParams(h=h, k=1.0),
+    dx, dy, dj0 = _twisted(*(build_jordanian_triplet(r, h) for r in (r1, r2)))
+    return CoproductTriple(DX=dx.dense(), DY=dy, DJ0=dj0, params=DeformParams(h=h, k=1.0),
                            r1=r1, r2=r2, source="delta_uh")
 
 
 def delta2(params, r1, r2):
     """Lift the twisted hyperbolic coproduct to modulus k."""
-    base = delta_uh(params.h, r1, r2)
-    order = _pair_order(r1, r2)
-    dx, dy = lift_generators(base.DX, base.DY, params, order)
-    return CoproductTriple(DX=dx, DY=dy, DJ0=base.DJ0, params=params,
+    dx, dy, dj0 = _twisted(*(build_jordanian_triplet(r, params.h) for r in (r1, r2)))
+    dx, dy = lift_generators(dx, dy, params, _pair_order(r1, r2))
+    return CoproductTriple(DX=dx, DY=dy, DJ0=dj0, params=params,
                            r1=r1, r2=r2, source="delta2")
 
 
@@ -114,32 +134,26 @@ def delta1_x_from_factor_sn(params, r1, r2):
     factor, add primitively, and send the sum back through arcsn."""
     order = _pair_order(r1, r2)
     k, h = params.k, params.h
-    e1 = np.eye(r1.dim, dtype=complex)
-    e2 = np.eye(r2.dim, dtype=complex)
     per_factor = []
     for rep in (r1, r2):
         t_x, _ = deform_generators(rep.Jp, rep.Jm, params, rep.dim)
         sn, _, _ = _sncndn(k, rep.dim)
         per_factor.append(_odd_rescaled(sn, t_x, h))
-    summed = kron(per_factor[0], e2) + kron(e1, per_factor[1])
-    return _odd_rescaled(_asn(k, order), summed, h)
+    return _odd_rescaled(_asn(k, order), KronSum(*per_factor), h)
 
 
 def delta2_x_from_factor_sn(params, r1, r2):
     """The delta2 raising image via per-factor arctanh(sn(.)) pullbacks."""
     order = _pair_order(r1, r2)
     k, h = params.k, params.h
-    e1 = np.eye(r1.dim, dtype=complex)
-    e2 = np.eye(r2.dim, dtype=complex)
     per_factor = []
     for rep in (r1, r2):
         t_x, _ = deform_generators(rep.Jp, rep.Jm, params, rep.dim)
         sn, _, _ = _sncndn(k, rep.dim)
         pulled = arctanh_series(rep.dim).compose(sn)
         per_factor.append(_odd_rescaled(pulled, t_x, h))
-    summed = kron(per_factor[0], e2) + kron(e1, per_factor[1])
     through = _asn(k, order).compose(tanh_series(order))
-    return _odd_rescaled(through, summed, h)
+    return _odd_rescaled(through, KronSum(*per_factor), h)
 
 
 # -- verification ---------------------------------------------------------------
@@ -194,27 +208,24 @@ def coassociativity_uh(h, r1, r2, r3):
     coproduct, per generator, on a three-factor module."""
     h = complex(h)
     t = [build_jordanian_triplet(r, h) for r in (r1, r2, r3)]
-    eye = [np.eye(r.dim, dtype=complex) for r in (r1, r2, r3)]
-    d12 = delta_uh(h, r1, r2)
-    d23 = delta_uh(h, r2, r3)
-    order12 = _pair_order(r1, r2)
-    order23 = _pair_order(r2, r3)
+    dx12, dy12, dj012 = _twisted(t[0], t[1])
+    dx23, dy23, dj023 = _twisted(t[1], t[2])
 
     # left association: expand the first slot of Delta
     ep3 = _exp_nilpotent(h * t[2].Xhat, r3.dim)
-    em12 = _exp_nilpotent(-h * d12.DX, order12)
+    em12 = _exp_nilpotent(-h * dx12, _pair_order(r1, r2))
     left = {
-        "X": kron(d12.DX, eye[2]) + kron(kron(eye[0], eye[1]), t[2].Xhat),
-        "Y": kron(d12.DY, ep3) + kron(em12, t[2].Yhat),
-        "J0": kron(d12.DJ0, ep3) + kron(em12, r3.J0),
+        "X": KronSum(dx12.dense(), t[2].Xhat).dense(),
+        "Y": kron(dy12, ep3) + kron(em12, t[2].Yhat),
+        "J0": kron(dj012, ep3) + kron(em12, r3.J0),
     }
     # right association: expand the second slot
-    ep23 = _exp_nilpotent(h * d23.DX, order23)
+    ep23 = _exp_nilpotent(h * dx23, _pair_order(r2, r3))
     em1 = _exp_nilpotent(-h * t[0].Xhat, r1.dim)
     right = {
-        "X": kron(t[0].Xhat, kron(eye[1], eye[2])) + kron(eye[0], d23.DX),
-        "Y": kron(t[0].Yhat, ep23) + kron(em1, d23.DY),
-        "J0": kron(r1.J0, ep23) + kron(em1, d23.DJ0),
+        "X": KronSum(t[0].Xhat, dx23.dense()).dense(),
+        "Y": kron(t[0].Yhat, ep23) + kron(em1, dy23),
+        "J0": kron(r1.J0, ep23) + kron(em1, dj023),
     }
     gaps = {name: frobenius(left[name] - right[name]) /
             max(1.0, frobenius(left[name])) for name in ("X", "Y", "J0")}
@@ -226,15 +237,12 @@ def coassociativity_delta1(params, r1, r2, r3):
     """Same gap for the deformed primitive coproduct: both association orders
     are functions of the threefold primitive sums, computed independently."""
     order = r1.dim + r2.dim + r3.dim - 2
-    eye = [np.eye(r.dim, dtype=complex) for r in (r1, r2, r3)]
     djp12, djm12, _ = coproduct_classical(r1, r2)
     djp23, djm23, _ = coproduct_classical(r2, r3)
-    left_jp = kron(djp12, eye[2]) + kron(kron(eye[0], eye[1]), r3.Jp)
-    left_jm = kron(djm12, eye[2]) + kron(kron(eye[0], eye[1]), r3.Jm)
-    right_jp = kron(r1.Jp, kron(eye[1], eye[2])) + kron(eye[0], djp23)
-    right_jm = kron(r1.Jm, kron(eye[1], eye[2])) + kron(eye[0], djm23)
-    lx, ly = deform_generators(left_jp, left_jm, params, order)
-    rx, ry = deform_generators(right_jp, right_jm, params, order)
+    lx, ly = deform_generators(KronSum(djp12, r3.Jp), KronSum(djm12, r3.Jm).dense(),
+                               params, order)
+    rx, ry = deform_generators(KronSum(r1.Jp, djp23), KronSum(r1.Jm, djm23).dense(),
+                               params, order)
     gaps = {
         "X": frobenius(lx - rx) / max(1.0, frobenius(lx)),
         "Y": frobenius(ly - ry) / max(1.0, frobenius(ly)),

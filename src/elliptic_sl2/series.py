@@ -199,4 +199,11 @@ def arctanh_series(order):
 
 
 def tanh_series(order):
-    return arctanh_series(order).revert()
+    """tanh from its equation t' = 1 - t**2, t(0) = 0, one coefficient at a
+    time: (i+1) t[i+1] = [i == 0] - sum_{r=1..i-1} t[r] t[i-r]."""
+    c = np.zeros(order + 1, dtype=complex)
+    if order >= 1:
+        c[1] = 1.0
+    for i in range(2, order):
+        c[i + 1] = -np.dot(c[1:i], c[i - 1:0:-1]) / (i + 1)
+    return TruncatedSeries(c)

@@ -39,6 +39,13 @@ def test_rep_build_json():
     assert payload["Jp"]["entries"][1] == [1.0, 0.0]
 
 
+def test_elliptic_K_at_a_tiny_modulus():
+    proc = run("elliptic", "K", "--k", "1e-9")
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert abs(payload["Kprime"] - 22.109560198066302) < 1e-13
+
+
 def test_elliptic_K_values():
     proc = run("elliptic", "K", "--k", "0.5")
     assert proc.returncode == 0

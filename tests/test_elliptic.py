@@ -3,6 +3,7 @@ Landen evaluation against scipy.special.ellipj, poles, periods."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -86,6 +87,15 @@ def test_Kprime_self_duality():
         kp = math.sqrt(1 - k * k)
         assert abs(complete_Kprime(k) - complete_K(kp)) < 1e-12
         assert abs(complete_Kprime(kp) - complete_K(k)) < 1e-12
+
+
+@pytest.mark.parametrize("k", [1e-12, 1e-9, 5e-9, 1.2e-8, 1e-7, 1e-3, 0.6, 0.99, 1.0])
+def test_Kprime_matches_mpmath_down_to_tiny_moduli(k):
+    # K'(k) = K(m = 1 - k**2) in mpmath's parameter convention; at k = 1e-9
+    # the old route rounded k' = sqrt(1 - k**2) to 1 and refused it.
+    with mpmath.workdps(40):
+        ref = mpmath.ellipk(1 - mpmath.mpf(k) ** 2)
+        assert abs(complete_Kprime(k) - ref) / ref <= 5e-16
 
 
 def test_domain_errors():

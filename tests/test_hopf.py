@@ -6,7 +6,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from elliptic_sl2.deform import DeformParams
+from elliptic_sl2 import liealg
+from elliptic_sl2.deform import (
+    DeformParams,
+    build_jordanian_triplet,
+    deform_generators,
+    lift_generators,
+)
 from elliptic_sl2.hopf import (
     coassociativity_delta1,
     coassociativity_uh,
@@ -19,7 +25,15 @@ from elliptic_sl2.hopf import (
     verify_coproduct,
     _swap_factors,
 )
-from elliptic_sl2.liealg import build_spin, coproduct_classical, frobenius, kron
+from elliptic_sl2.liealg import (
+    KronSum,
+    build_spin,
+    coproduct_classical,
+    frobenius,
+    kron,
+    mat_apply_series,
+    worst,
+)
 
 PAIRS = [(0.5, 0.5), (0.5, 1.0), (1.0, 1.0)]
 
@@ -58,8 +72,6 @@ def test_lifted_twisted_coproduct(j1, j2):
 
 
 def test_twisted_raising_is_primitive():
-    from elliptic_sl2.deform import build_jordanian_triplet
-
     r1, r2 = build_spin(0.5), build_spin(1.0)
     ct = delta_uh(0.8, r1, r2)
     t1 = build_jordanian_triplet(r1, 0.8)
@@ -134,3 +146,58 @@ def test_a_nan_gap_is_the_max_gap():
     assert gap != gap
     gap = verify_coproduct(broken)["cocommutativity_gap"]
     assert gap != gap
+
+
+def _rel_gap(got, expect):
+    return frobenius(got - expect) / max(1.0, frobenius(expect))
+
+
+@pytest.mark.parametrize("j1,j2", [(0.5, 1.0), (1.5, 1.5), (2.0, 3.5)])
+def test_deformed_and_lifted_sums_match_the_dense_route(j1, j2):
+    """asn and g at a primitive sum (deform_generators), and the lift series
+    at the twisted one (lift_generators), on factors and on the sum."""
+    p = DeformParams(h=0.7, k=0.6)
+    r1, r2 = build_spin(j1), build_spin(j2)
+    order = r1.dim + r2.dim - 1
+    jp = KronSum(r1.Jp, r2.Jp)
+    _, djm, _ = coproduct_classical(r1, r2)
+    for got, expect in zip(deform_generators(jp, djm, p, order),
+                           deform_generators(jp.dense(), djm, p, order)):
+        assert _rel_gap(got, expect) <= 1e-13
+    base = delta_uh(p.h, r1, r2)
+    x = KronSum(*(build_jordanian_triplet(r, p.h).Xhat for r in (r1, r2)))
+    assert np.array_equal(x.dense(), base.DX)
+    for got, expect in zip(lift_generators(x, base.DY, p, order),
+                           lift_generators(base.DX, base.DY, p, order)):
+        assert _rel_gap(got, expect) <= 1e-13
+
+
+def _verdicts(tol):
+    """Worst residual and verdict of every coproduct report on the acceptance
+    grid's h and k values."""
+    out = {}
+    for j1, j2 in ((0.5, 0.5), (0.5, 1.0), (1.0, 1.0), (1.5, 3.0)):
+        r1, r2 = build_spin(j1), build_spin(j2)
+        for h in (0.3, 0.9, 1.5):
+            for k in (0.0, 0.4, 0.8, 1.0):
+                p = DeformParams(h=h, k=k)
+                for ct in (delta1(p, r1, r2), delta_uh(h, r1, r2), delta2(p, r1, r2)):
+                    report = verify_coproduct(ct)
+                    if ct.source != "delta1":
+                        del report["cocommutativity_gap"]
+                    top = worst(report.values())
+                    out[ct.source, j1, j2, h, k] = (top, top <= tol)
+    return out
+
+
+def test_coproduct_verdicts_on_the_grid_match_the_dense_route(monkeypatch):
+    tol = 1e-10
+    fast = _verdicts(tol)
+    monkeypatch.setattr(liealg, "_kron_sum_apply", lambda s, ks: mat_apply_series(s, ks.dense()))
+    dense = _verdicts(tol)
+    assert fast.keys() == dense.keys()
+    for key, (top, verdict) in fast.items():
+        assert verdict == dense[key][1], key
+        # the routes round differently (up to about 1e-12 on this grid), but
+        # never by an amount that could move a residual across tol
+        assert abs(top - dense[key][0]) <= tol / 10, key

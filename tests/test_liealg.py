@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from elliptic_sl2.errors import DomainError
 from elliptic_sl2.liealg import (
+    KronSum,
     build_spin,
     commutator,
     coproduct_classical,
@@ -15,7 +17,7 @@ from elliptic_sl2.liealg import (
     matrix_to_json,
     worst,
 )
-from elliptic_sl2.series import TruncatedSeries
+from elliptic_sl2.series import TruncatedSeries, exp_series
 
 
 def test_spin_half_matrices_exact():
@@ -121,6 +123,83 @@ def test_mat_apply_series_rejects_entries_on_or_below_the_diagonal():
         mat_apply_series(s, np.eye(3))
     with pytest.raises(DomainError):
         mat_apply_series(s, np.zeros((2, 3)))
+
+
+def _kron_sum_inputs():
+    """Random strictly upper-triangular factor pairs of unequal dims, dim 1
+    among them, then the threefold primitive sums of raising operators with
+    one factor itself a materialized sum."""
+    rng = np.random.default_rng(30)
+    for d1, d2 in ((1, 1), (1, 4), (5, 1), (2, 3), (4, 4), (6, 3), (3, 8)):
+        yield KronSum(_strictly_upper(rng, d1), _strictly_upper(rng, d2))
+    for j1, j2, j3 in ((0.5, 1.0, 1.5), (1.0, 1.0, 0.5), (1.5, 0.5, 2.0)):
+        r1, r2, r3 = build_spin(j1), build_spin(j2), build_spin(j3)
+        yield KronSum(KronSum(r1.Jp, r2.Jp).dense(), r3.Jp)
+        yield KronSum(r1.Jp, KronSum(r2.Jp, r3.Jp).dense())
+
+
+def _rel_gap(got, expect):
+    return frobenius(got - expect) / max(frobenius(expect), 1e-300)
+
+
+def test_kron_sum_dense_is_the_primitive_sum():
+    rng = np.random.default_rng(31)
+    a, b = rng.standard_normal((3, 3)), rng.standard_normal((4, 4))
+    ks = KronSum(a, b)
+    assert np.array_equal(ks.dense(), kron(a, np.eye(4)) + kron(np.eye(3), b))
+    # strictly upper factors never overlap in the sum, so scaling is exact
+    ks = KronSum(np.triu(a, 1), np.triu(b, 1))
+    assert np.array_equal(((0.4 - 2j) * ks).dense(), (0.4 - 2j) * ks.dense())
+
+
+def test_kron_sum_route_matches_the_dense_route():
+    rng = np.random.default_rng(32)
+    worst = 0.0
+    for ks in _kron_sum_inputs():
+        dense = ks.dense()
+        top = ks.a.shape[0] + ks.b.shape[0] + 2
+        for order in range(top):
+            c = rng.standard_normal(order + 1) + 1j * rng.standard_normal(order + 1)
+            s = TruncatedSeries(c)
+            got = mat_apply_series(s, ks)
+            assert got.shape == dense.shape
+            worst = max(worst, _rel_gap(got, mat_apply_series(s, dense)))
+        got = mat_apply_series(exp_series(top), ks)
+        worst = max(worst, _rel_gap(got, mat_apply_series(exp_series(top), dense)))
+    assert worst <= 1e-13
+
+
+def test_exp_of_a_kron_sum_is_the_kron_of_the_exps():
+    for ks in _kron_sum_inputs():
+        order = ks.a.shape[0] + ks.b.shape[0]
+        got = mat_apply_series(exp_series(order), ks)
+        expect = np.kron(scipy.linalg.expm(ks.a), scipy.linalg.expm(ks.b))
+        assert _rel_gap(got, expect) <= 1e-13
+
+
+def test_kron_sum_route_is_bit_identical_past_the_nilpotency_bound():
+    rng = np.random.default_rng(33)
+    for ks in _kron_sum_inputs():
+        n = ks.a.shape[0] + ks.b.shape[0] - 2
+        c = rng.standard_normal(3 * n + 3) + 1j * rng.standard_normal(3 * n + 3)
+        first = mat_apply_series(TruncatedSeries(c[: n + 1]), ks)
+        for order in range(n + 1, 3 * n + 3):
+            assert np.array_equal(mat_apply_series(TruncatedSeries(c[: order + 1]), ks), first)
+
+
+def test_kron_sum_route_rejects_factors_that_are_not_strictly_upper_triangular():
+    rng = np.random.default_rng(34)
+    s = TruncatedSeries(np.ones(4, dtype=complex))
+    for dim in range(1, 7):
+        bad = _strictly_upper(rng, dim)
+        row = int(rng.integers(dim))
+        bad[row, int(rng.integers(row + 1))] = 1.0
+        good = _strictly_upper(rng, 3)
+        for ks in (KronSum(bad, good), KronSum(good, bad)):
+            with pytest.raises(DomainError):
+                mat_apply_series(s, ks)
+    with pytest.raises(DomainError):
+        mat_apply_series(s, KronSum(np.zeros((2, 3)), np.zeros((2, 2))))
 
 
 def test_classical_coproduct_satisfies_relations():

@@ -1,6 +1,7 @@
 """Truncated power series: arithmetic, composition, reversion, rational powers."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -157,6 +158,35 @@ def test_tanh_and_arctanh_are_mutually_inverse():
     comp = arctanh_series(n).compose(t)
     ident = TruncatedSeries.identity(n)
     assert np.max(np.abs(comp.coeffs - ident.coeffs)) < 1e-13
+
+
+def _bernoulli(n):
+    """Exact Bernoulli numbers B_0..B_n (B_1 = -1/2)."""
+    b = [Fraction(1)]
+    for m in range(1, n + 1):
+        b.append(-sum(math.comb(m + 1, i) * b[i] for i in range(m)) / (m + 1))
+    return b
+
+
+def test_tanh_matches_the_exact_bernoulli_coefficients_at_order_81():
+    order = 81
+    b = _bernoulli(order + 1)
+    t = tanh_series(order).coeffs
+    assert np.all(t[::2] == 0.0)
+    worst = 0.0
+    for n in range(1, (order + 1) // 2 + 1):
+        exact = Fraction(2 ** (2 * n) * (2 ** (2 * n) - 1)) * b[2 * n] / math.factorial(2 * n)
+        worst = max(worst, abs(t[2 * n - 1] - float(exact)) / abs(float(exact)))
+    assert worst <= 2e-15
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 9, 21])
+def test_tanh_recurrence_agrees_with_the_reverted_arctanh(n):
+    t = tanh_series(n)
+    assert t.order == n
+    if n >= 1:
+        ref = arctanh_series(n).revert()
+        assert np.max(np.abs(t.coeffs - ref.coeffs)) <= 1e-15
 
 
 def test_json_roundtrip():
