@@ -4,8 +4,9 @@ Truncated power series and functional calculus
 
 Everything downstream is built on one small kernel: power series in u
 truncated at a fixed order.  This script exercises the moves the rest
-of the package leans on -- arithmetic, composition, reversion, and
-rational powers -- and checks a few of them against closed forms.
+of the package leans on -- arithmetic, rational powers, differentiation
+and evaluation -- and the two the tests keep as independent references,
+composition and reversion, and checks a few of them against closed forms.
 """
 
 import numpy as np
@@ -35,7 +36,8 @@ print("revert(arctanh) == tanh:", np.allclose(at.revert().coeffs, t.coeffs))
 roundtrip = at.compose(t)
 print("arctanh(tanh(u)) coefficients:", roundtrip.coeffs.real)
 
-# Rational powers branch off the constant term, which must be nonzero.
+# Rational powers need a constant term of exactly 1; Miller's recurrence
+# builds them one coefficient at a time.
 # (1 + u)^(1/2) * (1 + u)^(1/2) should reproduce 1 + u exactly enough.
 one_plus_u = TruncatedSeries.constant(1.0, 8) + u
 root = one_plus_u.pow_rational(0.5)

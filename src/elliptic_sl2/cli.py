@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import functools
 import io
 import itertools
 import json
@@ -563,7 +564,10 @@ def _add_common(sub, *names):
     sub.add_argument("--config", help="key=value defaults file")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it as it
+    was, since every call fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="elliptic-sl2",
         description="Elliptic two-parameter deformation of sl(2): build, verify, sweep.",

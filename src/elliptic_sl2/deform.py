@@ -55,6 +55,7 @@ __all__ = [
     "relation_residuals",
     "deform_generators",
     "lift_generators",
+    "lift_series",
     "relations_on_generators",
     "dressing_quartic_crosscheck",
 ]
@@ -152,9 +153,9 @@ def _F_doubled_series(k, order):
     the result carries the requested order."""
     sn, _, _ = _sncndn(k, order + 1)
     S = _G_series(k, order + 1)
-    sn2u = sn.compose(TruncatedSeries.identity(order + 1) * 2.0)
-    half_sn2u_over_u = TruncatedSeries(sn2u.coeffs[1:] * 0.5)  # c0 = 1
-    S_over_u = TruncatedSeries(S.coeffs[1:])                   # c0 = 1
+    sn2u = sn.coeffs * 2.0 ** np.arange(order + 2)      # exact: c_i 2**i
+    half_sn2u_over_u = TruncatedSeries(sn2u[1:] * 0.5)  # c0 = 1
+    S_over_u = TruncatedSeries(S.coeffs[1:])            # c0 = 1
     return S_over_u * half_sn2u_over_u.pow_rational(-1)
 
 
@@ -261,14 +262,24 @@ def build_jordanian_triplet(rep, h):
                            params=DeformParams(h=h, k=1.0), rep=rep, provenance="uh")
 
 
+def lift_series(k, order):
+    """The lift's two series in x, with t = tanh(x): the raising map
+    arcsn(t, k), and the dressing q = (1 - k^2 t^2)**(1/4) (1 - t^2)**(-1/4).
+
+    d/dx arcsn(tanh x, k) = (1 - t^2)**(1/2) (1 - k^2 t^2)**(-1/2) = q**-2,
+    so the raising map is the integral of a Miller power of q, and no series
+    is composed."""
+    t = tanh_series(order)
+    t2 = t * t
+    q = (1.0 - t2 * (k * k)).pow_rational(0.25) * (1.0 - t2).pow_rational(-0.25)
+    return q.truncated(order - 1).pow_rational(-2).integral(), q
+
+
 def lift_generators(X, Y, params, order):
     """Lift a hyperbolic pair (X, Y) to the elliptic one at modulus k."""
     k, h = params.k, params.h
-    tanh = tanh_series(order)
-    through = _asn(k, order).compose(tanh)
+    through, q = lift_series(k, order)
     xhat = _odd_rescaled(through, X, h)
-    t2 = tanh * tanh
-    q = (1.0 - t2 * (k * k)).pow_rational(0.25) * (1.0 - t2).pow_rational(-0.25)
     qx = _at_half_h(q, X, h)
     yhat = qx @ np.asarray(Y, dtype=complex) @ qx
     return xhat, yhat

@@ -2,9 +2,15 @@
 
 Rail one is formal: truncated power series for sn, cn, dn and the inverse
 function arcsn about the origin, valid for any complex modulus k since the
-coefficients are polynomial in k**2.  arcsn comes from integrating the
-binomial expansion of ((1-t**2)(1-k**2 t**2))**(-1/2); sn is its reversion;
-cn and dn are square roots of 1 - sn**2 and 1 - k**2 sn**2.
+coefficients are polynomial in k**2.  arcsn integrates the Miller power
+((1-t**2)(1-k**2 t**2))**(-1/2).  sn, cn and dn solve
+
+    sn' = cn dn,   cn' = -sn dn,   dn' = -k**2 sn cn,
+
+one coefficient at a time (Brent and Kung, J. ACM 25(4), 1978), in
+O(N**2) work; `sn_cn_dn_coeffs` is that loop over plain coefficient lists,
+so a Fraction k**2 gives the exact coefficients.  No reversion is involved;
+reverting arcsn is the tests' independent check of sn.
 
 Rail two is numeric: complete integrals via the arithmetic-geometric mean
 and point values via the descending Landen transformation,
@@ -30,11 +36,12 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, PoleError
-from .series import TruncatedSeries
+from .series import TruncatedSeries, pow_coeffs
 
 __all__ = [
     "asn_series",
     "sn_cn_dn_series",
+    "sn_cn_dn_coeffs",
     "complete_K",
     "complete_Kprime",
     "jacobi_numeric",
@@ -53,28 +60,39 @@ def asn_series(k, order):
     if order < 1:
         raise DomainError("arcsn series needs order >= 1")
     k = complex(k)
-    n = order - 1
-    if n == 0:
-        integrand = TruncatedSeries([1.0])
-    else:
-        u = TruncatedSeries.identity(n)
-        one_minus_u2 = 1.0 - u * u
-        one_minus_k2u2 = 1.0 - (u * u) * (k * k)
-        integrand = one_minus_u2.pow_rational(-0.5) * one_minus_k2u2.pow_rational(-0.5)
-    out = [0.0] * (order + 1)
-    for i, c in enumerate(integrand.coeffs):
-        out[i + 1] = c / (i + 1)
-    return TruncatedSeries(out)
+    k2 = k * k
+    radicand = ([1, 0, -1 - k2, 0, k2] + [0] * order)[:order]
+    return TruncatedSeries(pow_coeffs(radicand, -0.5)).integral()
+
+
+def sn_cn_dn_coeffs(k2, order):
+    """Coefficient lists of sn, cn, dn to order N at modulus squared k2:
+
+        (n+1) sn[n+1] =        sum_i cn[i] dn[n-i]
+        (n+1) cn[n+1] =       -sum_i sn[i] dn[n-i]
+        (n+1) dn[n+1] = -k2 * sum_i sn[i] cn[n-i]
+
+    sn is odd and cn, dn are even, so each sum runs over one parity and the
+    other slots stay exactly zero.  Generic in the type of k2: a Fraction
+    gives exact rational coefficients."""
+    zero = type(k2)(0)
+    sn, cn, dn = ([zero] * (order + 1) for _ in range(3))
+    cn[0] = dn[0] = zero + 1
+    for n in range(order):
+        if n % 2 == 0:
+            sn[n + 1] = sum((cn[i] * dn[n - i] for i in range(0, n + 1, 2)), zero) / (n + 1)
+        else:
+            cn[n + 1] = -sum((sn[i] * dn[n - i] for i in range(1, n + 1, 2)), zero) / (n + 1)
+            dn[n + 1] = -k2 * sum((sn[i] * cn[n - i] for i in range(1, n + 1, 2)), zero) / (n + 1)
+    return sn, cn, dn
 
 
 def sn_cn_dn_series(k, order):
-    """Series of sn, cn, dn about u = 0: reversion of arcsn plus square roots."""
-    sn = asn_series(k, order).revert()
+    """Series of sn, cn, dn about u = 0, from their differential equations."""
+    if order < 1:
+        raise DomainError("sn, cn, dn series need order >= 1")
     k = complex(k)
-    sn2 = sn * sn
-    cn = (1.0 - sn2).pow_rational(0.5)
-    dn = (1.0 - sn2 * (k * k)).pow_rational(0.5)
-    return sn, cn, dn
+    return tuple(TruncatedSeries(c) for c in sn_cn_dn_coeffs(k * k, order))
 
 
 def _agm(a, b):
@@ -190,15 +208,16 @@ def elliptic_constants(k):
 
 
 def sn_quintic_crosscheck(k):
-    """Compare the reverted u**5 coefficient of sn with two printed variants.
+    """Compare the derived u**5 coefficient of sn with two printed variants.
 
     The source text prints the quintic coefficient polynomial in two
-    different forms in different places; the reversion is authoritative and
-    this report records which printed form it reproduces.
+    different forms in different places; the series solved from the
+    differential equations is authoritative and this report records which
+    printed form it reproduces.
     """
     k = complex(k)
-    sn = asn_series(k, 7).revert()
-    derived = complex(sn.coeffs[5]) * 120.0
+    sn, _, _ = sn_cn_dn_coeffs(k * k, 5)
+    derived = sn[5] * 120.0
     variant_a = 1.0 + 14.0 * k + k ** 4      # printed once with a bare k term
     variant_b = 1.0 + 14.0 * k ** 2 + k ** 4  # printed elsewhere with k**2
     return {

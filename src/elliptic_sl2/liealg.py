@@ -46,6 +46,13 @@ __all__ = [
 ]
 
 
+# The largest module build_spin makes: dimension 401, j = 200.  A cold
+# `deform verify` there peaked at 152 MB before it stopped on the unitary
+# basis's overflow.  The dense calculus holds about 2 sqrt(dim) matrices of
+# dim**2 complex entries; at j = 5000 a single matrix would take 1.6 GB.
+MAX_SPIN_DIM = 401
+
+
 @dataclass(frozen=True)
 class SpinRep:
     """Spin-j generator triple on the (2j+1)-dimensional module."""
@@ -65,6 +72,9 @@ def build_spin(j):
     two_j = int(two_j)
     j = two_j / 2.0
     dim = two_j + 1
+    if dim > MAX_SPIN_DIM:
+        raise DomainError(f"spin {j:g} has dimension {dim}, over the cap of {MAX_SPIN_DIM} "
+                          f"(j <= {(MAX_SPIN_DIM - 1) / 2:g})")
     m = j - np.arange(dim)  # descending magnetic quantum numbers
     Jp = np.zeros((dim, dim), dtype=complex)
     for col in range(1, dim):

@@ -6,15 +6,19 @@ of the two orders; nothing tracks convergence, the truncation order is the
 caller's contract.  Coefficients are double-precision complex; parameters
 such as an elliptic modulus enter numerically when a series is built.
 
-Composition, reversion and rational powers are the workhorses for the
-deformation maps: they only ever meet series whose inner constant term
-vanishes (composition, reversion) or whose constant term is 1 (powers),
-and those preconditions are enforced exactly, not to a tolerance.
+The deformation maps are built from products, integrals and rational
+powers, all O(N**2) coefficient recurrences.  A rational power uses
+J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7) as a plain loop over
+a coefficient list (`pow_coeffs`), so exact `Fraction` coefficients run
+through the same code as complex ones.  Composition and reversion are kept
+as independent references: the tests check the recurrences against them,
+and composition gives the deliberately separate per-factor route that
+`hopf.delta2_x_from_factor_sn` compares the lift with.  Preconditions (an
+inner series with zero constant term, a power of a series with constant
+term 1) are enforced exactly, not to a tolerance.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 import numpy as np
 
@@ -22,6 +26,7 @@ from .errors import DomainError
 
 __all__ = [
     "TruncatedSeries",
+    "pow_coeffs",
     "exp_series",
     "sinh_series",
     "cosh_series",
@@ -108,6 +113,8 @@ class TruncatedSeries:
 
     def revert(self):
         """Compositional inverse t with self(t(u)) = u + O(u**(N+1))."""
+        if self.order < 1:
+            raise DomainError("reversion needs order >= 1")
         if self.coeffs[0] != 0:
             raise DomainError("reversion needs zero constant term")
         c1 = self.coeffs[1]
@@ -125,16 +132,16 @@ class TruncatedSeries:
         return t
 
     def pow_rational(self, p):
-        """self**p for rational p, via the binomial series; needs c[0] == 1."""
+        """self**p for rational p by Miller's recurrence; needs c[0] == 1."""
         if self.coeffs[0] != 1:
             raise DomainError("rational power needs constant term exactly 1")
-        p = float(Fraction(p)) if isinstance(p, Fraction) else float(p)
-        n = self.order
-        binom = np.zeros(n + 1, dtype=complex)
-        binom[0] = 1.0
-        for i in range(1, n + 1):
-            binom[i] = binom[i - 1] * (p - (i - 1)) / i
-        return TruncatedSeries(binom).compose(self - 1.0)
+        return TruncatedSeries(pow_coeffs(self.coeffs.tolist(), float(p)))
+
+    def integral(self):
+        """The antiderivative with zero constant term, one order higher."""
+        c = np.zeros(self.order + 2, dtype=complex)
+        c[1:] = self.coeffs / np.arange(1, self.order + 2)
+        return TruncatedSeries(c)
 
     def deriv(self):
         """Termwise derivative; an order-0 series differentiates to zero."""
@@ -170,6 +177,27 @@ class TruncatedSeries:
         head = ", ".join(f"{c:.6g}" for c in self.coeffs[: min(4, self.coeffs.size)])
         tail = ", ..." if self.coeffs.size > 4 else ""
         return f"TruncatedSeries(order={self.order}, [{head}{tail}])"
+
+
+def pow_coeffs(a, p):
+    """Coefficients b of a**p for a coefficient list a with a[0] == 1, from
+
+        m b[m] = sum_{i=1..m} ((p + 1) i - m) a[i] b[m-i],   b[0] = 1,
+
+    which is the equation a b' = p a' b of b = a**p, read one coefficient
+    at a time.  Only the nonzero a[i] enter the loop, so a polynomial such
+    as 1 - k**2 u**2 costs O(N).  Exact for Fraction a and p."""
+    zero = a[0] * 0
+    nonzero = [i for i in range(1, len(a)) if a[i]]
+    b = [a[0]] + [zero] * (len(a) - 1)
+    for m in range(1, len(a)):
+        acc = zero
+        for i in nonzero:
+            if i > m:
+                break
+            acc += ((p + 1) * i - m) * a[i] * b[m - i]
+        b[m] = acc / m
+    return b
 
 
 def exp_series(order):

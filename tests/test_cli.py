@@ -7,6 +7,9 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
+
+import pytest
 
 import elliptic_sl2
 
@@ -359,3 +362,50 @@ def test_csv_floats_read_back_to_the_json_doubles(capsys):
     assert complex(rows["sn"].replace("i", "j")) == complex(re, im)
     assert cli._csv_cell(complex(3.5, 0.0)) == "3.5+0i"
     assert cli._csv_cell(float("nan")) == "NaN" and cli._csv_cell(-float("inf")) == "-Infinity"
+
+
+def test_the_parser_is_built_once_per_process():
+    from elliptic_sl2 import cli
+
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_consecutive_main_calls_share_no_state(tmp_path, capsys):
+    from elliptic_sl2 import cli
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("k=0.5\n")
+    code, payload = main_json(capsys, "elliptic", "K", "--config", str(cfg))
+    assert code == 0 and payload["k"] == 0.5
+    code, err = main_json(capsys, "elliptic", "K")
+    assert code == 3 and "--k" in err["error"]["message"]
+
+    valid = ["deform", "verify", "--j", "1", "--h", "0.7", "--k", "0.6", "--format", "csv"]
+    alone = run(*valid)
+    assert alone.returncode == 0
+    with pytest.raises(SystemExit) as exc:  # argparse's usage error, mid-parse
+        cli.main(["deform", "verify", "--j", "1", "--no-such-flag"])
+    assert exc.value.code == 2
+    assert cli.main(["deform", "verify", "--j", "abc", "--h", "0.9", "--format", "json"]) == 2
+    capsys.readouterr()
+    assert cli.main(valid) == 0
+    assert capsys.readouterr().out == alone.stdout
+
+
+def test_dimension_caps_exit_3_before_allocating(capsys):
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        for argv in (("deform", "verify", "--j", "5000", "--h", "0.8", "--k", "0.6"),
+                     ("rep", "build", "--j", "1e300"),
+                     ("hopf", "verify", "--which", "2", "--j1", "30", "--j2", "30",
+                      "--h", "0.8", "--k", "0.6")):
+            code, err = main_json(capsys, *argv)
+            assert code == 3, argv
+            assert err["error"]["type"] == "DomainError" and "cap" in err["error"]["message"]
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 8 * 2 ** 20

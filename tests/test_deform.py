@@ -8,6 +8,9 @@ from elliptic_sl2 import autos
 from elliptic_sl2.deform import (
     DeformParams,
     G_of,
+    _F_doubled_series,
+    _G_series,
+    _asn,
     _at_half_h,
     _f_vs_dG_gap,
     _g_inv_of_u,
@@ -22,12 +25,14 @@ from elliptic_sl2.deform import (
     f_matrices,
     f_of,
     invert_map,
+    lift_series,
     lift_uh_to_elliptic,
     relation_residuals,
     relations_on_generators,
 )
 from elliptic_sl2.errors import DomainError
 from elliptic_sl2.liealg import build_spin, frobenius
+from elliptic_sl2.series import TruncatedSeries, tanh_series
 
 
 def residual_ok(report, tol, skip=("epsilon",)):
@@ -241,3 +246,27 @@ def test_half_h_powers_keep_their_bits_and_refuse_overflow():
         _f_vs_dG_gap(0.6, 1e150, 3)
     with pytest.raises(DomainError, match="overflows"):
         build_elliptic_triplet(build_spin(1.5), DeformParams(h=1e150, k=0.6))
+
+
+@pytest.mark.parametrize("k", [0.0, 0.6, 1.0, 0.3 + 0.2j])
+def test_doubled_argument_by_scaling_equals_the_composed_reference(k):
+    """sn(2u) is sn with coefficient i scaled by 2**i; composing with 2u is
+    the reference, and both give the doubled form with the same bits."""
+    order = 11
+    sn, _, _ = _sncndn(k, order + 1)
+    sn2u = sn.compose(TruncatedSeries.identity(order + 1) * 2.0)
+    S_over_u = TruncatedSeries(_G_series(k, order + 1).coeffs[1:])
+    ref = S_over_u * TruncatedSeries(sn2u.coeffs[1:] * 0.5).pow_rational(-1)
+    assert np.array_equal(_F_doubled_series(k, order).coeffs, ref.coeffs)
+
+
+@pytest.mark.parametrize("k", [0.0, 0.7, 1.0, 0.3 + 0.2j])
+def test_lift_series_is_arcsn_of_tanh(k):
+    order = 21
+    through, q = lift_series(k, order)
+    ref = _asn(k, order).compose(tanh_series(order))
+    assert through.order == order == q.order
+    assert np.max(np.abs(through.coeffs - ref.coeffs)) <= 1e-15
+    if k == 1.0:  # arcsn(t, 1) = arctanh(t), and the dressing is 1
+        assert np.max(np.abs(through.coeffs - TruncatedSeries.identity(order).coeffs)) <= 1e-15
+        assert np.max(np.abs(q.coeffs - TruncatedSeries.constant(1.0, order).coeffs)) <= 1e-15

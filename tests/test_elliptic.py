@@ -2,6 +2,7 @@
 Landen evaluation against scipy.special.ellipj, poles, periods."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -16,6 +17,7 @@ from elliptic_sl2.elliptic import (
     elliptic_constants,
     jacobi_numeric,
     periods,
+    sn_cn_dn_coeffs,
     sn_cn_dn_series,
     sn_quintic_crosscheck,
 )
@@ -50,6 +52,47 @@ def test_sn_cubic_and_quintic_coefficients(k):
     assert abs(cn.coeffs[0] - 1.0) < 1e-15
     assert abs(cn.coeffs[2] + 0.5) < 1e-15
     assert abs(dn.coeffs[2] + k2 / 2) < 1e-15
+
+
+K2_EXACT = [Fraction(9, 25), Fraction(1), Fraction(0)]
+
+
+@pytest.mark.parametrize("k2", K2_EXACT)
+def test_sn_cn_dn_within_1e14_of_the_exact_coefficients_at_order_161(k2):
+    exact = sn_cn_dn_coeffs(k2, 161)
+    worst = 0.0
+    for e, got in zip(exact, sn_cn_dn_series(math.sqrt(k2), 161)):
+        for ec, gc in zip(e, got.coeffs):
+            if ec == 0:
+                assert gc == 0
+            else:
+                worst = max(worst, abs(gc - float(ec)) / abs(float(ec)))
+    assert worst <= 1e-14
+
+
+def _times(a, b):
+    return [sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(len(a))]
+
+
+@pytest.mark.parametrize("k2", K2_EXACT)
+def test_exact_sn_cn_dn_keep_both_quadratic_identities(k2):
+    """sn^2 + cn^2 = 1 and k^2 sn^2 + dn^2 = 1, exactly in Fractions: the
+    differential equations conserve both, so an index slip in the
+    recurrence breaks them."""
+    sn, cn, dn = sn_cn_dn_coeffs(k2, 41)
+    one = [1] + [0] * 41
+    sn2 = _times(sn, sn)
+    assert [a + b for a, b in zip(sn2, _times(cn, cn))] == one
+    assert [k2 * a + b for a, b in zip(sn2, _times(dn, dn))] == one
+
+
+def test_exact_sn_cn_at_zero_modulus_are_sine_and_cosine():
+    sn, cn, dn = sn_cn_dn_coeffs(Fraction(0), 161)
+    for i in range(162):
+        term = Fraction((-1) ** (i // 2), math.factorial(i))
+        assert sn[i] == (term if i % 2 else 0)
+        assert cn[i] == (0 if i % 2 else term)
+    assert dn == [1] + [0] * 161
 
 
 def test_sn_quintic_crosscheck_flags_the_right_variant():

@@ -13,7 +13,9 @@ from elliptic_sl2.deform import (
     deform_generators,
     lift_generators,
 )
+from elliptic_sl2.errors import DomainError
 from elliptic_sl2.hopf import (
+    MAX_PRODUCT_DIM,
     coassociativity_delta1,
     coassociativity_uh,
     cocommutativity_gap,
@@ -201,3 +203,16 @@ def test_coproduct_verdicts_on_the_grid_match_the_dense_route(monkeypatch):
         # the routes round differently (up to about 1e-12 on this grid), but
         # never by an amount that could move a residual across tol
         assert abs(top - dense[key][0]) <= tol / 10, key
+
+
+def test_product_dimension_cap_refuses_before_building():
+    p = DeformParams(h=0.8, k=0.6)
+    small, big = build_spin(0.5), build_spin(40)       # 2 * 81 fits, 81 * 81 does not
+    assert 2 * 81 <= MAX_PRODUCT_DIM < 81 * 81
+    delta1(p, small, big)
+    for call in (lambda: delta1(p, big, big), lambda: delta2(p, big, big),
+                 lambda: delta_uh(0.8, big, big),
+                 lambda: coassociativity_uh(0.8, big, big, small),
+                 lambda: coassociativity_delta1(p, small, big, big)):
+        with pytest.raises(DomainError, match="cap"):
+            call()

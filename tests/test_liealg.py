@@ -6,6 +6,7 @@ import scipy.linalg
 
 from elliptic_sl2.errors import DomainError
 from elliptic_sl2.liealg import (
+    MAX_SPIN_DIM,
     KronSum,
     build_spin,
     commutator,
@@ -239,3 +240,11 @@ def test_worst_ranks_a_nan_above_every_number(where):
     top = worst(values)
     assert top != top
     assert not top <= 1e-9
+
+
+def test_spin_dimension_cap():
+    j_max = (MAX_SPIN_DIM - 1) / 2
+    assert build_spin(j_max).dim == MAX_SPIN_DIM
+    for j in (j_max + 0.5, 5000, 1e300):
+        with pytest.raises(DomainError, match="cap"):
+            build_spin(j)

@@ -12,6 +12,7 @@ from elliptic_sl2.series import (
     arctanh_series,
     cosh_series,
     exp_series,
+    pow_coeffs,
     sinh_series,
     tanh_series,
 )
@@ -91,6 +92,8 @@ def test_revert_roundtrip_random_series():
 
 def test_revert_rejects_bad_series():
     with pytest.raises(DomainError):
+        TruncatedSeries([0.0]).revert()
+    with pytest.raises(DomainError):
         series(1, 1).revert()
     with pytest.raises(DomainError):
         series(0, 0, 1).revert()
@@ -111,6 +114,35 @@ def test_pow_rational_inverse():
     prod = s * inv
     assert abs(prod.coeffs[0] - 1.0) < 1e-15
     assert np.max(np.abs(prod.coeffs[1:])) < 1e-13
+
+
+def _binomial(p, m):
+    """C(p, m) for a Fraction p, exactly."""
+    out = Fraction(1)
+    for i in range(m):
+        out = out * (p - i) / (i + 1)
+    return out
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(-1, 2), Fraction(1, 4),
+                               Fraction(-1, 4), Fraction(-1), Fraction(-2), Fraction(3)])
+def test_miller_powers_match_the_exact_binomial_coefficients_at_order_81(p):
+    order, c = 81, Fraction(-9, 25)
+    a = [Fraction(1), c] + [Fraction(0)] * (order - 1)        # 1 + c u
+    exact = [_binomial(p, m) * c ** m for m in range(order + 1)]
+    assert pow_coeffs(a, p) == exact
+    got = series(*map(float, a)).pow_rational(p).coeffs
+    worst = max(abs(g - float(e)) / abs(float(e)) for g, e in zip(got, exact) if e)
+    assert worst <= 1e-14
+    assert all(g == 0 for g, e in zip(got, exact) if not e)
+
+
+def test_miller_power_of_a_dense_series_is_exact_in_fractions():
+    a = [Fraction(1), Fraction(2, 3), Fraction(-5, 7), Fraction(1, 11), Fraction(4), Fraction(-1, 2)]
+    b = pow_coeffs(a, Fraction(-1, 2))                       # b**2 a = 1
+    bb = [sum(b[i] * b[m - i] for i in range(m + 1)) for m in range(len(a))]
+    bba = [sum(bb[i] * a[m - i] for i in range(m + 1)) for m in range(len(a))]
+    assert bba == [1, 0, 0, 0, 0, 0]
 
 
 def test_pow_rational_requires_unit_constant():
