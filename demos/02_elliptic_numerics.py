@@ -54,6 +54,13 @@ for idx, name in enumerate(("sn", "cn", "dn")):
                 abs(jacobi_numeric(z + p2, k)[idx] - before))
     print(f"{name} periods {p1:.4f}, {p2:.4f}: drift {drift:.2e}")
 
+# A whole array of points goes through one call: the Landen ladder is
+# built once and the recurrence runs on the array.  On the line
+# Im u = K'/2, |sn| = 1/sqrt(k) at every point.
+line = np.linspace(0.0, 2 * K, 9) + 0.5j * Kp
+sn_line, _, _ = jacobi_numeric(line, k)
+print("max | sqrt(k) |sn| - 1 | on Im u = K'/2:", np.max(abs(np.sqrt(k) * abs(sn_line) - 1)))
+
 # Arguments at (or within float resolution of) a lattice pole refuse to
 # return garbage: they raise instead.
 try:

@@ -20,7 +20,6 @@ rewrite engine on the localized algebra.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -144,41 +143,34 @@ def scalar_shift_identities(k, n_samples=50, seed=20260818):
         raise DomainError("scalar shift identities need real 0 < k < 1")
     K = complete_K(k)
     Kp = complete_Kprime(k)
-    rng = np.random.default_rng(seed)
-    gaps = {name: 0.0 for name in (
-        "sn_shift_iKp", "cn_shift_iKp", "dn_shift_iKp", "sn_shift_2K_iKp",
-        "sn_period_4K", "sn_period_2iKp", "cn_period_4K", "cn_period_2K_2iKp",
-        "dn_period_2K", "dn_period_4iKp",
-    )}
+    x, y = np.random.default_rng(seed).uniform((0.2, 0.1), (0.8, 0.4), size=(n_samples, 2)).T
+    u = x * K + 1j * (y * Kp)
+    # Every shifted argument set in one evaluation.  The imaginary periods
+    # are straddled (rows 1 and 5, 2 and 5, 6 and 7): the two points of each
+    # pair sit on either side of the real axis, at heights near K' (sn, cn)
+    # or 2K' (dn), where double precision keeps its digits; a point near
+    # height 2K' against one near the real axis loses them at small k.
+    sn, cn, dn = jacobi_numeric(np.stack([
+        u, u + 1j * Kp, u + 2 * K + 1j * Kp, u + 4 * K, u + 2 * K,
+        u - 1j * Kp, u + 2j * Kp, u - 2j * Kp,
+    ]), k)
 
-    def upd(name, lhs, rhs):
-        g = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-        if g > gaps[name]:
-            gaps[name] = g
+    def gap(lhs, rhs):
+        return float(np.max(abs(lhs - rhs) / np.maximum(1.0, np.maximum(abs(lhs), abs(rhs))),
+                            initial=0.0))
 
-    for _ in range(n_samples):
-        u = complex(rng.uniform(0.2, 0.8) * K, rng.uniform(0.1, 0.4) * Kp)
-        sn, cn, dn = jacobi_numeric(u, k)
-        sn_s, cn_s, dn_s = jacobi_numeric(u + 1j * Kp, k)
-        upd("sn_shift_iKp", sn_s, 1.0 / (k * sn))
-        upd("cn_shift_iKp", cn_s, -1j * dn / (k * sn))
-        upd("dn_shift_iKp", dn_s, -1j * cn / sn)
-        sn_s2, cn_s2, _ = jacobi_numeric(u + 2 * K + 1j * Kp, k)
-        upd("sn_shift_2K_iKp", sn_s2, -1.0 / (k * sn))
-        sn_4K, cn_4K, _ = jacobi_numeric(u + 4 * K, k)
-        upd("sn_period_4K", sn_4K, sn)
-        upd("cn_period_4K", cn_4K, cn)
-        upd("dn_period_2K", jacobi_numeric(u + 2 * K, k)[2], dn)
-        # The imaginary periods are straddled: the two points of each pair
-        # sit on either side of the real axis, at heights near K' (sn, cn)
-        # or 2K' (dn), where double precision keeps its digits; a point near
-        # height 2K' against one near the real axis loses them at small k.
-        sn_m, cn_m, _ = jacobi_numeric(u - 1j * Kp, k)
-        upd("sn_period_2iKp", sn_s, sn_m)
-        upd("cn_period_2K_2iKp", cn_s2, cn_m)
-        upd("dn_period_4iKp",
-            jacobi_numeric(u + 2j * Kp, k)[2],
-            jacobi_numeric(u - 2j * Kp, k)[2])
+    gaps = {
+        "sn_shift_iKp": gap(sn[1], 1.0 / (k * sn[0])),
+        "cn_shift_iKp": gap(cn[1], -1j * dn[0] / (k * sn[0])),
+        "dn_shift_iKp": gap(dn[1], -1j * cn[0] / sn[0]),
+        "sn_shift_2K_iKp": gap(sn[2], -1.0 / (k * sn[0])),
+        "sn_period_4K": gap(sn[3], sn[0]),
+        "sn_period_2iKp": gap(sn[1], sn[5]),
+        "cn_period_4K": gap(cn[3], cn[0]),
+        "cn_period_2K_2iKp": gap(cn[2], cn[5]),
+        "dn_period_2K": gap(dn[4], dn[0]),
+        "dn_period_4iKp": gap(dn[6], dn[7]),
+    }
 
     return {
         "k": k,

@@ -64,7 +64,8 @@ from .rewrite import parse_expression
 from .version import __version__
 
 DEFAULT_TOL = 1e-9
-_NONFINITE = {math.inf: "Infinity", -math.inf: "-Infinity"}
+# The strings written for NaN and the infinities, keyed by Python's text for them.
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 class UsageError(ValueError):
@@ -77,11 +78,12 @@ class UsageError(ValueError):
 def _json_float(x):
     """A finite float as itself, NaN and the infinities as strings."""
     x = float(x)
-    return x if math.isfinite(x) else _NONFINITE.get(x, "NaN")
+    return x if math.isfinite(x) else _NONFINITE[repr(x)]
 
 
 def _jsonable(obj):
-    """The payload in plain JSON values: complex numbers become [re, im]."""
+    """The payload in plain JSON values: complex numbers become [re, im] and
+    matrices the layout of ``matrix_to_json``."""
     if isinstance(obj, float):
         return _json_float(obj)
     if isinstance(obj, dict):
@@ -90,6 +92,9 @@ def _jsonable(obj):
         return [_jsonable(val) for val in obj]
     if isinstance(obj, complex):
         return [_json_float(obj.real), _json_float(obj.imag)]
+    if isinstance(obj, np.ndarray):
+        out = matrix_to_json(obj)
+        return out if np.isfinite(obj).all() else _jsonable(out)
     return obj
 
 
@@ -97,21 +102,10 @@ def _json_text(obj):
     return json.dumps(_jsonable(obj), allow_nan=False) + "\n"
 
 
-def _flatten(prefix, obj, rows):
-    if isinstance(obj, dict):
-        for key, val in obj.items():
-            _flatten(f"{prefix}.{key}" if prefix else str(key), val, rows)
-    elif isinstance(obj, (list, tuple)):
-        for i, val in enumerate(obj):
-            _flatten(f"{prefix}[{i}]", val, rows)
-    else:
-        rows.append((prefix, obj))
-
-
 def _csv_float(x):
     """17 significant digits, which read back to the same double."""
-    x = float(x)
-    return format(x, ".17g") if math.isfinite(x) else _json_float(x)
+    text = format(float(x), ".17g")
+    return _NONFINITE.get(text, text)
 
 
 def _csv_cell(v):
@@ -124,6 +118,26 @@ def _csv_cell(v):
     if isinstance(v, float):
         return _csv_float(v)
     return str(v)
+
+
+def _flatten(prefix, obj, rows):
+    """(key, cell) rows of a payload tree.  A matrix gives the rows of its
+    ``matrix_to_json`` layout in one pass over the entries, with no call
+    per entry into this recursion."""
+    if isinstance(obj, dict):
+        for key, val in obj.items():
+            _flatten(f"{prefix}.{key}" if prefix else str(key), val, rows)
+    elif isinstance(obj, (list, tuple)):
+        for i, val in enumerate(obj):
+            _flatten(f"{prefix}[{i}]", val, rows)
+    elif isinstance(obj, np.ndarray):
+        layout = matrix_to_json(obj)
+        rows.append((f"{prefix}.dim", str(layout["dim"])))
+        for i, (re, im) in enumerate(layout["entries"]):
+            rows += ((f"{prefix}.entries[{i}][0]", _csv_float(re)),
+                     (f"{prefix}.entries[{i}][1]", _csv_float(im)))
+    else:
+        rows.append((prefix, _csv_cell(obj)))
 
 
 def _emit_csv(payload, out):
@@ -139,20 +153,22 @@ def _emit_csv(payload, out):
         for row in rows:
             writer.writerow(_csv_cell(row.get(k)) for k in header)
         return
-    flat = []
+    flat = [("key", "value")]
     _flatten("", payload, flat)
-    writer.writerow(["key", "value"])
-    for key, val in flat:
-        writer.writerow([key, _csv_cell(val)])
+    writer.writerows(flat)
+
+
+def _render(payload, fmt):
+    """The document text of a payload in one of the two formats."""
+    if fmt == "json":
+        return _json_text(payload)
+    buf = io.StringIO()
+    _emit_csv(payload, buf)
+    return buf.getvalue()
 
 
 def _write_payload(payload, fmt, out_path):
-    if fmt == "csv":
-        buf = io.StringIO()
-        _emit_csv(payload, buf)
-        text = buf.getvalue()
-    else:
-        text = _json_text(payload)
+    text = _render(payload, fmt)
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -274,9 +290,9 @@ def _cmd_rep_build(args):
     return 0, {
         "j": rep.j,
         "dim": rep.dim,
-        "Jp": matrix_to_json(rep.Jp),
-        "Jm": matrix_to_json(rep.Jm),
-        "J0": matrix_to_json(rep.J0),
+        "Jp": rep.Jp,
+        "Jm": rep.Jm,
+        "J0": rep.J0,
     }
 
 
@@ -321,9 +337,9 @@ def _cmd_deform_build(args):
         "h": t.params.h,
         "k": t.params.k,
         "provenance": t.provenance,
-        "Xhat": matrix_to_json(t.Xhat),
-        "Yhat": matrix_to_json(t.Yhat),
-        "J0": matrix_to_json(t.J0),
+        "Xhat": t.Xhat,
+        "Yhat": t.Yhat,
+        "J0": t.J0,
     }
 
 
@@ -383,9 +399,9 @@ def _cmd_hopf_delta(args):
         "which": args.which,
         "j1": ct.r1.j, "j2": ct.r2.j,
         "h": ct.params.h, "k": ct.params.k,
-        "DX": matrix_to_json(ct.DX),
-        "DY": matrix_to_json(ct.DY),
-        "DJ0": matrix_to_json(ct.DJ0),
+        "DX": ct.DX,
+        "DY": ct.DY,
+        "DJ0": ct.DJ0,
     }
 
 

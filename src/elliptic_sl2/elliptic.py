@@ -25,15 +25,17 @@ the bottom, then the exact ascent
     dn = (1 - kappa sn1**2) / (1 + kappa sn1**2).
 
 The ascent is rational, so complex arguments (needed near u = i K') pass
-through unchanged.  The two rails never share code; tests play them against
-each other as mutual oracles.
+through unchanged, and every step acts elementwise, so one call evaluates
+a whole array of arguments.  The two rails never share code; tests play
+them against each other as mutual oracles.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, PoleError
 from .series import TruncatedSeries, pow_coeffs
@@ -136,7 +138,12 @@ def _modulus_ladder(k):
 def jacobi_numeric(u, k):
     """Point values (sn, cn, dn)(u, k) for complex u, real 0 <= k < 1.
 
-    Raises PoleError when the evaluation lands on a pole (u = i K' modulo
+    ``u`` is a complex scalar or an array of them; the ladder is built once
+    and every step of the descent and ascent acts on the whole array.  A
+    scalar gives three Python complex numbers, an array three complex
+    arrays of its shape.
+
+    Raises PoleError when any point lands on a pole (u = i K' modulo
     periods), overflows on the way there, or blows past 1e14 in magnitude
     (an argument within roughly 1e-14 of a lattice pole, where no accurate
     digits remain).  Large-but-accurate values near a pole are returned.
@@ -144,13 +151,15 @@ def jacobi_numeric(u, k):
     k = float(k)
     if not 0.0 <= k < 1.0:
         raise DomainError(f"jacobi_numeric needs 0 <= k < 1, got {k}")
-    u = complex(u)
+    u = np.asarray(u, dtype=complex)
     ladder = _modulus_ladder(k)
-    z = u
-    for kappa in ladder:
-        z = z / (1.0 + kappa)
-    try:
-        sn, cn, dn = cmath.sin(z), cmath.cos(z), complex(1.0)
+    # A division by zero or an overflow leaves a non-finite value, which
+    # the pole check below rejects.
+    with np.errstate(all="ignore"):
+        z = u
+        for kappa in ladder:
+            z = z / (1.0 + kappa)
+        sn, cn, dn = np.sin(z), np.cos(z), np.ones_like(z)
         for kappa in reversed(ladder):
             den = 1.0 + kappa * sn * sn
             sn, cn, dn = (
@@ -158,12 +167,14 @@ def jacobi_numeric(u, k):
                 cn * dn / den,
                 (1.0 - kappa * sn * sn) / den,
             )
-    except (ZeroDivisionError, OverflowError) as exc:
-        raise PoleError(f"jacobi elliptic evaluation hit a pole near u={u}") from exc
-    if not all(cmath.isfinite(w) for w in (sn, cn, dn)):
-        raise PoleError(f"jacobi elliptic evaluation hit a pole near u={u}")
-    if max(abs(sn), abs(cn), abs(dn)) > 1e14:
-        raise PoleError(f"jacobi elliptic evaluation too close to a pole near u={u}")
+        size = np.maximum(np.maximum(abs(sn), abs(cn)), abs(dn))
+    bad = np.flatnonzero(~(size <= 1e14))  # NaN compares false, so it counts as bad
+    if bad.size:
+        i = bad[0]
+        what = "too close to" if np.isfinite(size.flat[i]) else "hit"
+        raise PoleError(f"jacobi elliptic evaluation {what} a pole near u={complex(u.flat[i])}")
+    if u.ndim == 0:
+        return complex(sn), complex(cn), complex(dn)
     return sn, cn, dn
 
 

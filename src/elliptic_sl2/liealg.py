@@ -118,6 +118,9 @@ def _strictly_upper(mat):
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DomainError("series application needs a square matrix")
     if np.tril(mat).any():
+        if not np.isfinite(mat).all():
+            raise DomainError("series application got a matrix with non-finite entries: "
+                              "an earlier step overflowed double precision")
         raise DomainError("series application needs a strictly upper-triangular matrix")
     return mat
 
@@ -207,10 +210,11 @@ def worst(values):
 
 
 def matrix_to_json(mat):
+    """{"dim": d, "entries": [[re, im], ...]}, entries in row-major order."""
     mat = np.asarray(mat, dtype=complex)
     return {
         "dim": mat.shape[0],
-        "entries": [[float(z.real), float(z.imag)] for z in mat.reshape(-1)],
+        "entries": np.stack((mat.real, mat.imag), axis=-1).reshape(-1, 2).tolist(),
     }
 
 

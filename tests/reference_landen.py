@@ -1,0 +1,78 @@
+"""Scalar references for the numeric elliptic rail: the descending Landen
+recurrence one point at a time on cmath, and the period-shift gaps sampled
+one point at a time through it.  The package evaluates whole arrays at once;
+the tests hold it to these loops."""
+
+import cmath
+import math
+
+import numpy as np
+
+from elliptic_sl2.elliptic import complete_K, complete_Kprime
+from elliptic_sl2.errors import PoleError
+
+
+def landen_scalar(u, k):
+    """(sn, cn, dn)(u, k) for one complex u, real 0 <= k < 1, by the scalar
+    Landen loop; PoleError on a pole, an overflow or a value past 1e14."""
+    ladder = []
+    kappa = float(k)
+    for _ in range(64):
+        if kappa < 1e-15:
+            break
+        kp = math.sqrt((1.0 - kappa) * (1.0 + kappa))
+        kappa = (1.0 - kp) / (1.0 + kp)
+        ladder.append(kappa)
+    u = complex(u)
+    z = u
+    for kappa in ladder:
+        z = z / (1.0 + kappa)
+    try:
+        sn, cn, dn = cmath.sin(z), cmath.cos(z), complex(1.0)
+        for kappa in reversed(ladder):
+            den = 1.0 + kappa * sn * sn
+            sn, cn, dn = (
+                (1.0 + kappa) * sn / den,
+                cn * dn / den,
+                (1.0 - kappa * sn * sn) / den,
+            )
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise PoleError(f"pole near u={u}") from exc
+    if not all(cmath.isfinite(w) for w in (sn, cn, dn)) or max(abs(sn), abs(cn), abs(dn)) > 1e14:
+        raise PoleError(f"pole near u={u}")
+    return sn, cn, dn
+
+
+def shift_gaps_scalar(k, n_samples, seed):
+    """The gaps of ``autos.scalar_shift_identities``, one sample and one
+    Landen evaluation at a time, drawing the same points from the seed."""
+    K = complete_K(k)
+    Kp = complete_Kprime(k)
+    rng = np.random.default_rng(seed)
+    gaps = {name: 0.0 for name in (
+        "sn_shift_iKp", "cn_shift_iKp", "dn_shift_iKp", "sn_shift_2K_iKp",
+        "sn_period_4K", "sn_period_2iKp", "cn_period_4K", "cn_period_2K_2iKp",
+        "dn_period_2K", "dn_period_4iKp",
+    )}
+
+    def upd(name, lhs, rhs):
+        gaps[name] = max(gaps[name], abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
+
+    for _ in range(n_samples):
+        u = complex(rng.uniform(0.2, 0.8) * K, rng.uniform(0.1, 0.4) * Kp)
+        sn, cn, dn = landen_scalar(u, k)
+        sn_s, cn_s, dn_s = landen_scalar(u + 1j * Kp, k)
+        upd("sn_shift_iKp", sn_s, 1.0 / (k * sn))
+        upd("cn_shift_iKp", cn_s, -1j * dn / (k * sn))
+        upd("dn_shift_iKp", dn_s, -1j * cn / sn)
+        sn_s2, cn_s2, _ = landen_scalar(u + 2 * K + 1j * Kp, k)
+        upd("sn_shift_2K_iKp", sn_s2, -1.0 / (k * sn))
+        sn_4K, cn_4K, _ = landen_scalar(u + 4 * K, k)
+        upd("sn_period_4K", sn_4K, sn)
+        upd("cn_period_4K", cn_4K, cn)
+        upd("dn_period_2K", landen_scalar(u + 2 * K, k)[2], dn)
+        sn_m, cn_m, _ = landen_scalar(u - 1j * Kp, k)
+        upd("sn_period_2iKp", sn_s, sn_m)
+        upd("cn_period_2K_2iKp", cn_s2, cn_m)
+        upd("dn_period_4iKp", landen_scalar(u + 2j * Kp, k)[2], landen_scalar(u - 2j * Kp, k)[2])
+    return gaps

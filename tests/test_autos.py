@@ -26,6 +26,7 @@ from elliptic_sl2.deform import (
 )
 from elliptic_sl2.errors import DomainError
 from elliptic_sl2.liealg import build_spin, frobenius
+from reference_landen import shift_gaps_scalar
 
 
 def worst_residual(report):
@@ -120,6 +121,31 @@ def test_scalar_identities_are_seed_deterministic():
     a = scalar_shift_identities(0.5, n_samples=10, seed=123)
     b = scalar_shift_identities(0.5, n_samples=10, seed=123)
     assert a == b
+
+
+def test_scalar_identities_make_one_kernel_call(monkeypatch):
+    from elliptic_sl2 import autos
+
+    calls = []
+    real = autos.jacobi_numeric
+
+    def counted(u, k):
+        calls.append(np.shape(u))
+        return real(u, k)
+
+    monkeypatch.setattr(autos, "jacobi_numeric", counted)
+    scalar_shift_identities(0.6, n_samples=25)
+    assert calls == [(8, 25)]
+
+
+@pytest.mark.parametrize("k", [0.08, 0.3, 0.6, 0.9])
+def test_scalar_identities_match_the_scalar_loop(k):
+    report = scalar_shift_identities(k, n_samples=25, seed=71)
+    reference = shift_gaps_scalar(k, n_samples=25, seed=71)
+    assert list(report["max_gaps"]) == list(reference)
+    for name, gap in report["max_gaps"].items():
+        assert type(gap) is float
+        assert abs(gap - reference[name]) <= 1e-14, name
 
 
 @pytest.mark.parametrize("eps", [+1, -1])

@@ -392,6 +392,13 @@ def test_consecutive_main_calls_share_no_state(tmp_path, capsys):
     assert capsys.readouterr().out == alone.stdout
 
 
+def test_overflowing_spin_module_is_a_named_domain_error(capsys):
+    code, err = main_json(capsys, "deform", "verify", "--j", "150", "--h", "0.8", "--k", "0.6")
+    assert code == 3 and err["error"]["type"] == "DomainError"
+    assert "overflow" in err["error"]["message"]
+    assert "strictly upper-triangular" not in err["error"]["message"]
+
+
 def test_dimension_caps_exit_3_before_allocating(capsys):
     tracemalloc.start()
     try:

@@ -22,6 +22,7 @@ from elliptic_sl2.elliptic import (
     sn_quintic_crosscheck,
 )
 from elliptic_sl2.errors import DomainError, PoleError
+from reference_landen import landen_scalar
 
 
 def test_integrand_quartic_coefficient_hand_convolution():
@@ -195,6 +196,40 @@ def test_pole_raises():
     kp = complete_Kprime(k)
     with pytest.raises(PoleError):
         jacobi_numeric(1j * kp, k)
+
+
+@pytest.mark.parametrize("k", [0.0, 0.08, 0.5, 0.9])
+def test_array_kernel_matches_the_scalar_landen_loop(k):
+    """Relative agreement on a grid of complex u that clears the lattice's
+    zeros and poles, with heights on either side of K' and 2K' (at k = 0
+    there are no imaginary periods, and the heights are plain numbers)."""
+    K = complete_K(k)
+    Kp = complete_Kprime(k) if k else 1.0
+    x = np.linspace(-1.9 * K, 3.1 * K, 23)
+    y = Kp * np.array([-2.05, -1.95, -1.05, -0.95, -0.5, 0.0, 0.3, 0.95, 1.05, 1.5, 1.95, 2.05])
+    u = x[:, None] + 1j * y[None, :]
+    got = jacobi_numeric(u, k)
+    ref = np.array([landen_scalar(z, k) for z in u.ravel().tolist()]).T.reshape(3, *u.shape)
+    for g, r in zip(got, ref):
+        assert g.shape == u.shape and g.dtype == complex
+        assert np.max(abs(g - r) / abs(r)) <= 1e-14
+
+
+def test_one_pole_point_fails_the_whole_array():
+    k = 0.6
+    Kp = complete_Kprime(k)
+    with pytest.raises(PoleError):
+        jacobi_numeric(np.array([0.3 + 0.1j, 1j * Kp, 0.5]), k)
+    with pytest.raises(PoleError):
+        jacobi_numeric(np.array([0.3, 1j * Kp * (1 + 1e-16)]), k)
+    assert jacobi_numeric(np.array([0.3, 1j * Kp * (1 + 1e-3)]), k)[0].shape == (2,)
+
+
+def test_scalar_call_returns_python_complex_numbers():
+    for u in (0.3, 0.3 + 0.2j, np.complex128(0.3 + 0.2j), np.float64(0.7)):
+        values = jacobi_numeric(u, 0.6)
+        assert all(type(w) is complex for w in values)
+        assert max(abs(a - b) for a, b in zip(values, landen_scalar(u, 0.6))) <= 1e-15
 
 
 def test_pythagorean_identities_for_complex_arguments():

@@ -203,6 +203,18 @@ def test_kron_sum_route_rejects_factors_that_are_not_strictly_upper_triangular()
         mat_apply_series(s, KronSum(np.zeros((2, 3)), np.zeros((2, 2))))
 
 
+def test_non_finite_entries_are_named_as_an_overflow():
+    s = TruncatedSeries(np.ones(4, dtype=complex))
+    finite = np.triu(np.ones((3, 3)))
+    with pytest.raises(DomainError, match="strictly upper-triangular"):
+        mat_apply_series(s, finite)
+    for bad in (np.nan, np.inf):
+        m = np.triu(np.ones((3, 3)), 1)
+        m[2, 0] = bad
+        with pytest.raises(DomainError, match="overflow"):
+            mat_apply_series(s, m)
+
+
 def test_classical_coproduct_satisfies_relations():
     r1, r2 = build_spin(0.5), build_spin(1.0)
     djp, djm, dj0 = coproduct_classical(r1, r2)
