@@ -146,13 +146,14 @@ def scalar_shift_identities(k, n_samples=50, seed=20260818):
     x, y = np.random.default_rng(seed).uniform((0.2, 0.1), (0.8, 0.4), size=(n_samples, 2)).T
     u = x * K + 1j * (y * Kp)
     # Every shifted argument set in one evaluation.  The imaginary periods
-    # are straddled (rows 1 and 5, 2 and 5, 6 and 7): the two points of each
-    # pair sit on either side of the real axis, at heights near K' (sn, cn)
-    # or 2K' (dn), where double precision keeps its digits; a point near
-    # height 2K' against one near the real axis loses them at small k.
+    # are straddled by rows 1 and 5, u + iK' and u - iK', which sit on either
+    # side of the real axis at heights near K', where double precision keeps
+    # its digits: sn(u + iK') = sn(u - iK'), cn(u + 2K + iK') = cn(u - iK'),
+    # and dn(u + iK') = -dn(u - iK'), the anti-period that gives dn its
+    # period 4iK'.  A point near height 2K' against one near the real axis
+    # loses digits at small k, and points at +-2iK' lose them too.
     sn, cn, dn = jacobi_numeric(np.stack([
-        u, u + 1j * Kp, u + 2 * K + 1j * Kp, u + 4 * K, u + 2 * K,
-        u - 1j * Kp, u + 2j * Kp, u - 2j * Kp,
+        u, u + 1j * Kp, u + 2 * K + 1j * Kp, u + 4 * K, u + 2 * K, u - 1j * Kp,
     ]), k)
 
     def gap(lhs, rhs):
@@ -169,7 +170,7 @@ def scalar_shift_identities(k, n_samples=50, seed=20260818):
         "cn_period_4K": gap(cn[3], cn[0]),
         "cn_period_2K_2iKp": gap(cn[2], cn[5]),
         "dn_period_2K": gap(dn[4], dn[0]),
-        "dn_period_4iKp": gap(dn[6], dn[7]),
+        "dn_period_4iKp": gap(dn[1], -dn[5]),
     }
 
     return {

@@ -8,11 +8,15 @@ The raising generator is fed through the inverse sine amplitude,
 and everything downstream (defining relations, Casimir forms, the Jordanian
 k**2 = 1 reduction and its lift) is built and machine-checked on matrices.
 
-Every map of the shape (2/h) F((h/2) M) with F odd is realized as
+Every map F((h/2) M), and every map of the shape (2/h) F((h/2) M) with F
+odd, is realized by scaling coefficients rather than the matrix,
 
-    sum_i  c_{2i+1} (h/2)**(2i) M**(2i+1),
+    sum_i  c_i (h/2)**i M**i,      sum_i  c_{2i+1} (h/2)**(2i) M**(2i+1),
 
-so h = 0 is an ordinary point of every formula, never a division.
+with one (h/2)**i table cut at the nilpotency bound of M, so h = 0 is an
+ordinary point of every formula, never a division.  The series taken at one
+argument go to one call of `mat_apply_series`, which builds one power stack
+for all of them.
 
 Triplets produced by the period-shift automorphisms carry their offset as
 exact integer bookkeeping (multiples of i*pi/(h) for the hyperbolic family,
@@ -32,7 +36,7 @@ import numpy as np
 
 from .elliptic import asn_series, complete_K, complete_Kprime, sn_cn_dn_series
 from .errors import DomainError
-from .liealg import KronSum, SpinRep, commutator, frobenius, mat_apply_series
+from .liealg import SpinRep, commutator, frobenius, mat_apply_series, nilpotency_bound
 from .series import (
     TruncatedSeries,
     arctanh_series,
@@ -182,20 +186,25 @@ def _half_h_powers(h, n):
     raise DomainError(f"(h/2)**i for i <= {n} overflows at h = {h}")
 
 
-def _odd_rescaled(s, mat, h):
-    """(2/h) F((h/2) M) for an odd series F, written without the division."""
-    if s.coeffs[0] != 0:
-        raise DomainError("rescaled application needs a series with zero constant term")
-    d = np.zeros_like(s.coeffs)
-    d[1:] = s.coeffs[1:] * _half_h_powers(h, s.order - 1)
-    return mat_apply_series(TruncatedSeries(d), mat)
+def _at_half_h(mat, h, *terms):
+    """(h/2)**-p F((h/2) M) for each (F, p) in terms, as a list.
 
-
-def _at_half_h(s, mat, h):
-    """F((h/2) M) for a plain series F; a KronSum M is scaled factorwise."""
-    if not isinstance(mat, KronSum):
-        mat = np.asarray(mat, dtype=complex)
-    return mat_apply_series(s, (complex(h) / 2.0) * mat)
+    p = 0 is the plain map F((h/2) M); p = 1 is the odd map (2/h) F((h/2) M),
+    written without the division, so F must have zero constant term.  Each
+    coefficient c_i is scaled by (h/2)**(i-p) from one table cut at the
+    nilpotency bound of M (a matrix or a KronSum), and all the series are
+    evaluated from one power stack of M."""
+    bound = nilpotency_bound(mat)
+    powers = _half_h_powers(h, min(bound, max(s.order for s, _ in terms)))
+    scaled = []
+    for s, p in terms:
+        if p and s.coeffs[0] != 0:
+            raise DomainError("rescaled application needs a series with zero constant term")
+        n = min(s.order, bound)
+        d = np.zeros(n + 1, dtype=complex)
+        d[p:] = s.coeffs[p: n + 1] * powers[: n + 1 - p]
+        scaled.append(TruncatedSeries(d))
+    return mat_apply_series(scaled, mat)
 
 
 def _x_offset(t):
@@ -238,8 +247,7 @@ def _parity_sign(t):
 
 def deform_generators(Jp, Jm, params, order):
     """Apply the nonlinear map to an abstract (raising, lowering) pair."""
-    xhat = _odd_rescaled(_asn(params.k, order), Jp, params.h)
-    g = _at_half_h(_g_of_v(params.k, order), Jp, params.h)
+    xhat, g = _at_half_h(Jp, params.h, (_asn(params.k, order), 1), (_g_of_v(params.k, order), 0))
     yhat = g @ np.asarray(Jm, dtype=complex) @ g
     return xhat, yhat
 
@@ -254,9 +262,9 @@ def build_elliptic_triplet(rep, params):
 def build_jordanian_triplet(rep, h):
     """The k**2 = 1 triplet: (h/2) X = arctanh((h/2) J+), hyperbolic dressing."""
     order = rep.dim
-    x = _odd_rescaled(arctanh_series(order), rep.Jp, h)
     u = TruncatedSeries.identity(order)
-    dress = _at_half_h((1.0 - u * u).pow_rational(0.5), rep.Jp, h)
+    x, dress = _at_half_h(rep.Jp, h, (arctanh_series(order), 1),
+                          ((1.0 - u * u).pow_rational(0.5), 0))
     y = dress @ rep.Jm @ dress
     return DeformedTriplet(Xhat=x, Yhat=y, J0=rep.J0.copy(),
                            params=DeformParams(h=h, k=1.0), rep=rep, provenance="uh")
@@ -279,8 +287,7 @@ def lift_generators(X, Y, params, order):
     """Lift a hyperbolic pair (X, Y) to the elliptic one at modulus k."""
     k, h = params.k, params.h
     through, q = lift_series(k, order)
-    xhat = _odd_rescaled(through, X, h)
-    qx = _at_half_h(q, X, h)
+    xhat, qx = _at_half_h(X, h, (through, 1), (q, 0))
     yhat = qx @ np.asarray(Y, dtype=complex) @ qx
     return xhat, yhat
 
@@ -310,10 +317,8 @@ def invert_map(t):
         raise DomainError("inverse map undefined after an odd number of half shifts")
     k, h = t.params.k, t.params.h
     order = t.rep.dim
-    x = _x_nilpotent(t)
     sn, _, _ = _sncndn(k, order)
-    jp = _odd_rescaled(sn, x, h)
-    m = _at_half_h(_g_inv_of_u(k, order), x, h)
+    jp, m = _at_half_h(_x_nilpotent(t), h, (sn, 1), (_g_inv_of_u(k, order), 0))
     jm = m @ t.Yhat @ m
     return jp, jm
 
@@ -323,51 +328,52 @@ def invert_map(t):
 
 def G_of(t):
     """[J0, Xhat] as a function of Xhat, honoring any stored shift parity."""
-    return _parity_sign(t) * _odd_rescaled(
-        _G_series(t.params.k, t.rep.dim), _x_nilpotent(t), t.params.h)
+    g, = _at_half_h(_x_nilpotent(t), t.params.h, (_G_series(t.params.k, t.rep.dim), 1))
+    return _parity_sign(t) * g
 
 
 def f_of(t):
     """The anticommutator structure function of [J0, Yhat], shift-aware."""
-    return _parity_sign(t) * _at_half_h(
-        _F_series(t.params.k, t.rep.dim), _x_nilpotent(t), t.params.h)
+    f, = _at_half_h(_x_nilpotent(t), t.params.h, (_F_series(t.params.k, t.rep.dim), 0))
+    return _parity_sign(t) * f
+
+
+def _structure_matrices(t):
+    """G before the shift parity, and the structure function of [J0, Yhat]
+    along three routes: the primary and doubled-argument forms at Xhat, from
+    one power stack of its nilpotent part, and the algebraic form at J+."""
+    k, h = t.params.k, t.params.h
+    order = t.rep.dim
+    g, primary, doubled = _at_half_h(_x_nilpotent(t), h, (_G_series(k, order), 1),
+                                     (_F_series(k, order), 0), (_F_doubled_series(k, order), 0))
+    algebraic, = _at_half_h(t.rep.Jp, h, (_F_of_v_series(k, order), 0))
+    return g, {"primary": primary, "doubled": doubled, "algebraic": algebraic}
 
 
 def f_matrices(t):
-    """The same structure function along three routes: the primary form at
-    Xhat, the doubled-argument form at Xhat, and the algebraic form at J+."""
-    k, h = t.params.k, t.params.h
-    order = t.rep.dim
-    x = _x_nilpotent(t)
-    return {
-        "primary": _at_half_h(_F_series(k, order), x, h),
-        "doubled": _at_half_h(_F_doubled_series(k, order), x, h),
-        "algebraic": _at_half_h(_F_of_v_series(k, order), t.rep.Jp, h),
-    }
-
-
-def _scale(*mats):
-    return max(1.0, *(frobenius(m) for m in mats))
+    """The structure function of [J0, Yhat] along its three routes."""
+    return _structure_matrices(t)[1]
 
 
 def relations_on_generators(X, Y, J0, params, order, g_mat=None, f_mat=None):
     """Residuals of the three defining relations for arbitrary generator
     matrices.  g_mat/f_mat override the structure-function matrices (used by
     shift verification, which supplies parity-corrected ones)."""
-    k, h = params.k, params.h
-    if g_mat is None:
-        g_mat = _odd_rescaled(_G_series(k, order), X, h)
-    if f_mat is None:
-        f_mat = _at_half_h(_F_series(k, order), X, h)
+    if g_mat is None or f_mat is None:
+        g, f = _at_half_h(X, params.h, (_G_series(params.k, order), 1),
+                          (_F_series(params.k, order), 0))
+        g_mat = g if g_mat is None else g_mat
+        f_mat = f if f_mat is None else f_mat
     uh = params.ksq == 1
     l_comm, l_x, l_y = ("eq22", "eq23", "eq24") if uh else ("eq12", "eq13", "eq14")
     r_comm = commutator(X, Y) - 2.0 * J0
     r_x = commutator(J0, X) - g_mat
     r_y = commutator(J0, Y) + 0.5 * (f_mat @ Y + Y @ f_mat)
+    nx, ny, n0, ng, nf = (frobenius(m) for m in (X, Y, J0, g_mat, f_mat))
     return {
-        l_comm: frobenius(r_comm) / _scale(X, Y, J0),
-        l_x: frobenius(r_x) / _scale(X, J0, g_mat),
-        l_y: frobenius(r_y) / _scale(Y, J0, f_mat),
+        l_comm: frobenius(r_comm) / max(1.0, nx, ny, n0),
+        l_x: frobenius(r_x) / max(1.0, nx, n0, ng),
+        l_y: frobenius(r_y) / max(1.0, ny, n0, nf),
     }
 
 
@@ -389,14 +395,15 @@ def relation_residuals(t):
     """Frobenius residuals of the defining relations, plus the consistency
     checks tying the structure functions together.  Keys are the relation
     labels used throughout the residual reports."""
-    k, h = t.params.k, t.params.h
     order = t.rep.dim
-    fm = f_matrices(t)  # its primary form is f_of(t) up to the shift parity
+    g, fm = _structure_matrices(t)  # G_of(t) and f_of(t), up to the shift parity
+    sign = _parity_sign(t)
     out = relations_on_generators(t.Xhat, t.Yhat, t.J0, t.params, order,
-                                  g_mat=G_of(t), f_mat=_parity_sign(t) * fm["primary"])
-    out["f_vs_dG"] = _f_vs_dG_gap(k, h, order)
-    out["f_eq15_vs_eq16"] = frobenius(fm["primary"] - fm["doubled"]) / _scale(fm["primary"])
-    out["f_eq15_vs_eq17"] = frobenius(fm["primary"] - fm["algebraic"]) / _scale(fm["primary"])
+                                  g_mat=sign * g, f_mat=sign * fm["primary"])
+    out["f_vs_dG"] = _f_vs_dG_gap(t.params.k, t.params.h, order)
+    scale = max(1.0, frobenius(fm["primary"]))
+    out["f_eq15_vs_eq16"] = frobenius(fm["primary"] - fm["doubled"]) / scale
+    out["f_eq15_vs_eq17"] = frobenius(fm["primary"] - fm["algebraic"]) / scale
     return out
 
 
@@ -421,8 +428,7 @@ def casimir(t, form):
     if form == "jordanian":
         tt = t if t.provenance == "uh" else build_jordanian_triplet(rep, h)
         x, y = tt.Xhat, tt.Yhat
-        cosh_x = _at_half_h(cosh_series(rep.dim), x, h)
-        sinh_resc = _odd_rescaled(sinh_series(rep.dim), x, h)
+        cosh_x, sinh_resc = _at_half_h(x, h, (cosh_series(rep.dim), 0), (sinh_series(rep.dim), 1))
         return cosh_x @ y @ sinh_resc + quad
     if form == "elliptic":
         jp, jm = invert_map(t)

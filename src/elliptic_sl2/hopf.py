@@ -40,7 +40,7 @@ from .deform import (
     lift_series,
     relations_on_generators,
     _asn,
-    _odd_rescaled,
+    _at_half_h,
     _sncndn,
 )
 from .errors import DomainError
@@ -158,8 +158,8 @@ def delta1_x_from_factor_sn(params, r1, r2):
     for rep in (r1, r2):
         t_x, _ = deform_generators(rep.Jp, rep.Jm, params, rep.dim)
         sn, _, _ = _sncndn(k, rep.dim)
-        per_factor.append(_odd_rescaled(sn, t_x, h))
-    return _odd_rescaled(_asn(k, order), KronSum(*per_factor), h)
+        per_factor.extend(_at_half_h(t_x, h, (sn, 1)))
+    return _at_half_h(KronSum(*per_factor), h, (_asn(k, order), 1))[0]
 
 
 def delta2_x_from_factor_sn(params, r1, r2):
@@ -171,9 +171,9 @@ def delta2_x_from_factor_sn(params, r1, r2):
         t_x, _ = deform_generators(rep.Jp, rep.Jm, params, rep.dim)
         sn, _, _ = _sncndn(k, rep.dim)
         pulled = arctanh_series(rep.dim).compose(sn)
-        per_factor.append(_odd_rescaled(pulled, t_x, h))
+        per_factor.extend(_at_half_h(t_x, h, (pulled, 1)))
     through, _ = lift_series(k, order)
-    return _odd_rescaled(through, KronSum(*per_factor), h)
+    return _at_half_h(KronSum(*per_factor), h, (through, 1))[0]
 
 
 # -- verification ---------------------------------------------------------------

@@ -16,6 +16,10 @@ type:
   are multiplied, at sizes d1 and d2, and one product with the weight table
   gives every entry of the (d1 d2)-square result.
 
+Several series at one argument are one call: the argument is validated
+once and its power stack (the two factor stacks of a `KronSum`) is built
+once, and each series gives the same bits as it would alone.
+
 Callers pass a `KronSum` only where the argument really is one (the
 coproduct layer builds them); everything else, and in particular every
 relation check on coproduct images, stays on the dense route, which is
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,6 +42,7 @@ __all__ = [
     "build_spin",
     "commutator",
     "mat_apply_series",
+    "nilpotency_bound",
     "kron",
     "coproduct_classical",
     "matrix_to_json",
@@ -117,12 +123,28 @@ def _strictly_upper(mat):
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DomainError("series application needs a square matrix")
-    if np.tril(mat).any():
+    if mat[_lower_mask(mat.shape[0])].any():
         if not np.isfinite(mat).all():
             raise DomainError("series application got a matrix with non-finite entries: "
                               "an earlier step overflowed double precision")
         raise DomainError("series application needs a strictly upper-triangular matrix")
     return mat
+
+
+@lru_cache(maxsize=8)
+def _lower_mask(dim):
+    """The diagonal and everything below it; indexing with it costs about a
+    third of np.tril."""
+    return np.tri(dim, dtype=bool)
+
+
+def nilpotency_bound(mat):
+    """The highest power of a strictly upper-triangular argument that can be
+    nonzero: dim - 1 for a matrix, d1 + d2 - 2 for a KronSum of factors of
+    dimensions d1 and d2.  Every series is exact when cut there."""
+    if isinstance(mat, KronSum):
+        return mat.a.shape[0] + mat.b.shape[0] - 2
+    return np.shape(mat)[0] - 1
 
 
 def _power_stack(mat, count):
@@ -140,52 +162,77 @@ def mat_apply_series(s, mat):
     """sum c_i M**i for a strictly upper-triangular (hence nilpotent) M, given
     as a matrix or as a KronSum of two such factors.
 
-    The order is clipped to n = min(s.order, dim - 1), which is exact since
-    M**dim = 0; so every order >= dim - 1 gives the same bits.  With
+    s is one series, or a sequence of series at the same argument, which
+    gives a list.  A sequence validates M once and builds one power stack
+    (one per factor for a KronSum); each series then costs only its table
+    product and its Horner loop, and gives the same bits as alone.
+
+    The order is clipped to n = min(s.order, nilpotency_bound(M)), which is
+    exact; so every order past the bound gives the same bits.  With
     step = isqrt(n + 1), the baby steps I, M, ..., M**(step-1) are stacked
     once, every block sum_r c_(b*step+r) M**r comes out of one product with
     the coefficient table, and Horner in M**step runs over the blocks.
     """
+    batch = isinstance(s, (list, tuple))
+    series = list(s) if batch else [s]
     if isinstance(mat, KronSum):
-        return _kron_sum_apply(s, mat)
-    mat = _strictly_upper(mat)
-    dim = mat.shape[0]
-    n = min(s.order, dim - 1)
-    step = math.isqrt(n + 1)
+        out = _kron_sum_apply(series, mat)
+    else:
+        mat = _strictly_upper(mat)
+        bound = nilpotency_bound(mat)
+        orders = [min(t.order, bound) for t in series]
+        steps = [math.isqrt(n + 1) for n in orders]
+        # the baby steps of every series, and the giant step of the largest
+        powers = _power_stack(mat, max(steps, default=0) + 1)
+        out = [_blocked_horner(t.coeffs[: n + 1], powers, step)
+               for t, n, step in zip(series, orders, steps)]
+    return out if batch else out[0]
+
+
+def _blocked_horner(c, powers, step):
+    """sum c_i M**i from the stack I, M, ..., M**step: one product of the
+    coefficient table with the baby steps gives every block, and Horner in
+    M**step runs over them.  Only this call's block table is alive."""
+    n = c.size - 1
+    dim = powers.shape[1]
     nblk = -(-(n + 1) // step)
     table = np.zeros(nblk * step, dtype=complex)
-    table[: n + 1] = s.coeffs[: n + 1]
-    powers = _power_stack(mat, step)
-    blocks = (table.reshape(nblk, step) @ powers.reshape(step, dim * dim)).reshape(nblk, dim, dim)
+    table[: n + 1] = c
+    blocks = (table.reshape(nblk, step) @ powers[:step].reshape(step, dim * dim)).reshape(nblk, dim, dim)
     acc = blocks[-1]
-    if nblk > 1:
-        giant = powers[-1] @ mat
-        for b in range(nblk - 2, -1, -1):
-            acc = acc @ giant + blocks[b]
+    for b in range(nblk - 2, -1, -1):
+        acc = acc @ powers[step] + blocks[b]
     return acc
 
 
-def _kron_sum_apply(s, ks):
+def _kron_sum_apply(series, ks):
     """sum c_i (A x 1 + 1 x B)**i
-         = sum_{a < d1, b < d2, a + b <= n} C(a+b, a) c_(a+b) A**a x B**b,
+         = sum_{a < d1, b < d2, a + b <= n} C(a+b, a) c_(a+b) A**a x B**b
 
-    since the two terms commute; n = min(s.order, d1 + d2 - 2) is exact, as
-    A**d1 = B**d2 = 0.  With Pa, Pb the stacked factor powers and W the
-    weight table, the entries are the one product Pa^T W Pb, reindexed."""
+    for each series, since the two terms commute; n = min(s.order, d1 + d2 - 2)
+    is exact, as A**d1 = B**d2 = 0.  With Pa, Pb the stacked factor powers,
+    built once for the whole list, and W a series' weight table, its entries
+    are the one product Pa^T W Pb, reindexed."""
     a, b = _strictly_upper(ks.a), _strictly_upper(ks.b)
     d1, d2 = a.shape[0], b.shape[0]
-    n = min(s.order, d1 + d2 - 2)
-    p, q = min(d1 - 1, n) + 1, min(d2 - 1, n) + 1
-    binom = np.ones((p, q))  # binom[a, b] = C(a+b, a), exact below 2**53
-    for r in range(1, p):
+    bound = nilpotency_bound(ks)
+    orders = [min(s.order, bound) for s in series]
+    top = max(orders, default=0)
+    pa = _power_stack(a, min(d1 - 1, top) + 1).reshape(-1, d1 * d1)
+    pb = _power_stack(b, min(d2 - 1, top) + 1).reshape(-1, d2 * d2)
+    binom = np.ones((len(pa), len(pb)))  # binom[a, b] = C(a+b, a), exact below 2**53
+    for r in range(1, len(pa)):
         binom[r] = np.cumsum(binom[r - 1])
-    c = np.zeros(p + q - 1, dtype=complex)
-    c[: n + 1] = s.coeffs[: n + 1]
-    w = binom * c[np.add.outer(np.arange(p), np.arange(q))]
-    pa = _power_stack(a, p).reshape(p, d1 * d1)
-    pb = _power_stack(b, q).reshape(q, d2 * d2)
-    out = (pa.T @ w @ pb).reshape(d1, d1, d2, d2)
-    return out.transpose(0, 2, 1, 3).reshape(d1 * d2, d1 * d2)
+    out = []
+    for s, n in zip(series, orders):
+        p, q = min(d1 - 1, n) + 1, min(d2 - 1, n) + 1
+        c = np.zeros(p + q - 1, dtype=complex)
+        c[: n + 1] = s.coeffs[: n + 1]
+        w = binom[:p, :q] * c[np.add.outer(np.arange(p), np.arange(q))]
+        entries = (pa[:p].T @ w @ pb[:q]).reshape(d1, d1, d2, d2)
+        out.append(entries.transpose(0, 2, 1, 3).reshape(d1 * d2, d1 * d2))
+        del entries  # one factor-product table alive at a time
+    return out
 
 
 def kron(a, b):
@@ -199,7 +246,9 @@ def coproduct_classical(r1, r2):
 
 
 def frobenius(a):
-    return float(np.linalg.norm(np.asarray(a), "fro"))
+    """The Frobenius norm, from one dot product; NaN and inf propagate."""
+    a = np.asarray(a)
+    return math.sqrt(np.vdot(a, a).real)
 
 
 def worst(values):

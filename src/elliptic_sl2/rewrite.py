@@ -39,8 +39,9 @@ Caps keep every call bounded in time and memory; each raises ``DomainError``:
 
 * ``MAX_DEGREE`` bounds the degree a + b + |c| of a product's result, and
   the exponent and the degree of a power; checked before any work;
-* ``MAX_TERM_PAIRS`` bounds the term pairs of one product, checked before
-  that product's work;
+* ``MAX_TERM_PAIRS`` bounds the cost of one product, its term pairs each
+  weighted by the work of their closed form, checked before that product's
+  work;
 * ``MAX_REFERENCE_LETTERS`` bounds the length of a word given to the
   reference rewriter, and ``MAX_REFERENCE_WORDS`` the memo entries one call
   of it may add: its cost grows exponentially with the length.  A call that
@@ -95,9 +96,13 @@ STRATEGIES = ("leftmost", "rightmost")
 # (Jp + Jm + J0)**48, 20,824 terms, takes about 2.5 s on a 2-vCPU VM.
 MAX_DEGREE = 48
 
-# Largest number of term pairs one product may multiply.  The degree alone
-# does not bound the work: (Jp + Jm + J0)**20 (Jp + Jm + J0)**20 is 3.1M pairs.
-MAX_TERM_PAIRS = 100_000
+# Largest cost of one product: its term pairs, each weighted by
+# (top + 1)(b1 + 1)(b2 + 1), top = _commutations(a2, c1), which follows the
+# work of _monomial_product (about 1 us per unit on a 2-vCPU VM).  The degree
+# alone does not bound the work: (Jp + Jm + J0)**20 (Jp + Jm + J0)**20 is 3.1M
+# pairs, and 316 x 316 degree-24 monomials with large J0 powers and large
+# commuting parts cost 36M.  The largest step of (Jp + Jm + J0)**48 costs 1.23M.
+MAX_TERM_PAIRS = 1_500_000
 
 # Longest word the rule-based reference accepts, which bounds its recursion
 # depth, and the most memo entries one call of it may add, which bounds its
@@ -130,13 +135,28 @@ def _commutations(a2, c1):
     return a2 if c1 < 0 else min(a2, c1)
 
 
-def _product_degree(k1, k2):
-    """Exact degree of the product of two ordered monomials: term i has
+def _check_product(keys1, keys2):
+    """Refuse a product over the caps before any of its work.  Its cost is
+    the sum over term pairs of (top + 1)(b1 + 1)(b2 + 1), at least 1 a pair;
+    its exact degree is the largest over pairs, where term i of a pair has
     degree a1 + a2 + b1 + b2 + |c1 + c2 - i|, largest at an end of the range."""
-    a1, b1, c1 = k1
-    a2, b2, c2 = k2
-    c = c1 + c2
-    return a1 + a2 + b1 + b2 + max(abs(c), abs(c - _commutations(a2, c1)))
+    pairs = len(keys1) * len(keys2)
+    right = [(a2, b2 + 1, a2 + b2, c2) for a2, b2, c2 in keys2]
+    cost = degree = 0
+    for a1, b1, c1 in keys1:
+        w1, d1 = b1 + 1, a1 + b1
+        for a2, w2, d2, c2 in right:
+            top = _commutations(a2, c1)
+            cost += (top + 1) * w1 * w2
+            c = c1 + c2
+            # max(|c|, |c - top|), as top >= 0
+            d = d1 + d2 + (c if c >= top else top - c if c <= 0 else max(c, top - c))
+            if d > degree:
+                degree = d
+        if max(pairs, cost) > MAX_TERM_PAIRS:  # every pair costs at least 1
+            raise DomainError(f"product of {pairs} term pairs costs more than "
+                              f"MAX_TERM_PAIRS = {MAX_TERM_PAIRS}")
+    _check_degree(degree, "product")
 
 
 def _check_degree(degree, what):
@@ -304,12 +324,7 @@ class NCPoly:
             return self.scale(other)
         if not isinstance(other, NCPoly):
             return NotImplemented
-        pairs = len(self.terms) * len(other.terms)
-        if pairs > MAX_TERM_PAIRS:
-            raise DomainError(f"product of {pairs} term pairs exceeds "
-                              f"MAX_TERM_PAIRS = {MAX_TERM_PAIRS}")
-        _check_degree(max((_product_degree(k1, k2) for k1 in self.terms for k2 in other.terms),
-                          default=0), "product")
+        _check_product(self.terms, other.terms)
         xs, dx = _integral(self.terms)
         ys, dy = _integral(other.terms)
         acc = {}

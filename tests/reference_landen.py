@@ -71,8 +71,8 @@ def shift_gaps_scalar(k, n_samples, seed):
         upd("sn_period_4K", sn_4K, sn)
         upd("cn_period_4K", cn_4K, cn)
         upd("dn_period_2K", landen_scalar(u + 2 * K, k)[2], dn)
-        sn_m, cn_m, _ = landen_scalar(u - 1j * Kp, k)
+        sn_m, cn_m, dn_m = landen_scalar(u - 1j * Kp, k)
         upd("sn_period_2iKp", sn_s, sn_m)
         upd("cn_period_2K_2iKp", cn_s2, cn_m)
-        upd("dn_period_4iKp", landen_scalar(u + 2j * Kp, k)[2], landen_scalar(u - 2j * Kp, k)[2])
+        upd("dn_period_4iKp", dn_s, -dn_m)
     return gaps

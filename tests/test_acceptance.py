@@ -290,10 +290,10 @@ def test_c13_truncation_sufficiency_at_spin_five_half():
     assert np.array_equal(y_full, y_big)
     # the dim-6 module sees the odd map only through order 5 and the even
     # dressing only through order 4, whatever their higher coefficients are
-    from elliptic_sl2.deform import _asn, _g_of_v, _at_half_h, _odd_rescaled
+    from elliptic_sl2.deform import _asn, _at_half_h, _g_of_v
 
-    x_trunc = _odd_rescaled(_asn(p.k, 12).truncated(5), rep.Jp, p.h)
-    g_trunc = _at_half_h(_g_of_v(p.k, 12).truncated(4), rep.Jp, p.h)
+    x_trunc, g_trunc = _at_half_h(rep.Jp, p.h, (_asn(p.k, 12).truncated(5), 1),
+                                  (_g_of_v(p.k, 12).truncated(4), 0))
     y_trunc = g_trunc @ rep.Jm @ g_trunc
     assert np.array_equal(x_trunc, x_full)
     assert np.array_equal(y_trunc, y_full)

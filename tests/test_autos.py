@@ -135,7 +135,19 @@ def test_scalar_identities_make_one_kernel_call(monkeypatch):
 
     monkeypatch.setattr(autos, "jacobi_numeric", counted)
     scalar_shift_identities(0.6, n_samples=25)
-    assert calls == [(8, 25)]
+    assert calls == [(6, 25)]
+
+
+def test_dn_imaginary_period_holds_at_small_moduli():
+    """dn(u + iK') = -dn(u - iK') is checked on two points near height K',
+    which keep their digits as k goes to 0; points at u +- 2iK' lost up to
+    7.5e-7 on this scan.  Away from small k every gap is at rounding level."""
+    small = [scalar_shift_identities(0.002 * i, n_samples=25)["max_gaps"]["dn_period_4iKp"]
+             for i in range(1, 101)]
+    assert max(small) <= 1e-9
+    wide = [max(scalar_shift_identities(0.5 + 0.01 * i, n_samples=25)["max_gaps"].values())
+            for i in range(41)]
+    assert max(wide) <= 5e-14
 
 
 @pytest.mark.parametrize("k", [0.08, 0.3, 0.6, 0.9])

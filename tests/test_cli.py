@@ -308,6 +308,13 @@ def test_nan_residuals_fail_the_verdict(capsys):
     assert payload["report"]["eq14"] == "NaN" and payload["worst"] == "NaN"
 
 
+def test_elliptic_sweep_passes_at_a_small_modulus(capsys):
+    code, payload = main_json(capsys, "sweep", "--families", "elliptic", "--j", "1",
+                              "--h", "0.7", "--k", "0.02")
+    assert code == 0 and payload["pass"] is True
+    assert payload["rows"][0]["dn_period_4iKp"] <= 1e-11
+
+
 def test_non_finite_flag_values_are_usage_errors(capsys):
     for argv, flag in ((("elliptic", "K", "--k", "nan"), "--k"),
                        (("elliptic", "K", "--k", "inf"), "--k"),

@@ -9,13 +9,14 @@ from elliptic_sl2.deform import (
     DeformParams,
     G_of,
     _F_doubled_series,
+    _F_series,
     _G_series,
     _asn,
     _at_half_h,
     _f_vs_dG_gap,
     _g_inv_of_u,
+    _g_of_v,
     _half_h_powers,
-    _odd_rescaled,
     _sncndn,
     build_elliptic_triplet,
     build_jordanian_triplet,
@@ -31,8 +32,8 @@ from elliptic_sl2.deform import (
     relations_on_generators,
 )
 from elliptic_sl2.errors import DomainError
-from elliptic_sl2.liealg import build_spin, frobenius
-from elliptic_sl2.series import TruncatedSeries, tanh_series
+from elliptic_sl2.liealg import KronSum, build_spin, frobenius, mat_apply_series
+from elliptic_sl2.series import TruncatedSeries, cosh_series, tanh_series
 
 
 def residual_ok(report, tol, skip=("epsilon",)):
@@ -228,8 +229,8 @@ def test_each_identity_is_computed_once_with_the_same_bits(j, k):
     t = _images(j, k)[0]
     # the elliptic Casimir form is J- J+ + J0**2 + J0 through the inverse map
     h, dim = t.params.h, t.rep.dim
-    m = _at_half_h(_g_inv_of_u(t.params.k, dim), t.Xhat, h)
-    sn_resc = _odd_rescaled(_sncndn(t.params.k, dim)[0], t.Xhat, h)
+    sn_resc, m = _at_half_h(t.Xhat, h, (_sncndn(t.params.k, dim)[0], 1),
+                            (_g_inv_of_u(t.params.k, dim), 0))
     expected = m @ t.Yhat @ m @ sn_resc + (t.J0 @ t.J0 + t.J0)
     assert np.array_equal(casimir(t, "elliptic"), expected)
 
@@ -270,3 +271,45 @@ def test_lift_series_is_arcsn_of_tanh(k):
     if k == 1.0:  # arcsn(t, 1) = arctanh(t), and the dressing is 1
         assert np.max(np.abs(through.coeffs - TruncatedSeries.identity(order).coeffs)) <= 1e-15
         assert np.max(np.abs(q.coeffs - TruncatedSeries.constant(1.0, order).coeffs)) <= 1e-15
+
+
+@pytest.mark.parametrize("h", [0.0, 0.45, 0.8 - 0.3j])
+@pytest.mark.parametrize("j", [0.5, 1.0, 2.5, 5.0, 8.0])
+def test_coefficient_scaling_matches_matrix_scaling(j, h):
+    """F((h/2) M) from scaled coefficients against F evaluated at the scaled
+    matrix, the former route, for the plain series of the map."""
+    r = build_spin(j)
+    p = DeformParams(h=h, k=0.6)
+    t = build_elliptic_triplet(r, p)
+    uh = build_jordanian_triplet(r, h)
+    cases = [(_g_of_v(p.k, r.dim), r.Jp), (_g_inv_of_u(p.k, r.dim), t.Xhat),
+             (_F_series(p.k, r.dim), t.Xhat), (cosh_series(r.dim), uh.Xhat),
+             (_g_of_v(p.k, 2 * r.dim - 1), KronSum(r.Jp, r.Jp))]
+    for s, m in cases:
+        got, = _at_half_h(m, h, (s, 0))
+        expect = mat_apply_series(s, (complex(h) / 2.0) * m)
+        assert frobenius(got - expect) <= 1e-14 * frobenius(expect)
+
+
+def test_one_power_stack_per_argument(monkeypatch):
+    from elliptic_sl2 import liealg
+
+    shapes = []
+    real = liealg._power_stack
+    monkeypatch.setattr(liealg, "_power_stack", lambda m, n: shapes.append(m.shape) or real(m, n))
+    r = build_spin(2.5)
+    p = DeformParams(h=0.7, k=0.6)
+    deform_generators(r.Jp, r.Jm, p, r.dim)
+    assert len(shapes) == 1
+    t = build_elliptic_triplet(r, p)
+    for image in (t, autos.period_shift_elliptic(t, autos.ELL_IKP)[0]):
+        shapes.clear()
+        relation_residuals(image)   # G, F and doubled F at Xhat; F at J+
+        assert shapes == [(6, 6), (6, 6)]
+    shapes.clear()
+    invert_map(t)
+    assert shapes == [(6, 6)]
+    uh = build_jordanian_triplet(r, 0.7)
+    shapes.clear()
+    casimir(uh, "jordanian")        # cosh and sinh at X
+    assert shapes == [(6, 6)]

@@ -188,6 +188,70 @@ def test_kron_sum_route_is_bit_identical_past_the_nilpotency_bound():
             assert np.array_equal(mat_apply_series(TruncatedSeries(c[: order + 1]), ks), first)
 
 
+def _series_batch(rng, bound):
+    """Series of orders below, at and past a nilpotency bound, truncations of
+    one another among them, and a constant."""
+    c = rng.standard_normal(2 * bound + 3) + 1j * rng.standard_normal(2 * bound + 3)
+    orders = {0, 1, 2, 3, max(bound - 1, 0), bound, bound + 1, 2 * bound + 2}
+    return [TruncatedSeries(c[: n + 1]) for n in sorted(orders)] + [TruncatedSeries(c[:1])]
+
+
+def test_a_batch_gives_the_same_bits_as_each_series_alone():
+    rng = np.random.default_rng(35)
+    args = [m for m in _nilpotent_inputs()] + list(_kron_sum_inputs())
+    for m in args:
+        bound = (m.a.shape[0] + m.b.shape[0] - 2 if isinstance(m, KronSum)
+                 else m.shape[0] - 1)
+        batch = _series_batch(rng, bound)
+        for seq in (batch, tuple(reversed(batch))):
+            got = mat_apply_series(seq, m)
+            assert type(got) is list and len(got) == len(seq)
+            for s, mat in zip(seq, got):
+                assert np.array_equal(mat, mat_apply_series(s, m))
+    assert mat_apply_series([], build_spin(1.0).Jp) == []
+
+
+def test_a_batch_validates_its_argument_once(monkeypatch):
+    from elliptic_sl2 import liealg
+
+    checked, stacks = [], []
+    real_check, real_stack = liealg._strictly_upper, liealg._power_stack
+    monkeypatch.setattr(liealg, "_strictly_upper", lambda m: checked.append(1) or real_check(m))
+    monkeypatch.setattr(liealg, "_power_stack",
+                        lambda m, n: stacks.append(m.shape) or real_stack(m, n))
+    rng = np.random.default_rng(36)
+    mat_apply_series(_series_batch(rng, 6), _strictly_upper(rng, 7))
+    assert (len(checked), stacks) == (1, [(7, 7)])
+    checked.clear(), stacks.clear()
+    mat_apply_series(_series_batch(rng, 6), KronSum(_strictly_upper(rng, 3), _strictly_upper(rng, 5)))
+    assert (len(checked), stacks) == (2, [(3, 3), (5, 5)])
+
+
+def test_frobenius_matches_the_library_norm():
+    rng = np.random.default_rng(37)
+    top = 0.0
+    for dim in (1, 2, 3, 7, 17, 50, 121, 289, 400):
+        for scale in (1e-150, 1.0, 1e150):
+            a = scale * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+            ref = np.linalg.norm(a, "fro")
+            got = frobenius(a)
+            assert type(got) is float
+            top = max(top, abs(got - ref) / ref)
+    assert top <= 1e-14
+    assert frobenius(np.zeros((3, 3), dtype=complex)) == 0.0
+    assert frobenius(np.eye(4)) == 2.0
+    view = (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[::2, 1::2]
+    assert abs(frobenius(view) - np.linalg.norm(view, "fro")) <= 1e-14 * frobenius(view)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf), complex(np.nan, 1)])
+def test_a_non_finite_entry_gives_a_residual_that_fails(bad):
+    m = np.ones((4, 4), dtype=complex)
+    m[1, 2] = bad
+    residual = frobenius(m) / max(1.0, frobenius(np.eye(4)))
+    assert not worst([1e-16, residual]) <= 1e-9
+
+
 def test_kron_sum_route_rejects_factors_that_are_not_strictly_upper_triangular():
     rng = np.random.default_rng(34)
     s = TruncatedSeries(np.ones(4, dtype=complex))

@@ -373,6 +373,31 @@ def test_term_pair_cap():
         half * half
 
 
+def test_term_pair_cap_weighs_each_pair_by_its_cost(monkeypatch):
+    # 316 x 316 degree-24 monomials, large J0 powers against large commuting
+    # parts: 99,856 pairs whose product ran for 8 to 36 s before the cap
+    # counted cost; it costs 36M and is refused before any work
+    keys = [(a, b, 24 - a - b) for a in range(25) for b in range(25 - a)]
+    left = sorted(keys, key=lambda k: -(k[1] + 1) * (k[2] + 1))[:316]
+    right = sorted(keys, key=lambda k: -(k[1] + 1) * (k[0] + 1))[:316]
+    x = NCPoly({key: Fraction(1, i + 2) for i, key in enumerate(left)})
+    y = NCPoly({key: Fraction(i + 3, 7) for i, key in enumerate(right)})
+    t0 = time.perf_counter()
+    with pytest.raises(DomainError, match="MAX_TERM_PAIRS"):
+        x * y
+    assert time.perf_counter() - t0 < 1.0
+    # (J0^2 Jp^3 + Jp)(Jm^2 J0 + Jm): (2+1)(2+1)(1+1) + (1+1)(2+1)(0+1)
+    # + (1+1)(0+1)(1+1) + (1+1)(0+1)(0+1) = 18 + 6 + 4 + 2 = 30
+    x = NCPoly({(0, 2, 3): 1, (0, 0, 1): 1})
+    y = NCPoly({(2, 1, 0): 1, (1, 0, 0): 1})
+    monkeypatch.setattr(rewrite, "MAX_TERM_PAIRS", 30)
+    assert x * y == nf_word(("J0", "J0", "Jp", "Jp", "Jp", "Jm", "Jm", "J0")) + nf_word(
+        ("J0", "J0", "Jp", "Jp", "Jp", "Jm")) + nf_word(("Jp", "Jm", "Jm", "J0")) + nf_word(("Jp", "Jm"))
+    monkeypatch.setattr(rewrite, "MAX_TERM_PAIRS", 29)
+    with pytest.raises(DomainError, match="MAX_TERM_PAIRS"):
+        x * y
+
+
 def test_reference_caps():
     with pytest.raises(DomainError, match="at most"):
         nf_word(("J0",) * 1200 + ("Jm",))
