@@ -20,13 +20,12 @@ rewrite engine on the localized algebra.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
-from .deform import DeformedTriplet, relation_residuals
+from .deform import _x_nilpotent, relation_residuals, x_offset
 from .elliptic import complete_K, complete_Kprime, jacobi_numeric
 from .errors import DomainError
 
@@ -73,6 +72,14 @@ def sign_involution(t):
     return replace(t, Xhat=-t.Xhat, Yhat=-t.Yhat, provenance="auto")
 
 
+def _shifted(t, **counts):
+    """The image with the given shift counts and (Y, J0) flipped: Xhat is the
+    nilpotent part of t's plus the offset of the new counts."""
+    image = replace(t, Yhat=-t.Yhat, J0=-t.J0, provenance="auto", **counts)
+    off = x_offset(image) * np.eye(t.rep.dim, dtype=complex)
+    return replace(image, Xhat=_x_nilpotent(t) + off)
+
+
 def half_period_shift_uh(t):
     """Shift X by i pi/h and flip (Y, J0); hyperbolic triplets only."""
     h = t.params.h
@@ -82,10 +89,7 @@ def half_period_shift_uh(t):
         raise DomainError("the hyperbolic half shift needs k**2 = 1")
     if t.shift_a or t.shift_b:
         raise DomainError("cannot mix hyperbolic and elliptic shifts")
-    dim = t.rep.dim
-    x = t.Xhat + (1j * math.pi / h) * np.eye(dim, dtype=complex)
-    return replace(t, Xhat=x, Yhat=-t.Yhat, J0=-t.J0,
-                   provenance="auto", shift_q=t.shift_q + 1)
+    return _shifted(t, shift_q=t.shift_q + 1)
 
 
 def period_shift_elliptic(t, spec):
@@ -100,19 +104,7 @@ def period_shift_elliptic(t, spec):
         raise DomainError("elliptic period shifts need real 0 < k < 1")
     if t.shift_q:
         raise DomainError("cannot mix hyperbolic and elliptic shifts")
-    K = complete_K(k.real)
-    Kp = complete_Kprime(k.real)
-    offset = (2.0 / h) * (spec.du_a * K + 1j * spec.du_b * Kp)
-    dim = t.rep.dim
-    image = replace(
-        t,
-        Xhat=t.Xhat + offset * np.eye(dim, dtype=complex),
-        Yhat=-t.Yhat,
-        J0=-t.J0,
-        provenance="auto",
-        shift_a=t.shift_a + spec.du_a,
-        shift_b=t.shift_b + spec.du_b,
-    )
+    image = _shifted(t, shift_a=t.shift_a + spec.du_a, shift_b=t.shift_b + spec.du_b)
     report = dict(relation_residuals(image))
     report["epsilon"] = spec.epsilon
     report["kind"] = spec.kind
@@ -121,12 +113,10 @@ def period_shift_elliptic(t, spec):
 
 def highest_weight_shift_error(t):
     """|X e0 - offset e0| on the highest-weight vector: the nilpotent part
-    annihilates e0, so a shifted X has exact eigenvalue q * i*pi/h there."""
-    h = t.params.h
-    expected = t.shift_q * 1j * math.pi / h if t.shift_q else 0j
+    annihilates e0, so a shifted X has the offset as exact eigenvalue there."""
     e0 = np.zeros(t.rep.dim, dtype=complex)
     e0[0] = 1.0
-    return float(np.linalg.norm(t.Xhat @ e0 - expected * e0))
+    return float(np.linalg.norm(t.Xhat @ e0 - x_offset(t) * e0))
 
 
 def scalar_shift_identities(k, n_samples=50, seed=20260818):

@@ -343,36 +343,37 @@ def _cmd_deform_build(args):
     }
 
 
-def _casimir_gaps(t):
+def _triplet_checks(t):
+    """The relation residuals of a triplet and, as casimir_<form>, the
+    relative Frobenius gap of each Casimir form from j(j+1) I."""
     j = t.rep.j
     target = j * (j + 1) * np.eye(t.rep.dim, dtype=complex)
-    gaps = {}
+    checks = dict(relation_residuals(t))
     for form in ("classical", "jordanian", "elliptic"):
         c = casimir(t, form)
-        gaps[form] = frobenius(c - target) / max(1.0, frobenius(c))
-    return gaps
+        checks[f"casimir_{form}"] = frobenius(c - target) / max(1.0, frobenius(c))
+    return checks
 
 
 def _cmd_deform_verify(args):
     t = _build_triplet(args)
     tol = _need(args, "tol", DEFAULT_TOL)
-    residuals = relation_residuals(t)
-    gaps = _casimir_gaps(t)
+    checks = _triplet_checks(t)
     jp, jm = invert_map(t)
     roundtrip = worst((
         frobenius(jp - t.rep.Jp) / max(1.0, frobenius(t.rep.Jp)),
         frobenius(jm - t.rep.Jm) / max(1.0, frobenius(t.rep.Jm)),
     ))
-    checks = dict(residuals)
-    checks.update({f"casimir_{k}": v for k, v in gaps.items()})
-    checks["roundtrip"] = roundtrip
+    residuals = {key: v for key, v in checks.items() if not key.startswith("casimir_")}
     payload = {
         "j": t.rep.j, "h": t.params.h, "k": t.params.k,
         "provenance": t.provenance, "tol": tol,
         "residuals": residuals,
-        "casimir": gaps,
+        "casimir": {key.removeprefix("casimir_"): v for key, v in checks.items()
+                    if key not in residuals},
         "roundtrip": roundtrip,
     }
+    checks["roundtrip"] = roundtrip
     return _judge(payload, _residual_values(checks), tol), payload
 
 
@@ -454,9 +455,8 @@ def _cmd_auto_shift(args):
 def _cmd_rewrite_nf(args):
     if args.expr is None:
         raise DomainError("missing required value --expr")
-    strategy = args.strategy or "leftmost"
     poly = parse_expression(args.expr)
-    return 0, {"expr": args.expr, "strategy": strategy, "terms": poly.to_terms()}
+    return 0, {"expr": args.expr, "terms": poly.to_terms()}
 
 
 def _cmd_verify_all(args):
@@ -468,9 +468,7 @@ def _cmd_verify_all(args):
     for j in (0.5, 1.0, 1.5):
         rep = build_spin(j)
         t = build_elliptic_triplet(rep, DeformParams(h=h, k=k))
-        checks = dict(relation_residuals(t))
-        checks.update({f"casimir_{kk}": v for kk, v in _casimir_gaps(t).items()})
-        sections[f"deform_j{j}"] = checks
+        sections[f"deform_j{j}"] = _triplet_checks(t)
     tj = build_jordanian_triplet(build_spin(1.0), h)
     sections["jordanian_j1.0"] = relation_residuals(tj)
 
@@ -512,8 +510,7 @@ def _sweep_checks(cell):
                 t = build_jordanian_triplet(rep, h)
             else:
                 t = build_elliptic_triplet(rep, DeformParams(h=h, k=k))
-            checks = dict(relation_residuals(t))
-            checks.update({f"casimir_{kk}": v for kk, v in _casimir_gaps(t).items()})
+            checks = _triplet_checks(t)
         else:
             checks = dict(autos.scalar_shift_identities(k, n_samples=25)["max_gaps"])
     except DomainError as exc:
@@ -552,6 +549,9 @@ def _cmd_sweep(args):
     workers = _parse(int, "workers", args.workers) if args.workers is not None else 1
     cells = list(itertools.product(families, js, hs, ks))
     keys = list(dict.fromkeys(_sweep_key(c) for c in cells))
+    # The pool forks all its workers on the first submit: never more than
+    # there are distinct cells or CPUs.
+    workers = min(workers, len(keys), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_checks, keys))
@@ -638,8 +638,6 @@ def build_parser():
     rw = top.add_parser("rewrite", help="exact normal ordering").add_subparsers(dest="sub", required=True)
     p = rw.add_parser("nf", help="normal form of an expression")
     p.add_argument("--expr", help="expression over Jp, Jm, J0, Jpinv")
-    p.add_argument("--strategy", choices=("leftmost", "rightmost"),
-                   help="echoed in the report; the normal form does not depend on it")
     _add_common(p)
     p.set_defaults(fn=_cmd_rewrite_nf)
 

@@ -52,9 +52,8 @@ __all__ = [
     "build_jordanian_triplet",
     "lift_uh_to_elliptic",
     "invert_map",
-    "G_of",
-    "f_of",
-    "f_matrices",
+    "x_offset",
+    "structure_matrices",
     "casimir",
     "relation_residuals",
     "deform_generators",
@@ -99,10 +98,6 @@ class DeformedTriplet:
     shift_q: int = 0
     shift_a: int = 0
     shift_b: int = 0
-
-    @property
-    def order(self):
-        return self.rep.dim
 
     def is_shifted(self):
         return bool(self.shift_q or self.shift_a or self.shift_b)
@@ -207,8 +202,10 @@ def _at_half_h(mat, h, *terms):
     return mat_apply_series(scaled, mat)
 
 
-def _x_offset(t):
-    """The exact scalar sitting on the diagonal of a shifted Xhat."""
+def x_offset(t):
+    """The scalar on the diagonal of a shifted Xhat, from the triplet's exact
+    shift counts: q i pi/h for the hyperbolic family, (2/h)(a K + b i K')
+    for the elliptic one."""
     h = t.params.h
     if t.shift_q:
         return t.shift_q * 1j * math.pi / h
@@ -223,7 +220,7 @@ def _x_offset(t):
 
 
 def _x_nilpotent(t):
-    off = _x_offset(t)
+    off = x_offset(t)
     if off == 0:
         return t.Xhat
     return t.Xhat - off * np.eye(t.rep.dim, dtype=complex)
@@ -326,50 +323,30 @@ def invert_map(t):
 # -- structure functions and relations ----------------------------------------
 
 
-def G_of(t):
-    """[J0, Xhat] as a function of Xhat, honoring any stored shift parity."""
-    g, = _at_half_h(_x_nilpotent(t), t.params.h, (_G_series(t.params.k, t.rep.dim), 1))
-    return _parity_sign(t) * g
-
-
-def f_of(t):
-    """The anticommutator structure function of [J0, Yhat], shift-aware."""
-    f, = _at_half_h(_x_nilpotent(t), t.params.h, (_F_series(t.params.k, t.rep.dim), 0))
-    return _parity_sign(t) * f
-
-
-def _structure_matrices(t):
-    """G before the shift parity, and the structure function of [J0, Yhat]
-    along three routes: the primary and doubled-argument forms at Xhat, from
-    one power stack of its nilpotent part, and the algebraic form at J+."""
+def structure_matrices(t):
+    """(G, F routes, parity): G, the structure function of [J0, Xhat]; F, that
+    of [J0, Yhat], along three routes (the primary and doubled-argument forms
+    at Xhat, from one power stack of its nilpotent part, and the algebraic
+    form at J+); and the sign the shift parity puts on the Xhat forms, which
+    are returned without it.  The relations take parity * G and
+    parity * F["primary"]."""
     k, h = t.params.k, t.params.h
     order = t.rep.dim
     g, primary, doubled = _at_half_h(_x_nilpotent(t), h, (_G_series(k, order), 1),
                                      (_F_series(k, order), 0), (_F_doubled_series(k, order), 0))
     algebraic, = _at_half_h(t.rep.Jp, h, (_F_of_v_series(k, order), 0))
-    return g, {"primary": primary, "doubled": doubled, "algebraic": algebraic}
+    return g, {"primary": primary, "doubled": doubled, "algebraic": algebraic}, _parity_sign(t)
 
 
-def f_matrices(t):
-    """The structure function of [J0, Yhat] along its three routes."""
-    return _structure_matrices(t)[1]
-
-
-def relations_on_generators(X, Y, J0, params, order, g_mat=None, f_mat=None):
-    """Residuals of the three defining relations for arbitrary generator
-    matrices.  g_mat/f_mat override the structure-function matrices (used by
-    shift verification, which supplies parity-corrected ones)."""
-    if g_mat is None or f_mat is None:
-        g, f = _at_half_h(X, params.h, (_G_series(params.k, order), 1),
-                          (_F_series(params.k, order), 0))
-        g_mat = g if g_mat is None else g_mat
-        f_mat = f if f_mat is None else f_mat
-    uh = params.ksq == 1
+def relations_on_generators(X, Y, J0, g, f, uh):
+    """Residuals of the three defining relations for generator matrices X, Y,
+    J0 and the structure-function matrices g = G(X) and f = F(X); uh picks the
+    labels of the k**2 = 1 reduction."""
     l_comm, l_x, l_y = ("eq22", "eq23", "eq24") if uh else ("eq12", "eq13", "eq14")
     r_comm = commutator(X, Y) - 2.0 * J0
-    r_x = commutator(J0, X) - g_mat
-    r_y = commutator(J0, Y) + 0.5 * (f_mat @ Y + Y @ f_mat)
-    nx, ny, n0, ng, nf = (frobenius(m) for m in (X, Y, J0, g_mat, f_mat))
+    r_x = commutator(J0, X) - g
+    r_y = commutator(J0, Y) + 0.5 * (f @ Y + Y @ f)
+    nx, ny, n0, ng, nf = (frobenius(m) for m in (X, Y, J0, g, f))
     return {
         l_comm: frobenius(r_comm) / max(1.0, nx, ny, n0),
         l_x: frobenius(r_x) / max(1.0, nx, n0, ng),
@@ -379,7 +356,8 @@ def relations_on_generators(X, Y, J0, params, order, g_mat=None, f_mat=None):
 
 def _f_vs_dG_gap(k, h, order):
     """Max coefficient gap between the f-series and d/dXhat of the G-series,
-    both written in the rescaled Xhat variable."""
+    both written in the rescaled Xhat variable, relative to the largest
+    rescaled f coefficient (at least 1) like every other residual."""
     powers = _half_h_powers(h, order)
     G = _G_series(k, order)
     F = _F_series(k, order)
@@ -388,19 +366,18 @@ def _f_vs_dG_gap(k, h, order):
     dg = TruncatedSeries(g_resc).deriv()
     f_resc = F.coeffs * powers
     n = dg.order
-    return float(np.max(np.abs(dg.coeffs - f_resc[: n + 1])))
+    scale = max(1.0, float(np.max(np.abs(f_resc))))
+    return float(np.max(np.abs(dg.coeffs - f_resc[: n + 1]))) / scale
 
 
 def relation_residuals(t):
     """Frobenius residuals of the defining relations, plus the consistency
     checks tying the structure functions together.  Keys are the relation
     labels used throughout the residual reports."""
-    order = t.rep.dim
-    g, fm = _structure_matrices(t)  # G_of(t) and f_of(t), up to the shift parity
-    sign = _parity_sign(t)
-    out = relations_on_generators(t.Xhat, t.Yhat, t.J0, t.params, order,
-                                  g_mat=sign * g, f_mat=sign * fm["primary"])
-    out["f_vs_dG"] = _f_vs_dG_gap(t.params.k, t.params.h, order)
+    g, fm, sign = structure_matrices(t)
+    out = relations_on_generators(t.Xhat, t.Yhat, t.J0, sign * g, sign * fm["primary"],
+                                  t.params.ksq == 1)
+    out["f_vs_dG"] = _f_vs_dG_gap(t.params.k, t.params.h, t.rep.dim)
     scale = max(1.0, frobenius(fm["primary"]))
     out["f_eq15_vs_eq16"] = frobenius(fm["primary"] - fm["doubled"]) / scale
     out["f_eq15_vs_eq17"] = frobenius(fm["primary"] - fm["algebraic"]) / scale

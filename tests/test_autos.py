@@ -55,6 +55,22 @@ def test_half_period_shift_hyperbolic():
     assert s.Xhat[0, 0] == 1j * math.pi / h
 
 
+def test_highest_weight_sees_the_offset_of_every_shift_exactly():
+    t = build_elliptic_triplet(build_spin(1.5), DeformParams(h=0.7, k=0.6))
+    images = [period_shift_elliptic(t, spec)[0] for spec in (ELL_IKP, ELL_2K_IKP)]
+    images.append(period_shift_elliptic(images[0], ELL_2K_IKP)[0])
+    assert (images[-1].shift_a, images[-1].shift_b) == (2, 2)
+    for image in images:
+        assert highest_weight_shift_error(image) == 0.0
+    # three half shifts at a complex scale: the offset is never accumulated
+    # in floating point, so the nilpotent part stays strictly upper-triangular
+    s = build_jordanian_triplet(build_spin(2.0), 0.3 - 0.2j)
+    for _ in range(3):
+        s = half_period_shift_uh(s)
+    assert highest_weight_shift_error(s) == 0.0
+    assert worst_residual(relation_residuals(s)) < 1e-12
+
+
 def test_two_half_shifts_make_a_full_period():
     h = 0.7
     r = build_spin(2.0)

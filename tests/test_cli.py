@@ -87,20 +87,28 @@ def test_auto_shift_all_kinds():
 
 
 def test_rewrite_nf_and_strategies():
+    from elliptic_sl2 import rewrite
+
     proc = run("rewrite", "nf", "--expr", "[Jp, Jm] - 2*J0")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["terms"] == []
-    left = run("rewrite", "nf", "--expr", "Jpinv Jm Jp", "--strategy", "leftmost")
-    right = run("rewrite", "nf", "--expr", "Jpinv Jm Jp", "--strategy", "rightmost")
-    assert left.returncode == 0 and right.returncode == 0
-    assert json.loads(left.stdout)["terms"] == json.loads(right.stdout)["terms"]
+    proc = run("rewrite", "nf", "--expr", "Jpinv Jm Jp")
+    assert proc.returncode == 0
+    payload = json.loads(proc.stdout)
+    assert list(payload) == ["expr", "terms"]
+    for strategy in rewrite.STRATEGIES:
+        assert payload["terms"] == rewrite.nf_word(("Jpinv", "Jm", "Jp"), strategy).to_terms()
+    assert run("rewrite", "nf", "--expr", "Jp", "--strategy", "leftmost").returncode == 2
 
 
 def test_rewrite_nf_long_expression_under_both_strategies():
-    left = run("rewrite", "nf", "--expr", "(Jp Jm)^20", "--strategy", "leftmost")
-    right = run("rewrite", "nf", "--expr", "(Jp Jm)^20", "--strategy", "rightmost")
-    assert left.returncode == 0 and right.returncode == 0, right.stderr
-    assert json.loads(right.stdout)["terms"] == json.loads(left.stdout)["terms"]
+    from elliptic_sl2 import rewrite
+
+    proc = run("rewrite", "nf", "--expr", "(Jp Jm)^12")
+    assert proc.returncode == 0, proc.stderr
+    terms = json.loads(proc.stdout)["terms"]
+    for strategy in rewrite.STRATEGIES:
+        assert terms == rewrite.nf_word(("Jp", "Jm") * 12, strategy).to_terms()
 
 
 def test_rewrite_nf_huge_exponent_is_a_fast_domain_error(capsys):
@@ -244,6 +252,58 @@ def test_sweep_computes_the_elliptic_family_once_per_modulus(monkeypatch, capsys
         (j, h, k) for j in (0.5, 1.5) for h in (0.6, 0.7) for k in (0.4, 0.8)]
     par = run(*args, "--workers", "2")
     assert par.returncode == 0 and par.stdout == serial
+
+
+def test_sweep_workers_never_exceed_the_distinct_cells_or_the_cpus(monkeypatch, capsys):
+    from elliptic_sl2 import cli
+
+    asked = []
+
+    class SerialPool:
+        """Records the pool size it is asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    # four deform cells and two elliptic moduli: six distinct computations
+    args = ("sweep", "--families", "deform,elliptic", "--j", "0.5,1", "--h", "0.7",
+            "--k", "0.4,0.8")
+    serial = main_json(capsys, *args)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    assert main_json(capsys, *args, "--workers", "1000") == serial
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    assert main_json(capsys, *args, "--workers", "1000") == serial
+    assert asked == [3, 6]
+    # one cell needs no pool at all
+    main_json(capsys, "sweep", "--j", "1", "--h", "0.7", "--k", "0.6", "--workers", "8")
+    assert asked == [3, 6]
+
+
+def test_one_set_of_triplet_checks_behind_every_verb(capsys):
+    j, h, k = 1.5, 0.7, 0.6
+    code, verify = main_json(capsys, "deform", "verify", "--j", str(j), "--h", str(h),
+                             "--k", str(k))
+    assert code == 0
+    expected = dict(verify["residuals"])
+    expected.update({f"casimir_{form}": v for form, v in verify["casimir"].items()})
+    code, bundle = main_json(capsys, "verify-all", "--h", str(h), "--k", str(k))
+    assert code == 0
+    assert bundle["sections"][f"deform_j{j}"] == expected
+    code, sweep = main_json(capsys, "sweep", "--j", str(j), "--h", str(h), "--k", str(k))
+    assert code == 0
+    row, = sweep["rows"]
+    assert {key: row[key] for key in expected} == expected
+    assert set(row) - set(expected) == {"family", "j", "h", "k", "status", "worst", "pass"}
 
 
 def test_sweep_elliptic_marks_unit_modulus_as_error():

@@ -7,7 +7,6 @@ import pytest
 from elliptic_sl2 import autos
 from elliptic_sl2.deform import (
     DeformParams,
-    G_of,
     _F_doubled_series,
     _F_series,
     _G_series,
@@ -23,13 +22,12 @@ from elliptic_sl2.deform import (
     casimir,
     deform_generators,
     dressing_quartic_crosscheck,
-    f_matrices,
-    f_of,
     invert_map,
     lift_series,
     lift_uh_to_elliptic,
     relation_residuals,
     relations_on_generators,
+    structure_matrices,
 )
 from elliptic_sl2.errors import DomainError
 from elliptic_sl2.liealg import KronSum, build_spin, frobenius, mat_apply_series
@@ -173,9 +171,16 @@ def test_anticommutator_function_is_derivative_of_commutator_function(k):
     assert _f_vs_dG_gap(k, 0.7, 11) < 1e-13
 
 
+@pytest.mark.parametrize("h", [100.0, 1e5, 1e8])
+@pytest.mark.parametrize("j", [1.0, 3.0, 8.0])
+def test_f_vs_dG_is_relative_at_large_scales(j, h):
+    t = build_elliptic_triplet(build_spin(j), DeformParams(h=h, k=0.6))
+    assert relation_residuals(t)["f_vs_dG"] <= 1e-13
+
+
 def test_three_routes_to_the_anticommutator_function_agree():
     t = build_elliptic_triplet(build_spin(2.5), DeformParams(h=0.9, k=0.7))
-    fm = f_matrices(t)
+    fm = structure_matrices(t)[1]
     scale = max(1.0, frobenius(fm["primary"]))
     assert frobenius(fm["primary"] - fm["doubled"]) / scale < 1e-12
     assert frobenius(fm["primary"] - fm["algebraic"]) / scale < 1e-12
@@ -221,9 +226,10 @@ def _images(j, k):
 @pytest.mark.parametrize("j", [1.0, 2.5, 6.0])
 def test_each_identity_is_computed_once_with_the_same_bits(j, k):
     for t in _images(j, k):
-        # the relations take f_of(t), which is the primary f-matrix times the parity
-        direct = relations_on_generators(t.Xhat, t.Yhat, t.J0, t.params, t.rep.dim,
-                                         g_mat=G_of(t), f_mat=f_of(t))
+        # the relations take G and the primary f-matrix times the parity
+        g, fm, sign = structure_matrices(t)
+        direct = relations_on_generators(t.Xhat, t.Yhat, t.J0, sign * g, sign * fm["primary"],
+                                         k == 1)
         report = relation_residuals(t)
         assert {key: report[key] for key in direct} == direct
     t = _images(j, k)[0]
