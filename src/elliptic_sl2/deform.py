@@ -36,7 +36,8 @@ import numpy as np
 
 from .elliptic import asn_series, complete_K, complete_Kprime, sn_cn_dn_series
 from .errors import DomainError
-from .liealg import SpinRep, commutator, frobenius, mat_apply_series, nilpotency_bound
+from .liealg import (SpinRep, commutator, frobenius, mat_apply_series, nilpotency_bound,
+                     real_if_exact)
 from .series import (
     TruncatedSeries,
     arctanh_series,
@@ -169,13 +170,14 @@ def _F_of_v_series(k, order):
 
 
 def _half_h_powers(h, n):
-    """(h/2)**i for i = 0..n; a domain error when one of them overflows."""
+    """(h/2)**i for i = 0..n, real at real h; a domain error when one of them
+    overflows."""
     half = complex(h) / 2.0
     try:
         powers = np.array([half ** i for i in range(n + 1)], dtype=complex)
         # complex ** int may raise on overflow, or return NaN parts
         if np.isfinite(powers).all():
-            return powers
+            return real_if_exact(powers)
     except OverflowError:
         pass
     raise DomainError(f"(h/2)**i for i <= {n} overflows at h = {h}")
@@ -245,7 +247,7 @@ def _parity_sign(t):
 def deform_generators(Jp, Jm, params, order):
     """Apply the nonlinear map to an abstract (raising, lowering) pair."""
     xhat, g = _at_half_h(Jp, params.h, (_asn(params.k, order), 1), (_g_of_v(params.k, order), 0))
-    yhat = g @ np.asarray(Jm, dtype=complex) @ g
+    yhat = g @ Jm @ g
     return xhat, yhat
 
 
@@ -285,7 +287,7 @@ def lift_generators(X, Y, params, order):
     k, h = params.k, params.h
     through, q = lift_series(k, order)
     xhat, qx = _at_half_h(X, h, (through, 1), (q, 0))
-    yhat = qx @ np.asarray(Y, dtype=complex) @ qx
+    yhat = qx @ Y @ qx
     return xhat, yhat
 
 

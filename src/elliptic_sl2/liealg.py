@@ -24,6 +24,15 @@ Callers pass a `KronSum` only where the argument really is one (the
 coproduct layer builds them); everything else, and in particular every
 relation check on coproduct images, stays on the dense route, which is
 therefore an independent cross-check of the factor route.
+
+The dtype follows the inputs.  `real_if_exact` is the one place that
+decides it, for every matrix and coefficient vector that enters the
+calculus, `commutator`, `kron` and `KronSum`: an operand with no nonzero
+imaginary part is float64, anything else is complex128, and numpy runs the
+same code on either.  Spin matrices are real, so at real h and real k every
+generator image, coproduct image and structure-function matrix is float64;
+a complex h, a complex k or a complex shift offset makes them complex128.
+A NaN or inf imaginary part counts as nonzero, so the demotion is exact.
 """
 
 from __future__ import annotations
@@ -53,9 +62,10 @@ __all__ = [
 
 
 # The largest module build_spin makes: dimension 401, j = 200.  A cold
-# `deform verify` there peaked at 152 MB before it stopped on the unitary
-# basis's overflow.  The dense calculus holds about 2 sqrt(dim) matrices of
-# dim**2 complex entries; at j = 5000 a single matrix would take 1.6 GB.
+# `deform verify --h 0.8 --k 0.6` there peaked at 93 MB before it stopped on
+# the unitary basis's overflow (44 MB at j = 80).  The dense calculus holds
+# about 2 sqrt(dim) matrices of dim**2 entries, float64 at real h and k and
+# complex128 otherwise; at j = 5000 a single real matrix would take 0.8 GB.
 MAX_SPIN_DIM = 401
 
 
@@ -82,18 +92,30 @@ def build_spin(j):
         raise DomainError(f"spin {j:g} has dimension {dim}, over the cap of {MAX_SPIN_DIM} "
                           f"(j <= {(MAX_SPIN_DIM - 1) / 2:g})")
     m = j - np.arange(dim)  # descending magnetic quantum numbers
-    Jp = np.zeros((dim, dim), dtype=complex)
+    Jp = np.zeros((dim, dim))
     for col in range(1, dim):
         # raising coefficient sqrt((j-m)(j+m+1)) acting on column m = j-col
         Jp[col - 1, col] = np.sqrt((j - m[col]) * (j + m[col] + 1.0))
     Jm = Jp.T.copy()
-    J0 = np.diag(m.astype(complex))
+    J0 = np.diag(m)
     return SpinRep(j=j, dim=dim, Jp=Jp, Jm=Jm, J0=J0)
 
 
+def real_if_exact(a):
+    """a as a float64 array when no entry has a nonzero imaginary part, and
+    as complex128 otherwise.  The real part is taken only when every
+    imaginary part is exactly zero (a NaN or inf one is nonzero), so the
+    demotion never drops information."""
+    a = np.asarray(a)
+    if a.dtype.kind != "c":
+        return a.astype(float, copy=False)
+    if a.imag.any():
+        return a.astype(complex, copy=False)
+    return np.ascontiguousarray(a.real)
+
+
 def commutator(a, b):
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a, b = real_if_exact(a), real_if_exact(b)
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError("commutator needs two square matrices of equal dimension")
     return a @ b - b @ a
@@ -108,19 +130,18 @@ class KronSum:
     b: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=complex))
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=complex))
+        object.__setattr__(self, "a", real_if_exact(self.a))
+        object.__setattr__(self, "b", real_if_exact(self.b))
 
     def __rmul__(self, c):
         return KronSum(c * self.a, c * self.b)
 
     def dense(self):
-        return (kron(self.a, np.eye(self.b.shape[0], dtype=complex))
-                + kron(np.eye(self.a.shape[0], dtype=complex), self.b))
+        return kron(self.a, np.eye(self.b.shape[0])) + kron(np.eye(self.a.shape[0]), self.b)
 
 
 def _strictly_upper(mat):
-    mat = np.asarray(mat, dtype=complex)
+    mat = real_if_exact(mat)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DomainError("series application needs a square matrix")
     if mat[_lower_mask(mat.shape[0])].any():
@@ -149,8 +170,8 @@ def nilpotency_bound(mat):
 
 def _power_stack(mat, count):
     """I, M, ..., M**(count-1) stacked along the first axis."""
-    powers = np.empty((count,) + mat.shape, dtype=complex)
-    powers[0] = np.eye(mat.shape[0], dtype=complex)
+    powers = np.empty((count,) + mat.shape, dtype=mat.dtype)
+    powers[0] = np.eye(mat.shape[0])
     if count > 1:
         powers[1] = mat
     for r in range(2, count):
@@ -193,10 +214,11 @@ def _blocked_horner(c, powers, step):
     """sum c_i M**i from the stack I, M, ..., M**step: one product of the
     coefficient table with the baby steps gives every block, and Horner in
     M**step runs over them.  Only this call's block table is alive."""
+    c = real_if_exact(c)
     n = c.size - 1
     dim = powers.shape[1]
     nblk = -(-(n + 1) // step)
-    table = np.zeros(nblk * step, dtype=complex)
+    table = np.zeros(nblk * step, dtype=c.dtype)
     table[: n + 1] = c
     blocks = (table.reshape(nblk, step) @ powers[:step].reshape(step, dim * dim)).reshape(nblk, dim, dim)
     acc = blocks[-1]
@@ -226,8 +248,9 @@ def _kron_sum_apply(series, ks):
     out = []
     for s, n in zip(series, orders):
         p, q = min(d1 - 1, n) + 1, min(d2 - 1, n) + 1
-        c = np.zeros(p + q - 1, dtype=complex)
-        c[: n + 1] = s.coeffs[: n + 1]
+        coeffs = real_if_exact(s.coeffs[: n + 1])
+        c = np.zeros(p + q - 1, dtype=coeffs.dtype)
+        c[: n + 1] = coeffs
         w = binom[:p, :q] * c[np.add.outer(np.arange(p), np.arange(q))]
         entries = (pa[:p].T @ w @ pb[:q]).reshape(d1, d1, d2, d2)
         out.append(entries.transpose(0, 2, 1, 3).reshape(d1 * d2, d1 * d2))
@@ -236,7 +259,11 @@ def _kron_sum_apply(series, ks):
 
 
 def kron(a, b):
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """The Kronecker product of two matrices, as one broadcast outer product:
+    the same products as np.kron, without its reshaping overhead."""
+    a, b = real_if_exact(a), real_if_exact(b)
+    (r1, c1), (r2, c2) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(r1 * r2, c1 * c2)
 
 
 def coproduct_classical(r1, r2):
