@@ -17,8 +17,8 @@ Verbs:
 
 Exit codes: 0 all residuals within tolerance, 1 a residual check failed,
 2 usage error, 3 domain error.  A flag value that does not parse to a finite
-number is a usage error; it and every domain error are reported as structured
-JSON on stderr.
+number, or an empty sweep list, is a usage error; it and every domain error
+are reported as structured JSON on stderr.
 
 Output is deterministic.  JSON is one line from the standard library's
 encoder, where a float is the shortest text that reads back to the same
@@ -298,8 +298,8 @@ def _cmd_rep_build(args):
 
 def _cmd_elliptic_K(args):
     k = _need(args, "k")
-    payload = {"k": k, "K": complete_K(k) if k < 1 else None}
-    payload["Kprime"] = complete_Kprime(k) if 0 < k <= 1 else None
+    payload = {"k": k, "K": None if k == 1 else complete_K(k)}
+    payload["Kprime"] = complete_Kprime(k) if k > 0 else None
     return 0, payload
 
 
@@ -539,13 +539,17 @@ def _sweep_row(cell, tol, checks):
 
 def _cmd_sweep(args):
     tol = _need(args, "tol", DEFAULT_TOL)
-    families = [f.strip() for f in (args.families or "deform").split(",") if f.strip()]
+    families = [f.strip() for f in (args.families if args.families is not None else "deform")
+                .split(",") if f.strip()]
     for fam in families:
         if fam not in ("deform", "elliptic"):
             raise DomainError(f"unknown sweep family {fam!r}")
     js = _parse(_float_list, "j", args.j) if args.j is not None else [0.5, 1.0]
     hs = _parse(_float_list, "h", args.h) if args.h is not None else [0.7]
     ks = _parse(_float_list, "k", args.k) if args.k is not None else [0.4, 0.8]
+    for name, axis in (("families", families), ("j", js), ("h", hs), ("k", ks)):
+        if not axis:  # an empty axis would verify nothing
+            raise UsageError(f"--{name} needs at least one value")
     workers = _parse(int, "workers", args.workers) if args.workers is not None else 1
     cells = list(itertools.product(families, js, hs, ks))
     keys = list(dict.fromkeys(_sweep_key(c) for c in cells))

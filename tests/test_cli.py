@@ -3,7 +3,9 @@
 import csv
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -389,15 +391,24 @@ def test_non_finite_flag_values_are_usage_errors(capsys):
 
 
 def test_overflowing_scale_is_a_domain_error(capsys):
-    for argv in (("deform", "verify", "--j", "1", "--h", "1e150", "--k", "0.6"),
-                 ("verify-all", "--h", "1e100")):
+    # (h/2)**i overflows for some power i < dim that a matrix uses
+    for argv in (("deform", "verify", "--j", "1", "--h", "1e155", "--k", "0.6"),
+                 ("verify-all", "--h", "1e160")):
         code, err = main_json(capsys, *argv)
         assert code == 3, argv
         assert err["error"]["type"] == "DomainError" and "overflows" in err["error"]["message"]
     # numpy's overflow warnings stay off stderr, which holds the JSON error alone
-    proc = run("verify-all", "--h", "1e100")
+    proc = run("verify-all", "--h", "1e160")
     assert proc.returncode == 3
     assert strict_loads(proc.stderr)["error"]["type"] == "DomainError"
+    # every used power is finite: the matrices overflow, and the NaN fails
+    code, payload = main_json(capsys, "deform", "verify", "--j", "1", "--h", "1e150",
+                              "--k", "0.6")
+    assert code == 1 and payload["worst"] == "NaN"
+    # J+**2 = 0 on spin 1/2, so only (h/2)**0 and (h/2)**1 are used
+    code, payload = main_json(capsys, "deform", "verify", "--j", "0.5", "--h", "1e200",
+                              "--k", "0.6")
+    assert code == 0 and payload["pass"] is True
 
 
 def test_json_is_one_strict_line_from_the_standard_encoder(capsys):
@@ -483,3 +494,59 @@ def test_dimension_caps_exit_3_before_allocating(capsys):
         tracemalloc.stop()
     assert elapsed < 1.0
     assert peak < 8 * 2 ** 20
+
+
+def test_an_empty_sweep_axis_is_a_usage_error(capsys):
+    for flag, value in (("--j", ","), ("--j", ""), ("--h", ","), ("--k", ","),
+                        ("--families", ","), ("--families", "")):
+        code, err = main_json(capsys, "sweep", flag, value)
+        assert code == 2, (flag, value)
+        assert err["error"]["type"] == "UsageError" and flag in err["error"]["message"]
+    # an empty entry next to a value is still skipped
+    code, payload = main_json(capsys, "sweep", "--j", "0.5,", "--k", ",0.6")
+    assert code == 0 and len(payload["rows"]) == 1
+
+
+def test_elliptic_K_refuses_a_modulus_above_one(capsys):
+    for k in ("1.5", "-0.5"):
+        code, err = main_json(capsys, "elliptic", "K", "--k", k)
+        assert code == 3 and err["error"]["type"] == "DomainError", k
+    code, payload = main_json(capsys, "elliptic", "K", "--k", "1")
+    assert code == 0 and payload["K"] is None and payload["Kprime"] == math.pi / 2
+
+
+def _report_keys(obj, inputs=frozenset({"j", "h", "k", "j1", "j2", "tol"})):
+    """Every key of a report whose value is a number (a non-finite one is a
+    string), inputs aside."""
+    if isinstance(obj, list):
+        return set().union(*map(_report_keys, obj))
+    if not isinstance(obj, dict):
+        return set()
+    keys = set()
+    for key, val in obj.items():
+        if key not in inputs and (val in ("NaN", "Infinity", "-Infinity") or (
+                isinstance(val, (int, float)) and not isinstance(val, bool))):
+            keys.add(key)
+        keys |= _report_keys(val)
+    return keys
+
+
+def test_every_numeric_report_key_is_in_the_readme_label_table(capsys):
+    readme = open(os.path.join(SRC, os.pardir, "README.md"), encoding="utf-8").read()
+    section = readme.split("## Residual labels", 1)[1].split("\n## ", 1)[0]
+    labels = {token for line in section.splitlines() if line.startswith("| `")
+              for token in re.findall(r"`([^`]+)`", line.split(" | ")[0])}
+    spin = ("--j", "1", "--h", "0.8", "--k", "0.6")
+    pair = ("--j1", "0.5", "--j2", "1", "--h", "0.8", "--k", "0.6")
+    runs = [("deform", "verify", *spin), ("verify-all",),
+            ("sweep", "--families", "deform,elliptic", "--j", "1", "--h", "0.8",
+             "--k", "0.6,1")]
+    runs += [("hopf", "verify", "--which", which, *pair) for which in ("1", "2", "uh")]
+    runs += [("auto", "shift", "--which", which, *spin)
+             for which in ("sign", "uh-half", "ell-iKp", "ell-2KiKp")]
+    keys = set()
+    for argv in runs:
+        code, payload = main_json(capsys, *argv)
+        assert code in (0, 1), argv
+        keys |= _report_keys(payload)
+    assert keys - labels == set()

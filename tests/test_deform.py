@@ -12,10 +12,10 @@ from elliptic_sl2.deform import (
     _G_series,
     _asn,
     _at_half_h,
-    _f_vs_dG_gap,
     _g_inv_of_u,
     _g_of_v,
     _half_h_powers,
+    _series_gaps,
     _sncndn,
     build_elliptic_triplet,
     build_jordanian_triplet,
@@ -168,7 +168,7 @@ def test_casimir_rejects_unknown_form_and_shifted_input():
 
 @pytest.mark.parametrize("k", [0.0, 0.5, 1.0])
 def test_anticommutator_function_is_derivative_of_commutator_function(k):
-    assert _f_vs_dG_gap(k, 0.7, 11) < 1e-13
+    assert _series_gaps(k, 11)["f_vs_dG"] < 1e-13
 
 
 @pytest.mark.parametrize("h", [100.0, 1e5, 1e8])
@@ -182,8 +182,81 @@ def test_three_routes_to_the_anticommutator_function_agree():
     t = build_elliptic_triplet(build_spin(2.5), DeformParams(h=0.9, k=0.7))
     fm = structure_matrices(t)[1]
     scale = max(1.0, frobenius(fm["primary"]))
-    assert frobenius(fm["primary"] - fm["doubled"]) / scale < 1e-12
+    # the doubled form is a series identity, checked on coefficients
+    assert _series_gaps(t.params.k, t.rep.dim)["f_eq15_vs_eq16"] < 1e-12
     assert frobenius(fm["primary"] - fm["algebraic"]) / scale < 1e-12
+
+
+@pytest.mark.parametrize("k", [0.0, 0.6, 0.99, 1.0, 0.3 + 0.2j])
+def test_series_identities_hold_on_coefficients_at_every_dimension(k):
+    """Both gaps for every spin-module dimension up to j = 80.  f = G' holds
+    to roundoff everywhere.  The doubled form divides by sn(2u)/(2u), whose
+    coefficient i is 2**i times that of sn(u)/u: at k near 1 they grow like
+    (2/K')**i, and the doubled series keeps only the digits they leave, so
+    its gap is bounded relative to the largest of them."""
+    for dim in range(1, 162):
+        gaps = _series_gaps(k, dim)
+        assert gaps["f_vs_dG"] <= 1e-14
+        sn = _sncndn(k, dim)[0].coeffs
+        divisor = max(1.0, float(np.max(np.abs(sn[1: dim + 1] * 2.0 ** np.arange(dim)))))
+        if k in (0.99, 1.0):
+            assert gaps["f_eq15_vs_eq16"] <= 1e-14 * divisor, dim
+        else:
+            assert gaps["f_eq15_vs_eq16"] <= 1e-14, dim
+
+
+@pytest.mark.parametrize("j", [2.5, 8.0])
+def test_series_gaps_depend_on_k_and_dim_alone(j):
+    rep = build_spin(j)
+    expected = _series_gaps(0.6, rep.dim)
+    for h in (0.0, 0.1, 0.8, 4.0, 1e5):
+        t = build_elliptic_triplet(rep, DeformParams(h=h, k=0.6))
+        images = [t, autos.sign_involution(t)]
+        if h:  # the period shifts degenerate at h = 0
+            images += [autos.period_shift_elliptic(t, spec)[0]
+                       for spec in (autos.ELL_IKP, autos.ELL_2K_IKP)]
+        for image in images:
+            report = relation_residuals(image)
+            assert {key: report[key] for key in expected} == expected, (h, image.provenance)
+
+
+def test_doubled_form_keeps_its_digits_at_large_spin():
+    # the former matrix evaluation read 1.6e-9 here
+    t = build_elliptic_triplet(build_spin(40.0), DeformParams(h=0.8, k=0.6))
+    assert relation_residuals(t)["f_eq15_vs_eq16"] <= 1e-14
+
+
+def test_doubled_form_check_reads_every_order_a_matrix_sees(monkeypatch):
+    from elliptic_sl2 import deform
+
+    t = build_elliptic_triplet(build_spin(2.5), DeformParams(h=0.8, k=0.6))
+    dim = t.rep.dim
+    before = relation_residuals(t)["f_eq15_vs_eq16"]
+    real = deform._F_doubled_series
+    for order in (dim - 1, dim):
+        def nudged(k, n, order=order):
+            c = real(k, n).coeffs.copy()
+            c[order] += 1e-12
+            return TruncatedSeries(c)
+
+        monkeypatch.setattr(deform, "_F_doubled_series", nudged)
+        after = relation_residuals(t)["f_eq15_vs_eq16"]
+        if order < dim:   # J+**(dim-1) is the last nonzero power
+            assert after > 1e-13
+        else:
+            assert after == before
+
+
+def test_relation_residuals_evaluate_three_series_on_matrices(monkeypatch):
+    from elliptic_sl2 import liealg
+
+    calls = []
+    real = liealg._blocked_horner
+    monkeypatch.setattr(liealg, "_blocked_horner", lambda *a: calls.append(1) or real(*a))
+    t = build_elliptic_triplet(build_spin(2.5), DeformParams(h=0.7, k=0.6))
+    calls.clear()
+    relation_residuals(t)   # G and F at Xhat, F at J+; the series gaps use none
+    assert len(calls) == 3
 
 
 def test_generator_map_is_order_stable():
@@ -250,8 +323,6 @@ def test_half_h_powers_keep_their_bits_and_refuse_overflow():
         with pytest.raises(DomainError, match="overflows"):
             _half_h_powers(h, n)
     with pytest.raises(DomainError, match="overflows"):
-        _f_vs_dG_gap(0.6, 1e150, 3)
-    with pytest.raises(DomainError, match="overflows"):
         build_elliptic_triplet(build_spin(1.5), DeformParams(h=1e150, k=0.6))
 
 
@@ -310,7 +381,7 @@ def test_one_power_stack_per_argument(monkeypatch):
     t = build_elliptic_triplet(r, p)
     for image in (t, autos.period_shift_elliptic(t, autos.ELL_IKP)[0]):
         shapes.clear()
-        relation_residuals(image)   # G, F and doubled F at Xhat; F at J+
+        relation_residuals(image)   # G and F at Xhat; F at J+
         assert shapes == [(6, 6), (6, 6)]
     shapes.clear()
     invert_map(t)
