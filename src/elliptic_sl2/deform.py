@@ -39,7 +39,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .elliptic import asn_series, complete_K, complete_Kprime, sn_cn_dn_series
+from .elliptic import (asn_series, complete_K, complete_Kprime, sd_cd_nd_series,
+                       sn_cn_dn_series)
 from .errors import DomainError
 from .liealg import (SpinRep, commutator, frobenius, mat_apply_series, nilpotency_bound,
                      real_if_exact)
@@ -154,14 +155,14 @@ def _F_series(k, order):
 
 @lru_cache(maxsize=None)
 def _F_doubled_series(k, order):
-    """The same structure function written as 2 (sn/(cn dn))(u) / sn(2u);
-    the result carries the requested order."""
-    sn, _, _ = _sncndn(k, order + 1)
-    S = _G_series(k, order + 1)
-    sn2u = sn.coeffs * 2.0 ** np.arange(order + 2)      # exact: c_i 2**i
-    half_sn2u_over_u = TruncatedSeries(sn2u[1:] * 0.5)  # c0 = 1
-    S_over_u = TruncatedSeries(S.coeffs[1:])            # c0 = 1
-    return S_over_u * half_sn2u_over_u.pow_rational(-1)
+    """The same structure function written as 2 (sn/(cn dn))(u) / sn(2u), with
+    1/sn(2u) = nd(2u)/sd(2u), which keeps its digits near k = 1 (see
+    `sd_cd_nd_coeffs`); the result carries the requested order."""
+    twos = 2.0 ** np.arange(order + 2)
+    sd2u, _, nd2u = (s.coeffs * twos for s in sd_cd_nd_series(k, order + 1))  # exact
+    half_sd2u_over_u = TruncatedSeries(sd2u[1:] * 0.5)               # c0 = 1
+    S_over_u = TruncatedSeries(_G_series(k, order + 1).coeffs[1:])   # c0 = 1
+    return S_over_u * TruncatedSeries(nd2u[:-1]) * half_sd2u_over_u.pow_rational(-1)
 
 
 @lru_cache(maxsize=None)

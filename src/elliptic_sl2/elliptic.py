@@ -9,8 +9,9 @@ coefficients are polynomial in k**2.  arcsn integrates the Miller power
 
 one coefficient at a time (Brent and Kung, J. ACM 25(4), 1978), in
 O(N**2) work; `sn_cn_dn_coeffs` is that loop over plain coefficient lists,
-so a Fraction k**2 gives the exact coefficients.  No reversion is involved;
-reverting arcsn is the tests' independent check of sn.
+so a Fraction k**2 gives the exact coefficients.  sd, cd and nd come from
+the same loop on their own system (`sd_cd_nd_coeffs`).  No reversion is
+involved; reverting arcsn is the tests' independent check of sn.
 
 Rail two is numeric: complete integrals via the arithmetic-geometric mean
 and point values via the descending Landen transformation,
@@ -44,6 +45,8 @@ __all__ = [
     "asn_series",
     "sn_cn_dn_series",
     "sn_cn_dn_coeffs",
+    "sd_cd_nd_series",
+    "sd_cd_nd_coeffs",
     "complete_K",
     "complete_Kprime",
     "jacobi_numeric",
@@ -95,6 +98,37 @@ def sn_cn_dn_series(k, order):
         raise DomainError("sn, cn, dn series need order >= 1")
     k = complex(k)
     return tuple(TruncatedSeries(c) for c in sn_cn_dn_coeffs(k * k, order))
+
+
+def sd_cd_nd_coeffs(k2, order):
+    """Coefficient lists of sd = sn/dn, cd = cn/dn and nd = 1/dn to order N,
+    the loop of `sn_cn_dn_coeffs` on Glaisher's system
+
+        sd' = cd nd,   cd' = -(1 - k2) sd nd,   nd' = k2 sd cd.
+
+    Their nearest singularities are the zeros of dn at K + i K', at least
+    2.62 from the origin for 0 <= k <= 1, where sn has a pole at i K' (pi/2
+    at k = 1); 1/sn = nd/sd therefore keeps its digits at a doubled argument,
+    where the reciprocal of sn's own coefficients does not."""
+    zero = type(k2)(0)
+    sd, cd, nd = ([zero] * (order + 1) for _ in range(3))
+    cd[0] = nd[0] = zero + 1
+    kp2 = 1 - k2
+    for n in range(order):
+        if n % 2 == 0:
+            sd[n + 1] = sum((cd[i] * nd[n - i] for i in range(0, n + 1, 2)), zero) / (n + 1)
+        else:
+            cd[n + 1] = -kp2 * sum((sd[i] * nd[n - i] for i in range(1, n + 1, 2)), zero) / (n + 1)
+            nd[n + 1] = k2 * sum((sd[i] * cd[n - i] for i in range(1, n + 1, 2)), zero) / (n + 1)
+    return sd, cd, nd
+
+
+def sd_cd_nd_series(k, order):
+    """Series of sd, cd, nd about u = 0, from their differential equations."""
+    if order < 1:
+        raise DomainError("sd, cd, nd series need order >= 1")
+    k = complex(k)
+    return tuple(TruncatedSeries(c) for c in sd_cd_nd_coeffs(k * k, order))
 
 
 def _agm(a, b):

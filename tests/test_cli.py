@@ -515,6 +515,18 @@ def test_elliptic_K_refuses_a_modulus_above_one(capsys):
     assert code == 0 and payload["K"] is None and payload["Kprime"] == math.pi / 2
 
 
+def test_large_spins_near_unit_modulus_pass_at_zero_scale(capsys):
+    # correct triplets of dim 80 near k = 1, where the coefficients of sn(2u)
+    # grow like (4/pi)**i: the doubled form must not divide by them
+    for argv in (("deform", "verify", "--jordanian", "--j", "39.5", "--h", "0"),
+                 ("deform", "verify", "--j", "39.5", "--h", "0", "--k", "0.99"),
+                 ("sweep", "--j", "39.5", "--h", "0", "--k", "1")):
+        code, payload = main_json(capsys, *argv)
+        assert code == 0 and payload["pass"] is True, argv
+        report = payload["rows"][0] if "rows" in payload else payload["residuals"]
+        assert report["f_eq15_vs_eq16"] <= 1e-14, argv
+
+
 def _report_keys(obj, inputs=frozenset({"j", "h", "k", "j1", "j2", "tol"})):
     """Every key of a report whose value is a number (a non-finite one is a
     string), inputs aside."""

@@ -19,6 +19,8 @@ from elliptic_sl2.elliptic import (
     periods,
     sn_cn_dn_coeffs,
     sn_cn_dn_series,
+    sd_cd_nd_coeffs,
+    sd_cd_nd_series,
     sn_quintic_crosscheck,
 )
 from elliptic_sl2.errors import DomainError, PoleError
@@ -94,6 +96,27 @@ def test_exact_sn_cn_at_zero_modulus_are_sine_and_cosine():
         assert sn[i] == (term if i % 2 else 0)
         assert cn[i] == (0 if i % 2 else term)
     assert dn == [1] + [0] * 161
+
+
+@pytest.mark.parametrize("k2", K2_EXACT)
+def test_exact_sd_cd_nd_times_dn_are_sn_cn_and_one(k2):
+    sn, cn, dn = sn_cn_dn_coeffs(k2, 41)
+    sd, cd, nd = sd_cd_nd_coeffs(k2, 41)
+    assert _times(sd, dn) == sn
+    assert _times(cd, dn) == cn
+    assert _times(nd, dn) == [1] + [0] * 41
+
+
+@pytest.mark.parametrize("k2", K2_EXACT)
+def test_sd_cd_nd_keep_their_digits_at_a_doubled_argument_to_order_161(k2):
+    """Coefficient i of f(2u) is 2**i times that of f(u); the float series
+    stay within 1e-15 of the exact ones there, relative to the largest."""
+    twos = [2 ** i for i in range(162)]
+    for e, got in zip(sd_cd_nd_coeffs(k2, 161), sd_cd_nd_series(math.sqrt(k2), 161)):
+        exact = np.array([float(c * t) for c, t in zip(e, twos)])
+        assert np.all(got.coeffs[exact == 0] == 0)
+        gap = np.max(np.abs(got.coeffs * np.array(twos, dtype=float) - exact))
+        assert gap <= 1e-15 * max(1.0, np.max(np.abs(exact)))
 
 
 def test_sn_quintic_crosscheck_flags_the_right_variant():
