@@ -12,20 +12,28 @@ Three families act on a deformed triplet:
 Shift offsets are stored as exact integers on the triplet (never as
 accumulated floating point), and relation checks on shifted triplets ride
 on the half-period parity of the structure functions rather than on any
-evaluation at the shifted argument.  The induced action on the raising and
-lowering generators themselves involves an inverse power of J+, which has
-no finite-matrix realization; that net effect is delegated to the exact
-rewrite engine on the localized algebra.
+evaluation at the shifted argument.  An image shares what its base has
+computed, or computes later, wherever the values are the same bits (see
+`deform`): the sign image takes F at J+ and the series gaps, which depend
+on (rep, h, k) alone; a shifted image takes those and G and F of the
+nilpotent part of Xhat as well, since its Xhat is the base's nilpotent part
+plus the offset times I, which subtracting the offset again gives back bit
+for bit.  So the relation check on a shifted image evaluates no series.
+
+The induced action on the raising and lowering generators themselves
+involves an inverse power of J+, which has no finite-matrix realization;
+that net effect is delegated to the exact rewrite engine on the localized
+algebra.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .deform import _x_nilpotent, relation_residuals, x_offset
+from .deform import _image_of, _offset, _x_nilpotent, relation_residuals, x_offset
 from .elliptic import complete_K, complete_Kprime, jacobi_numeric
 from .errors import DomainError
 
@@ -69,15 +77,15 @@ def sign_involution(t):
     """(X, Y, J0) -> (-X, -Y, J0); applying it twice is the identity."""
     if t.is_shifted():
         raise DomainError("sign involution is defined on unshifted triplets")
-    return replace(t, Xhat=-t.Xhat, Yhat=-t.Yhat, provenance="auto")
+    return _image_of(t, ("module",), Xhat=-t.Xhat, Yhat=-t.Yhat, provenance="auto")
 
 
-def _shifted(t, **counts):
-    """The image with the given shift counts and (Y, J0) flipped: Xhat is the
+def _shifted(t, q, a, b):
+    """The image with shift counts (q, a, b) and (Y, J0) flipped: Xhat is the
     nilpotent part of t's plus the offset of the new counts."""
-    image = replace(t, Yhat=-t.Yhat, J0=-t.J0, provenance="auto", **counts)
-    off = x_offset(image) * np.eye(t.rep.dim, dtype=complex)
-    return replace(image, Xhat=_x_nilpotent(t) + off)
+    off = _offset(t.params, q, a, b) * np.eye(t.rep.dim, dtype=complex)
+    return _image_of(t, ("module", "nilpotent"), Xhat=_x_nilpotent(t) + off, Yhat=-t.Yhat,
+                     J0=-t.J0, provenance="auto", shift_q=q, shift_a=a, shift_b=b)
 
 
 def half_period_shift_uh(t):
@@ -89,7 +97,7 @@ def half_period_shift_uh(t):
         raise DomainError("the hyperbolic half shift needs k**2 = 1")
     if t.shift_a or t.shift_b:
         raise DomainError("cannot mix hyperbolic and elliptic shifts")
-    return _shifted(t, shift_q=t.shift_q + 1)
+    return _shifted(t, t.shift_q + 1, 0, 0)
 
 
 def period_shift_elliptic(t, spec):
@@ -104,7 +112,7 @@ def period_shift_elliptic(t, spec):
         raise DomainError("elliptic period shifts need real 0 < k < 1")
     if t.shift_q:
         raise DomainError("cannot mix hyperbolic and elliptic shifts")
-    image = _shifted(t, shift_a=t.shift_a + spec.du_a, shift_b=t.shift_b + spec.du_b)
+    image = _shifted(t, 0, t.shift_a + spec.du_a, t.shift_b + spec.du_b)
     report = dict(relation_residuals(image))
     report["epsilon"] = spec.epsilon
     report["kind"] = spec.kind

@@ -23,6 +23,23 @@ on coefficients through order dim - 1 and never on matrices: series that agree
 there give the same function of every nilpotent matrix of index dim (Higham,
 Functions of Matrices, ch. 1), and a matrix adds only its basis's rounding.
 
+A triplet computes each of its matrix functions once and keeps it in a
+private memo, `DeformedTriplet._memo`, which is not an __init__ field, so
+`dataclasses.replace` starts an empty one.  The memo has three scopes, by
+what its values depend on:
+
+- "module": (rep, h, k) alone: F at J+ (the algebraic route) and the series
+  gaps.  The sign image and the period-shift images share their base's.
+- "nilpotent": the nilpotent part of Xhat: G and the primary F.  Only the
+  period-shift images share it.  An image's Xhat is the base's nilpotent
+  part N plus o I, o the offset, and its nilpotent part is that minus o I:
+  x + 0 - 0 = x off the diagonal and 0 + o - o = 0 on it, so it is N bit
+  for bit (a zero may change sign), and so are G and F of it.
+- "own": values that need Yhat too: invert_map's (J+, J-).  Never shared.
+
+The memoised arrays are read-only, since every holder of the triplet sees
+them.
+
 Triplets produced by the period-shift automorphisms carry their offset as
 exact integer bookkeeping (multiples of i*pi/(h) for the hyperbolic family,
 integer combinations of K and i*K' scaled by 2/h for the elliptic family).
@@ -34,7 +51,7 @@ argument, so no pole is ever approached.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -93,7 +110,9 @@ class DeformedTriplet:
 
     shift_q counts accumulated u-offsets of i*pi/2 (hyperbolic half shifts);
     (shift_a, shift_b) count u-offsets a*K + b*i*K' (elliptic shifts).  The
-    stored Xhat already contains the offset times the identity.
+    stored Xhat already contains the offset times the identity.  Values
+    computed from the arrays are memoised on the triplet (see the module
+    docstring), so the arrays must not be written to.
     """
 
     Xhat: np.ndarray
@@ -105,9 +124,40 @@ class DeformedTriplet:
     shift_q: int = 0
     shift_a: int = 0
     shift_b: int = 0
+    # Values computed from this triplet, by scope (see `_SCOPES`); never
+    # passed to __init__, so dataclasses.replace starts an empty one.
+    _memo: dict = field(default_factory=lambda: {scope: {} for scope in _SCOPES},
+                        init=False, repr=False, compare=False)
 
     def is_shifted(self):
         return bool(self.shift_q or self.shift_a or self.shift_b)
+
+
+# The memo's scopes; the module docstring says what each holds and who shares it.
+_SCOPES = ("module", "nilpotent", "own")
+
+
+def _remember(t, scope, key, compute):
+    """t's memoised value under key, computed on first use; its arrays are
+    made read-only, as every holder of t shares them."""
+    store = t._memo[scope]
+    if key not in store:
+        value = compute()
+        for a in value if isinstance(value, tuple) else (value,):
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
+        store[key] = value
+    return store[key]
+
+
+def _image_of(t, scopes, **changes):
+    """replace(t, **changes), sharing t's memoised values of the named scopes
+    (computed already or later, by either triplet).  Only for images whose
+    values in those scopes equal t's bit for bit."""
+    image = replace(t, **changes)
+    for scope in scopes:
+        image._memo[scope] = t._memo[scope]
+    return image
 
 
 # -- series plumbing ---------------------------------------------------------
@@ -214,16 +264,20 @@ def x_offset(t):
     """The scalar on the diagonal of a shifted Xhat, from the triplet's exact
     shift counts: q i pi/h for the hyperbolic family, (2/h)(a K + b i K')
     for the elliptic one."""
-    h = t.params.h
-    if t.shift_q:
-        return t.shift_q * 1j * math.pi / h
-    if t.shift_a or t.shift_b:
-        k = t.params.k
+    return _offset(t.params, t.shift_q, t.shift_a, t.shift_b)
+
+
+def _offset(params, q, a, b):
+    h = params.h
+    if q:
+        return q * 1j * math.pi / h
+    if a or b:
+        k = params.k
         if k.imag != 0 or not 0.0 < k.real < 1.0:
             raise DomainError("elliptic shift bookkeeping needs real 0 < k < 1")
         K = complete_K(k.real)
         Kp = complete_Kprime(k.real)
-        return (2.0 / h) * (t.shift_a * K + 1j * t.shift_b * Kp)
+        return (2.0 / h) * (a * K + 1j * b * Kp)
     return 0j
 
 
@@ -259,7 +313,7 @@ def deform_generators(Jp, Jm, params, order):
 
 def build_elliptic_triplet(rep, params):
     """Deformed triplet (Xhat, Yhat, J0) on the spin-j module."""
-    xhat, yhat = deform_generators(rep.Jp, rep.Jm, params, rep.dim)
+    xhat, yhat = deform_generators(rep.raising, rep.Jm, params, rep.dim)
     return DeformedTriplet(Xhat=xhat, Yhat=yhat, J0=rep.J0.copy(), params=params,
                            rep=rep, provenance="direct")
 
@@ -268,7 +322,7 @@ def build_jordanian_triplet(rep, h):
     """The k**2 = 1 triplet: (h/2) X = arctanh((h/2) J+), hyperbolic dressing."""
     order = rep.dim
     u = TruncatedSeries.identity(order)
-    x, dress = _at_half_h(rep.Jp, h, (arctanh_series(order), 1),
+    x, dress = _at_half_h(rep.raising, h, (arctanh_series(order), 1),
                           ((1.0 - u * u).pow_rational(0.5), 0))
     y = dress @ rep.Jm @ dress
     return DeformedTriplet(Xhat=x, Yhat=y, J0=rep.J0.copy(),
@@ -320,12 +374,15 @@ def invert_map(t):
         raise DomainError("inverse map undefined on elliptic-shifted triplets")
     if t.shift_q % 2:
         raise DomainError("inverse map undefined after an odd number of half shifts")
+    return _remember(t, "own", "inverse", lambda: _inverse(t))
+
+
+def _inverse(t):
     k, h = t.params.k, t.params.h
     order = t.rep.dim
     sn, _, _ = _sncndn(k, order)
     jp, m = _at_half_h(_x_nilpotent(t), h, (sn, 1), (_g_inv_of_u(k, order), 0))
-    jm = m @ t.Yhat @ m
-    return jp, jm
+    return jp, m @ t.Yhat @ m
 
 
 # -- structure functions and relations ----------------------------------------
@@ -339,9 +396,10 @@ def structure_matrices(t):
     it.  The relations take parity * G and parity * F["primary"]."""
     k, h = t.params.k, t.params.h
     order = t.rep.dim
-    g, primary = _at_half_h(_x_nilpotent(t), h, (_G_series(k, order), 1),
-                            (_F_series(k, order), 0))
-    algebraic, = _at_half_h(t.rep.Jp, h, (_F_of_v_series(k, order), 0))
+    g, primary = _remember(t, "nilpotent", "G F", lambda: tuple(_at_half_h(
+        _x_nilpotent(t), h, (_G_series(k, order), 1), (_F_series(k, order), 0))))
+    algebraic = _remember(t, "module", "F at J+", lambda: _at_half_h(
+        t.rep.raising, h, (_F_of_v_series(k, order), 0))[0])
     return g, {"primary": primary, "algebraic": algebraic}, _parity_sign(t)
 
 
@@ -379,7 +437,7 @@ def relation_residuals(t):
     g, fm, sign = structure_matrices(t)
     out = relations_on_generators(t.Xhat, t.Yhat, t.J0, sign * g, sign * fm["primary"],
                                   t.params.ksq == 1)
-    out.update(_series_gaps(t.params.k, t.rep.dim))
+    out.update(_remember(t, "module", "gaps", lambda: _series_gaps(t.params.k, t.rep.dim)))
     scale = max(1.0, frobenius(fm["primary"]))
     out["f_eq15_vs_eq17"] = frobenius(fm["primary"] - fm["algebraic"]) / scale
     return out

@@ -4,7 +4,7 @@ Basis order is m = j, j-1, ..., -j, so the raising operator is strictly
 upper triangular and every power series applied to it is a finite sum.
 
 The functional calculus (`mat_apply_series`) accepts only strictly
-upper-triangular arguments, and takes one of two routes by the argument's
+upper-triangular arguments, and takes one of three routes by the argument's
 type:
 
 - a matrix M of dimension d: M**d = 0, so the series is cut at order d - 1
@@ -14,22 +14,37 @@ type:
   writes the series as a weighted sum of A**a x B**b with a + b <= d1 + d2 - 2
   (Higham, Functions of Matrices, SIAM 2008, ch. 1).  Only factor powers
   are multiplied, at sizes d1 and d2, and one product with the weight table
-  gives every entry of the (d1 d2)-square result.
+  gives every entry of the (d1 d2)-square result;
+- a `WeightedShift`, the matrix with superdiagonal w and zeros elsewhere
+  (a spin module's raising operator, `SpinRep.raising`): its powers are
+  w's running products on the superdiagonals, so a series of it is the
+  upper-triangular Toeplitz matrix of its coefficients (the Jordan-block
+  formula, Higham, ch. 1) times those products entrywise,
+
+      F(S)[r, r+i] = c_i prod(w[r : r+i]),
+
+  one gather with no matmul, and each entry is the product of c_i with
+  one running product.  Both factors are carried scaled by exact powers of
+  two, so the bits are those of the plain products and only a result out of
+  double range overflows; a power or coefficient that does is a DomainError.
 
 Several series at one argument are one call: the argument is validated
-once and its power stack (the two factor stacks of a `KronSum`) is built
-once, and each series gives the same bits as it would alone.
+once and its power stack (the two factor stacks of a `KronSum`, the running
+products of a `WeightedShift`) is built once, and each series gives the same
+bits as it would alone.
 
-Callers pass a `KronSum` only where the argument really is one (the
-coproduct layer builds them); everything else, and in particular every
-relation check on coproduct images, stays on the dense route, which is
-therefore an independent cross-check of the factor route.
+Callers pass a `KronSum` or a `WeightedShift` only where the argument
+really is one (the coproduct layer builds the sums, and the deformation map
+and the algebraic structure function take J+ itself); everything else, and
+in particular every function of Xhat and every relation check on coproduct
+images, stays on the dense route, which is therefore an independent
+cross-check of the other two.
 
 The dtype follows the inputs.  `real_if_exact` is the one place that
 decides it, for every matrix and coefficient vector that enters the
-calculus, `commutator`, `kron` and `KronSum`: an operand with no nonzero
-imaginary part is float64, anything else is complex128, and numpy runs the
-same code on either.  Spin matrices are real, so at real h and real k every
+calculus, `commutator`, `kron`, `KronSum` and `WeightedShift`: an operand
+with no nonzero imaginary part is float64, anything else is complex128, and
+numpy runs the same code on either.  Spin matrices are real, so at real h and real k every
 generator image, coproduct image and structure-function matrix is float64;
 a complex h, a complex k or a complex shift offset makes them complex128.
 A NaN or inf imaginary part counts as nonzero, so the demotion is exact.
@@ -48,6 +63,7 @@ from .errors import DomainError
 __all__ = [
     "SpinRep",
     "KronSum",
+    "WeightedShift",
     "build_spin",
     "commutator",
     "mat_apply_series",
@@ -78,6 +94,12 @@ class SpinRep:
     Jp: np.ndarray
     Jm: np.ndarray
     J0: np.ndarray
+
+    @property
+    def raising(self):
+        """J+ as the weighted shift of its superdiagonal, for the gather route
+        of `mat_apply_series`."""
+        return WeightedShift(np.diagonal(self.Jp, 1))
 
 
 def build_spin(j):
@@ -140,6 +162,23 @@ class KronSum:
         return kron(self.a, np.eye(self.b.shape[0])) + kron(np.eye(self.a.shape[0]), self.b)
 
 
+@dataclass(frozen=True)
+class WeightedShift:
+    """The matrix with superdiagonal w and zeros elsewhere, kept as w so that
+    a series of it is one gather of w's running products."""
+
+    w: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "w", real_if_exact(self.w))
+
+    def dense(self):
+        d = self.w.size + 1
+        mat = np.zeros((d, d), dtype=self.w.dtype)
+        mat[:-1, 1:][np.diag_indices(d - 1)] = self.w
+        return mat
+
+
 def _strictly_upper(mat):
     mat = real_if_exact(mat)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -161,10 +200,13 @@ def _lower_mask(dim):
 
 def nilpotency_bound(mat):
     """The highest power of a strictly upper-triangular argument that can be
-    nonzero: dim - 1 for a matrix, d1 + d2 - 2 for a KronSum of factors of
-    dimensions d1 and d2.  Every series is exact when cut there."""
+    nonzero: dim - 1 for a matrix or a WeightedShift, d1 + d2 - 2 for a
+    KronSum of factors of dimensions d1 and d2.  Every series is exact when
+    cut there."""
     if isinstance(mat, KronSum):
         return mat.a.shape[0] + mat.b.shape[0] - 2
+    if isinstance(mat, WeightedShift):
+        return mat.w.size
     return np.shape(mat)[0] - 1
 
 
@@ -181,7 +223,7 @@ def _power_stack(mat, count):
 
 def mat_apply_series(s, mat):
     """sum c_i M**i for a strictly upper-triangular (hence nilpotent) M, given
-    as a matrix or as a KronSum of two such factors.
+    as a matrix, as a KronSum of two such factors or as a WeightedShift.
 
     s is one series, or a sequence of series at the same argument, which
     gives a list.  A sequence validates M once and builds one power stack
@@ -198,6 +240,8 @@ def mat_apply_series(s, mat):
     series = list(s) if batch else [s]
     if isinstance(mat, KronSum):
         out = _kron_sum_apply(series, mat)
+    elif isinstance(mat, WeightedShift):
+        out = _shift_apply(series, mat)
     else:
         mat = _strictly_upper(mat)
         bound = nilpotency_bound(mat)
@@ -255,6 +299,67 @@ def _kron_sum_apply(series, ks):
         entries = (pa[:p].T @ w @ pb[:q]).reshape(d1, d1, d2, d2)
         out.append(entries.transpose(0, 2, 1, 3).reshape(d1 * d2, d1 * d2))
         del entries  # one factor-product table alive at a time
+    return out
+
+
+def _shift_apply(series, op):
+    """sum c_i S**i for the weighted shift S with superdiagonal w:
+
+        S**i[r, r+i] = prod(w[r : r+i]),   so   F(S)[r, r+i] = c_i prod(w[r : r+i]).
+
+    One running product along the rows of a table holding w above the
+    diagonal gives every power at once; the coefficients of all the series,
+    gathered by offset col - r (upper-triangular Toeplitz matrices), are
+    then multiplied by that table in one product.
+
+    When a product leaves double range although the entry need not (at spin
+    100, prod(w) alone reaches 200!), the products are run again on w / 2**e
+    with the coefficients taken times 2**(e i), 2**e at most the geometric
+    mean of |w|.  Both scalings are exact, so every entry keeps the bits of
+    c_i prod(w[r : r+i]), and a factor leaves double range only when the
+    entry itself does; that is a DomainError."""
+    w = op.w
+    d = w.size + 1
+    orders = [min(s.order, d - 1) for s in series]
+    top = max(orders, default=0)
+    steps = np.arange(d)
+    offsets = steps - steps[:, None]                             # [r, col] = col - r
+    unit = _lower_mask(d) if top == d - 1 else _lower_mask(d) | (offsets > top)
+    table = np.zeros((len(series), 2 * d - 1), dtype=complex)    # negative offsets: the zero tail
+    for i, (s, n) in enumerate(zip(series, orders)):
+        table[i, : n + 1] = s.coeffs[: n + 1]
+    imag = table.imag.any(axis=1)
+    if not imag.any():
+        table = np.ascontiguousarray(table.real)
+    row = np.empty(d, dtype=w.dtype)
+    row[0] = 1
+    row[1:] = w
+    for scaled in (False, True):
+        with np.errstate(over="ignore", invalid="ignore"):       # non-finite is refused below
+            if scaled:
+                e = int(np.frexp(abs(w))[1].sum()) // max(w.size, 1) - 1
+                row[1:] = _ldexp(w, -e)
+                table = _ldexp(table, e * np.arange(2 * d - 1))
+            # [r, col] = prod(w[r:col]) / 2**(e (col - r)) through every order, 1 elsewhere
+            powers = np.where(unit, 1, row).cumprod(axis=1)
+            out = np.take(table, offsets, axis=1) * powers   # each out[i] C-contiguous
+        if np.isfinite(out).all():
+            # at a real w, a real series keeps its float64 result beside a complex one
+            demote = ~imag if w.dtype.kind != "c" else np.zeros_like(imag)
+            return [np.ascontiguousarray(f.real) if real and f.dtype.kind == "c" else f
+                    for f, real in zip(out, demote)]
+    raise DomainError("series application at a raising operator: a power or a "
+                      "coefficient overflowed double precision")
+
+
+def _ldexp(a, exponents):
+    """a * 2**exponents, exactly (barring over- and underflow), for real or
+    complex a."""
+    if a.dtype.kind != "c":
+        return np.ldexp(a, exponents)
+    out = np.empty(np.broadcast(a, exponents).shape, dtype=complex)
+    out.real = np.ldexp(a.real, exponents)
+    out.imag = np.ldexp(a.imag, exponents)
     return out
 
 

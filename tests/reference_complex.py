@@ -1,6 +1,6 @@
 """A complex reference for the nilpotent calculus: every series is evaluated
 by plain Horner in complex128 on the dense argument, with no power stack, no
-blocking and no factor route.  `complex_calculus` swaps it in for
+blocking, no factor route and no gather.  `complex_calculus` swaps it in for
 `mat_apply_series` wherever deform and hopf call it, so the whole pipeline
 can be rerun in complex arithmetic and held against the package's float64
 results."""
@@ -10,7 +10,7 @@ import contextlib
 import numpy as np
 
 from elliptic_sl2 import deform, hopf
-from elliptic_sl2.liealg import KronSum
+from elliptic_sl2.liealg import KronSum, WeightedShift
 
 
 def complex_horner(s, mat):
@@ -18,7 +18,7 @@ def complex_horner(s, mat):
     sequence of them, as for mat_apply_series."""
     if isinstance(s, (list, tuple)):
         return [complex_horner(t, mat) for t in s]
-    m = np.array(mat.dense() if isinstance(mat, KronSum) else mat, dtype=complex)
+    m = np.array(mat.dense() if isinstance(mat, (KronSum, WeightedShift)) else mat, dtype=complex)
     eye = np.eye(m.shape[0], dtype=complex)
     c = np.asarray(s.coeffs, dtype=complex)[: m.shape[0]]
     acc = c[-1] * eye

@@ -1,7 +1,12 @@
 """Scalar references for the numeric elliptic rail: the descending Landen
-recurrence one point at a time on cmath, and the period-shift gaps sampled
-one point at a time through it.  The package evaluates whole arrays at once;
-the tests hold it to these loops."""
+recurrence one point at a time on cmath, with the package's choice of the
+imaginary transformation at small k, and the period-shift gaps sampled one
+point at a time through it.  The package evaluates whole arrays at once; the
+tests hold it to these loops.  The descent divides by 1 + kappa as numpy
+divides a complex array by a real number, through the reciprocal: near a
+zero of dn on the transformed route the last-bit difference of a true
+division grows to 1.9e-14 at k = 0.08, and both are within 1.5e-14 of
+mpmath there."""
 
 import cmath
 import math
@@ -12,30 +17,47 @@ from elliptic_sl2.elliptic import complete_K, complete_Kprime
 from elliptic_sl2.errors import PoleError
 
 
-def landen_scalar(u, k):
-    """(sn, cn, dn)(u, k) for one complex u, real 0 <= k < 1, by the scalar
-    Landen loop; PoleError on a pole, an overflow or a value past 1e14."""
+def _ladder(k, kp=None):
     ladder = []
     kappa = float(k)
+    if kp is None:
+        kp = math.sqrt((1.0 - kappa) * (1.0 + kappa))
     for _ in range(64):
         if kappa < 1e-15:
             break
-        kp = math.sqrt((1.0 - kappa) * (1.0 + kappa))
         kappa = (1.0 - kp) / (1.0 + kp)
         ladder.append(kappa)
-    u = complex(u)
-    z = u
+        kp = math.sqrt((1.0 - kappa) * (1.0 + kappa))
+    return ladder
+
+
+def _descend(z, ladder):
     for kappa in ladder:
-        z = z / (1.0 + kappa)
+        z = z * (1.0 / (1.0 + kappa))   # numpy's complex-by-real division
+    sn, cn, dn = cmath.sin(z), cmath.cos(z), complex(1.0)
+    for kappa in reversed(ladder):
+        den = 1.0 + kappa * sn * sn
+        sn, cn, dn = (
+            (1.0 + kappa) * sn / den,
+            cn * dn / den,
+            (1.0 - kappa * sn * sn) / den,
+        )
+    return sn, cn, dn
+
+
+def landen_scalar(u, k):
+    """(sn, cn, dn)(u, k) for one complex u, real 0 <= k < 1, by the scalar
+    Landen loop; PoleError on a pole, an overflow or a value past 1e14.  At
+    0 < k < 0.1 a point with |Im u| > K'/2 goes through Jacobi's imaginary
+    transformation, sn(u, k) = i sc(-i u, k') and so on, as in the package."""
+    u = complex(u)
     try:
-        sn, cn, dn = cmath.sin(z), cmath.cos(z), complex(1.0)
-        for kappa in reversed(ladder):
-            den = 1.0 + kappa * sn * sn
-            sn, cn, dn = (
-                (1.0 + kappa) * sn / den,
-                cn * dn / den,
-                (1.0 - kappa * sn * sn) / den,
-            )
+        if 0.0 < k < 0.1 and abs(u.imag) > 0.5 * complete_Kprime(k):
+            kp = math.sqrt((1.0 - k) * (1.0 + k))
+            s, c, d = _descend(-1j * u, _ladder(kp, k))
+            sn, cn, dn = 1j * s / c, 1.0 / c, d / c
+        else:
+            sn, cn, dn = _descend(u, _ladder(k))
     except (ZeroDivisionError, OverflowError) as exc:
         raise PoleError(f"pole near u={u}") from exc
     if not all(cmath.isfinite(w) for w in (sn, cn, dn)) or max(abs(sn), abs(cn), abs(dn)) > 1e14:

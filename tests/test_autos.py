@@ -2,6 +2,7 @@
 scalar half-period identities, the exact induced maps."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,11 +19,13 @@ from elliptic_sl2.autos import (
     sign_involution,
 )
 from elliptic_sl2.deform import (
+    DeformedTriplet,
     DeformParams,
     build_elliptic_triplet,
     build_jordanian_triplet,
     invert_map,
     relation_residuals,
+    structure_matrices,
 )
 from elliptic_sl2.errors import DomainError
 from elliptic_sl2.liealg import build_spin, frobenius
@@ -184,3 +187,61 @@ def test_induced_inversion_map_is_exact(eps):
     for row in report["samples"]:
         assert row["automorphism"] is True
         assert row["involution"] is True
+
+
+def _by_hand(t):
+    """A triplet holding t's arrays, built with an empty memo."""
+    return DeformedTriplet(Xhat=t.Xhat, Yhat=t.Yhat, J0=t.J0, params=t.params, rep=t.rep,
+                           provenance=t.provenance, shift_q=t.shift_q, shift_a=t.shift_a,
+                           shift_b=t.shift_b)
+
+
+@pytest.mark.parametrize("j", [1.0, 2.5, 8.0])
+def test_images_share_only_values_equal_to_their_own(j):
+    rep = build_spin(j)
+    t = build_elliptic_triplet(rep, DeformParams(h=0.8, k=0.6))
+    uh = build_jordanian_triplet(rep, 0.8)
+    for base in (t, uh):   # the images find their base's values computed
+        relation_residuals(base)
+    sign = sign_involution(t)
+    shifts = [period_shift_elliptic(t, spec) for spec in (ELL_IKP, ELL_2K_IKP)]
+    half = half_period_shift_uh(uh)
+    full = half_period_shift_uh(half)
+    for image, report in [(sign, None), *shifts, (half, None), (full, None)]:
+        fresh = relation_residuals(_by_hand(image))
+        assert relation_residuals(image) == fresh
+        if report is not None:
+            assert {key: report[key] for key in fresh} == fresh
+    # the shifts take G and the primary F of their base; the sign image only F at J+
+    base_g, base_f, _ = structure_matrices(t)
+    for image, _ in shifts:
+        g, f, _ = structure_matrices(image)
+        assert g is base_g and f["primary"] is base_f["primary"]
+    g, f, _ = structure_matrices(sign)
+    assert g is not base_g and f["algebraic"] is base_f["algebraic"]
+    assert structure_matrices(full)[0] is structure_matrices(uh)[0]
+    for a, b in zip(invert_map(full), invert_map(_by_hand(full))):
+        assert np.array_equal(a, b)
+
+
+def test_replaced_arrays_never_meet_a_stale_value():
+    t = build_elliptic_triplet(build_spin(2.5), DeformParams(h=0.8, k=0.6))
+    relation_residuals(t)
+    invert_map(t)
+    for changed in (replace(t, Xhat=2.0 * t.Xhat), replace(t, Yhat=3.0 * t.Yhat)):
+        assert relation_residuals(changed) == relation_residuals(_by_hand(changed))
+        for a, b in zip(invert_map(changed), invert_map(_by_hand(changed))):
+            assert np.array_equal(a, b)
+    assert not np.array_equal(invert_map(replace(t, Yhat=3.0 * t.Yhat))[1], invert_map(t)[1])
+    assert not np.array_equal(structure_matrices(replace(t, Xhat=2.0 * t.Xhat))[0],
+                              structure_matrices(t)[0])
+
+
+def test_memoised_arrays_are_read_only():
+    t = build_elliptic_triplet(build_spin(1.5), DeformParams(h=0.8, k=0.6))
+    g, f, _ = structure_matrices(t)
+    for a in (g, f["primary"], f["algebraic"], *invert_map(t)):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+    assert t.Xhat.flags.writeable   # the triplet's own arrays are untouched

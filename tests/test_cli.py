@@ -377,6 +377,14 @@ def test_elliptic_sweep_passes_at_a_small_modulus(capsys):
     assert payload["rows"][0]["dn_period_4iKp"] <= 1e-11
 
 
+@pytest.mark.parametrize("k", ["0.002", "0.006"])
+def test_elliptic_sweep_passes_at_the_smallest_moduli(capsys, k):
+    code, payload = main_json(capsys, "sweep", "--families", "elliptic", "--j", "1",
+                              "--h", "0.7", "--k", k)
+    assert code == 0 and payload["pass"] is True
+    assert payload["rows"][0]["worst"] <= 1e-12
+
+
 def test_non_finite_flag_values_are_usage_errors(capsys):
     for argv, flag in ((("elliptic", "K", "--k", "nan"), "--k"),
                        (("elliptic", "K", "--k", "inf"), "--k"),

@@ -5,9 +5,11 @@ import pytest
 import scipy.linalg
 
 from elliptic_sl2.errors import DomainError
+from elliptic_sl2.elliptic import asn_series
 from elliptic_sl2.liealg import (
     MAX_SPIN_DIM,
     KronSum,
+    WeightedShift,
     build_spin,
     commutator,
     coproduct_classical,
@@ -16,9 +18,10 @@ from elliptic_sl2.liealg import (
     mat_apply_series,
     matrix_from_json,
     matrix_to_json,
+    nilpotency_bound,
     worst,
 )
-from elliptic_sl2.series import TruncatedSeries, exp_series
+from elliptic_sl2.series import TruncatedSeries, arctanh_series, exp_series
 
 
 def test_spin_half_matrices_exact():
@@ -324,3 +327,47 @@ def test_spin_dimension_cap():
     for j in (j_max + 0.5, 5000, 1e300):
         with pytest.raises(DomainError, match="cap"):
             build_spin(j)
+
+
+def _at_half(s, h):
+    """s with coefficient i scaled by (h/2)**i: the series of F((h/2) M)."""
+    return TruncatedSeries(s.coeffs * (complex(h) / 2.0) ** np.arange(s.order + 1))
+
+
+@pytest.mark.parametrize("h", [0.0, 0.45, 0.8 - 0.3j])
+@pytest.mark.parametrize("j", [0.0, 0.5, 1.0, 2.5, 8.0, 40.0])
+def test_raising_gather_matches_dense_paterson_stockmeyer(j, h):
+    rep = build_spin(j)
+    raising = rep.raising
+    assert np.array_equal(raising.dense(), rep.Jp)
+    assert nilpotency_bound(raising) == nilpotency_bound(rep.Jp) == rep.dim - 1
+    u = TruncatedSeries.identity(rep.dim)
+    series = [_at_half(s, h) for s in (asn_series(0.6, rep.dim), arctanh_series(rep.dim),
+                                       exp_series(rep.dim), (1.0 - u * u).pow_rational(0.25))]
+    if h:   # a real series beside a complex one keeps its own dtype and bits
+        series.append(asn_series(0.6, rep.dim))
+    batch = mat_apply_series(series, raising)
+    for s, together in zip(series, batch):
+        got, ref = mat_apply_series(s, raising), mat_apply_series(s, rep.Jp)
+        assert np.array_equal(got, together) and got.dtype == together.dtype == ref.dtype
+        assert together.flags.c_contiguous   # later matrix products run on it
+        assert frobenius(got - ref) <= 1e-14 * frobenius(ref)
+
+
+def test_raising_gather_keeps_the_powers_in_range_where_the_entries_are():
+    """At spin 100 the products of the superdiagonal reach 200!, past double
+    range, while arcsn((h/2) J+) itself stays finite."""
+    rep = build_spin(100.0)
+    s = _at_half(asn_series(0.6, rep.dim), 0.8)
+    got, ref = mat_apply_series(s, rep.raising), mat_apply_series(s, rep.Jp)
+    assert np.isfinite(ref).all() and np.array_equal(got != 0, ref != 0)
+    assert np.max(abs(got - ref)[ref != 0] / abs(ref[ref != 0])) <= 1e-14
+
+
+def test_raising_gather_refuses_an_overflowing_entry():
+    op = WeightedShift(np.full(40, 1e10))   # entry [0, 40] is 1e400 / 40!
+    with pytest.raises(DomainError, match="overflowed double precision"):
+        mat_apply_series(exp_series(40), op)
+    assert np.isfinite(mat_apply_series(exp_series(40), WeightedShift(np.full(40, 1e7)))).all()
+    c = WeightedShift(np.full(40, 5e9 + 5e9j))   # a complex shift stays complex under a real series
+    assert np.array_equal(mat_apply_series(exp_series(3), c), mat_apply_series(exp_series(3), c.dense()))
