@@ -18,7 +18,9 @@ Verbs:
 Exit codes: 0 all residuals within tolerance, 1 a residual check failed,
 2 usage error, 3 domain error.  A flag value that does not parse to a finite
 number, or an empty sweep list, is a usage error; it and every domain error
-are reported as structured JSON on stderr.
+are reported as structured JSON on stderr.  An --out file that cannot be
+opened or written is a domain error.  A stdout that its reader closes early
+ends the output quietly, and the exit code is still the verdict's.
 
 Output is deterministic.  JSON is one line from the standard library's
 encoder, where a float is the shortest text that reads back to the same
@@ -102,10 +104,15 @@ def _json_text(obj):
     return json.dumps(_jsonable(obj), allow_nan=False) + "\n"
 
 
+def _csv_floats(values):
+    """The cells of some floats: 17 significant digits, which read back to
+    the same double, and NaN and the infinities as in JSON."""
+    texts = list(map(format, values, itertools.repeat(".17g")))
+    return list(map(_NONFINITE.get, texts, texts))
+
+
 def _csv_float(x):
-    """17 significant digits, which read back to the same double."""
-    text = format(float(x), ".17g")
-    return _NONFINITE.get(text, text)
+    return _csv_floats((float(x),))[0]
 
 
 def _csv_cell(v):
@@ -120,24 +127,39 @@ def _csv_cell(v):
     return str(v)
 
 
-def _flatten(prefix, obj, rows):
-    """(key, cell) rows of a payload tree.  A matrix gives the rows of its
-    ``matrix_to_json`` layout in one pass over the entries, with no call
-    per entry into this recursion."""
+def _matrix_csv(prefix, mat):
+    """The entry rows of a matrix's ``matrix_to_json`` layout as one text
+    block.  Only the entries that are nonzero or -0.0 are formatted; every
+    other cell is "0".  The key prefix is quoted once, as ``csv.writer``
+    quotes a whole key: the index part adds no character that needs quoting."""
+    values = np.ascontiguousarray(mat, dtype=complex).view(float).reshape(-1)  # re, im, ...
+    cells = np.full(values.size, "0", dtype=object)
+    shown = (values != 0) | np.signbit(values)  # NaN != 0 too
+    cells[shown] = _csv_floats(values[shown].tolist())
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((f"{prefix}.entries[", ""))
+    head = buf.getvalue()[:-2]  # the key field, without its ",\n"
+    head, close = (head[:-1], '"') if head.startswith('"') else (head, "")
+    mid0, mid1 = f"][0]{close},", f"][1]{close},"
+    return "".join([f"{head}{i}{mid0}{re}\n{head}{i}{mid1}{im}\n"
+                    for i, re, im in zip(range(values.size // 2),
+                                         cells[0::2].tolist(), cells[1::2].tolist())])
+
+
+def _emit_rows(prefix, obj, writer, out):
+    """The (key, cell) rows of a payload tree, in order; a matrix is its dim
+    row and then its entry rows as one block."""
     if isinstance(obj, dict):
         for key, val in obj.items():
-            _flatten(f"{prefix}.{key}" if prefix else str(key), val, rows)
+            _emit_rows(f"{prefix}.{key}" if prefix else str(key), val, writer, out)
     elif isinstance(obj, (list, tuple)):
         for i, val in enumerate(obj):
-            _flatten(f"{prefix}[{i}]", val, rows)
+            _emit_rows(f"{prefix}[{i}]", val, writer, out)
     elif isinstance(obj, np.ndarray):
-        layout = matrix_to_json(obj)
-        rows.append((f"{prefix}.dim", str(layout["dim"])))
-        for i, (re, im) in enumerate(layout["entries"]):
-            rows += ((f"{prefix}.entries[{i}][0]", _csv_float(re)),
-                     (f"{prefix}.entries[{i}][1]", _csv_float(im)))
+        writer.writerow((f"{prefix}.dim", obj.shape[0]))
+        out.write(_matrix_csv(prefix, obj))
     else:
-        rows.append((prefix, _csv_cell(obj)))
+        writer.writerow((prefix, _csv_cell(obj)))
 
 
 def _emit_csv(payload, out):
@@ -153,27 +175,38 @@ def _emit_csv(payload, out):
         for row in rows:
             writer.writerow(_csv_cell(row.get(k)) for k in header)
         return
-    flat = [("key", "value")]
-    _flatten("", payload, flat)
-    writer.writerows(flat)
+    writer.writerow(("key", "value"))
+    _emit_rows("", payload, writer, out)
+
+
+def _emit(payload, fmt, out):
+    """Write the document of a payload in one of the two formats to a text
+    stream."""
+    if fmt == "json":
+        out.write(_json_text(payload))
+    else:
+        _emit_csv(payload, out)
 
 
 def _render(payload, fmt):
     """The document text of a payload in one of the two formats."""
-    if fmt == "json":
-        return _json_text(payload)
     buf = io.StringIO()
-    _emit_csv(payload, buf)
+    _emit(payload, fmt, buf)
     return buf.getvalue()
 
 
 def _write_payload(payload, fmt, out_path):
-    text = _render(payload, fmt)
-    if out_path:
+    """Stream the document to ``out_path``, or to stdout without one.  A
+    file that cannot be opened or written is a domain error."""
+    if not out_path:
+        _emit(payload, fmt, sys.stdout)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            _emit(payload, fmt, fh)
+    except OSError as exc:
+        raise DomainError(f"cannot write output file {out_path}: {exc}") from exc
 
 
 # -- argument plumbing ---------------------------------------------------------
@@ -669,7 +702,12 @@ def main(argv=None):
         # the report, where it fails the verdict.
         with np.errstate(all="ignore"):
             code, payload = args.fn(args)
-        _write_payload(payload, fmt, getattr(args, "out", None))
+        try:
+            _write_payload(payload, fmt, getattr(args, "out", None))
+        except BrokenPipeError:
+            # The reader closed stdout early (`| head`): the rest of the
+            # document goes to the null device, with no traceback on exit.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return code
     except (DomainError, UsageError) as exc:
         sys.stderr.write(_json_text({"error": {"type": type(exc).__name__, "message": str(exc)}}))

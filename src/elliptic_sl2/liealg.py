@@ -378,9 +378,16 @@ def coproduct_classical(r1, r2):
 
 
 def frobenius(a):
-    """The Frobenius norm, from one dot product; NaN and inf propagate."""
+    """The Frobenius norm, from one dot product; NaN and inf propagate.  Where
+    the squares overflow (entries above about 1e154) or all underflow (below
+    about 1e-162), the entries are first scaled by the largest part."""
     a = np.asarray(a)
-    return math.sqrt(np.vdot(a, a).real)
+    norm = math.sqrt(np.vdot(a, a).real)
+    if (norm == 0 and a.any()) or (not math.isfinite(norm) and np.isfinite(a).all()):
+        scale = max(np.abs(a.real).max(), np.abs(a.imag).max())
+        scaled = a / scale
+        return float(scale) * math.sqrt(np.vdot(scaled, scaled).real)
+    return norm
 
 
 def worst(values):

@@ -192,6 +192,32 @@ def test_config_rejects_malformed_lines(tmp_path):
     assert proc.returncode == 3
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_out_path_that_cannot_be_written_is_a_domain_error(tmp_path, where):
+    out = tmp_path / "no" / "such" / "x.json" if where == "missing-dir" else tmp_path
+    proc = run("rep", "build", "--j", "1", "--out", str(out))
+    assert proc.returncode == 3 and proc.stdout == ""
+    err = json.loads(proc.stderr)["error"]
+    assert err["type"] == "DomainError" and err["message"].startswith("cannot write output file")
+
+
+@pytest.mark.parametrize("lines_read", [0, 1])
+def test_stdout_closed_early_ends_quietly(lines_read):
+    """`| head -1`, or a reader that closes the pipe before the first write:
+    the report (about 350 kB, beyond the pipe buffer) ends without a
+    traceback, and the exit code is still the verdict's."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.Popen(CLI + ["hopf", "delta", "--which", "2", "--j1", "3", "--j2", "3",
+                                   "--h", "0.45", "--k", "0.7", "--format", "csv"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    for _ in range(lines_read):
+        assert proc.stdout.readline() == b"key,value\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
+
+
 def test_sweep_deterministic_and_parallel_identical(tmp_path):
     args = ("sweep", "--families", "deform", "--j", "0.5,1", "--h", "0.7",
             "--k", "0.4,1.0", "--format", "csv")
@@ -359,15 +385,33 @@ def main_json(capsys, *argv):
 
 
 def test_nan_residuals_fail_the_verdict(capsys):
-    code, payload = main_json(capsys, "sweep", "--families", "deform", "--j", "1",
-                              "--h", "1e100", "--k", "0.6")
+    # At j = 2, h = 1e60 the matrix F(Xhat) itself overflows in its matmuls.
+    code, payload = main_json(capsys, "sweep", "--families", "deform", "--j", "2",
+                              "--h", "1e60", "--k", "0.6")
     row = payload["rows"][0]
     assert code == 1 and payload["pass"] is False and row["pass"] is False
     assert row["eq14"] == "NaN" and row["worst"] == "NaN"
-    code, payload = main_json(capsys, "auto", "shift", "--which", "sign", "--j", "1",
-                              "--h", "1e100", "--k", "0.6")
+    code, payload = main_json(capsys, "auto", "shift", "--which", "sign", "--j", "2",
+                              "--h", "1e60", "--k", "0.6")
     assert code == 1 and payload["pass"] is False
     assert payload["report"]["eq14"] == "NaN" and payload["worst"] == "NaN"
+
+
+def test_residuals_stay_finite_where_the_squared_norm_overflows(capsys):
+    """At h = 1e100 the generators' entries reach about 1e200, whose squares
+    overflow; every residual is still a finite relative gap."""
+    code, payload = main_json(capsys, "sweep", "--families", "deform", "--j", "1",
+                              "--h", "1e100", "--k", "0.6")
+    row = payload["rows"][0]
+    residuals = {key: row[key] for key in ("eq12", "eq13", "eq14", "f_eq15_vs_eq17")}
+    assert all(isinstance(v, float) and v < 1e-15 for v in residuals.values())
+    # Rounding in the Jordanian and elliptic Casimir products is as large as
+    # the products themselves there, so the row still fails.
+    assert row["casimir_jordanian"] >= 0.5 and row["casimir_elliptic"] >= 0.5
+    assert code == 1 and row["pass"] is False and row["worst"] >= 0.5
+    code, payload = main_json(capsys, "auto", "shift", "--which", "sign", "--j", "1",
+                              "--h", "1e100", "--k", "0.6")
+    assert code == 0 and payload["worst"] < 1e-15
 
 
 def test_elliptic_sweep_passes_at_a_small_modulus(capsys):
@@ -409,10 +453,12 @@ def test_overflowing_scale_is_a_domain_error(capsys):
     proc = run("verify-all", "--h", "1e160")
     assert proc.returncode == 3
     assert strict_loads(proc.stderr)["error"]["type"] == "DomainError"
-    # every used power is finite: the matrices overflow, and the NaN fails
+    # every used power is finite, but the inverse map is far off at this
+    # scale (a roundtrip gap of about 1e282), and it fails
     code, payload = main_json(capsys, "deform", "verify", "--j", "1", "--h", "1e150",
                               "--k", "0.6")
-    assert code == 1 and payload["worst"] == "NaN"
+    assert code == 1 and payload["pass"] is False
+    assert payload["worst"] == payload["roundtrip"] > 1.0
     # J+**2 = 0 on spin 1/2, so only (h/2)**0 and (h/2)**1 are used
     code, payload = main_json(capsys, "deform", "verify", "--j", "0.5", "--h", "1e200",
                               "--k", "0.6")

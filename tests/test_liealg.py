@@ -1,5 +1,7 @@
 """Spin modules and matrix helpers."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -245,6 +247,32 @@ def test_frobenius_matches_the_library_norm():
     assert frobenius(np.eye(4)) == 2.0
     view = (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[::2, 1::2]
     assert abs(frobenius(view) - np.linalg.norm(view, "fro")) <= 1e-14 * frobenius(view)
+
+
+@pytest.mark.parametrize("entries, expect", [
+    ([1e200, 1e200], math.sqrt(2) * 1e200),
+    ([1e200 + 1e200j, -3e199j], math.sqrt(2.09) * 1e200),
+    ([1.5e308, 1.5e308], math.inf),  # the norm itself overflows
+    ([1e-170, 1e-170], math.sqrt(2) * 1e-170),
+    ([1e-300, -1e-300j], math.sqrt(2) * 1e-300),
+])
+def test_frobenius_scales_entries_whose_squares_overflow_or_underflow(entries, expect):
+    got = frobenius(np.array(entries))
+    assert type(got) is float
+    assert got == expect or abs(got - expect) <= 4e-16 * expect
+
+
+def test_frobenius_keeps_the_one_dot_product_bits_in_range():
+    rng = np.random.default_rng(38)
+    for dim in (1, 3, 25, 121):
+        for scale in (1e-150, 1e-20, 1.0, 1e20, 1e150):
+            a = scale * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+            assert frobenius(a) == math.sqrt(np.vdot(a, a).real)
+    # NaN and inf propagate, at either extreme too.
+    assert math.isnan(frobenius(np.array([1e200, np.nan])))
+    assert math.isnan(frobenius(np.array([1e-170, np.nan])))
+    assert frobenius(np.array([1e200, np.inf])) == math.inf
+    assert frobenius(np.zeros(0)) == 0.0 and frobenius(np.array([0.0, -0.0])) == 0.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf), complex(np.nan, 1)])
