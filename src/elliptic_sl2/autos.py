@@ -13,12 +13,15 @@ Shift offsets are stored as exact integers on the triplet (never as
 accumulated floating point), and relation checks on shifted triplets ride
 on the half-period parity of the structure functions rather than on any
 evaluation at the shifted argument.  An image shares what its base has
-computed, or computes later, wherever the values are the same bits (see
-`deform`): the sign image takes F at J+ and the series gaps, which depend
-on (rep, h, k) alone; a shifted image takes those and G and F of the
-nilpotent part of Xhat as well, since its Xhat is the base's nilpotent part
-plus the offset times I, which subtracting the offset again gives back bit
-for bit.  So the relation check on a shifted image evaluates no series.
+computed, or computes later (see `deform`).  Every image takes the
+functions of J+ and the series gaps, which depend on (rep, h, k) alone, and
+G, F, sn and (cn dn)**(-1/2) of the nilpotent part N of Xhat.  A shifted
+image's Xhat is N plus the offset times I, which subtracting the offset
+again gives back bit for bit.  The sign image's nilpotent part is -N, and it
+reads G and sn negated and F and (cn dn)**(-1/2) as they are: parity, with
+negation exact in every step of the dense calculus, makes those the bits an
+evaluation at -N gives.  So no image evaluates a series, whichever of it and
+its base asks first.
 
 The induced action on the raising and lowering generators themselves
 involves an inverse power of J+, which has no finite-matrix realization;
@@ -77,15 +80,15 @@ def sign_involution(t):
     """(X, Y, J0) -> (-X, -Y, J0); applying it twice is the identity."""
     if t.is_shifted():
         raise DomainError("sign involution is defined on unshifted triplets")
-    return _image_of(t, ("module",), Xhat=-t.Xhat, Yhat=-t.Yhat, provenance="auto")
+    return _image_of(t, x_sign=-1, Xhat=-t.Xhat, Yhat=-t.Yhat, provenance="auto")
 
 
 def _shifted(t, q, a, b):
     """The image with shift counts (q, a, b) and (Y, J0) flipped: Xhat is the
     nilpotent part of t's plus the offset of the new counts."""
     off = _offset(t.params, q, a, b) * np.eye(t.rep.dim, dtype=complex)
-    return _image_of(t, ("module", "nilpotent"), Xhat=_x_nilpotent(t) + off, Yhat=-t.Yhat,
-                     J0=-t.J0, provenance="auto", shift_q=q, shift_a=a, shift_b=b)
+    return _image_of(t, Xhat=_x_nilpotent(t) + off, Yhat=-t.Yhat, J0=-t.J0, provenance="auto",
+                     shift_q=q, shift_a=a, shift_b=b)
 
 
 def half_period_shift_uh(t):

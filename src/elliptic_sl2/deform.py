@@ -25,17 +25,29 @@ Functions of Matrices, ch. 1), and a matrix adds only its basis's rounding.
 
 A triplet computes each of its matrix functions once and keeps it in a
 private memo, `DeformedTriplet._memo`, which is not an __init__ field, so
-`dataclasses.replace` starts an empty one.  The memo has three scopes, by
-what its values depend on:
+`dataclasses.replace` starts an empty one.  So one triplet, its sign image
+and its period-shift images together make one gather at J+ and build one
+power stack.  The memo has three scopes, by what its values depend on:
 
-- "module": (rep, h, k) alone: F at J+ (the algebraic route) and the series
-  gaps.  The sign image and the period-shift images share their base's.
-- "nilpotent": the nilpotent part of Xhat: G and the primary F.  Only the
-  period-shift images share it.  An image's Xhat is the base's nilpotent
-  part N plus o I, o the offset, and its nilpotent part is that minus o I:
-  x + 0 - 0 = x off the diagonal and 0 + o - o = 0 on it, so it is N bit
-  for bit (a zero may change sign), and so are G and F of it.
-- "own": values that need Yhat too: invert_map's (J+, J-).  Never shared.
+- "module": (rep, h, k) alone: every function of J+ the triplet needs
+  besides its map (`_raising_terms`: F at J+, the algebraic route, and the
+  factors of the Jordanian Casimir form) and the series gaps.  The builders
+  fill it from the gather that makes Xhat; a lifted triplet, whose map is
+  not a series of J+, makes that one gather on first use.  Every image
+  shares it.
+- "nilpotent": G, F, sn and (cn dn)**(-1/2) at the nilpotent part N of
+  Xhat, from one `mat_apply_series` call; each series has order dim, so it
+  has the bits it would have alone.  Every image shares it.  A period-shift
+  image's Xhat is N plus o I, o the offset, and its nilpotent part is that
+  minus o I: x + 0 - 0 = x off the diagonal and 0 + o - o = 0 on it, so it
+  is N bit for bit (a zero may change sign).  The sign image's nilpotent
+  part is -N.  G and sn are odd, F and (cn dn)**(-1/2) even, and negation
+  is exact in every power, block product and Horner step of the dense
+  calculus, so -G(N), F(N), -sn(N) and (cn dn)**(-1/2)(N) are the bits an
+  evaluation at -N gives.  The memo's "x_sign" records which of N and -N a
+  triplet's nilpotent part is; the scope's values are always computed at N,
+  so they do not depend on which triplet asks first.
+- "own": invert_map's (J+, J-), which need Yhat.  Never shared.
 
 The memoised arrays are read-only, since every holder of the triplet sees
 them.
@@ -61,13 +73,7 @@ from .elliptic import (asn_series, complete_K, complete_Kprime, sd_cd_nd_series,
 from .errors import DomainError
 from .liealg import (SpinRep, commutator, frobenius, mat_apply_series, nilpotency_bound,
                      real_if_exact)
-from .series import (
-    TruncatedSeries,
-    arctanh_series,
-    cosh_series,
-    sinh_series,
-    tanh_series,
-)
+from .series import TruncatedSeries, arctanh_series, tanh_series
 
 __all__ = [
     "DeformParams",
@@ -124,17 +130,16 @@ class DeformedTriplet:
     shift_q: int = 0
     shift_a: int = 0
     shift_b: int = 0
-    # Values computed from this triplet, by scope (see `_SCOPES`); never
-    # passed to __init__, so dataclasses.replace starts an empty one.
-    _memo: dict = field(default_factory=lambda: {scope: {} for scope in _SCOPES},
+    # Values computed from this triplet, by scope, and the sign of its
+    # nilpotent part against the "nilpotent" scope's argument (see the module
+    # docstring); never passed to __init__, so dataclasses.replace starts an
+    # empty one.
+    _memo: dict = field(default_factory=lambda: {"module": {}, "nilpotent": {}, "own": {},
+                                                 "x_sign": 1},
                         init=False, repr=False, compare=False)
 
     def is_shifted(self):
         return bool(self.shift_q or self.shift_a or self.shift_b)
-
-
-# The memo's scopes; the module docstring says what each holds and who shares it.
-_SCOPES = ("module", "nilpotent", "own")
 
 
 def _remember(t, scope, key, compute):
@@ -150,13 +155,14 @@ def _remember(t, scope, key, compute):
     return store[key]
 
 
-def _image_of(t, scopes, **changes):
-    """replace(t, **changes), sharing t's memoised values of the named scopes
-    (computed already or later, by either triplet).  Only for images whose
-    values in those scopes equal t's bit for bit."""
+def _image_of(t, x_sign=1, **changes):
+    """replace(t, **changes), sharing t's "module" and "nilpotent" scopes
+    (computed already or later, by either triplet).  Only for images at the
+    same (rep, h, k) whose nilpotent part is x_sign times t's, bit for bit."""
     image = replace(t, **changes)
-    for scope in scopes:
+    for scope in ("module", "nilpotent"):
         image._memo[scope] = t._memo[scope]
+    image._memo["x_sign"] = x_sign * t._memo["x_sign"]
     return image
 
 
@@ -225,6 +231,34 @@ def _F_of_v_series(k, order):
     return (1.0 - (v2 * v2) * (k * k)) * den.pow_rational(-1)
 
 
+def _one_minus_v2_power(a, order):
+    """(1 - v**2)**a through v**order, from its binomial form: the
+    coefficient of v**(2n) is prod_{m=1..n} (m - 1 - a)/m."""
+    c = [0.0] * (order + 1)
+    c[0] = term = 1.0
+    for m in range(1, order // 2 + 1):
+        term *= (m - 1 - a) / m
+        c[2 * m] = term
+    return TruncatedSeries(c)
+
+
+def _jordanian_factors(order):
+    """cosh(arctanh v) = (1 - v**2)**(-1/2), the Jordanian dressing
+    (1 - v**2)**(1/2) and sinh(arctanh v) = v (1 - v**2)**(-1/2): the
+    factors of the Jordanian Casimir form as series of v = (h/2) J+."""
+    cosh = _one_minus_v2_power(-0.5, order)
+    sinh = TruncatedSeries(np.concatenate(([0.0], cosh.coeffs[:-1])))
+    return cosh, _one_minus_v2_power(0.5, order), sinh
+
+
+def _raising_terms(k, order):
+    """Every function of J+ a triplet needs besides its map, as `_at_half_h`
+    terms in the order `_at_raising` returns them: F at J+ (the algebraic
+    route) and the Jordanian Casimir's cosh, dressing and rescaled sinh."""
+    cosh, dress, sinh = _jordanian_factors(order)
+    return (_F_of_v_series(k, order), 0), (cosh, 0), (dress, 0), (sinh, 1)
+
+
 def _half_h_powers(h, n):
     """(h/2)**i for i = 0..n, real at real h; a domain error when one of them
     overflows."""
@@ -288,6 +322,30 @@ def _x_nilpotent(t):
     return t.Xhat - off * np.eye(t.rep.dim, dtype=complex)
 
 
+def _at_raising(t):
+    """F, cosh, dressing and rescaled sinh at J+ (see `_raising_terms`): the
+    builder's gather made them, or one gather on first use."""
+    return _remember(t, "module", "at J+", lambda: tuple(_at_half_h(
+        t.rep.raising, t.params.h, *_raising_terms(t.params.k, t.rep.dim))))
+
+
+def _at_nilpotent_part(t):
+    """(G, F, sn, (cn dn)**(-1/2)) at the nilpotent part of Xhat, G and sn
+    rescaled by 2/h, from one power stack.  The scope holds them at N (see
+    the module docstring); at -N, G and sn are read negated."""
+    k, h, order = t.params.k, t.params.h, t.rep.dim
+    sign = t._memo["x_sign"]
+
+    def at_n():
+        nil = _x_nilpotent(t)
+        return tuple(_at_half_h(nil if sign > 0 else -nil, h, (_G_series(k, order), 1),
+                                (_F_series(k, order), 0), (_sncndn(k, order)[0], 1),
+                                (_g_inv_of_u(k, order), 0)))
+
+    g, f, sn, m = _remember(t, "nilpotent", "G F sn m", at_n)
+    return (g, f, sn, m) if sign > 0 else (-g, f, -sn, m)
+
+
 def _parity_sign(t):
     """Sign picked up by the structure functions under the stored offset.
 
@@ -311,22 +369,30 @@ def deform_generators(Jp, Jm, params, order):
     return xhat, yhat
 
 
+def _triplet_at_raising(rep, params, provenance, through, dressing):
+    """The triplet with (h/2) Xhat = through(v) and Yhat = d J- d, d =
+    dressing(v), at v = (h/2) J+, from one gather that also fills the
+    module scope (`_at_raising`)."""
+    xhat, d, *at_raising = _at_half_h(rep.raising, params.h, (through, 1), (dressing, 0),
+                                      *_raising_terms(params.k, rep.dim))
+    t = DeformedTriplet(Xhat=xhat, Yhat=d @ rep.Jm @ d, J0=rep.J0.copy(), params=params,
+                        rep=rep, provenance=provenance)
+    _remember(t, "module", "at J+", lambda: tuple(at_raising))
+    return t
+
+
 def build_elliptic_triplet(rep, params):
     """Deformed triplet (Xhat, Yhat, J0) on the spin-j module."""
-    xhat, yhat = deform_generators(rep.raising, rep.Jm, params, rep.dim)
-    return DeformedTriplet(Xhat=xhat, Yhat=yhat, J0=rep.J0.copy(), params=params,
-                           rep=rep, provenance="direct")
+    return _triplet_at_raising(rep, params, "direct", _asn(params.k, rep.dim),
+                               _g_of_v(params.k, rep.dim))
 
 
 def build_jordanian_triplet(rep, h):
-    """The k**2 = 1 triplet: (h/2) X = arctanh((h/2) J+), hyperbolic dressing."""
+    """The k**2 = 1 triplet: (h/2) X = arctanh((h/2) J+), with the dressing
+    (1 - v**2)**(1/2) that the Jordanian Casimir form takes too."""
     order = rep.dim
-    u = TruncatedSeries.identity(order)
-    x, dress = _at_half_h(rep.raising, h, (arctanh_series(order), 1),
-                          ((1.0 - u * u).pow_rational(0.5), 0))
-    y = dress @ rep.Jm @ dress
-    return DeformedTriplet(Xhat=x, Yhat=y, J0=rep.J0.copy(),
-                           params=DeformParams(h=h, k=1.0), rep=rep, provenance="uh")
+    return _triplet_at_raising(rep, DeformParams(h=h, k=1.0), "uh", arctanh_series(order),
+                               _one_minus_v2_power(0.5, order))
 
 
 def lift_series(k, order):
@@ -378,10 +444,7 @@ def invert_map(t):
 
 
 def _inverse(t):
-    k, h = t.params.k, t.params.h
-    order = t.rep.dim
-    sn, _, _ = _sncndn(k, order)
-    jp, m = _at_half_h(_x_nilpotent(t), h, (sn, 1), (_g_inv_of_u(k, order), 0))
+    _, _, jp, m = _at_nilpotent_part(t)
     return jp, m @ t.Yhat @ m
 
 
@@ -394,13 +457,8 @@ def structure_matrices(t):
     stack of its nilpotent part with G, and the algebraic form at J+); and the
     sign the shift parity puts on the Xhat forms, which are returned without
     it.  The relations take parity * G and parity * F["primary"]."""
-    k, h = t.params.k, t.params.h
-    order = t.rep.dim
-    g, primary = _remember(t, "nilpotent", "G F", lambda: tuple(_at_half_h(
-        _x_nilpotent(t), h, (_G_series(k, order), 1), (_F_series(k, order), 0))))
-    algebraic = _remember(t, "module", "F at J+", lambda: _at_half_h(
-        t.rep.raising, h, (_F_of_v_series(k, order), 0))[0])
-    return g, {"primary": primary, "algebraic": algebraic}, _parity_sign(t)
+    g, primary, _, _ = _at_nilpotent_part(t)
+    return g, {"primary": primary, "algebraic": _at_raising(t)[0]}, _parity_sign(t)
 
 
 def relations_on_generators(X, Y, J0, g, f, uh):
@@ -449,23 +507,29 @@ def relation_residuals(t):
 def casimir(t, form):
     """One of the three equivalent Casimir expressions as a matrix.
 
-    "classical" uses the undeformed generators, "jordanian" the hyperbolic
-    pair (rebuilt at the triplet's h when the triplet itself is elliptic),
-    "elliptic" the triplet's own deformed pair.  All must equal j(j+1) I.
+    "classical" is J- J+ + J0**2 + J0 on the undeformed generators;
+    "elliptic" is the same on the triplet's inverse map, so it measures the
+    round trip through its own Xhat and Yhat.  "jordanian" is
+    cosh(hX/2) Y (2/h) sinh(hX/2) + J0**2 + J0 on the hyperbolic pair (X, Y)
+    at the triplet's h, Y = d J- d with d the dressing that
+    `build_jordanian_triplet` uses.  Since (h/2) X = arctanh((h/2) J+), its
+    cosh and sinh are closed-form functions of J+ (`_jordanian_factors`), so
+    this form is C d J- d S + J0**2 + J0 from the module scope's gather at J+
+    and no matrix X is formed: it measures the Jordanian dressing against
+    cosh and sinh of arctanh, C d = I and d S = J+, for every triplet alike
+    (on a Jordanian triplet d J- d is its own Yhat, bit for bit).  All must
+    equal j(j+1) I.
     """
     if t.is_shifted():
         raise DomainError("casimir forms are defined for unshifted triplets")
     rep = t.rep
-    h = t.params.h
     j0 = rep.J0
     quad = j0 @ j0 + j0
     if form == "classical":
         return rep.Jm @ rep.Jp + quad
     if form == "jordanian":
-        tt = t if t.provenance == "uh" else build_jordanian_triplet(rep, h)
-        x, y = tt.Xhat, tt.Yhat
-        cosh_x, sinh_resc = _at_half_h(x, h, (cosh_series(rep.dim), 0), (sinh_series(rep.dim), 1))
-        return cosh_x @ y @ sinh_resc + quad
+        _, cosh, dress, sinh = _at_raising(t)
+        return cosh @ (dress @ rep.Jm @ dress) @ sinh + quad
     if form == "elliptic":
         jp, jm = invert_map(t)
         return jm @ jp + quad

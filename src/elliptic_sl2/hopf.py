@@ -161,7 +161,7 @@ def delta1_x_from_factor_sn(params, r1, r2):
     k, h = params.k, params.h
     per_factor = []
     for rep in (r1, r2):
-        t_x, _ = deform_generators(rep.raising, rep.Jm, params, rep.dim)
+        t_x, = _at_half_h(rep.raising, h, (_asn(k, rep.dim), 1))
         sn, _, _ = _sncndn(k, rep.dim)
         per_factor.extend(_at_half_h(t_x, h, (sn, 1)))
     return _at_half_h(KronSum(*per_factor), h, (_asn(k, order), 1))[0]
@@ -173,7 +173,7 @@ def delta2_x_from_factor_sn(params, r1, r2):
     k, h = params.k, params.h
     per_factor = []
     for rep in (r1, r2):
-        t_x, _ = deform_generators(rep.raising, rep.Jm, params, rep.dim)
+        t_x, = _at_half_h(rep.raising, h, (_asn(k, rep.dim), 1))
         sn, _, _ = _sncndn(k, rep.dim)
         pulled = arctanh_series(rep.dim).compose(sn)
         per_factor.extend(_at_half_h(t_x, h, (pulled, 1)))

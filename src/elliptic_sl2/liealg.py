@@ -114,10 +114,8 @@ def build_spin(j):
         raise DomainError(f"spin {j:g} has dimension {dim}, over the cap of {MAX_SPIN_DIM} "
                           f"(j <= {(MAX_SPIN_DIM - 1) / 2:g})")
     m = j - np.arange(dim)  # descending magnetic quantum numbers
-    Jp = np.zeros((dim, dim))
-    for col in range(1, dim):
-        # raising coefficient sqrt((j-m)(j+m+1)) acting on column m = j-col
-        Jp[col - 1, col] = np.sqrt((j - m[col]) * (j + m[col] + 1.0))
+    # raising coefficients sqrt((j-m)(j+m+1)) acting on columns m = j-1, ..., -j
+    Jp = np.diag(np.sqrt((j - m[1:]) * (j + m[1:] + 1.0)), 1)
     Jm = Jp.T.copy()
     J0 = np.diag(m)
     return SpinRep(j=j, dim=dim, Jp=Jp, Jm=Jm, J0=J0)

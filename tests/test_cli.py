@@ -334,6 +334,15 @@ def test_one_set_of_triplet_checks_behind_every_verb(capsys):
     assert set(row) - set(expected) == {"family", "j", "h", "k", "status", "worst", "pass"}
 
 
+@pytest.mark.parametrize("model", [["--k", "0.6"], ["--jordanian"]])
+def test_deform_verify_makes_one_gather_and_one_power_stack(model, calculus_calls, capsys):
+    """The build's gather at J+ and one batch at Xhat serve every relation,
+    all three Casimir forms and the round trip."""
+    code, verify = main_json(capsys, "deform", "verify", "--j", "4", "--h", "0.7", *model)
+    assert code == 0 and verify["pass"] is True
+    assert calculus_calls.counts() == (1, 1, 4)
+
+
 def test_sweep_elliptic_marks_unit_modulus_as_error():
     proc = run("sweep", "--families", "elliptic", "--j", "0.5", "--h", "0.7",
                "--k", "0.6,1.0")

@@ -12,9 +12,12 @@ from elliptic_sl2.deform import (
     _G_series,
     _asn,
     _at_half_h,
+    _at_nilpotent_part,
     _g_inv_of_u,
     _g_of_v,
     _half_h_powers,
+    _jordanian_factors,
+    _one_minus_v2_power,
     _series_gaps,
     _sncndn,
     build_elliptic_triplet,
@@ -236,18 +239,16 @@ def test_doubled_form_check_reads_every_order_a_matrix_sees(monkeypatch):
             assert after == before
 
 
-def test_relation_residuals_evaluate_three_series_on_matrices(monkeypatch):
-    from elliptic_sl2 import liealg
-
-    calls = []
-    for name in ("_blocked_horner", "_shift_apply"):
-        real = getattr(liealg, name)
-        monkeypatch.setattr(liealg, name,
-                            lambda *a, name=name, real=real: calls.append(name) or real(*a))
+def test_relation_residuals_evaluate_one_batch_at_xhat(calculus_calls):
     t = build_elliptic_triplet(build_spin(2.5), DeformParams(h=0.7, k=0.6))
-    calls.clear()
-    relation_residuals(t)   # G and F at Xhat, F at J+ by one gather; the series gaps use none
-    assert sorted(calls) == ["_blocked_horner", "_blocked_horner", "_shift_apply"]
+    calculus_calls.clear()
+    # G, F, sn and (cn dn)**(-1/2) at Xhat in one batch; F at J+ came with the
+    # build's gather, and the series gaps use no matrix
+    relation_residuals(t)
+    assert calculus_calls.counts() == (1, 0, 4)
+    calculus_calls.clear()
+    invert_map(t)   # sn and (cn dn)**(-1/2) from that batch
+    assert calculus_calls.counts() == (0, 0, 0)
 
 
 def test_generator_map_is_order_stable():
@@ -362,49 +363,131 @@ def test_coefficient_scaling_matches_matrix_scaling(j, h):
         assert frobenius(got - expect) <= 1e-14 * frobenius(expect)
 
 
-def test_one_power_stack_per_argument(monkeypatch):
-    from elliptic_sl2 import liealg
-
-    shapes = []
-    real = liealg._power_stack
-    monkeypatch.setattr(liealg, "_power_stack", lambda m, n: shapes.append(m.shape) or real(m, n))
+def test_one_power_stack_per_argument(calculus_calls):
     r = build_spin(2.5)
     p = DeformParams(h=0.7, k=0.6)
     deform_generators(r.Jp, r.Jm, p, r.dim)
-    assert len(shapes) == 1
+    assert [m.shape for m in calculus_calls.stacks()] == [(6, 6)]
     t = build_elliptic_triplet(r, p)
-    shapes.clear()
-    relation_residuals(t)           # G and F at Xhat; F at J+ is a gather
-    assert shapes == [(6, 6)]
-    shapes.clear()
-    relation_residuals(autos.period_shift_elliptic(t, autos.ELL_IKP)[0])   # shares them
-    assert shapes == []
-    shapes.clear()
-    invert_map(t)
-    assert shapes == [(6, 6)]
+    calculus_calls.clear()
+    relation_residuals(t)           # the batch at Xhat; F at J+ came with the build
+    assert [m.shape for m in calculus_calls.stacks()] == [(6, 6)]
+    calculus_calls.clear()
+    relation_residuals(autos.period_shift_elliptic(t, autos.ELL_IKP)[0])   # shares it
+    invert_map(t)                   # so does the inverse map
+    assert calculus_calls.counts() == (0, 0, 0)
     uh = build_jordanian_triplet(r, 0.7)
-    shapes.clear()
-    casimir(uh, "jordanian")        # cosh and sinh at X
-    assert shapes == [(6, 6)]
+    calculus_calls.clear()
+    casimir(uh, "jordanian")        # cosh and sinh of arctanh came with the build
+    assert calculus_calls.counts() == (0, 0, 0)
+    lifted = lift_uh_to_elliptic(uh, 0.6)
+    calculus_calls.clear()
+    relation_residuals(lifted)      # its map is no series of J+: one gather on first use
+    casimir(lifted, "jordanian")
+    assert calculus_calls.counts() == (1, 1, 4)
 
 
-def test_spin_verify_sequence_builds_four_power_stacks(monkeypatch):
-    """Every check of the spin-verify benchmark on one k < 1 triplet at j = 8.
-    The map and every function of J+ are gathers, and the shift images reuse
-    their base's G and F; what is left is one stack each for G and F at Xhat,
-    for cosh and sinh of the Jordanian X, for the inverse map and for G and F
-    at the sign image's -Xhat."""
-    from elliptic_sl2 import liealg
-
-    stacks = []
-    real = liealg._power_stack
-    monkeypatch.setattr(liealg, "_power_stack", lambda m, n: stacks.append(m.shape) or real(m, n))
-    t = build_elliptic_triplet(build_spin(8.0), DeformParams(h=0.45, k=0.6))
+def _spin_verify_sequence(t):
+    """Every check the spin-verify benchmark runs on one triplet."""
     relation_residuals(t)
     for form in ("classical", "jordanian", "elliptic"):
         casimir(t, form)
     invert_map(t)
     relation_residuals(autos.sign_involution(t))
-    for spec in (autos.ELL_IKP, autos.ELL_2K_IKP):
-        autos.period_shift_elliptic(t, spec)
-    assert stacks == [(17, 17)] * 4
+    if t.params.k != 1:
+        for spec in (autos.ELL_IKP, autos.ELL_2K_IKP):
+            autos.period_shift_elliptic(t, spec)
+    else:
+        half = autos.half_period_shift_uh(t)
+        relation_residuals(half)
+        invert_map(autos.half_period_shift_uh(half))
+
+
+@pytest.mark.parametrize("k", [0.6, 1.0])
+def test_spin_verify_sequence_makes_one_gather_and_one_power_stack(k, calculus_calls,
+                                                                   monkeypatch):
+    """The build's gather at J+ gives the map and every other function of J+
+    (F, and cosh, dressing and sinh of the Jordanian Casimir form), and one
+    batch at Xhat gives G, F, sn and (cn dn)**(-1/2); the sign and shift
+    images share both.  Two (h/2)**i tables, one per argument."""
+    from elliptic_sl2 import deform
+
+    tables = []
+    real = deform._half_h_powers
+    monkeypatch.setattr(deform, "_half_h_powers", lambda h, n: tables.append(n) or real(h, n))
+    _spin_verify_sequence(build_elliptic_triplet(build_spin(8.0), DeformParams(h=0.45, k=k)))
+    assert [m.shape for m in calculus_calls.stacks()] == [(17, 17)]
+    assert calculus_calls.counts() == (1, 1, 4)
+    assert len(tables) == 2
+
+
+@pytest.mark.parametrize("k", [0.6, 1.0, 0.3 + 0.2j])
+@pytest.mark.parametrize("h", [0.45, 0.8 - 0.3j, 2.0])
+def test_sign_image_reads_the_bits_of_an_evaluation_at_minus_xhat(h, k):
+    """G and sn negated, F and (cn dn)**(-1/2) as they are: parity, and
+    negation exact in every power, block and Horner step."""
+    for j in (0.5, 1.0, 2.5, 4.5, 8.0, 12.5, 20.0, 40.0):
+        t = build_elliptic_triplet(build_spin(j), DeformParams(h=h, k=k))
+        dim = t.rep.dim
+        fresh = _at_half_h(-t.Xhat, h, (_G_series(k, dim), 1), (_F_series(k, dim), 0),
+                           (_sncndn(k, dim)[0], 1), (_g_inv_of_u(k, dim), 0))
+        for got, expect in zip(_at_nilpotent_part(autos.sign_involution(t)), fresh):
+            assert np.array_equal(got, expect), (j, h, k)
+
+
+def test_sign_image_shares_one_stack_in_either_order(calculus_calls):
+    def checks(t):
+        return relation_residuals(t), invert_map(t), casimir(t, "elliptic")
+
+    results = []
+    for sign_first in (False, True):
+        t = build_elliptic_triplet(build_spin(4.5), DeformParams(h=0.45, k=0.6))
+        calculus_calls.clear()
+        if sign_first:
+            image = autos.sign_involution(t)
+            image_checks, base_checks = checks(image), checks(t)
+        else:
+            base_checks = checks(t)
+            image = autos.sign_involution(t)
+            image_checks = checks(image)
+        assert calculus_calls.counts() == (1, 0, 4), sign_first
+        results.append((base_checks, image_checks))
+    (base_a, image_a), (base_b, image_b) = results
+    for a, b in ((base_a, base_b), (image_a, image_b)):
+        assert a[0] == b[0]
+        assert all(np.array_equal(x, y) for x, y in zip((*a[1], a[2]), (*b[1], b[2])))
+    # the sign image's inverse map is (-J+, -J-), and its relations hold
+    assert all(np.array_equal(x, -y) for x, y in zip(image_a[1], base_a[1]))
+    assert residual_ok(image_a[0], 1e-12)
+
+
+def _casimir_gap(t, form):
+    j = t.rep.j
+    c = casimir(t, form)
+    return frobenius(c - j * (j + 1) * np.eye(t.rep.dim)) / max(1.0, frobenius(c))
+
+
+def test_jordanian_casimir_catches_a_wrong_dressing(monkeypatch):
+    """The Jordanian form takes its dressing from the series that builds the
+    Jordanian triplet, so a wrong exponent there shows in it."""
+    from elliptic_sl2 import deform
+
+    rep, p = build_spin(2.5), DeformParams(h=0.8, k=0.55)
+    builds = (lambda: build_elliptic_triplet(rep, p), lambda: build_jordanian_triplet(rep, p.h))
+    assert all(_casimir_gap(build(), "jordanian") < 1e-12 for build in builds)
+    real = deform._one_minus_v2_power
+    monkeypatch.setattr(deform, "_one_minus_v2_power",
+                        lambda a, order: real(a + 1e-6 if a == 0.5 else a, order))
+    assert all(_casimir_gap(build(), "jordanian") > 1e-9 for build in builds)
+
+
+@pytest.mark.parametrize("a", [0.5, -0.5, 0.25, -1.0])
+def test_binomial_powers_match_the_miller_recurrence(a):
+    order = 17
+    u = TruncatedSeries.identity(order)
+    ref = (1.0 - u * u).pow_rational(a)
+    assert np.max(np.abs(_one_minus_v2_power(a, order).coeffs - ref.coeffs)) <= 1e-16
+    cosh, dress, sinh = _jordanian_factors(order)
+    # cosh and sinh of arctanh v, and cosh * dress = 1
+    assert np.max(np.abs(sinh.coeffs - (u * cosh).coeffs)) == 0
+    assert np.max(np.abs((cosh * dress).coeffs - TruncatedSeries.constant(1.0, order).coeffs)) <= 1e-16

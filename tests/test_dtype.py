@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from elliptic_sl2 import autos, hopf, liealg
+from elliptic_sl2 import autos, hopf
 from elliptic_sl2.deform import (
     DeformParams,
     _half_h_powers,
@@ -158,25 +158,21 @@ def test_float64_matches_a_complex_horner_on_the_acceptance_grid(build, monkeypa
     assert top <= 1e-14
 
 
-def _stack_dtypes(monkeypatch, call):
+def _stack_dtypes(calls, call):
     """(dtype, argument) of every power stack built by call()."""
-    seen = []
-    real_stack = liealg._power_stack
-    monkeypatch.setattr(liealg, "_power_stack",
-                        lambda m, n: seen.append((m.dtype, m.copy())) or real_stack(m, n))
+    calls.clear()
     call()
-    monkeypatch.undo()
-    return seen
+    return [(m.dtype, m) for m in calls.stacks()]
 
 
-def test_a_real_coproduct_check_builds_no_complex_power_stack(monkeypatch):
+def test_a_real_coproduct_check_builds_no_complex_power_stack(calculus_calls):
     r1, r2 = build_spin(1.0), build_spin(1.5)
     p = DeformParams(h=0.8, k=0.6)
-    seen = _stack_dtypes(monkeypatch, lambda: hopf.verify_coproduct(hopf.delta2(p, r1, r2)))
+    seen = _stack_dtypes(calculus_calls, lambda: hopf.verify_coproduct(hopf.delta2(p, r1, r2)))
     assert seen and {dtype for dtype, _ in seen} == {F64}
     # at complex h only the spin modules' own raising matrices stay real
     p = DeformParams(h=0.8 + 0.2j, k=0.6)
-    seen = _stack_dtypes(monkeypatch, lambda: hopf.verify_coproduct(hopf.delta2(p, r1, r2)))
+    seen = _stack_dtypes(calculus_calls, lambda: hopf.verify_coproduct(hopf.delta2(p, r1, r2)))
 
     def raising(m):
         return any(m.shape == jp.shape and np.array_equal(m, jp) for jp in (r1.Jp, r2.Jp))

@@ -9,6 +9,9 @@ import pytest
 from elliptic_sl2 import liealg
 from elliptic_sl2.deform import (
     DeformParams,
+    _asn,
+    _at_half_h,
+    build_elliptic_triplet,
     build_jordanian_triplet,
     deform_generators,
     lift_generators,
@@ -172,6 +175,18 @@ def test_deformed_and_lifted_sums_match_the_dense_route(j1, j2):
     for got, expect in zip(lift_generators(x, base.DY, p, order),
                            lift_generators(base.DX, base.DY, p, order)):
         assert _rel_gap(got, expect) <= 1e-13
+
+
+@pytest.mark.parametrize("h,k", [(0.7, 0.6), (0.8 - 0.3j, 0.6), (0.45, 0.3 + 0.2j), (2.0, 1.0)])
+def test_factor_routes_take_the_raising_image_bits_of_the_map(h, k):
+    """The factor routes gather arcsn alone; each factor's raising image has
+    the bits of the map's Xhat, with and without its dressing beside it."""
+    p = DeformParams(h=h, k=k)
+    for j in (0.5, 1.0, 2.5, 5.0):
+        rep = build_spin(j)
+        alone, = _at_half_h(rep.raising, h, (_asn(p.k, rep.dim), 1))
+        assert np.array_equal(alone, deform_generators(rep.raising, rep.Jm, p, rep.dim)[0])
+        assert np.array_equal(alone, build_elliptic_triplet(rep, p).Xhat)
 
 
 def _verdicts(tol):

@@ -34,6 +34,19 @@ def test_spin_half_matrices_exact():
     assert np.array_equal(r.J0, np.diag([0.5, -0.5]).astype(complex))
 
 
+def test_spin_matrices_match_the_loop_form_bit_for_bit():
+    for two_j in range(401):
+        j = two_j / 2.0
+        dim = two_j + 1
+        m = j - np.arange(dim)
+        jp = np.zeros((dim, dim))
+        for col in range(1, dim):
+            jp[col - 1, col] = np.sqrt((j - m[col]) * (j + m[col] + 1.0))
+        r = build_spin(j)
+        assert r.Jp.dtype == jp.dtype and r.Jp.tobytes() == jp.tobytes(), two_j
+        assert r.Jm.tobytes() == jp.T.copy().tobytes(), two_j
+
+
 @pytest.mark.parametrize("j", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5])
 def test_commutation_relations(j):
     r = build_spin(j)
@@ -216,20 +229,18 @@ def test_a_batch_gives_the_same_bits_as_each_series_alone():
     assert mat_apply_series([], build_spin(1.0).Jp) == []
 
 
-def test_a_batch_validates_its_argument_once(monkeypatch):
+def test_a_batch_validates_its_argument_once(monkeypatch, calculus_calls):
     from elliptic_sl2 import liealg
 
-    checked, stacks = [], []
-    real_check, real_stack = liealg._strictly_upper, liealg._power_stack
+    checked = []
+    real_check = liealg._strictly_upper
     monkeypatch.setattr(liealg, "_strictly_upper", lambda m: checked.append(1) or real_check(m))
-    monkeypatch.setattr(liealg, "_power_stack",
-                        lambda m, n: stacks.append(m.shape) or real_stack(m, n))
     rng = np.random.default_rng(36)
     mat_apply_series(_series_batch(rng, 6), _strictly_upper(rng, 7))
-    assert (len(checked), stacks) == (1, [(7, 7)])
-    checked.clear(), stacks.clear()
+    assert (len(checked), [m.shape for m in calculus_calls.stacks()]) == (1, [(7, 7)])
+    checked.clear(), calculus_calls.clear()
     mat_apply_series(_series_batch(rng, 6), KronSum(_strictly_upper(rng, 3), _strictly_upper(rng, 5)))
-    assert (len(checked), stacks) == (2, [(3, 3), (5, 5)])
+    assert (len(checked), [m.shape for m in calculus_calls.stacks()]) == (2, [(3, 3), (5, 5)])
 
 
 def test_frobenius_matches_the_library_norm():
