@@ -3,14 +3,14 @@
 Three families act on a deformed triplet:
 
   * the sign involution (X, Y, J0) -> (-X, -Y, J0), exact on matrices;
-  * the hyperbolic half shift (X, Y, J0) -> (X + i pi/h, -Y, -J0), whose
-    square shifts X by a full period and restores the raising/lowering
-    pair exactly;
   * the two elliptic period shifts, X by (2/h) i K' or (2/h)(2K + i K'),
-    with (Y, J0) -> (-Y, -J0).
+    with (Y, J0) -> (-Y, -J0), at real 0 < k < 1;
+  * at k**2 = 1, where K' = pi/2, the hyperbolic half shift X -> X + i pi/h,
+    one i K' step, whose square restores the raising/lowering pair exactly.
 
-Shift offsets are stored as exact integers on the triplet (never as
-accumulated floating point), and relation checks on shifted triplets ride
+Shift offsets are stored as exact integer counts of K and i K' on the
+triplet (never as accumulated floating point).  Relation checks on shifted
+triplets ride
 on the half-period parity of the structure functions rather than on any
 evaluation at the shifted argument.  An image shares what its base has
 computed, or computes later (see `deform`).  Every image takes the
@@ -58,22 +58,22 @@ __all__ = [
 class ShiftSpec:
     """One period-shift step: which family, and the exact offset increment.
 
-    du_q counts i*pi/2 steps of the argument u = (h/2) X (hyperbolic family);
-    (du_a, du_b) count K and i*K' steps (elliptic family).  epsilon is the
-    sign tied to the induced action on the localized generators; it is 0 for
-    the hyperbolic family where the induced action needs no branch choice.
+    (du_a, du_b) count K and i*K' steps of the argument u = (h/2) X; at
+    k**2 = 1, K' = pi/2, so the hyperbolic half shift is one i*K' step.
+    epsilon is the sign tied to the induced action on the localized
+    generators; it is 0 for the hyperbolic family where the induced action
+    needs no branch choice.
     """
 
     kind: str
-    du_q: int
     du_a: int
     du_b: int
     epsilon: int
 
 
-UH_HALF = ShiftSpec(kind="uh-half", du_q=1, du_a=0, du_b=0, epsilon=0)
-ELL_IKP = ShiftSpec(kind="ell-iKp", du_q=0, du_a=0, du_b=1, epsilon=+1)
-ELL_2K_IKP = ShiftSpec(kind="ell-2KiKp", du_q=0, du_a=2, du_b=1, epsilon=-1)
+UH_HALF = ShiftSpec(kind="uh-half", du_a=0, du_b=1, epsilon=0)
+ELL_IKP = ShiftSpec(kind="ell-iKp", du_a=0, du_b=1, epsilon=+1)
+ELL_2K_IKP = ShiftSpec(kind="ell-2KiKp", du_a=2, du_b=1, epsilon=-1)
 
 
 def sign_involution(t):
@@ -83,24 +83,22 @@ def sign_involution(t):
     return _image_of(t, x_sign=-1, Xhat=-t.Xhat, Yhat=-t.Yhat, provenance="auto")
 
 
-def _shifted(t, q, a, b):
-    """The image with shift counts (q, a, b) and (Y, J0) flipped: Xhat is the
+def _shifted(t, spec):
+    """The image one spec step on, with (Y, J0) flipped: Xhat is the
     nilpotent part of t's plus the offset of the new counts."""
-    off = _offset(t.params, q, a, b) * np.eye(t.rep.dim, dtype=complex)
+    a, b = t.shift_a + spec.du_a, t.shift_b + spec.du_b
+    off = _offset(t.params, a, b) * np.eye(t.rep.dim, dtype=complex)
     return _image_of(t, Xhat=_x_nilpotent(t) + off, Yhat=-t.Yhat, J0=-t.J0, provenance="auto",
-                     shift_q=q, shift_a=a, shift_b=b)
+                     shift_a=a, shift_b=b)
 
 
 def half_period_shift_uh(t):
-    """Shift X by i pi/h and flip (Y, J0); hyperbolic triplets only."""
-    h = t.params.h
-    if h == 0:
+    """Shift X by i pi/h and flip (Y, J0); triplets at k**2 = 1 only."""
+    if t.params.h == 0:
         raise DomainError("the half-period shift degenerates at h = 0")
     if t.params.ksq != 1:
         raise DomainError("the hyperbolic half shift needs k**2 = 1")
-    if t.shift_a or t.shift_b:
-        raise DomainError("cannot mix hyperbolic and elliptic shifts")
-    return _shifted(t, t.shift_q + 1, 0, 0)
+    return _shifted(t, UH_HALF)
 
 
 def period_shift_elliptic(t, spec):
@@ -113,9 +111,7 @@ def period_shift_elliptic(t, spec):
         raise DomainError("period shifts degenerate at h = 0")
     if k.imag != 0 or not 0.0 < k.real < 1.0:
         raise DomainError("elliptic period shifts need real 0 < k < 1")
-    if t.shift_q:
-        raise DomainError("cannot mix hyperbolic and elliptic shifts")
-    image = _shifted(t, 0, t.shift_a + spec.du_a, t.shift_b + spec.du_b)
+    image = _shifted(t, spec)
     report = dict(relation_residuals(image))
     report["epsilon"] = spec.epsilon
     report["kind"] = spec.kind

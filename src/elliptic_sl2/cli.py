@@ -538,12 +538,7 @@ def _sweep_checks(cell):
     family, j, h, k = cell
     try:
         if family == "deform":
-            rep = build_spin(j)
-            if k == 1.0:
-                t = build_jordanian_triplet(rep, h)
-            else:
-                t = build_elliptic_triplet(rep, DeformParams(h=h, k=k))
-            checks = _triplet_checks(t)
+            checks = _triplet_checks(build_elliptic_triplet(build_spin(j), DeformParams(h=h, k=k)))
         else:
             checks = dict(autos.scalar_shift_identities(k, n_samples=25)["max_gaps"])
     except DomainError as exc:

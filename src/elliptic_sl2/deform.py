@@ -7,6 +7,10 @@ The raising generator is fed through the inverse sine amplitude,
 
 and everything downstream (defining relations, Casimir forms, the Jordanian
 k**2 = 1 reduction and its lift) is built and machine-checked on matrices.
+The Jordanian algebra U_h(sl(2)) is the point k = 1 of the family, where
+arcsn is arctanh and g(v) = (1 - v**2)**(1/2): `build_jordanian_triplet` is
+the elliptic builder there, and its shifts are counted like the elliptic
+ones.
 
 Every map F((h/2) M), and every map of the shape (2/h) F((h/2) M) with F
 odd, is realized by scaling coefficients rather than the matrix,
@@ -31,8 +35,8 @@ power stack.  The memo has three scopes, by what its values depend on:
 
 - "module": (rep, h, k) alone: every function of J+ the triplet needs
   besides its map (`_raising_terms`: F at J+, the algebraic route, and the
-  factors of the Jordanian Casimir form) and the series gaps.  The builders
-  fill it from the gather that makes Xhat; a lifted triplet, whose map is
+  factors of the Jordanian Casimir form) and the series gaps.  The builder
+  fills it from the gather that makes Xhat; a lifted triplet, whose map is
   not a series of J+, makes that one gather on first use.  Every image
   shares it.
 - "nilpotent": G, F, sn and (cn dn)**(-1/2) at the nilpotent part N of
@@ -53,8 +57,9 @@ The memoised arrays are read-only, since every holder of the triplet sees
 them.
 
 Triplets produced by the period-shift automorphisms carry their offset as
-exact integer bookkeeping (multiples of i*pi/(h) for the hyperbolic family,
-integer combinations of K and i*K' scaled by 2/h for the elliptic family).
+exact integer bookkeeping: integer combinations a K + b i K' scaled by 2/h.
+At k**2 = 1, K' = pi/2, so the hyperbolic half shift i pi/h is b = 1 (and
+K is infinite, so a stays 0).
 Relation checks on shifted triplets use the half-period parity of the
 structure functions instead of evaluating anything at a shifted matrix
 argument, so no pole is ever approached.
@@ -62,7 +67,6 @@ argument, so no pole is ever approached.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -73,7 +77,7 @@ from .elliptic import (asn_series, complete_K, complete_Kprime, sd_cd_nd_series,
 from .errors import DomainError
 from .liealg import (SpinRep, commutator, frobenius, mat_apply_series, nilpotency_bound,
                      real_if_exact)
-from .series import TruncatedSeries, arctanh_series, tanh_series
+from .series import TruncatedSeries, pow_coeffs
 
 __all__ = [
     "DeformParams",
@@ -114,11 +118,11 @@ class DeformParams:
 class DeformedTriplet:
     """Deformed generators on one spin module, plus shift bookkeeping.
 
-    shift_q counts accumulated u-offsets of i*pi/2 (hyperbolic half shifts);
-    (shift_a, shift_b) count u-offsets a*K + b*i*K' (elliptic shifts).  The
-    stored Xhat already contains the offset times the identity.  Values
-    computed from the arrays are memoised on the triplet (see the module
-    docstring), so the arrays must not be written to.
+    (shift_a, shift_b) count u-offsets a*K + b*i*K'; at k**2 = 1, where
+    K' = pi/2, a hyperbolic half shift is one i*K' step.  The stored Xhat
+    already contains the offset times the identity.  Values computed from
+    the arrays are memoised on the triplet (see the module docstring), so
+    the arrays must not be written to.
     """
 
     Xhat: np.ndarray
@@ -127,7 +131,6 @@ class DeformedTriplet:
     params: DeformParams
     rep: SpinRep
     provenance: str  # "direct" | "uh" | "lifted" | "auto"
-    shift_q: int = 0
     shift_a: int = 0
     shift_b: int = 0
     # Values computed from this triplet, by scope, and the sign of its
@@ -139,7 +142,7 @@ class DeformedTriplet:
                         init=False, repr=False, compare=False)
 
     def is_shifted(self):
-        return bool(self.shift_q or self.shift_a or self.shift_b)
+        return bool(self.shift_a or self.shift_b)
 
 
 def _remember(t, scope, key, compute):
@@ -231,24 +234,14 @@ def _F_of_v_series(k, order):
     return (1.0 - (v2 * v2) * (k * k)) * den.pow_rational(-1)
 
 
-def _one_minus_v2_power(a, order):
-    """(1 - v**2)**a through v**order, from its binomial form: the
-    coefficient of v**(2n) is prod_{m=1..n} (m - 1 - a)/m."""
-    c = [0.0] * (order + 1)
-    c[0] = term = 1.0
-    for m in range(1, order // 2 + 1):
-        term *= (m - 1 - a) / m
-        c[2 * m] = term
-    return TruncatedSeries(c)
-
-
 def _jordanian_factors(order):
     """cosh(arctanh v) = (1 - v**2)**(-1/2), the Jordanian dressing
     (1 - v**2)**(1/2) and sinh(arctanh v) = v (1 - v**2)**(-1/2): the
     factors of the Jordanian Casimir form as series of v = (h/2) J+."""
-    cosh = _one_minus_v2_power(-0.5, order)
+    one_minus_v2 = ([1.0, 0.0, -1.0] + [0.0] * order)[:order + 1]
+    cosh = TruncatedSeries(pow_coeffs(one_minus_v2, -0.5))
     sinh = TruncatedSeries(np.concatenate(([0.0], cosh.coeffs[:-1])))
-    return cosh, _one_minus_v2_power(0.5, order), sinh
+    return cosh, TruncatedSeries(pow_coeffs(one_minus_v2, 0.5)), sinh
 
 
 def _raising_terms(k, order):
@@ -295,24 +288,21 @@ def _at_half_h(mat, h, *terms):
 
 
 def x_offset(t):
-    """The scalar on the diagonal of a shifted Xhat, from the triplet's exact
-    shift counts: q i pi/h for the hyperbolic family, (2/h)(a K + b i K')
-    for the elliptic one."""
-    return _offset(t.params, t.shift_q, t.shift_a, t.shift_b)
+    """The scalar on the diagonal of a shifted Xhat, (2/h)(a K + b i K'),
+    from the triplet's exact shift counts."""
+    return _offset(t.params, t.shift_a, t.shift_b)
 
 
-def _offset(params, q, a, b):
-    h = params.h
-    if q:
-        return q * 1j * math.pi / h
-    if a or b:
-        k = params.k
-        if k.imag != 0 or not 0.0 < k.real < 1.0:
-            raise DomainError("elliptic shift bookkeeping needs real 0 < k < 1")
-        K = complete_K(k.real)
-        Kp = complete_Kprime(k.real)
-        return (2.0 / h) * (a * K + 1j * b * Kp)
-    return 0j
+def _offset(params, a, b):
+    """(2/h)(a K + b i K'); K and K' depend on k**2 alone, and at k**2 = 1,
+    K' = pi/2 and a is 0."""
+    if not (a or b):
+        return 0j
+    k = params.k
+    if k.imag != 0 or not 0.0 < abs(k.real) <= 1.0:
+        raise DomainError("shift bookkeeping needs a real modulus with 0 < |k| <= 1")
+    K = complete_K(abs(k.real)) if a else 0.0
+    return (2.0 / params.h) * (a * K + 1j * b * complete_Kprime(abs(k.real)))
 
 
 def _x_nilpotent(t):
@@ -347,16 +337,10 @@ def _at_nilpotent_part(t):
 
 
 def _parity_sign(t):
-    """Sign picked up by the structure functions under the stored offset.
-
-    Both structure functions flip sign per half period: per i*K' step of the
-    elliptic offset, and per i*pi/2 step of the hyperbolic offset (where they
+    """Sign picked up by the structure functions under the stored offset:
+    both flip sign per i*K' step (at k**2 = 1 an i*pi/2 step, where they
     degenerate to sinh(h X)/h and cosh(h X))."""
-    if t.shift_q:
-        return -1.0 if t.shift_q % 2 else 1.0
-    if t.shift_b % 2:
-        return -1.0
-    return 1.0
+    return -1.0 if t.shift_b % 2 else 1.0
 
 
 # -- construction -------------------------------------------------------------
@@ -369,30 +353,22 @@ def deform_generators(Jp, Jm, params, order):
     return xhat, yhat
 
 
-def _triplet_at_raising(rep, params, provenance, through, dressing):
-    """The triplet with (h/2) Xhat = through(v) and Yhat = d J- d, d =
-    dressing(v), at v = (h/2) J+, from one gather that also fills the
-    module scope (`_at_raising`)."""
-    xhat, d, *at_raising = _at_half_h(rep.raising, params.h, (through, 1), (dressing, 0),
-                                      *_raising_terms(params.k, rep.dim))
+def build_elliptic_triplet(rep, params):
+    """Deformed triplet (Xhat, Yhat, J0) on the spin-j module, from one gather
+    at J+ that also fills the module scope (`_at_raising`)."""
+    k, order = params.k, rep.dim
+    xhat, d, *at_raising = _at_half_h(rep.raising, params.h, (_asn(k, order), 1),
+                                      (_g_of_v(k, order), 0), *_raising_terms(k, order))
     t = DeformedTriplet(Xhat=xhat, Yhat=d @ rep.Jm @ d, J0=rep.J0.copy(), params=params,
-                        rep=rep, provenance=provenance)
+                        rep=rep, provenance="direct")
     _remember(t, "module", "at J+", lambda: tuple(at_raising))
     return t
 
 
-def build_elliptic_triplet(rep, params):
-    """Deformed triplet (Xhat, Yhat, J0) on the spin-j module."""
-    return _triplet_at_raising(rep, params, "direct", _asn(params.k, rep.dim),
-                               _g_of_v(params.k, rep.dim))
-
-
 def build_jordanian_triplet(rep, h):
-    """The k**2 = 1 triplet: (h/2) X = arctanh((h/2) J+), with the dressing
-    (1 - v**2)**(1/2) that the Jordanian Casimir form takes too."""
-    order = rep.dim
-    return _triplet_at_raising(rep, DeformParams(h=h, k=1.0), "uh", arctanh_series(order),
-                               _one_minus_v2_power(0.5, order))
+    """The elliptic triplet at k = 1, (h/2) X = arctanh((h/2) J+), under the
+    Jordanian provenance "uh"."""
+    return _image_of(build_elliptic_triplet(rep, DeformParams(h=h, k=1.0)), provenance="uh")
 
 
 def lift_series(k, order):
@@ -401,8 +377,8 @@ def lift_series(k, order):
 
     d/dx arcsn(tanh x, k) = (1 - t^2)**(1/2) (1 - k^2 t^2)**(-1/2) = q**-2,
     so the raising map is the integral of a Miller power of q, and no series
-    is composed."""
-    t = tanh_series(order)
+    is composed.  tanh is sn at k = 1."""
+    t = _sncndn(1.0, order)[0]
     t2 = t * t
     q = (1.0 - t2 * (k * k)).pow_rational(0.25) * (1.0 - t2).pow_rational(-0.25)
     return q.truncated(order - 1).pow_rational(-2).integral(), q
@@ -418,9 +394,9 @@ def lift_generators(X, Y, params, order):
 
 
 def lift_uh_to_elliptic(t, k):
-    """Change coordinates from the k**2 = 1 triplet to modulus k."""
-    if t.provenance != "uh" or t.is_shifted():
-        raise DomainError("lift needs an unshifted triplet of hyperbolic provenance")
+    """Change coordinates from a k**2 = 1 triplet to modulus k."""
+    if t.params.ksq != 1 or t.is_shifted():
+        raise DomainError("lift needs an unshifted triplet at k**2 = 1")
     params = DeformParams(h=t.params.h, k=k)
     xhat, yhat = lift_generators(t.Xhat, t.Yhat, params, t.rep.dim)
     return DeformedTriplet(Xhat=xhat, Yhat=yhat, J0=t.J0.copy(), params=params,
@@ -431,15 +407,15 @@ def invert_map(t):
     """Recover (J+, J-) from a triplet: J+ = (2/h) sn((h/2) Xhat, k) and
     J- = (cn dn)**(-1/2) Yhat (cn dn)**(-1/2), both at (h/2) Xhat.
 
-    Shifted triplets are invertible only when the shift acts trivially on
-    the elliptic functions (an even number of hyperbolic half shifts); a
-    lone half shift sends the raising generator to an inverse power, which
-    has no finite-matrix meaning.
+    A shifted triplet is invertible when its offset a K + b i K' is a period
+    of sn (a = 0 mod 4 and b even, two half shifts at k**2 = 1 among them):
+    then it is a period of cn dn too, and Yhat has been flipped an even
+    number of times.  Any other shift sends the raising generator to an
+    inverse power, which has no finite-matrix meaning.
     """
-    if t.shift_a or t.shift_b:
-        raise DomainError("inverse map undefined on elliptic-shifted triplets")
-    if t.shift_q % 2:
-        raise DomainError("inverse map undefined after an odd number of half shifts")
+    if t.shift_a % 4 or t.shift_b % 2:
+        raise DomainError("inverse map needs a shift by a period of sn "
+                          "(a multiple of 4K plus an even multiple of i K')")
     return _remember(t, "own", "inverse", lambda: _inverse(t))
 
 
@@ -511,13 +487,12 @@ def casimir(t, form):
     "elliptic" is the same on the triplet's inverse map, so it measures the
     round trip through its own Xhat and Yhat.  "jordanian" is
     cosh(hX/2) Y (2/h) sinh(hX/2) + J0**2 + J0 on the hyperbolic pair (X, Y)
-    at the triplet's h, Y = d J- d with d the dressing that
-    `build_jordanian_triplet` uses.  Since (h/2) X = arctanh((h/2) J+), its
-    cosh and sinh are closed-form functions of J+ (`_jordanian_factors`), so
-    this form is C d J- d S + J0**2 + J0 from the module scope's gather at J+
-    and no matrix X is formed: it measures the Jordanian dressing against
-    cosh and sinh of arctanh, C d = I and d S = J+, for every triplet alike
-    (on a Jordanian triplet d J- d is its own Yhat, bit for bit).  All must
+    at the triplet's h, Y = d J- d with d = (1 - v**2)**(1/2), the k = 1
+    dressing.  Since (h/2) X = arctanh((h/2) J+), its cosh and sinh are
+    closed-form functions of J+ (`_jordanian_factors`), so this form is
+    C d J- d S + J0**2 + J0 from the module scope's gather at J+ and no
+    matrix X is formed: it measures the Jordanian dressing against cosh and
+    sinh of arctanh, C d = I and d S = J+, for every triplet alike.  All must
     equal j(j+1) I.
     """
     if t.is_shifted():

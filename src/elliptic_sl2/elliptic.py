@@ -8,10 +8,12 @@ coefficients are polynomial in k**2.  arcsn integrates the Miller power
     sn' = cn dn,   cn' = -sn dn,   dn' = -k**2 sn cn,
 
 one coefficient at a time (Brent and Kung, J. ACM 25(4), 1978), in
-O(N**2) work; `sn_cn_dn_coeffs` is that loop over plain coefficient lists,
-so a Fraction k**2 gives the exact coefficients.  sd, cd and nd come from
-the same loop on their own system (`sd_cd_nd_coeffs`).  No reversion is
-involved; reverting arcsn is the tests' independent check of sn.
+O(N**2) work; sd, cd and nd solve a system of the same shape, and one loop
+over plain coefficient lists makes both, so a Fraction k**2 gives the exact
+coefficients.  No reversion is involved; reverting arcsn is the tests'
+independent check of sn.  At k = 1, sn is tanh and arcsn is arctanh (its
+coefficients exactly 1/(2i+1)), so the Jordanian algebra needs no series of
+its own.
 
 Rail two is numeric: complete integrals via the arithmetic-geometric mean
 and point values via the descending Landen transformation,
@@ -85,26 +87,30 @@ def asn_series(k, order):
     return TruncatedSeries(pow_coeffs(radicand, -0.5)).integral()
 
 
-def sn_cn_dn_coeffs(k2, order):
-    """Coefficient lists of sn, cn, dn to order N at modulus squared k2:
+def _jacobi_system_coeffs(alpha, beta, order):
+    """Coefficient lists to order N of the solution of
 
-        (n+1) sn[n+1] =        sum_i cn[i] dn[n-i]
-        (n+1) cn[n+1] =       -sum_i sn[i] dn[n-i]
-        (n+1) dn[n+1] = -k2 * sum_i sn[i] cn[n-i]
+        x' = y z,   y' = -alpha x z,   z' = beta x y,   x(0) = 0,  y(0) = z(0) = 1,
 
-    sn is odd and cn, dn are even, so each sum runs over one parity and the
-    other slots stay exactly zero.  Generic in the type of k2: a Fraction
-    gives exact rational coefficients."""
-    zero = type(k2)(0)
-    sn, cn, dn = ([zero] * (order + 1) for _ in range(3))
-    cn[0] = dn[0] = zero + 1
+    one coefficient at a time.  x is odd and y, z are even, so each sum runs
+    over one parity and the other slots stay exactly zero.  Generic in the
+    type of beta: a Fraction gives exact rational coefficients."""
+    zero = type(beta)(0)
+    x, y, z = ([zero] * (order + 1) for _ in range(3))
+    y[0] = z[0] = zero + 1
     for n in range(order):
         if n % 2 == 0:
-            sn[n + 1] = sum((cn[i] * dn[n - i] for i in range(0, n + 1, 2)), zero) / (n + 1)
+            x[n + 1] = sum((y[i] * z[n - i] for i in range(0, n + 1, 2)), zero) / (n + 1)
         else:
-            cn[n + 1] = -sum((sn[i] * dn[n - i] for i in range(1, n + 1, 2)), zero) / (n + 1)
-            dn[n + 1] = -k2 * sum((sn[i] * cn[n - i] for i in range(1, n + 1, 2)), zero) / (n + 1)
-    return sn, cn, dn
+            y[n + 1] = -alpha * sum((x[i] * z[n - i] for i in range(1, n + 1, 2)), zero) / (n + 1)
+            z[n + 1] = beta * sum((x[i] * y[n - i] for i in range(1, n + 1, 2)), zero) / (n + 1)
+    return x, y, z
+
+
+def sn_cn_dn_coeffs(k2, order):
+    """Coefficient lists of sn, cn, dn to order N at modulus squared k2: the
+    system sn' = cn dn, cn' = -sn dn, dn' = -k2 sn cn."""
+    return _jacobi_system_coeffs(1, -k2, order)
 
 
 def sn_cn_dn_series(k, order):
@@ -116,26 +122,14 @@ def sn_cn_dn_series(k, order):
 
 
 def sd_cd_nd_coeffs(k2, order):
-    """Coefficient lists of sd = sn/dn, cd = cn/dn and nd = 1/dn to order N,
-    the loop of `sn_cn_dn_coeffs` on Glaisher's system
-
-        sd' = cd nd,   cd' = -(1 - k2) sd nd,   nd' = k2 sd cd.
+    """Coefficient lists of sd = sn/dn, cd = cn/dn and nd = 1/dn to order N:
+    Glaisher's system sd' = cd nd, cd' = -(1 - k2) sd nd, nd' = k2 sd cd.
 
     Their nearest singularities are the zeros of dn at K + i K', at least
     2.62 from the origin for 0 <= k <= 1, where sn has a pole at i K' (pi/2
     at k = 1); 1/sn = nd/sd therefore keeps its digits at a doubled argument,
     where the reciprocal of sn's own coefficients does not."""
-    zero = type(k2)(0)
-    sd, cd, nd = ([zero] * (order + 1) for _ in range(3))
-    cd[0] = nd[0] = zero + 1
-    kp2 = 1 - k2
-    for n in range(order):
-        if n % 2 == 0:
-            sd[n + 1] = sum((cd[i] * nd[n - i] for i in range(0, n + 1, 2)), zero) / (n + 1)
-        else:
-            cd[n + 1] = -kp2 * sum((sd[i] * nd[n - i] for i in range(1, n + 1, 2)), zero) / (n + 1)
-            nd[n + 1] = k2 * sum((sd[i] * cd[n - i] for i in range(1, n + 1, 2)), zero) / (n + 1)
-    return sd, cd, nd
+    return _jacobi_system_coeffs(1 - k2, k2, order)
 
 
 def sd_cd_nd_series(k, order):

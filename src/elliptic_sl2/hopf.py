@@ -9,8 +9,9 @@ coproduct of the hyperbolic algebra,
     DY  = Y x e^{hX} + e^{-hX} x Y,
     DJ0 = J0 x e^{hX} + e^{-hX} x J0,
 
-through the tanh -> arcsn change of coordinates.  All exponentials are
-finite polynomials because X is nilpotent on every spin module.
+through the tanh -> arcsn change of coordinates, from each factor's (X, Y)
+at k = 1.  All exponentials are finite polynomials because X is nilpotent
+on every spin module.
 
 Everything is a matrix on the tensor-product module; series orders are set
 to 2(j1+j2)+1 so each application is exact, never truncated.
@@ -38,7 +39,6 @@ import numpy as np
 
 from .deform import (
     DeformParams,
-    build_jordanian_triplet,
     deform_generators,
     lift_generators,
     lift_series,
@@ -60,7 +60,7 @@ from .liealg import (
     nilpotency_bound,
     worst,
 )
-from .series import arctanh_series, exp_series
+from .series import exp_series
 
 __all__ = [
     "CoproductTriple",
@@ -122,30 +122,35 @@ def delta1(params, r1, r2):
                            r1=r1, r2=r2, source="delta1")
 
 
-def _twisted(t1, t2):
-    """The twisted images on the product of two Jordanian triplets, with DX
-    kept as the KronSum of the factor Xhats."""
-    h = t1.params.h
-    ep2 = _exp_nilpotent(h * t2.Xhat)
-    em1 = _exp_nilpotent(-h * t1.Xhat)
-    dx = KronSum(t1.Xhat, t2.Xhat)
-    dy = kron(t1.Yhat, ep2) + kron(em1, t2.Yhat)
-    dj0 = kron(t1.J0, ep2) + kron(em1, t2.J0)
-    return dx, dy, dj0
+def _uh_factor(rep, h):
+    """(X, Y, J0) of the k = 1 map on one factor, from a gather of its two
+    series alone."""
+    x, y = deform_generators(rep.raising, rep.Jm, DeformParams(h=h, k=1.0), rep.dim)
+    return x, y, rep.J0
+
+
+def _twisted(h, f1, f2):
+    """The twisted images on the product of two factors (X, Y, J0), with DX
+    kept as the KronSum of the factor Xs."""
+    (x1, y1, j1), (x2, y2, j2) = f1, f2
+    ep2 = _exp_nilpotent(h * x2)
+    em1 = _exp_nilpotent(-h * x1)
+    return KronSum(x1, x2), kron(y1, ep2) + kron(em1, y2), kron(j1, ep2) + kron(em1, j2)
 
 
 def delta_uh(h, r1, r2):
     """Twisted coproduct of the hyperbolic (k**2 = 1) algebra."""
     _check_product_dim(r1, r2)
-    dx, dy, dj0 = _twisted(*(build_jordanian_triplet(r, h) for r in (r1, r2)))
-    return CoproductTriple(DX=dx.dense(), DY=dy, DJ0=dj0, params=DeformParams(h=h, k=1.0),
+    params = DeformParams(h=h, k=1.0)
+    dx, dy, dj0 = _twisted(params.h, *(_uh_factor(r, params.h) for r in (r1, r2)))
+    return CoproductTriple(DX=dx.dense(), DY=dy, DJ0=dj0, params=params,
                            r1=r1, r2=r2, source="delta_uh")
 
 
 def delta2(params, r1, r2):
     """Lift the twisted hyperbolic coproduct to modulus k."""
     _check_product_dim(r1, r2)
-    dx, dy, dj0 = _twisted(*(build_jordanian_triplet(r, params.h) for r in (r1, r2)))
+    dx, dy, dj0 = _twisted(params.h, *(_uh_factor(r, params.h) for r in (r1, r2)))
     dx, dy = lift_generators(dx, dy, params, _pair_order(r1, r2))
     return CoproductTriple(DX=dx, DY=dy, DJ0=dj0, params=params,
                            r1=r1, r2=r2, source="delta2")
@@ -168,14 +173,14 @@ def delta1_x_from_factor_sn(params, r1, r2):
 
 
 def delta2_x_from_factor_sn(params, r1, r2):
-    """The delta2 raising image via per-factor arctanh(sn(.)) pullbacks."""
+    """The delta2 raising image via per-factor arcsn(sn(.), 1) pullbacks."""
     order = _pair_order(r1, r2)
     k, h = params.k, params.h
     per_factor = []
     for rep in (r1, r2):
         t_x, = _at_half_h(rep.raising, h, (_asn(k, rep.dim), 1))
         sn, _, _ = _sncndn(k, rep.dim)
-        pulled = arctanh_series(rep.dim).compose(sn)
+        pulled = _asn(1.0, rep.dim).compose(sn)
         per_factor.extend(_at_half_h(t_x, h, (pulled, 1)))
     through, _ = lift_series(k, order)
     return _at_half_h(KronSum(*per_factor), h, (through, 1))[0]
@@ -236,25 +241,26 @@ def coassociativity_uh(h, r1, r2, r3):
     coproduct, per generator, on a three-factor module."""
     _check_product_dim(r1, r2, r3)
     h = complex(h)
-    t = [build_jordanian_triplet(r, h) for r in (r1, r2, r3)]
-    dx12, dy12, dj012 = _twisted(t[0], t[1])
-    dx23, dy23, dj023 = _twisted(t[1], t[2])
+    f1, f2, f3 = (_uh_factor(r, h) for r in (r1, r2, r3))
+    (x1, y1, j1), (x3, y3, j3) = f1, f3
+    dx12, dy12, dj012 = _twisted(h, f1, f2)
+    dx23, dy23, dj023 = _twisted(h, f2, f3)
 
     # left association: expand the first slot of Delta
-    ep3 = _exp_nilpotent(h * t[2].Xhat)
+    ep3 = _exp_nilpotent(h * x3)
     em12 = _exp_nilpotent(-h * dx12)
     left = {
-        "X": KronSum(dx12.dense(), t[2].Xhat).dense(),
-        "Y": kron(dy12, ep3) + kron(em12, t[2].Yhat),
-        "J0": kron(dj012, ep3) + kron(em12, r3.J0),
+        "X": KronSum(dx12.dense(), x3).dense(),
+        "Y": kron(dy12, ep3) + kron(em12, y3),
+        "J0": kron(dj012, ep3) + kron(em12, j3),
     }
     # right association: expand the second slot
     ep23 = _exp_nilpotent(h * dx23)
-    em1 = _exp_nilpotent(-h * t[0].Xhat)
+    em1 = _exp_nilpotent(-h * x1)
     right = {
-        "X": KronSum(t[0].Xhat, dx23.dense()).dense(),
-        "Y": kron(t[0].Yhat, ep23) + kron(em1, dy23),
-        "J0": kron(r1.J0, ep23) + kron(em1, dj023),
+        "X": KronSum(x1, dx23.dense()).dense(),
+        "Y": kron(y1, ep23) + kron(em1, dy23),
+        "J0": kron(j1, ep23) + kron(em1, dj023),
     }
     gaps = {name: frobenius(left[name] - right[name]) /
             max(1.0, frobenius(left[name])) for name in ("X", "Y", "J0")}

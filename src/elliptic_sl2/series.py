@@ -15,7 +15,8 @@ as independent references: the tests check the recurrences against them,
 and composition gives the deliberately separate per-factor route that
 `hopf.delta2_x_from_factor_sn` compares the lift with.  Preconditions (an
 inner series with zero constant term, a power of a series with constant
-term 1) are enforced exactly, not to a tolerance.
+term 1) are enforced exactly, not to a tolerance.  exp is the one elementary
+series here; tanh and arctanh are sn and arcsn at k = 1, from `elliptic`.
 """
 
 from __future__ import annotations
@@ -28,10 +29,6 @@ __all__ = [
     "TruncatedSeries",
     "pow_coeffs",
     "exp_series",
-    "sinh_series",
-    "cosh_series",
-    "arctanh_series",
-    "tanh_series",
 ]
 
 
@@ -205,33 +202,4 @@ def exp_series(order):
     c[0] = 1.0
     for i in range(1, order + 1):
         c[i] = c[i - 1] / i
-    return TruncatedSeries(c)
-
-
-def sinh_series(order):
-    c = exp_series(order).coeffs.copy()
-    c[::2] = 0.0
-    return TruncatedSeries(c)
-
-
-def cosh_series(order):
-    c = exp_series(order).coeffs.copy()
-    c[1::2] = 0.0
-    return TruncatedSeries(c)
-
-
-def arctanh_series(order):
-    c = np.zeros(order + 1, dtype=complex)
-    c[1::2] = 1.0 / np.arange(1, order + 1, 2)
-    return TruncatedSeries(c)
-
-
-def tanh_series(order):
-    """tanh from its equation t' = 1 - t**2, t(0) = 0, one coefficient at a
-    time: (i+1) t[i+1] = [i == 0] - sum_{r=1..i-1} t[r] t[i-r]."""
-    c = np.zeros(order + 1, dtype=complex)
-    if order >= 1:
-        c[1] = 1.0
-    for i in range(2, order):
-        c[i + 1] = -np.dot(c[1:i], c[i - 1:0:-1]) / (i + 1)
     return TruncatedSeries(c)

@@ -51,7 +51,7 @@ def test_half_period_shift_hyperbolic():
     h = 0.9
     t = build_jordanian_triplet(build_spin(1.5), h)
     s = half_period_shift_uh(t)
-    assert s.shift_q == 1
+    assert (s.shift_a, s.shift_b) == (0, 1)   # i pi/h = (2/h) i K' at k = 1
     assert worst_residual(relation_residuals(s)) < 1e-12
     # the highest-weight vector sees exactly the offset eigenvalue
     assert highest_weight_shift_error(s) == 0.0
@@ -79,7 +79,7 @@ def test_two_half_shifts_make_a_full_period():
     r = build_spin(2.0)
     t = build_jordanian_triplet(r, h)
     s2 = half_period_shift_uh(half_period_shift_uh(t))
-    assert s2.shift_q == 2
+    assert (s2.shift_a, s2.shift_b) == (0, 2)
     jp, jm = invert_map(s2)
     assert frobenius(jp - r.Jp) < 1e-12
     assert frobenius(jm - r.Jm) < 1e-12
@@ -95,6 +95,43 @@ def test_half_shift_guards():
         invert_map(s)  # odd number of half shifts has no inverse image
     with pytest.raises(DomainError):
         sign_involution(s)
+
+
+def test_half_shift_at_minus_one_is_the_half_shift_at_one():
+    """K' depends on k**2 alone, so k = -1 takes the same i K' = i pi/2 step."""
+    h, rep = 0.9, build_spin(2.0)
+    images = [half_period_shift_uh(build_elliptic_triplet(rep, DeformParams(h=h, k=k)))
+              for k in (1.0, -1.0)]
+    for s in images:
+        assert s.Xhat[0, 0] == 1j * math.pi / h
+        assert highest_weight_shift_error(s) == 0.0
+        assert worst_residual(relation_residuals(s)) < 1e-12
+    assert np.array_equal(images[0].Xhat, images[1].Xhat)
+    jp, jm = invert_map(half_period_shift_uh(images[1]))
+    assert frobenius(jp - rep.Jp) < 1e-12 and frobenius(jm - rep.Jm) < 1e-12
+
+
+@pytest.mark.parametrize("spec", [ELL_IKP, ELL_2K_IKP])
+def test_a_shift_by_a_period_of_sn_inverts(spec):
+    """Twice i K' is 2 i K', and twice 2K + i K' is 4K + 2 i K': both are
+    periods of sn and of cn dn, so the inverse map gives back (J+, J-)."""
+    rep = build_spin(2.5)
+    t = build_elliptic_triplet(rep, DeformParams(h=0.7, k=0.6))
+    twice, _ = period_shift_elliptic(period_shift_elliptic(t, spec)[0], spec)
+    jp, jm = invert_map(twice)
+    assert frobenius(jp - rep.Jp) <= 1e-12
+    assert frobenius(jm - rep.Jm) <= 1e-12
+
+
+def test_a_shift_by_no_period_of_sn_has_no_inverse():
+    t = build_elliptic_triplet(build_spin(2.5), DeformParams(h=0.7, k=0.6))
+    once, _ = period_shift_elliptic(t, ELL_IKP)
+    mixed, _ = period_shift_elliptic(once, ELL_2K_IKP)   # 2K + 2 i K': a = 2
+    assert (mixed.shift_a, mixed.shift_b) == (2, 2)
+    thrice, _ = period_shift_elliptic(mixed, ELL_IKP)     # b odd
+    for image in (once, mixed, thrice):
+        with pytest.raises(DomainError):
+            invert_map(image)
 
 
 @pytest.mark.parametrize("spec", [ELL_IKP, ELL_2K_IKP])
@@ -192,8 +229,7 @@ def test_induced_inversion_map_is_exact(eps):
 def _by_hand(t):
     """A triplet holding t's arrays, built with an empty memo."""
     return DeformedTriplet(Xhat=t.Xhat, Yhat=t.Yhat, J0=t.J0, params=t.params, rep=t.rep,
-                           provenance=t.provenance, shift_q=t.shift_q, shift_a=t.shift_a,
-                           shift_b=t.shift_b)
+                           provenance=t.provenance, shift_a=t.shift_a, shift_b=t.shift_b)
 
 
 @pytest.mark.parametrize("j", [1.0, 2.5, 8.0])

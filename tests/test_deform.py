@@ -17,7 +17,6 @@ from elliptic_sl2.deform import (
     _g_of_v,
     _half_h_powers,
     _jordanian_factors,
-    _one_minus_v2_power,
     _series_gaps,
     _sncndn,
     build_elliptic_triplet,
@@ -35,7 +34,7 @@ from elliptic_sl2.deform import (
 from elliptic_sl2.elliptic import sd_cd_nd_series
 from elliptic_sl2.errors import DomainError
 from elliptic_sl2.liealg import KronSum, build_spin, frobenius, mat_apply_series
-from elliptic_sl2.series import TruncatedSeries, cosh_series, tanh_series
+from elliptic_sl2.series import TruncatedSeries, exp_series, pow_coeffs
 
 
 def residual_ok(report, tol, skip=("epsilon",)):
@@ -118,11 +117,14 @@ def test_jordanian_reduction(j):
 
 
 def test_jordanian_matches_elliptic_at_unit_modulus():
-    r = build_spin(2.0)
-    tj = build_jordanian_triplet(r, 0.7)
-    te = build_elliptic_triplet(r, DeformParams(h=0.7, k=1.0))
-    assert np.max(np.abs(tj.Xhat - te.Xhat)) < 1e-14
-    assert np.max(np.abs(tj.Yhat - te.Yhat)) < 1e-14
+    for j in (0.5, 2.0, 8.0):
+        r = build_spin(j)
+        for h in (0.7, 0.3 - 0.2j):
+            tj = build_jordanian_triplet(r, h)
+            te = build_elliptic_triplet(r, DeformParams(h=h, k=1.0))
+            assert tj.provenance == "uh"
+            for a, b in ((tj.Xhat, te.Xhat), (tj.Yhat, te.Yhat), (tj.J0, te.J0)):
+                assert np.array_equal(a, b), (j, h)
 
 
 def test_lift_agrees_with_direct_construction():
@@ -337,7 +339,7 @@ def test_doubled_argument_by_scaling_equals_the_composed_reference(k):
 def test_lift_series_is_arcsn_of_tanh(k):
     order = 21
     through, q = lift_series(k, order)
-    ref = _asn(k, order).compose(tanh_series(order))
+    ref = _asn(k, order).compose(_sncndn(1.0, order)[0])   # tanh is sn at k = 1
     assert through.order == order == q.order
     assert np.max(np.abs(through.coeffs - ref.coeffs)) <= 1e-15
     if k == 1.0:  # arcsn(t, 1) = arctanh(t), and the dressing is 1
@@ -355,7 +357,7 @@ def test_coefficient_scaling_matches_matrix_scaling(j, h):
     t = build_elliptic_triplet(r, p)
     uh = build_jordanian_triplet(r, h)
     cases = [(_g_of_v(p.k, r.dim), r.Jp), (_g_inv_of_u(p.k, r.dim), t.Xhat),
-             (_F_series(p.k, r.dim), t.Xhat), (cosh_series(r.dim), uh.Xhat),
+             (_F_series(p.k, r.dim), t.Xhat), (exp_series(r.dim), uh.Xhat),
              (_g_of_v(p.k, 2 * r.dim - 1), KronSum(r.Jp, r.Jp))]
     for s, m in cases:
         got, = _at_half_h(m, h, (s, 0))
@@ -468,25 +470,32 @@ def _casimir_gap(t, form):
 
 
 def test_jordanian_casimir_catches_a_wrong_dressing(monkeypatch):
-    """The Jordanian form takes its dressing from the series that builds the
-    Jordanian triplet, so a wrong exponent there shows in it."""
+    """The Jordanian form takes its dressing from the Miller power
+    (1 - v**2)**(1/2), so a wrong exponent there shows in it."""
     from elliptic_sl2 import deform
 
     rep, p = build_spin(2.5), DeformParams(h=0.8, k=0.55)
     builds = (lambda: build_elliptic_triplet(rep, p), lambda: build_jordanian_triplet(rep, p.h))
     assert all(_casimir_gap(build(), "jordanian") < 1e-12 for build in builds)
-    real = deform._one_minus_v2_power
-    monkeypatch.setattr(deform, "_one_minus_v2_power",
-                        lambda a, order: real(a + 1e-6 if a == 0.5 else a, order))
+    real = deform.pow_coeffs
+    monkeypatch.setattr(deform, "pow_coeffs",
+                        lambda a, power: real(a, power + 1e-6 if power == 0.5 else power))
     assert all(_casimir_gap(build(), "jordanian") > 1e-9 for build in builds)
 
 
 @pytest.mark.parametrize("a", [0.5, -0.5, 0.25, -1.0])
 def test_binomial_powers_match_the_miller_recurrence(a):
+    """(1 - v**2)**a by Miller's recurrence against its binomial form: the
+    coefficient of v**(2n) is prod_{m=1..n} (m - 1 - a)/m."""
     order = 17
     u = TruncatedSeries.identity(order)
-    ref = (1.0 - u * u).pow_rational(a)
-    assert np.max(np.abs(_one_minus_v2_power(a, order).coeffs - ref.coeffs)) <= 1e-16
+    binomial = np.zeros(order + 1)
+    binomial[0] = term = 1.0
+    for m in range(1, order // 2 + 1):
+        term *= (m - 1 - a) / m
+        binomial[2 * m] = term
+    miller = pow_coeffs((1.0 - u * u).coeffs.tolist(), a)
+    assert np.max(np.abs(np.array(miller) - binomial)) <= 1e-16
     cosh, dress, sinh = _jordanian_factors(order)
     # cosh and sinh of arctanh v, and cosh * dress = 1
     assert np.max(np.abs(sinh.coeffs - (u * cosh).coeffs)) == 0

@@ -28,6 +28,7 @@ from elliptic_sl2.hopf import (
     delta1_x_from_factor_sn,
     delta2_x_from_factor_sn,
     verify_coproduct,
+    _exp_nilpotent,
     _swap_factors,
 )
 from elliptic_sl2.liealg import (
@@ -83,6 +84,29 @@ def test_twisted_raising_is_primitive():
     t2 = build_jordanian_triplet(r2, 0.8)
     primitive = kron(t1.Xhat, np.eye(r2.dim)) + kron(np.eye(r1.dim), t2.Xhat)
     assert np.max(np.abs(ct.DX - primitive)) == 0.0
+
+
+def test_twisted_coproducts_gather_only_the_map(monkeypatch):
+    """Each factor of the twisted coproducts is the k = 1 map's (X, Y): no
+    other function of J+ (F, the Jordanian Casimir factors) is gathered, and
+    the images have the bits of the Jordanian triplets'."""
+    from elliptic_sl2 import deform
+
+    def refuse(*args):
+        raise AssertionError("the coproduct layer reads no other function of J+")
+
+    h, p = 0.8, DeformParams(h=0.8, k=0.6)
+    r1, r2 = build_spin(1.0), build_spin(2.5)
+    monkeypatch.setattr(deform, "_raising_terms", refuse)
+    uh = delta_uh(h, r1, r2)
+    delta2(p, r1, r2)
+    coassociativity_uh(h, r1, r2, r1)
+    monkeypatch.undo()
+    t1, t2 = (build_jordanian_triplet(r, h) for r in (r1, r2))
+    ep2, em1 = _exp_nilpotent(complex(h) * t2.Xhat), _exp_nilpotent(-complex(h) * t1.Xhat)
+    assert np.array_equal(uh.DX, KronSum(t1.Xhat, t2.Xhat).dense())
+    assert np.array_equal(uh.DY, kron(t1.Yhat, ep2) + kron(em1, t2.Yhat))
+    assert np.array_equal(uh.DJ0, kron(t1.J0, ep2) + kron(em1, t2.J0))
 
 
 def test_reexpressed_raising_images_match_both_families():

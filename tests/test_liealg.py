@@ -23,7 +23,7 @@ from elliptic_sl2.liealg import (
     nilpotency_bound,
     worst,
 )
-from elliptic_sl2.series import TruncatedSeries, arctanh_series, exp_series
+from elliptic_sl2.series import TruncatedSeries, exp_series
 
 
 def test_spin_half_matrices_exact():
@@ -381,7 +381,7 @@ def test_raising_gather_matches_dense_paterson_stockmeyer(j, h):
     assert np.array_equal(raising.dense(), rep.Jp)
     assert nilpotency_bound(raising) == nilpotency_bound(rep.Jp) == rep.dim - 1
     u = TruncatedSeries.identity(rep.dim)
-    series = [_at_half(s, h) for s in (asn_series(0.6, rep.dim), arctanh_series(rep.dim),
+    series = [_at_half(s, h) for s in (asn_series(0.6, rep.dim), asn_series(1.0, rep.dim),
                                        exp_series(rep.dim), (1.0 - u * u).pow_rational(0.25))]
     if h:   # a real series beside a complex one keeps its own dtype and bits
         series.append(asn_series(0.6, rep.dim))

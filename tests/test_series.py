@@ -6,16 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from elliptic_sl2.elliptic import asn_series, sn_cn_dn_series
 from elliptic_sl2.errors import DomainError
-from elliptic_sl2.series import (
-    TruncatedSeries,
-    arctanh_series,
-    cosh_series,
-    exp_series,
-    pow_coeffs,
-    sinh_series,
-    tanh_series,
-)
+from elliptic_sl2.series import TruncatedSeries, exp_series, pow_coeffs
 
 
 def series(*coeffs):
@@ -173,21 +166,27 @@ def test_elementary_builders():
     e = exp_series(n)
     for i in range(n + 1):
         assert abs(e.coeffs[i] - 1.0 / math.factorial(i)) < 1e-16
-    s, c = sinh_series(n), cosh_series(n)
-    assert np.all(s.coeffs[0::2] == 0.0)
-    assert np.all(c.coeffs[1::2] == 0.0)
-    # cosh^2 - sinh^2 = 1 exactly through the truncation
-    diff = c * c - s * s
-    assert abs(diff.coeffs[0] - 1.0) < 1e-15
-    assert np.max(np.abs(diff.coeffs[1:])) < 1e-15
+
+
+# tanh and arctanh are sn and arcsn at k = 1.
+
+def _tanh(n):
+    return sn_cn_dn_series(1.0, n)[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 40, 161])
+def test_arcsn_at_unit_modulus_is_the_arctanh_closed_form(n):
+    c = asn_series(1.0, n).coeffs
+    assert np.all(c[::2] == 0.0)
+    assert all(c[i] == 1.0 / i for i in range(1, n + 1, 2))
 
 
 def test_tanh_and_arctanh_are_mutually_inverse():
     n = 11
-    t = tanh_series(n)
+    t = _tanh(n)
     expect = [0, 1, 0, -1 / 3, 0, 2 / 15, 0, -17 / 315]
     assert np.max(np.abs(t.coeffs[: len(expect)] - expect)) < 1e-14
-    comp = arctanh_series(n).compose(t)
+    comp = asn_series(1.0, n).compose(t)
     ident = TruncatedSeries.identity(n)
     assert np.max(np.abs(comp.coeffs - ident.coeffs)) < 1e-13
 
@@ -203,7 +202,7 @@ def _bernoulli(n):
 def test_tanh_matches_the_exact_bernoulli_coefficients_at_order_81():
     order = 81
     b = _bernoulli(order + 1)
-    t = tanh_series(order).coeffs
+    t = _tanh(order).coeffs
     assert np.all(t[::2] == 0.0)
     worst = 0.0
     for n in range(1, (order + 1) // 2 + 1):
@@ -214,11 +213,15 @@ def test_tanh_matches_the_exact_bernoulli_coefficients_at_order_81():
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 9, 21])
 def test_tanh_recurrence_agrees_with_the_reverted_arctanh(n):
-    t = tanh_series(n)
+    if n == 0:  # neither series has an order-0 form
+        for build in (sn_cn_dn_series, asn_series):
+            with pytest.raises(DomainError):
+                build(1.0, n)
+        return
+    t = _tanh(n)
     assert t.order == n
-    if n >= 1:
-        ref = arctanh_series(n).revert()
-        assert np.max(np.abs(t.coeffs - ref.coeffs)) <= 1e-15
+    ref = asn_series(1.0, n).revert()
+    assert np.max(np.abs(t.coeffs - ref.coeffs)) <= 1e-15
 
 
 def test_json_roundtrip():
