@@ -18,11 +18,9 @@ from .deform import (
     relation_residuals,
 )
 from .elliptic import (
-    EllipticConstants,
     asn_series,
     complete_K,
     complete_Kprime,
-    elliptic_constants,
     jacobi_numeric,
     periods,
     sn_cn_dn_series,
@@ -75,8 +73,6 @@ __all__ = [
     "complete_Kprime",
     "jacobi_numeric",
     "periods",
-    "elliptic_constants",
-    "EllipticConstants",
     "SpinRep",
     "build_spin",
     "commutator",

@@ -14,11 +14,12 @@ triplets ride
 on the half-period parity of the structure functions rather than on any
 evaluation at the shifted argument.  An image shares what its base has
 computed, or computes later (see `deform`).  Every image takes the
-functions of J+ and the series gaps, which depend on (rep, h, k) alone, and
-G, F, sn and (cn dn)**(-1/2) of the nilpotent part N of Xhat.  A shifted
-image's Xhat is N plus the offset times I, which subtracting the offset
-again gives back bit for bit.  The sign image's nilpotent part is -N, and it
-reads G and sn negated and F and (cn dn)**(-1/2) as they are: parity, with
+functions of J+ and the series gaps, which depend on (rep, h, k) alone.  A
+shifted image's Xhat is N plus the offset times I, N the nilpotent part of
+its base's, which subtracting the offset again gives back bit for bit, so it
+shares its base's G, F, sn and (cn dn)**(-1/2) of N.  The sign image's
+nilpotent part is -N: it holds its base's batch, made first if need be, with
+G and sn negated and F and (cn dn)**(-1/2) as they are.  Parity, with
 negation exact in every step of the dense calculus, makes those the bits an
 evaluation at -N gives.  So no image evaluates a series, whichever of it and
 its base asks first.
@@ -36,7 +37,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .deform import _image_of, _offset, _x_nilpotent, relation_residuals, x_offset
+from .deform import (_at_nilpotent_part, _image_of, _offset, _x_nilpotent, relation_residuals,
+                     x_offset)
 from .elliptic import complete_K, complete_Kprime, jacobi_numeric
 from .errors import DomainError
 
@@ -77,10 +79,12 @@ ELL_2K_IKP = ShiftSpec(kind="ell-2KiKp", du_a=2, du_b=1, epsilon=-1)
 
 
 def sign_involution(t):
-    """(X, Y, J0) -> (-X, -Y, J0); applying it twice is the identity."""
+    """(X, Y, J0) -> (-X, -Y, J0); applying it twice is the identity.  The
+    image holds t's batch at Xhat with the odd G and sn negated."""
     if t.is_shifted():
         raise DomainError("sign involution is defined on unshifted triplets")
-    return _image_of(t, x_sign=-1, Xhat=-t.Xhat, Yhat=-t.Yhat, provenance="auto")
+    g, f, sn, m = _at_nilpotent_part(t)
+    return _image_of(t, (-g, f, -sn, m), Xhat=-t.Xhat, Yhat=-t.Yhat, provenance="auto")
 
 
 def _shifted(t, spec):

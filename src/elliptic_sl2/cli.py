@@ -217,6 +217,8 @@ def _parse(convert, name, text):
     that parses to a number that is not finite, is a usage error."""
     try:
         return convert(text)
+    except UsageError:
+        raise
     except ValueError as exc:
         raise UsageError(f"cannot parse --{name.replace('_', '-')} value {text!r} "
                          f"as a finite number") from exc
@@ -238,6 +240,20 @@ def _complex(text):
 
 def _float_list(text):
     return [_float(v) for v in text.split(",") if v != ""]
+
+
+def _tolerance(text):
+    tol = _float(text)
+    if tol < 0:  # every report would fail, which claims that a residual failed
+        raise UsageError(f"--tol must be at least 0, got {text!r}")
+    return tol
+
+
+def _worker_count(text):
+    n = int(text)
+    if n < 1:
+        raise UsageError(f"--workers must be at least 1, got {text!r}")
+    return n
 
 
 def _load_config(path):
@@ -274,15 +290,15 @@ def _resolve_format(args):
     return fmt
 
 
-def _need(args, name, default=None):
-    """A numeric flag; a missing one takes ``default`` or, without one, is a
-    domain error."""
+def _need(args, name, convert=_float, default=None):
+    """A flag's value through ``convert`` (see `_parse`); a missing one takes
+    ``default`` or, without one, is a domain error."""
     val = getattr(args, name, None)
     if val is None:
         if default is None:
             raise DomainError(f"missing required value --{name.replace('_', '-')}")
         return default
-    return _parse(_float, name, val)
+    return _parse(convert, name, val)
 
 
 _NOT_RESIDUALS = frozenset({
@@ -338,13 +354,9 @@ def _cmd_elliptic_K(args):
 
 def _cmd_elliptic_eval(args):
     k = _need(args, "k")
-    u = _parse(_complex, "u", args.u if args.u is not None else _err_missing("u"))
+    u = _need(args, "u", _complex)
     sn, cn, dn = jacobi_numeric(u, k)
     return 0, {"u": u, "k": k, "sn": sn, "cn": cn, "dn": dn}
-
-
-def _err_missing(name):
-    raise DomainError(f"missing required value --{name}")
 
 
 def _cmd_elliptic_periods(args):
@@ -390,7 +402,7 @@ def _triplet_checks(t):
 
 def _cmd_deform_verify(args):
     t = _build_triplet(args)
-    tol = _need(args, "tol", DEFAULT_TOL)
+    tol = _need(args, "tol", _tolerance, DEFAULT_TOL)
     checks = _triplet_checks(t)
     jp, jm = invert_map(t)
     roundtrip = worst((
@@ -410,21 +422,18 @@ def _cmd_deform_verify(args):
     return _judge(payload, _residual_values(checks), tol), payload
 
 
+# --which of the hopf verbs, as the coproduct source it names
+_COPRODUCTS = {"1": "delta1", "uh": "delta_uh", "2": "delta2"}
+
+
 def _hopf_build(args):
-    which = args.which
+    source = _COPRODUCTS.get(args.which, args.which)
     j1 = _need(args, "j1")
     j2 = _need(args, "j2")
     h = _need(args, "h")
     r1, r2 = build_spin(j1), build_spin(j2)
-    if which == "uh":
-        return hopf.delta_uh(h, r1, r2)
-    k = _need(args, "k")
-    params = DeformParams(h=h, k=k)
-    if which == "1":
-        return hopf.delta1(params, r1, r2)
-    if which == "2":
-        return hopf.delta2(params, r1, r2)
-    raise DomainError(f"unknown coproduct {which!r} (expected 1, uh or 2)")
+    k = 1.0 if source == "delta_uh" else _need(args, "k")
+    return hopf.coproduct(source, DeformParams(h=h, k=k), r1, r2)
 
 
 def _cmd_hopf_delta(args):
@@ -441,7 +450,7 @@ def _cmd_hopf_delta(args):
 
 def _cmd_hopf_verify(args):
     ct = _hopf_build(args)
-    tol = _need(args, "tol", DEFAULT_TOL)
+    tol = _need(args, "tol", _tolerance, DEFAULT_TOL)
     report = hopf.verify_coproduct(ct)
     payload = {
         "which": args.which,
@@ -455,7 +464,7 @@ def _cmd_hopf_verify(args):
 
 def _cmd_auto_shift(args):
     which = args.which
-    tol = _need(args, "tol", DEFAULT_TOL)
+    tol = _need(args, "tol", _tolerance, DEFAULT_TOL)
     exact = True
     j = _need(args, "j")
     h = _need(args, "h")
@@ -493,9 +502,9 @@ def _cmd_rewrite_nf(args):
 
 
 def _cmd_verify_all(args):
-    tol = _need(args, "tol", DEFAULT_TOL)
-    h = _need(args, "h", 0.7)
-    k = _need(args, "k", 0.6)
+    tol = _need(args, "tol", _tolerance, DEFAULT_TOL)
+    h = _need(args, "h", default=0.7)
+    k = _need(args, "k", default=0.6)
     sections = {}
 
     for j in (0.5, 1.0, 1.5):
@@ -566,7 +575,7 @@ def _sweep_row(cell, tol, checks):
 
 
 def _cmd_sweep(args):
-    tol = _need(args, "tol", DEFAULT_TOL)
+    tol = _need(args, "tol", _tolerance, DEFAULT_TOL)
     families = [f.strip() for f in (args.families if args.families is not None else "deform")
                 .split(",") if f.strip()]
     for fam in families:
@@ -578,7 +587,7 @@ def _cmd_sweep(args):
     for name, axis in (("families", families), ("j", js), ("h", hs), ("k", ks)):
         if not axis:  # an empty axis would verify nothing
             raise UsageError(f"--{name} needs at least one value")
-    workers = _parse(int, "workers", args.workers) if args.workers is not None else 1
+    workers = _need(args, "workers", _worker_count, 1)
     cells = list(itertools.product(families, js, hs, ks))
     keys = list(dict.fromkeys(_sweep_key(c) for c in cells))
     # The pool forks all its workers on the first submit: never more than

@@ -41,16 +41,15 @@ power stack.  The memo has three scopes, by what its values depend on:
   shares it.
 - "nilpotent": G, F, sn and (cn dn)**(-1/2) at the nilpotent part N of
   Xhat, from one `mat_apply_series` call; each series has order dim, so it
-  has the bits it would have alone.  Every image shares it.  A period-shift
-  image's Xhat is N plus o I, o the offset, and its nilpotent part is that
-  minus o I: x + 0 - 0 = x off the diagonal and 0 + o - o = 0 on it, so it
-  is N bit for bit (a zero may change sign).  The sign image's nilpotent
-  part is -N.  G and sn are odd, F and (cn dn)**(-1/2) even, and negation
-  is exact in every power, block product and Horner step of the dense
-  calculus, so -G(N), F(N), -sn(N) and (cn dn)**(-1/2)(N) are the bits an
-  evaluation at -N gives.  The memo's "x_sign" records which of N and -N a
-  triplet's nilpotent part is; the scope's values are always computed at N,
-  so they do not depend on which triplet asks first.
+  has the bits it would have alone.  A period-shift image shares it: its
+  Xhat is N plus o I, o the offset, and its nilpotent part is that minus
+  o I: x + 0 - 0 = x off the diagonal and 0 + o - o = 0 on it, so it is N
+  bit for bit (a zero may change sign).  The sign image's nilpotent part is
+  -N, and it holds its own batch, its base's with G and sn negated: G and
+  sn are odd, F and (cn dn)**(-1/2) even, and negation is exact in every
+  power, block product and Horner step of the dense calculus, so -G(N),
+  F(N), -sn(N) and (cn dn)**(-1/2)(N) are the bits an evaluation at -N
+  gives.
 - "own": invert_map's (J+, J-), which need Yhat.  Never shared.
 
 The memoised arrays are read-only, since every holder of the triplet sees
@@ -67,6 +66,7 @@ argument, so no pole is ever approached.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -108,6 +108,8 @@ class DeformParams:
     def __post_init__(self):
         object.__setattr__(self, "h", complex(self.h))
         object.__setattr__(self, "k", complex(self.k))
+        if not cmath.isfinite(self.ksq):
+            raise DomainError(f"k**2 is not finite at modulus k = {self.k}")
 
     @property
     def ksq(self):
@@ -133,12 +135,9 @@ class DeformedTriplet:
     provenance: str  # "direct" | "uh" | "lifted" | "auto"
     shift_a: int = 0
     shift_b: int = 0
-    # Values computed from this triplet, by scope, and the sign of its
-    # nilpotent part against the "nilpotent" scope's argument (see the module
-    # docstring); never passed to __init__, so dataclasses.replace starts an
-    # empty one.
-    _memo: dict = field(default_factory=lambda: {"module": {}, "nilpotent": {}, "own": {},
-                                                 "x_sign": 1},
+    # Values computed from this triplet, by scope (see the module docstring);
+    # never passed to __init__, so dataclasses.replace starts an empty one.
+    _memo: dict = field(default_factory=lambda: {"module": {}, "nilpotent": {}, "own": {}},
                         init=False, repr=False, compare=False)
 
     def is_shifted(self):
@@ -158,14 +157,17 @@ def _remember(t, scope, key, compute):
     return store[key]
 
 
-def _image_of(t, x_sign=1, **changes):
-    """replace(t, **changes), sharing t's "module" and "nilpotent" scopes
+def _image_of(t, batch=None, **changes):
+    """replace(t, **changes), sharing t's "module" scope and, unless batch
+    is the image's own (G, F, sn, (cn dn)**(-1/2)), its "nilpotent" scope
     (computed already or later, by either triplet).  Only for images at the
-    same (rep, h, k) whose nilpotent part is x_sign times t's, bit for bit."""
+    same (rep, h, k), and without batch, whose nilpotent part is t's."""
     image = replace(t, **changes)
-    for scope in ("module", "nilpotent"):
-        image._memo[scope] = t._memo[scope]
-    image._memo["x_sign"] = x_sign * t._memo["x_sign"]
+    image._memo["module"] = t._memo["module"]
+    if batch is None:
+        image._memo["nilpotent"] = t._memo["nilpotent"]
+    else:
+        _remember(image, "nilpotent", "G F sn m", lambda: batch)
     return image
 
 
@@ -321,19 +323,11 @@ def _at_raising(t):
 
 def _at_nilpotent_part(t):
     """(G, F, sn, (cn dn)**(-1/2)) at the nilpotent part of Xhat, G and sn
-    rescaled by 2/h, from one power stack.  The scope holds them at N (see
-    the module docstring); at -N, G and sn are read negated."""
+    rescaled by 2/h, from one power stack."""
     k, h, order = t.params.k, t.params.h, t.rep.dim
-    sign = t._memo["x_sign"]
-
-    def at_n():
-        nil = _x_nilpotent(t)
-        return tuple(_at_half_h(nil if sign > 0 else -nil, h, (_G_series(k, order), 1),
-                                (_F_series(k, order), 0), (_sncndn(k, order)[0], 1),
-                                (_g_inv_of_u(k, order), 0)))
-
-    g, f, sn, m = _remember(t, "nilpotent", "G F sn m", at_n)
-    return (g, f, sn, m) if sign > 0 else (-g, f, -sn, m)
+    return _remember(t, "nilpotent", "G F sn m", lambda: tuple(_at_half_h(
+        _x_nilpotent(t), h, (_G_series(k, order), 1), (_F_series(k, order), 0),
+        (_sncndn(k, order)[0], 1), (_g_inv_of_u(k, order), 0))))
 
 
 def _parity_sign(t):

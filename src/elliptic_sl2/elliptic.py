@@ -43,7 +43,6 @@ oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,8 +59,6 @@ __all__ = [
     "complete_Kprime",
     "jacobi_numeric",
     "periods",
-    "EllipticConstants",
-    "elliptic_constants",
     "sn_quintic_crosscheck",
 ]
 
@@ -252,32 +249,6 @@ def periods(k):
         "cn": (complex(4 * K), 2 * complex(K, Kp)),
         "dn": (complex(2 * K), 4j * Kp),
     }
-
-
-@dataclass(frozen=True)
-class EllipticConstants:
-    """K, K' and the period lattice at one real modulus."""
-
-    k: float
-    K: float
-    Kprime: float
-    period_table: dict
-
-    def to_json(self):
-        return {
-            "k": self.k,
-            "K": self.K,
-            "Kprime": self.Kprime,
-            "periods": {
-                name: [[p.real, p.imag] for p in pair]
-                for name, pair in self.period_table.items()
-            },
-        }
-
-
-def elliptic_constants(k):
-    return EllipticConstants(k=float(k), K=complete_K(k), Kprime=complete_Kprime(k),
-                             period_table=periods(k))
 
 
 def sn_quintic_crosscheck(k):

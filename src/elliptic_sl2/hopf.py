@@ -11,7 +11,8 @@ coproduct of the hyperbolic algebra,
 
 through the tanh -> arcsn change of coordinates, from each factor's (X, Y)
 at k = 1.  All exponentials are finite polynomials because X is nilpotent
-on every spin module.
+on every spin module.  `coproduct` builds any of the three by name; the
+twisted images come from `_twisted` alone, nested for coassociativity_uh.
 
 Everything is a matrix on the tensor-product module; series orders are set
 to 2(j1+j2)+1 so each application is exact, never truncated.
@@ -20,10 +21,11 @@ Series whose argument is a primitive sum A x 1 + 1 x B take the factor
 route of `liealg.mat_apply_series`, on a `KronSum`: arcsn and the dressing g
 at delta1's DJ+, the lift series at delta_uh's DX inside delta2, the outer
 series of both re-expressed raising images, the threefold sums of
-coassociativity_delta1 and exp(-+h DX) in coassociativity_uh.  The coproduct
-images themselves are dense, and `verify_coproduct` evaluates the structure
-functions at them with dense Paterson-Stockmeyer, so an error on the factor
-route shows up in the relation residuals.
+coassociativity_delta1 and exp(-+h DX) of a two-factor image inside
+coassociativity_uh.  The coproduct images themselves are dense, and
+`verify_coproduct` evaluates the structure functions at them with dense
+Paterson-Stockmeyer, so an error on the factor route shows up in the
+relation residuals.
 
 Dtypes follow `liealg.real_if_exact`: at real h and real k every coproduct
 image, exponential factor and structure-function matrix is float64, and a
@@ -64,6 +66,7 @@ from .series import exp_series
 
 __all__ = [
     "CoproductTriple",
+    "coproduct",
     "delta1",
     "delta_uh",
     "delta2",
@@ -112,6 +115,18 @@ def _exp_nilpotent(mat):
     return mat_apply_series(exp_series(nilpotency_bound(mat)), mat)
 
 
+def coproduct(source, params, r1, r2):
+    """The coproduct images named by source ("delta1", "delta_uh" or
+    "delta2"); delta_uh reads h alone from params."""
+    if source == "delta1":
+        return delta1(params, r1, r2)
+    if source == "delta_uh":
+        return delta_uh(params.h, r1, r2)
+    if source == "delta2":
+        return delta2(params, r1, r2)
+    raise DomainError(f"unknown coproduct source {source!r}")
+
+
 def delta1(params, r1, r2):
     """Deform the primitive coproduct of the undeformed generators."""
     _check_product_dim(r1, r2)
@@ -131,11 +146,14 @@ def _uh_factor(rep, h):
 
 def _twisted(h, f1, f2):
     """The twisted images on the product of two factors (X, Y, J0), with DX
-    kept as the KronSum of the factor Xs."""
+    kept as the KronSum of the factor Xs.  A factor's X may itself be such a
+    KronSum, an image one level down: the primitive sum takes its dense form
+    and the exponential its factor route."""
     (x1, y1, j1), (x2, y2, j2) = f1, f2
     ep2 = _exp_nilpotent(h * x2)
     em1 = _exp_nilpotent(-h * x1)
-    return KronSum(x1, x2), kron(y1, ep2) + kron(em1, y2), kron(j1, ep2) + kron(em1, j2)
+    dx = KronSum(*(x.dense() if isinstance(x, KronSum) else x for x in (x1, x2)))
+    return dx, kron(y1, ep2) + kron(em1, y2), kron(j1, ep2) + kron(em1, j2)
 
 
 def delta_uh(h, r1, r2):
@@ -159,31 +177,21 @@ def delta2(params, r1, r2):
 # -- re-expressed raising images ----------------------------------------------
 
 
-def delta1_x_from_factor_sn(params, r1, r2):
-    """The delta1 raising image computed the long way round: apply sn on each
-    factor, add primitively, and send the sum back through arcsn."""
-    order = _pair_order(r1, r2)
+def _x_from_factor_sn(source, params, r1, r2):
+    """The raising image of delta1 or delta2 computed the long way round:
+    each factor's Xhat at k, a per-factor series (sn for delta1, the pullback
+    arcsn(sn(.), 1) for delta2), the primitive sum, and an outer series back
+    (arcsn at k for delta1, the lift's map for delta2)."""
     k, h = params.k, params.h
     per_factor = []
     for rep in (r1, r2):
         t_x, = _at_half_h(rep.raising, h, (_asn(k, rep.dim), 1))
-        sn, _, _ = _sncndn(k, rep.dim)
-        per_factor.extend(_at_half_h(t_x, h, (sn, 1)))
-    return _at_half_h(KronSum(*per_factor), h, (_asn(k, order), 1))[0]
-
-
-def delta2_x_from_factor_sn(params, r1, r2):
-    """The delta2 raising image via per-factor arcsn(sn(.), 1) pullbacks."""
+        sn = _sncndn(k, rep.dim)[0]
+        series = sn if source == "delta1" else _asn(1.0, rep.dim).compose(sn)
+        per_factor.extend(_at_half_h(t_x, h, (series, 1)))
     order = _pair_order(r1, r2)
-    k, h = params.k, params.h
-    per_factor = []
-    for rep in (r1, r2):
-        t_x, = _at_half_h(rep.raising, h, (_asn(k, rep.dim), 1))
-        sn, _, _ = _sncndn(k, rep.dim)
-        pulled = _asn(1.0, rep.dim).compose(sn)
-        per_factor.extend(_at_half_h(t_x, h, (pulled, 1)))
-    through, _ = lift_series(k, order)
-    return _at_half_h(KronSum(*per_factor), h, (through, 1))[0]
+    outer = _asn(k, order) if source == "delta1" else lift_series(k, order)[0]
+    return _at_half_h(KronSum(*per_factor), h, (outer, 1))[0]
 
 
 # -- verification ---------------------------------------------------------------
@@ -195,21 +203,11 @@ def _swap_factors(a, d1, d2):
     return a.reshape(d1, d2, d1, d2).transpose(1, 0, 3, 2).reshape(d1 * d2, d1 * d2)
 
 
-def _rebuild(ct, r1, r2):
-    if ct.source == "delta1":
-        return delta1(ct.params, r1, r2)
-    if ct.source == "delta_uh":
-        return delta_uh(ct.params.h, r1, r2)
-    if ct.source == "delta2":
-        return delta2(ct.params, r1, r2)
-    raise DomainError(f"unknown coproduct source {ct.source!r}")
-
-
 def cocommutativity_gap(ct):
     """Norm of Delta - tau(Delta) per generator, tau the factor swap."""
     d1, d2 = ct.r1.dim, ct.r2.dim
     # build_spin is deterministic in j, so equal factors rebuild ct itself
-    swapped = ct if ct.r1.j == ct.r2.j else _rebuild(ct, ct.r2, ct.r1)
+    swapped = ct if ct.r1.j == ct.r2.j else coproduct(ct.source, ct.params, ct.r2, ct.r1)
     gaps = {}
     for name, a, b in (("X", ct.DX, swapped.DX), ("Y", ct.DY, swapped.DY),
                        ("J0", ct.DJ0, swapped.DJ0)):
@@ -226,12 +224,10 @@ def verify_coproduct(ct):
     order = _pair_order(ct.r1, ct.r2)
     g, f = _at_half_h(ct.DX, h, (_G_series(k, order), 1), (_F_series(k, order), 0))
     out = relations_on_generators(ct.DX, ct.DY, ct.DJ0, g, f, ct.params.ksq == 1)
-    if ct.source == "delta1":
-        alt = delta1_x_from_factor_sn(ct.params, ct.r1, ct.r2)
-        out["eq48_vs_eq39"] = frobenius(alt - ct.DX) / max(1.0, frobenius(ct.DX))
-    elif ct.source == "delta2":
-        alt = delta2_x_from_factor_sn(ct.params, ct.r1, ct.r2)
-        out["eq49_vs_eq45"] = frobenius(alt - ct.DX) / max(1.0, frobenius(ct.DX))
+    label = {"delta1": "eq48_vs_eq39", "delta2": "eq49_vs_eq45"}.get(ct.source)
+    if label:
+        alt = _x_from_factor_sn(ct.source, ct.params, ct.r1, ct.r2)
+        out[label] = frobenius(alt - ct.DX) / max(1.0, frobenius(ct.DX))
     out["cocommutativity_gap"] = cocommutativity_gap(ct)["max"]
     return out
 
@@ -242,26 +238,9 @@ def coassociativity_uh(h, r1, r2, r3):
     _check_product_dim(r1, r2, r3)
     h = complex(h)
     f1, f2, f3 = (_uh_factor(r, h) for r in (r1, r2, r3))
-    (x1, y1, j1), (x3, y3, j3) = f1, f3
-    dx12, dy12, dj012 = _twisted(h, f1, f2)
-    dx23, dy23, dj023 = _twisted(h, f2, f3)
-
-    # left association: expand the first slot of Delta
-    ep3 = _exp_nilpotent(h * x3)
-    em12 = _exp_nilpotent(-h * dx12)
-    left = {
-        "X": KronSum(dx12.dense(), x3).dense(),
-        "Y": kron(dy12, ep3) + kron(em12, y3),
-        "J0": kron(dj012, ep3) + kron(em12, j3),
-    }
-    # right association: expand the second slot
-    ep23 = _exp_nilpotent(h * dx23)
-    em1 = _exp_nilpotent(-h * x1)
-    right = {
-        "X": KronSum(x1, dx23.dense()).dense(),
-        "Y": kron(y1, ep23) + kron(em1, dy23),
-        "J0": kron(j1, ep23) + kron(em1, dj023),
-    }
+    left = _twisted(h, _twisted(h, f1, f2), f3)     # expand the first slot of Delta
+    right = _twisted(h, f1, _twisted(h, f2, f3))    # expand the second slot
+    left, right = ({"X": dx.dense(), "Y": dy, "J0": dj0} for dx, dy, dj0 in (left, right))
     gaps = {name: frobenius(left[name] - right[name]) /
             max(1.0, frobenius(left[name])) for name in ("X", "Y", "J0")}
     gaps["max"] = worst(gaps.values())

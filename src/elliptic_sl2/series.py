@@ -13,7 +13,7 @@ a coefficient list (`pow_coeffs`), so exact `Fraction` coefficients run
 through the same code as complex ones.  Composition and reversion are kept
 as independent references: the tests check the recurrences against them,
 and composition gives the deliberately separate per-factor route that
-`hopf.delta2_x_from_factor_sn` compares the lift with.  Preconditions (an
+`hopf._x_from_factor_sn` compares delta2's lift with.  Preconditions (an
 inner series with zero constant term, a power of a series with constant
 term 1) are enforced exactly, not to a tolerance.  exp is the one elementary
 series here; tanh and arctanh are sn and arcsn at k = 1, from `elliptic`.
@@ -154,21 +154,6 @@ class TruncatedSeries:
         for i in range(self.order - 1, -1, -1):
             acc = acc * u + complex(self.coeffs[i])
         return acc
-
-    # -- serialization --------------------------------------------------------
-
-    def to_json(self):
-        return {
-            "order": self.order,
-            "coeffs": [[float(c.real), float(c.imag)] for c in self.coeffs],
-        }
-
-    @classmethod
-    def from_json(cls, obj):
-        coeffs = [complex(re, im) for re, im in obj["coeffs"]]
-        if len(coeffs) != obj["order"] + 1:
-            raise DomainError("series JSON order disagrees with coefficient count")
-        return cls(coeffs)
 
     def __repr__(self):
         head = ", ".join(f"{c:.6g}" for c in self.coeffs[: min(4, self.coeffs.size)])

@@ -97,6 +97,14 @@ def test_half_shift_guards():
         sign_involution(s)
 
 
+def test_sign_involution_refuses_a_shifted_triplet_before_any_evaluation(calculus_calls):
+    shifted = half_period_shift_uh(build_jordanian_triplet(build_spin(2.0), 0.7))
+    calculus_calls.clear()
+    with pytest.raises(DomainError, match="unshifted"):
+        sign_involution(shifted)
+    assert calculus_calls.counts() == (0, 0, 0)
+
+
 def test_half_shift_at_minus_one_is_the_half_shift_at_one():
     """K' depends on k**2 alone, so k = -1 takes the same i K' = i pi/2 step."""
     h, rep = 0.9, build_spin(2.0)

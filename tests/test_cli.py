@@ -451,6 +451,58 @@ def test_non_finite_flag_values_are_usage_errors(capsys):
         assert err["error"]["type"] == "UsageError" and flag in err["error"]["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("deform", "build", "--j", "1", "--h", "0.8", "--k", "1e155"),
+    ("deform", "verify", "--j", "1", "--h", "0.8", "--k", "1e155"),
+    ("deform", "verify", "--j", "1", "--h", "0.8", "--k", "1e200"),
+    ("hopf", "verify", "--which", "1", "--j1", "1", "--j2", "0.5", "--h", "0.8", "--k", "1e155"),
+    ("hopf", "verify", "--which", "2", "--j1", "1", "--j2", "0.5", "--h", "0.8", "--k", "1e200"),
+    ("auto", "shift", "--which", "sign", "--j", "1", "--h", "0.8", "--k", "1e155"),
+])
+def test_a_modulus_whose_square_overflows_is_a_domain_error(capsys, argv):
+    code, err = main_json(capsys, *argv)
+    assert code == 3
+    assert err["error"]["type"] == "DomainError" and "modulus k" in err["error"]["message"]
+
+
+def test_a_sweep_row_names_a_modulus_whose_square_overflows(capsys):
+    code, payload = main_json(capsys, "sweep", "--j", "1", "--h", "0.8", "--k", "0.6,1e155")
+    assert code == 1
+    ok, bad = payload["rows"]
+    assert ok["status"] == "ok" and bad["status"] == "error"
+    assert "modulus k" in bad["error"]
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_sweep_needs_at_least_one_worker(capsys, workers):
+    code, err = main_json(capsys, "sweep", "--j", "1", "--h", "0.7", "--k", "0.6",
+                          "--workers", workers)
+    assert code == 2
+    assert err["error"]["type"] == "UsageError" and "--workers" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("deform", "verify", "--j", "1", "--h", "0.7", "--k", "0.6"),
+    ("hopf", "verify", "--which", "uh", "--j1", "0.5", "--j2", "0.5", "--h", "0.7"),
+    ("auto", "shift", "--which", "sign", "--j", "1", "--h", "0.7", "--k", "0.6"),
+    ("verify-all",),
+    ("sweep", "--j", "1", "--h", "0.7", "--k", "0.6"),
+])
+def test_a_negative_tolerance_is_a_usage_error_and_zero_is_a_tolerance(capsys, argv):
+    code, err = main_json(capsys, *argv, "--tol", "-1")
+    assert code == 2
+    assert err["error"]["type"] == "UsageError" and "--tol" in err["error"]["message"]
+    code, payload = main_json(capsys, *argv, "--tol", "0")
+    assert code == (0 if payload["pass"] else 1)
+
+
+def test_eval_without_u_is_a_missing_value():
+    proc = run("elliptic", "eval", "--k", "0.5")
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == ('{"error": {"type": "DomainError", '
+                           '"message": "missing required value --u"}}\n')
+
+
 def test_overflowing_scale_is_a_domain_error(capsys):
     # (h/2)**i overflows for some power i < dim that a matrix uses
     for argv in (("deform", "verify", "--j", "1", "--h", "1e155", "--k", "0.6"),

@@ -253,6 +253,13 @@ def test_relation_residuals_evaluate_one_batch_at_xhat(calculus_calls):
     assert calculus_calls.counts() == (0, 0, 0)
 
 
+def test_a_modulus_whose_square_overflows_is_refused_by_name():
+    for k in (1e155, -1e200, 1e200j, complex("nan")):
+        with pytest.raises(DomainError, match="modulus k"):
+            DeformParams(h=0.8, k=k)
+    DeformParams(h=0.8, k=1e154)   # k**2 is about 1e308, still finite
+
+
 def test_generator_map_is_order_stable():
     # asking for more series order than the module can see changes nothing
     r = build_spin(1.5)

@@ -15,7 +15,6 @@ from elliptic_sl2.elliptic import (
     asn_series,
     complete_K,
     complete_Kprime,
-    elliptic_constants,
     jacobi_numeric,
     periods,
     sn_cn_dn_coeffs,
@@ -280,15 +279,6 @@ def test_period_table_and_numeric_periodicity():
         for period in table[name]:
             shifted = jacobi_numeric(u + period, k)
             assert abs(shifted[i] - base[i]) < 1e-9
-
-
-def test_elliptic_constants_bundle():
-    c = elliptic_constants(0.5)
-    assert c.k == 0.5
-    assert abs(c.K - complete_K(0.5)) == 0.0
-    assert set(c.period_table) == {"sn", "cn", "dn"}
-    j = c.to_json()
-    assert j["k"] == 0.5
 
 
 def _sweep_rows(k, n):

@@ -11,10 +11,12 @@ from elliptic_sl2.deform import (
     DeformParams,
     _asn,
     _at_half_h,
+    _sncndn,
     build_elliptic_triplet,
     build_jordanian_triplet,
     deform_generators,
     lift_generators,
+    lift_series,
 )
 from elliptic_sl2.errors import DomainError
 from elliptic_sl2.hopf import (
@@ -22,14 +24,15 @@ from elliptic_sl2.hopf import (
     coassociativity_delta1,
     coassociativity_uh,
     cocommutativity_gap,
+    coproduct,
     delta1,
     delta2,
     delta_uh,
-    delta1_x_from_factor_sn,
-    delta2_x_from_factor_sn,
     verify_coproduct,
     _exp_nilpotent,
     _swap_factors,
+    _uh_factor,
+    _x_from_factor_sn,
 )
 from elliptic_sl2.liealg import (
     KronSum,
@@ -113,10 +116,10 @@ def test_reexpressed_raising_images_match_both_families():
     p = DeformParams(h=0.8, k=0.5)
     r1, r2 = build_spin(1.0), build_spin(0.5)
     ct1 = delta1(p, r1, r2)
-    alt1 = delta1_x_from_factor_sn(p, r1, r2)
+    alt1 = _x_from_factor_sn("delta1", p, r1, r2)
     assert frobenius(ct1.DX - alt1) / max(1.0, frobenius(ct1.DX)) < 1e-10
     ct2 = delta2(p, r1, r2)
-    alt2 = delta2_x_from_factor_sn(p, r1, r2)
+    alt2 = _x_from_factor_sn("delta2", p, r1, r2)
     assert frobenius(ct2.DX - alt2) / max(1.0, frobenius(ct2.DX)) < 1e-10
 
 
@@ -255,3 +258,82 @@ def test_product_dimension_cap_refuses_before_building():
                  lambda: coassociativity_delta1(p, small, big, big)):
         with pytest.raises(DomainError, match="cap"):
             call()
+
+
+def _coassociativity_uh_by_hand(h, r1, r2, r3):
+    """Both associations of the twisted coproduct written out in full: the
+    pair images of (1, 2) and (2, 3), then the outer level with the pair's DX
+    kept as a KronSum for its exponential."""
+    h = complex(h)
+    (x1, y1, j1), (x2, y2, j2), (x3, y3, j3) = (_uh_factor(r, h) for r in (r1, r2, r3))
+    ep2, ep3 = _exp_nilpotent(h * x2), _exp_nilpotent(h * x3)
+    em1, em2 = _exp_nilpotent(-h * x1), _exp_nilpotent(-h * x2)
+    dx12, dx23 = KronSum(x1, x2), KronSum(x2, x3)
+    dy12, dj012 = kron(y1, ep2) + kron(em1, y2), kron(j1, ep2) + kron(em1, j2)
+    dy23, dj023 = kron(y2, ep3) + kron(em2, y3), kron(j2, ep3) + kron(em2, j3)
+    em12 = _exp_nilpotent(-h * dx12)
+    left = {
+        "X": KronSum(dx12.dense(), x3).dense(),
+        "Y": kron(dy12, ep3) + kron(em12, y3),
+        "J0": kron(dj012, ep3) + kron(em12, j3),
+    }
+    ep23 = _exp_nilpotent(h * dx23)
+    right = {
+        "X": KronSum(x1, dx23.dense()).dense(),
+        "Y": kron(y1, ep23) + kron(em1, dy23),
+        "J0": kron(j1, ep23) + kron(em1, dj023),
+    }
+    gaps = {name: frobenius(left[name] - right[name]) /
+            max(1.0, frobenius(left[name])) for name in ("X", "Y", "J0")}
+    gaps["max"] = worst(gaps.values())
+    return gaps
+
+
+@pytest.mark.parametrize("h", [0.8, 0.3 - 0.2j])
+@pytest.mark.parametrize("js", [(0.5, 0.5, 0.5), (1.0, 0.5, 1.5), (2.0, 1.5, 0.5)])
+def test_coassociativity_nests_the_twisted_builder_with_the_written_out_bits(h, js):
+    r1, r2, r3 = (build_spin(j) for j in js)
+    assert coassociativity_uh(h, r1, r2, r3) == _coassociativity_uh_by_hand(h, r1, r2, r3)
+
+
+def _x_by_hand(source, params, r1, r2):
+    """The re-expressed raising images as two separate per-factor loops."""
+    order = r1.dim + r2.dim - 1
+    k, h = params.k, params.h
+    per_factor = []
+    if source == "delta1":
+        for rep in (r1, r2):
+            t_x, = _at_half_h(rep.raising, h, (_asn(k, rep.dim), 1))
+            sn, _, _ = _sncndn(k, rep.dim)
+            per_factor.extend(_at_half_h(t_x, h, (sn, 1)))
+        return _at_half_h(KronSum(*per_factor), h, (_asn(k, order), 1))[0]
+    for rep in (r1, r2):
+        t_x, = _at_half_h(rep.raising, h, (_asn(k, rep.dim), 1))
+        sn, _, _ = _sncndn(k, rep.dim)
+        pulled = _asn(1.0, rep.dim).compose(sn)
+        per_factor.extend(_at_half_h(t_x, h, (pulled, 1)))
+    through, _ = lift_series(k, order)
+    return _at_half_h(KronSum(*per_factor), h, (through, 1))[0]
+
+
+@pytest.mark.parametrize("source", ["delta1", "delta2"])
+@pytest.mark.parametrize("h,k", [(0.8, 0.6), (0.45, 0.3), (0.3 - 0.2j, 0.6), (0.8, 1.0)])
+def test_reexpressed_raising_route_has_the_bits_of_the_separate_loops(source, h, k):
+    p = DeformParams(h=h, k=k)
+    for j1, j2 in ((0.5, 0.5), (1.0, 2.5), (3.0, 2.0)):
+        r1, r2 = build_spin(j1), build_spin(j2)
+        assert np.array_equal(_x_from_factor_sn(source, p, r1, r2),
+                              _x_by_hand(source, p, r1, r2)), (j1, j2)
+
+
+def test_coproduct_dispatch_builds_each_source_and_refuses_an_unknown_one():
+    p = DeformParams(h=0.8, k=0.6)
+    r1, r2 = build_spin(1.0), build_spin(0.5)
+    for ct in (delta1(p, r1, r2), delta_uh(p.h, r1, r2), delta2(p, r1, r2)):
+        got = coproduct(ct.source, p, r1, r2)
+        assert got.source == ct.source and got.params == ct.params
+        for a, b in ((got.DX, ct.DX), (got.DY, ct.DY), (got.DJ0, ct.DJ0)):
+            assert np.array_equal(a, b)
+    for source in ("delta3", "uh", "1"):
+        with pytest.raises(DomainError, match="unknown coproduct source"):
+            coproduct(source, p, r1, r2)

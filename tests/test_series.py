@@ -222,9 +222,3 @@ def test_tanh_recurrence_agrees_with_the_reverted_arctanh(n):
     assert t.order == n
     ref = asn_series(1.0, n).revert()
     assert np.max(np.abs(t.coeffs - ref.coeffs)) <= 1e-15
-
-
-def test_json_roundtrip():
-    s = series(0, 1 + 2j, -0.5)
-    back = TruncatedSeries.from_json(s.to_json())
-    assert np.array_equal(back.coeffs, s.coeffs)
