@@ -46,7 +46,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -594,6 +593,9 @@ def _cmd_sweep(args):
     # there are distinct cells or CPUs.
     workers = min(workers, len(keys), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: the pool pulls in multiprocessing and logging
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_checks, keys))
     else:

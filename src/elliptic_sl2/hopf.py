@@ -22,10 +22,18 @@ route of `liealg.mat_apply_series`, on a `KronSum`: arcsn and the dressing g
 at delta1's DJ+, the lift series at delta_uh's DX inside delta2, the outer
 series of both re-expressed raising images, the threefold sums of
 coassociativity_delta1 and exp(-+h DX) of a two-factor image inside
-coassociativity_uh.  The coproduct images themselves are dense, and
-`verify_coproduct` evaluates the structure functions at them with dense
-Paterson-Stockmeyer, so an error on the factor route shows up in the
-relation residuals.
+coassociativity_uh.  The coproduct images themselves are dense, so an
+error on the factor route shows up in the relation residuals.
+
+`verify_coproduct` evaluates the structure functions G and F at DX through
+its weight parity: basis vector i1 d2 + i2 of the product module has parity
+(i1 + i2) mod 2, and DX, an odd series in a raising operator, maps each
+parity class to the other.  So DX is split once into a `liealg.OddOperator`
+[[0, B], [C, 0]] and G and F are Paterson-Stockmeyer on the half-size
+blocks BC and CB.  The size of DX's even blocks, exactly zero for every
+coproduct built here, is the report's dx_parity residual, so a stray even
+component fails the verdict instead of being dropped.  The relation checks
+stay dense commutators on DX, DY and DJ0.
 
 Dtypes follow `liealg.real_if_exact`: at real h and real k every coproduct
 image, exponential factor and structure-function matrix is float64, and a
@@ -54,6 +62,7 @@ from .deform import (
 from .errors import DomainError
 from .liealg import (
     KronSum,
+    OddOperator,
     SpinRep,
     coproduct_classical,
     frobenius,
@@ -78,11 +87,12 @@ __all__ = [
 
 
 # The largest product module the coproduct layer builds on: dimension 2048,
-# which admits j1 = j2 = 22 (dimension 2025).  Dense relation checks on the
-# images hold about 2 sqrt(order) matrices of dim**2 entries, float64 at real
-# h and k.  A cold `hopf verify --which 1|2 --h 0.8 --k 0.6` peaked at 263 MB
-# at dimension 1089 and 621 MB at 1681, and `--which 2` at 884 MB at 2025.
-# Complex h or k doubles the storage.
+# which admits j1 = j2 = 22 (dimension 2025).  The images and the relation
+# checks on them are dense, dim**2 entries per matrix, float64 at real h and
+# k; G and F at DX hold about 2 sqrt(order) matrices of a quarter of that,
+# its weight-parity blocks.  A cold `hopf verify --which 1|2 --h 0.8 --k 0.6`
+# peaked at 151 MB at dimension 1089 and 313 MB at 1681, and `--which 2` at
+# 422 MB at 2025.  Complex h or k doubles the storage.
 MAX_PRODUCT_DIM = 2048
 
 
@@ -216,14 +226,28 @@ def cocommutativity_gap(ct):
     return gaps
 
 
+def _weight_parity_split(ct):
+    """DX as an OddOperator in the weight parity (i1 + i2) mod 2 of the
+    product basis vector i1 d2 + i2, and the relative Frobenius norm of the
+    even blocks it drops.  DX is a series in odd powers of a raising operator,
+    so a coproduct that preserves weight leaves those blocks exactly zero."""
+    odd = np.add.outer(np.arange(ct.r1.dim), np.arange(ct.r2.dim)).ravel() % 2 == 1
+    op, stray = OddOperator.split(ct.DX, odd)
+    return op, stray / max(1.0, frobenius(ct.DX))
+
+
 def verify_coproduct(ct):
     """Residuals of the defining relations for the coproduct images, the
-    re-expressed raising-image consistency check, and the cocommutativity
-    gap (a residual for delta1, informational for the twisted coproducts)."""
+    relative size of DX's even blocks under the weight parity (dx_parity),
+    the re-expressed raising-image consistency check, and the
+    cocommutativity gap (a residual for delta1, informational for the
+    twisted coproducts)."""
     k, h = ct.params.k, ct.params.h
     order = _pair_order(ct.r1, ct.r2)
-    g, f = _at_half_h(ct.DX, h, (_G_series(k, order), 1), (_F_series(k, order), 0))
+    dx, stray = _weight_parity_split(ct)
+    g, f = _at_half_h(dx, h, (_G_series(k, order), 1), (_F_series(k, order), 0))
     out = relations_on_generators(ct.DX, ct.DY, ct.DJ0, g, f, ct.params.ksq == 1)
+    out["dx_parity"] = stray
     label = {"delta1": "eq48_vs_eq39", "delta2": "eq49_vs_eq45"}.get(ct.source)
     if label:
         alt = _x_from_factor_sn(ct.source, ct.params, ct.r1, ct.r2)

@@ -4,7 +4,7 @@ Basis order is m = j, j-1, ..., -j, so the raising operator is strictly
 upper triangular and every power series applied to it is a finite sum.
 
 The functional calculus (`mat_apply_series`) accepts only strictly
-upper-triangular arguments, and takes one of three routes by the argument's
+upper-triangular arguments, and takes one of four routes by the argument's
 type:
 
 - a matrix M of dimension d: M**d = 0, so the series is cut at order d - 1
@@ -26,19 +26,28 @@ type:
   one gather with no matmul, and each entry is the product of c_i with
   one running product.  Both factors are carried scaled by exact powers of
   two, so the bits are those of the plain products and only a result out of
-  double range overflows; a power or coefficient that does is a DomainError.
+  double range overflows; a power or coefficient that does is a DomainError;
+- an `OddOperator`, a matrix that maps each class of a two-class grading to
+  the other: in the classes' order it is M = [[0, B], [C, 0]], so
+  M**2 = diag(BC, CB), and a series S(x) = E(x**2) + x O(x**2) is
+
+      S(M) = [[E(BC), B O(CB)], [C O(BC), E(CB)]],
+
+  Paterson-Stockmeyer on two blocks of about half the dimension at half
+  the order; the result is dense, in the original order.
 
 Several series at one argument are one call: the argument is validated
 once and its power stack (the two factor stacks of a `KronSum`, the running
-products of a `WeightedShift`) is built once, and each series gives the same
-bits as it would alone.
+products of a `WeightedShift`, the stacks of BC and CB of an `OddOperator`)
+is built once, and each series gives the same bits as it would alone.
 
-Callers pass a `KronSum` or a `WeightedShift` only where the argument
-really is one (the coproduct layer builds the sums, and the deformation map
-and the algebraic structure function take J+ itself); everything else, and
-in particular every function of Xhat and every relation check on coproduct
-images, stays on the dense route, which is therefore an independent
-cross-check of the other two.
+Callers pass a `KronSum`, a `WeightedShift` or an `OddOperator` only where
+the argument really is one: the coproduct layer builds the sums, the
+deformation map and the algebraic structure function take J+ itself, and
+`hopf.verify_coproduct` takes G and F at a coproduct image DX split by the
+weight parity of the product module.  Everything else, in particular every
+function of a spin module's Xhat, stays on the dense route, which is the
+reference the other three are tested against.
 
 The dtype follows the inputs.  `real_if_exact` is the one place that
 decides it, for every matrix and coefficient vector that enters the
@@ -64,6 +73,7 @@ __all__ = [
     "SpinRep",
     "KronSum",
     "WeightedShift",
+    "OddOperator",
     "build_spin",
     "commutator",
     "mat_apply_series",
@@ -161,6 +171,44 @@ class KronSum:
 
 
 @dataclass(frozen=True)
+class OddOperator:
+    """A matrix that is odd under a two-class grading, kept as its two
+    off-diagonal blocks: in the order (even, odd) of the index sets it is
+    [[0, b], [c, 0]], so that a series of it is a pair of series of the
+    half-size blocks b c and c b."""
+
+    b: np.ndarray
+    c: np.ndarray
+    even: np.ndarray
+    odd: np.ndarray
+
+    def __post_init__(self):
+        for name in ("b", "c"):
+            object.__setattr__(self, name, real_if_exact(getattr(self, name)))
+        for name in ("even", "odd"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.intp))
+        shape = (self.even.size, self.odd.size)
+        if self.b.shape != shape or self.c.shape != shape[::-1]:
+            raise DomainError(f"odd operator blocks of shapes {self.b.shape} and "
+                              f"{self.c.shape} do not fit index sets of sizes {shape}")
+
+    @classmethod
+    def split(cls, mat, odd):
+        """The off-diagonal blocks of a square matrix under the grading whose
+        odd class is the boolean mask odd, as an OddOperator, and the
+        Frobenius norm of the two diagonal blocks that leaves out."""
+        mat = real_if_exact(mat)
+        even, odd = np.flatnonzero(~odd), np.flatnonzero(odd)
+        from_even, from_odd = mat.take(even, 0), mat.take(odd, 0)
+        dropped = math.hypot(frobenius(from_even.take(even, 1)), frobenius(from_odd.take(odd, 1)))
+        return cls(from_even.take(odd, 1), from_odd.take(even, 1), even, odd), dropped
+
+    def dense(self):
+        return _from_blocks(self, None, self.b, self.c, None,
+                            np.result_type(self.b, self.c))
+
+
+@dataclass(frozen=True)
 class WeightedShift:
     """The matrix with superdiagonal w and zeros elsewhere, kept as w so that
     a series of it is one gather of w's running products."""
@@ -205,6 +253,8 @@ def nilpotency_bound(mat):
         return mat.a.shape[0] + mat.b.shape[0] - 2
     if isinstance(mat, WeightedShift):
         return mat.w.size
+    if isinstance(mat, OddOperator):
+        return mat.even.size + mat.odd.size - 1
     return np.shape(mat)[0] - 1
 
 
@@ -221,12 +271,14 @@ def _power_stack(mat, count):
 
 def mat_apply_series(s, mat):
     """sum c_i M**i for a strictly upper-triangular (hence nilpotent) M, given
-    as a matrix, as a KronSum of two such factors or as a WeightedShift.
+    as a matrix, as a KronSum of two such factors, as a WeightedShift or as
+    an OddOperator.
 
     s is one series, or a sequence of series at the same argument, which
     gives a list.  A sequence validates M once and builds one power stack
-    (one per factor for a KronSum); each series then costs only its table
-    product and its Horner loop, and gives the same bits as alone.
+    (one per factor for a KronSum, one per diagonal block of an
+    OddOperator's square); each series then costs only its table product
+    and its Horner loop, and gives the same bits as alone.
 
     The order is clipped to n = min(s.order, nilpotency_bound(M)), which is
     exact; so every order past the bound gives the same bits.  With
@@ -240,6 +292,8 @@ def mat_apply_series(s, mat):
         out = _kron_sum_apply(series, mat)
     elif isinstance(mat, WeightedShift):
         out = _shift_apply(series, mat)
+    elif isinstance(mat, OddOperator):
+        out = _odd_apply(series, mat)
     else:
         mat = _strictly_upper(mat)
         bound = nilpotency_bound(mat)
@@ -267,6 +321,54 @@ def _blocked_horner(c, powers, step):
     for b in range(nblk - 2, -1, -1):
         acc = acc @ powers[step] + blocks[b]
     return acc
+
+
+def _odd_apply(series, op):
+    """S(M) = E(M**2) + M O(M**2) for the odd M = [[0, B], [C, 0]], E and O
+    the series of S's even and odd coefficients, is
+
+        S(M) = [[E(BC), B O(CB)], [C O(BC), E(CB)]]
+
+    since M**2 = diag(BC, CB); C O(BC) = O(CB) C, so the odd half is one
+    evaluation, at CB.  (BC)**i is the even block of M**(2i), so each half
+    is cut at n = min(s.order, nilpotency_bound(M)) without error, and BC
+    and CB are strictly upper triangular when M is and each index set is
+    increasing.  One power stack per block serves every series, each half
+    runs blocked Horner at its own step, and a half with no nonzero
+    coefficient contributes zero blocks without a product."""
+    bc, cb = _strictly_upper(op.b @ op.c), _strictly_upper(op.c @ op.b)
+    bound = nilpotency_bound(op)
+    halves = []
+    for s in series:
+        c = real_if_exact(s.coeffs[: min(s.order, bound) + 1])
+        even, odd = (h if h.any() else None for h in (c[0::2], c[1::2]))
+        halves.append((even, odd, c.dtype))
+    count = max((math.isqrt(h.size) for even, odd, _ in halves for h in (even, odd)
+                 if h is not None), default=0)
+    pbc, pcb = _power_stack(bc, count + 1), _power_stack(cb, count + 1)
+    out = []
+    for even, odd, dtype in halves:
+        ee = eo = oe = oo = None
+        if even is not None:
+            step = math.isqrt(even.size)
+            ee, oo = _blocked_horner(even, pbc, step), _blocked_horner(even, pcb, step)
+        if odd is not None:
+            at_cb = _blocked_horner(odd, pcb, math.isqrt(odd.size))
+            eo, oe = op.b @ at_cb, at_cb @ op.c
+        out.append(_from_blocks(op, ee, eo, oe, oo, np.result_type(dtype, op.b, op.c)))
+    return out
+
+
+def _from_blocks(op, ee, eo, oe, oo, dtype):
+    """The matrix with blocks [[ee, eo], [oe, oo]] in op's parity order, in
+    the original order; a block given as None is zero."""
+    d = op.even.size + op.odd.size
+    mat = np.zeros((d, d), dtype=dtype)
+    for block, rows, cols in ((ee, op.even, op.even), (eo, op.even, op.odd),
+                              (oe, op.odd, op.even), (oo, op.odd, op.odd)):
+        if block is not None:
+            mat[rows[:, None], cols] = block
+    return mat
 
 
 def _kron_sum_apply(series, ks):

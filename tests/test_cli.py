@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats, determinism, config."""
 
+import concurrent.futures
 import csv
 import io
 import json
@@ -302,7 +303,7 @@ def test_sweep_workers_never_exceed_the_distinct_cells_or_the_cpus(monkeypatch, 
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     # four deform cells and two elliptic moduli: six distinct computations
     args = ("sweep", "--families", "deform,elliptic", "--j", "0.5,1", "--h", "0.7",
             "--k", "0.4,0.8")
@@ -315,6 +316,15 @@ def test_sweep_workers_never_exceed_the_distinct_cells_or_the_cpus(monkeypatch, 
     # one cell needs no pool at all
     main_json(capsys, "sweep", "--j", "1", "--h", "0.7", "--k", "0.6", "--workers", "8")
     assert asked == [3, 6]
+
+
+def test_the_cli_imports_the_process_pool_only_for_a_parallel_sweep():
+    code = ("import sys, elliptic_sl2.cli; "
+            "print('concurrent.futures.process' in sys.modules, 'multiprocessing' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (proc.returncode, proc.stdout.split()) == (0, ["False", "False"])
 
 
 def test_one_set_of_triplet_checks_behind_every_verb(capsys):

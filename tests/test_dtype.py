@@ -167,15 +167,20 @@ def _stack_dtypes(calls, call):
 
 def test_a_real_coproduct_check_builds_no_complex_power_stack(calculus_calls):
     r1, r2 = build_spin(1.0), build_spin(1.5)
+    # G and F at DX (dimension 12) stack its two weight-parity blocks of 6
+    half = (6, 6)
     p = DeformParams(h=0.8, k=0.6)
     seen = _stack_dtypes(calculus_calls, lambda: hopf.verify_coproduct(hopf.delta2(p, r1, r2)))
     assert seen and {dtype for dtype, _ in seen} == {F64}
-    # at complex h only the spin modules' own raising matrices stay real
-    p = DeformParams(h=0.8 + 0.2j, k=0.6)
-    seen = _stack_dtypes(calculus_calls, lambda: hopf.verify_coproduct(hopf.delta2(p, r1, r2)))
+    assert [m.shape for _, m in seen].count(half) == 2
 
     def raising(m):
         return any(m.shape == jp.shape and np.array_equal(m, jp) for jp in (r1.Jp, r2.Jp))
 
-    assert all((dtype == F64) == raising(m) for dtype, m in seen)
-    assert not all(raising(m) for _, m in seen)
+    # at complex h only the spin modules' own raising matrices stay real; at
+    # complex k the factors' k = 1 images do too, but DX's blocks do not
+    for p in (DeformParams(h=0.8 + 0.2j, k=0.6), DeformParams(h=0.8, k=0.3 + 0.2j)):
+        seen = _stack_dtypes(calculus_calls, lambda: hopf.verify_coproduct(hopf.delta2(p, r1, r2)))
+        if p.h.imag:
+            assert all((dtype == F64) == raising(m) for dtype, m in seen)
+        assert [dtype for dtype, m in seen if m.shape == half] == [C128, C128]

@@ -2,13 +2,16 @@
 cocommutativity gaps, coassociativity."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from elliptic_sl2 import liealg
+from elliptic_sl2 import cli, hopf, liealg
 from elliptic_sl2.deform import (
     DeformParams,
+    _F_series,
+    _G_series,
     _asn,
     _at_half_h,
     _sncndn,
@@ -17,6 +20,7 @@ from elliptic_sl2.deform import (
     deform_generators,
     lift_generators,
     lift_series,
+    relations_on_generators,
 )
 from elliptic_sl2.errors import DomainError
 from elliptic_sl2.hopf import (
@@ -337,3 +341,66 @@ def test_coproduct_dispatch_builds_each_source_and_refuses_an_unknown_one():
     for source in ("delta3", "uh", "1"):
         with pytest.raises(DomainError, match="unknown coproduct source"):
             coproduct(source, p, r1, r2)
+
+
+SOURCES = ("delta1", "delta_uh", "delta2")
+
+
+@pytest.mark.parametrize("h,k", [(0.35, 0.7), (0.8, 1.0), (0.3 - 0.2j, 0.3 + 0.2j)])
+def test_every_coproduct_image_dx_is_odd_under_the_weight_parity(h, k):
+    p = DeformParams(h=h, k=k)
+    for j1, j2 in ((0.5, 2.0), (1.5, 1.0), (2.5, 3.0)):
+        r1, r2 = build_spin(j1), build_spin(j2)
+        for source in SOURCES:
+            report = verify_coproduct(coproduct(source, p, r1, r2))
+            assert type(report["dx_parity"]) is float
+            assert report["dx_parity"] == 0.0, (source, j1, j2)
+
+
+@pytest.mark.parametrize("which,builder", [("1", "delta1"), ("2", "delta2"), ("uh", "delta_uh")])
+def test_a_stray_even_entry_in_dx_fails_hopf_verify(monkeypatch, capsys, which, builder):
+    argv = ["hopf", "verify", "--which", which, "--j1", "1", "--j2", "1", "--h", "0.35",
+            "--k", "0.7"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    real = getattr(hopf, builder)
+    seen = []
+
+    def with_stray_entry(*args):
+        ct = real(*args)
+        dx = ct.DX.copy()
+        dx[0, 2] += 1e-6  # basis vectors (0, 0) and (0, 2), both even
+        seen.append(dx)
+        return dataclasses.replace(ct, DX=dx)
+
+    monkeypatch.setattr(hopf, builder, with_stray_entry)
+    code = cli.main(argv)
+    payload = json.loads(capsys.readouterr().out)
+    size = 1e-6 / max(1.0, frobenius(seen[0]))
+    assert (code, payload["pass"]) == (1, False)
+    assert payload["report"]["dx_parity"] == pytest.approx(size, rel=1e-12)
+    assert payload["worst"] >= payload["report"]["dx_parity"]
+
+
+def _dense_relations(ct):
+    """The relation residuals with G and F by dense Paterson-Stockmeyer at DX."""
+    p, order = ct.params, ct.r1.dim + ct.r2.dim - 1
+    g, f = _at_half_h(ct.DX, p.h, (_G_series(p.k, order), 1), (_F_series(p.k, order), 0))
+    return relations_on_generators(ct.DX, ct.DY, ct.DJ0, g, f, p.ksq == 1)
+
+
+def test_relations_through_the_weight_parity_match_the_dense_route():
+    tol = 1e-9
+    checked = 0
+    for j1, j2 in ((0.5, 0.5), (0.5, 4.5), (1.0, 2.5), (3.5, 2.0), (4.0, 5.0), (5.0, 5.0)):
+        r1, r2 = build_spin(j1), build_spin(j2)
+        for h in (0.35, 0.8, 0.3 - 0.2j):
+            for k in (0.7, 1.0, 0.3 + 0.2j):
+                p = DeformParams(h=h, k=k)
+                for source in SOURCES:
+                    ct = coproduct(source, p, r1, r2)
+                    report = verify_coproduct(ct)
+                    for key, dense in _dense_relations(ct).items():
+                        assert abs(report[key] - dense) <= tol / 10, (source, j1, j2, h, k, key)
+                        checked += 1
+    assert checked == 6 * 9 * 3 * 3

@@ -11,6 +11,7 @@ from elliptic_sl2.elliptic import asn_series
 from elliptic_sl2.liealg import (
     MAX_SPIN_DIM,
     KronSum,
+    OddOperator,
     WeightedShift,
     build_spin,
     commutator,
@@ -161,6 +162,83 @@ def _rel_gap(got, expect):
     return frobenius(got - expect) / max(frobenius(expect), 1e-300)
 
 
+def _weight_parity(d1, d2):
+    """The odd class (i1 + i2) mod 2 = 1 of basis vector i1 d2 + i2."""
+    return np.add.outer(np.arange(d1), np.arange(d2)).ravel() % 2 == 1
+
+
+def _odd_operator(rng, d1, d2, complex_entries=True):
+    """A random strictly upper-triangular matrix in Kronecker order on a
+    d1 x d2 product, odd under the weight parity, as an OddOperator."""
+    z = rng.standard_normal((d1 * d2, d1 * d2))
+    if complex_entries:
+        z = z + 1j * rng.standard_normal(z.shape)
+    odd = _weight_parity(d1, d2)
+    op, dropped = OddOperator.split(np.triu(z, 1) * (odd[:, None] != odd), odd)
+    assert dropped == 0.0
+    return op
+
+
+def _odd_inputs():
+    """Random odd operators up to 6 x 7, real and complex, one class empty
+    among them."""
+    rng = np.random.default_rng(38)
+    for d1, d2 in ((1, 1), (1, 2), (2, 1), (2, 3), (3, 3), (4, 2), (5, 4), (6, 7)):
+        for complex_entries in (False, True):
+            yield _odd_operator(rng, d1, d2, complex_entries)
+
+
+def test_odd_operator_split_and_dense_are_inverse():
+    rng = np.random.default_rng(39)
+    for op in _odd_inputs():
+        dense = op.dense()
+        odd = np.zeros(dense.shape[0], dtype=bool)
+        odd[op.odd] = True
+        again, dropped = OddOperator.split(dense, odd)
+        assert dropped == 0.0 and dense.dtype == op.b.dtype
+        assert np.array_equal(again.b, op.b) and np.array_equal(again.c, op.c)
+    # the even blocks are left out and measured
+    m = np.triu(rng.standard_normal((6, 6)), 1)
+    odd = _weight_parity(2, 3)
+    op, dropped = OddOperator.split(m, odd)
+    even_blocks = m * (odd[:, None] == odd)
+    assert np.array_equal(op.dense(), m - even_blocks)
+    assert dropped == pytest.approx(np.linalg.norm(even_blocks), rel=1e-15)
+
+
+def test_odd_operator_route_matches_the_dense_route():
+    rng = np.random.default_rng(40)
+    top = 0.0
+    for op in _odd_inputs():
+        dense = op.dense()
+        bound = nilpotency_bound(op)
+        assert bound == dense.shape[0] - 1
+        for n in sorted({0, 1, 2, 3, bound // 2, bound, bound + 2}):
+            c = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+            parity = np.arange(n + 1) % 2
+            for coeffs in (c, c.real, np.where(parity == 0, c, 0), np.where(parity == 1, c, 0),
+                           np.where(parity == 1, c.real, 0)):
+                s = TruncatedSeries(coeffs)
+                got, expect = mat_apply_series(s, op), mat_apply_series(s, dense)
+                assert got.shape == expect.shape and got.dtype == expect.dtype
+                top = max(top, frobenius(got - expect) / max(frobenius(expect), 1e-300))
+    assert top <= 1e-14
+
+
+def test_odd_operator_route_refuses_blocks_whose_products_are_not_strictly_upper():
+    s = TruncatedSeries(np.ones(4))
+    even, odd = np.array([0, 2]), np.array([1, 3])
+    with pytest.raises(DomainError, match="strictly upper-triangular"):
+        mat_apply_series(s, OddOperator(np.ones((2, 2)), np.ones((2, 2)), even, odd))
+    # strictly upper in parity order, but BC is not: entry (2, 1) lies below the diagonal
+    b = np.array([[1.0, 1.0], [1.0, 0.0]])
+    c = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(DomainError, match="strictly upper-triangular"):
+        mat_apply_series(s, OddOperator(b, c, even, odd))
+    with pytest.raises(DomainError, match="index sets"):
+        OddOperator(np.zeros((2, 3)), np.zeros((2, 2)), even, odd)
+
+
 def test_kron_sum_dense_is_the_primitive_sum():
     rng = np.random.default_rng(31)
     a, b = rng.standard_normal((3, 3)), rng.standard_normal((4, 4))
@@ -216,11 +294,13 @@ def _series_batch(rng, bound):
 
 def test_a_batch_gives_the_same_bits_as_each_series_alone():
     rng = np.random.default_rng(35)
-    args = [m for m in _nilpotent_inputs()] + list(_kron_sum_inputs())
+    args = [m for m in _nilpotent_inputs()] + list(_kron_sum_inputs()) + list(_odd_inputs())
     for m in args:
-        bound = (m.a.shape[0] + m.b.shape[0] - 2 if isinstance(m, KronSum)
-                 else m.shape[0] - 1)
+        bound = nilpotency_bound(m)
         batch = _series_batch(rng, bound)
+        if isinstance(m, OddOperator):  # an even and an odd series beside the mixed ones
+            c = batch[-2].coeffs
+            batch += [TruncatedSeries(np.where(np.arange(c.size) % 2 == p, c, 0)) for p in (0, 1)]
         for seq in (batch, tuple(reversed(batch))):
             got = mat_apply_series(seq, m)
             assert type(got) is list and len(got) == len(seq)
@@ -241,6 +321,9 @@ def test_a_batch_validates_its_argument_once(monkeypatch, calculus_calls):
     checked.clear(), calculus_calls.clear()
     mat_apply_series(_series_batch(rng, 6), KronSum(_strictly_upper(rng, 3), _strictly_upper(rng, 5)))
     assert (len(checked), [m.shape for m in calculus_calls.stacks()]) == (2, [(3, 3), (5, 5)])
+    checked.clear(), calculus_calls.clear()
+    mat_apply_series(_series_batch(rng, 14), _odd_operator(rng, 3, 5))  # classes of 8 and 7
+    assert (len(checked), [m.shape for m in calculus_calls.stacks()]) == (2, [(8, 8), (7, 7)])
 
 
 def test_frobenius_matches_the_library_norm():
