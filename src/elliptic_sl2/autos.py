@@ -10,19 +10,20 @@ Three families act on a deformed triplet:
 
 Shift offsets are stored as exact integer counts of K and i K' on the
 triplet (never as accumulated floating point).  Relation checks on shifted
-triplets ride
-on the half-period parity of the structure functions rather than on any
-evaluation at the shifted argument.  An image shares what its base has
-computed, or computes later (see `deform`).  Every image takes the
+triplets ride on the half-period parity of the structure functions rather
+than on any evaluation at the shifted argument.  An image shares what its
+base has computed, or computes later (see `deform`).  Every image takes the
 functions of J+ and the series gaps, which depend on (rep, h, k) alone.  A
 shifted image's Xhat is N plus the offset times I, N the nilpotent part of
 its base's, which subtracting the offset again gives back bit for bit, so it
-shares its base's G, F, sn and (cn dn)**(-1/2) of N.  The sign image's
-nilpotent part is -N: it holds its base's batch, made first if need be, with
-G and sn negated and F and (cn dn)**(-1/2) as they are.  Parity, with
-negation exact in every step of the dense calculus, makes those the bits an
-evaluation at -N gives.  So no image evaluates a series, whichever of it and
-its base asks first.
+shares its base's G, F, sn and (cn dn)**(-1/2) of N and its relation norms.
+The sign image's nilpotent part is -N: it holds its base's batch, made
+first if need be, with G and sn negated and F and (cn dn)**(-1/2) as they
+are, and its base's relation norms.  Parity, with negation exact in every
+step of the dense calculus and of the relation products, makes those the
+bits the image's own evaluation gives (the sign table in `deform`).  So no
+image evaluates a series or forms a relation product, whichever of it and
+its base asks first; each divides the shared norms by its own |Xhat|.
 
 The induced action on the raising and lowering generators themselves
 involves an inverse power of J+, which has no finite-matrix realization;
@@ -37,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .deform import (_at_nilpotent_part, _image_of, _offset, _x_nilpotent, relation_residuals,
+from .deform import (_image_of, _offset, _sign_image_scope, _x_nilpotent, relation_residuals,
                      x_offset)
 from .elliptic import complete_K, complete_Kprime, jacobi_numeric
 from .errors import DomainError
@@ -80,11 +81,11 @@ ELL_2K_IKP = ShiftSpec(kind="ell-2KiKp", du_a=2, du_b=1, epsilon=-1)
 
 def sign_involution(t):
     """(X, Y, J0) -> (-X, -Y, J0); applying it twice is the identity.  The
-    image holds t's batch at Xhat with the odd G and sn negated."""
+    image holds t's batch at Xhat with the odd G and sn negated, and t's
+    relation norms."""
     if t.is_shifted():
         raise DomainError("sign involution is defined on unshifted triplets")
-    g, f, sn, m = _at_nilpotent_part(t)
-    return _image_of(t, (-g, f, -sn, m), Xhat=-t.Xhat, Yhat=-t.Yhat, provenance="auto")
+    return _image_of(t, _sign_image_scope(t), Xhat=-t.Xhat, Yhat=-t.Yhat, provenance="auto")
 
 
 def _shifted(t, spec):
@@ -116,7 +117,7 @@ def period_shift_elliptic(t, spec):
     if k.imag != 0 or not 0.0 < k.real < 1.0:
         raise DomainError("elliptic period shifts need real 0 < k < 1")
     image = _shifted(t, spec)
-    report = dict(relation_residuals(image))
+    report = relation_residuals(image)
     report["epsilon"] = spec.epsilon
     report["kind"] = spec.kind
     return image, report

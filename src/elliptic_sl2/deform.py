@@ -30,8 +30,9 @@ Functions of Matrices, ch. 1), and a matrix adds only its basis's rounding.
 A triplet computes each of its matrix functions once and keeps it in a
 private memo, `DeformedTriplet._memo`, which is not an __init__ field, so
 `dataclasses.replace` starts an empty one.  So one triplet, its sign image
-and its period-shift images together make one gather at J+ and build one
-power stack.  The memo has three scopes, by what its values depend on:
+and its period-shift images together make one gather at J+, build one
+power stack and form the relation products once.  The memo has three
+scopes, by what its values depend on:
 
 - "module": (rep, h, k) alone: every function of J+ the triplet needs
   besides its map (`_raising_terms`: F at J+, the algebraic route, and the
@@ -39,17 +40,35 @@ power stack.  The memo has three scopes, by what its values depend on:
   fills it from the gather that makes Xhat; a lifted triplet, whose map is
   not a series of J+, makes that one gather on first use.  Every image
   shares it.
-- "nilpotent": G, F, sn and (cn dn)**(-1/2) at the nilpotent part N of
-  Xhat, from one `mat_apply_series` call; each series has order dim, so it
-  has the bits it would have alone.  A period-shift image shares it: its
-  Xhat is N plus o I, o the offset, and its nilpotent part is that minus
-  o I: x + 0 - 0 = x off the diagonal and 0 + o - o = 0 on it, so it is N
-  bit for bit (a zero may change sign).  The sign image's nilpotent part is
-  -N, and it holds its own batch, its base's with G and sn negated: G and
-  sn are odd, F and (cn dn)**(-1/2) even, and negation is exact in every
-  power, block product and Horner step of the dense calculus, so -G(N),
-  F(N), -sn(N) and (cn dn)**(-1/2)(N) are the bits an evaluation at -N
-  gives.
+- "nilpotent": what is taken at the nilpotent part N of Xhat.  First G, F,
+  sn and (cn dn)**(-1/2) at N, from one `mat_apply_series` call; each
+  series has order dim, so it has the bits it would have alone.  Then the
+  relation norms (`_relation_norms`): the Frobenius norms of the residual
+  matrices [N, Y] - 2 J0, [J0, N] - s G and [J0, Y] + (s F Y + Y s F)/2,
+  s the shift parity, with |Y|, |J0|, |G| and |F|, and the gap between
+  the two routes to F.  The relations are taken at N because o I commutes
+  with everything, o the offset, so no rounding of o enters them, and N is
+  Xhat when unshifted; only |Xhat| is the triplet's own, and
+  `relation_residuals` divides by it.
+  A period-shift image shares this scope: its Xhat is N plus o I, and its
+  nilpotent part is that minus o I: x + 0 - 0 = x off the diagonal and
+  0 + o - o = 0 on it, so it is N bit for bit (a zero may change sign).
+  The sign image's nilpotent part is -N, and it holds its own scope, its
+  base's with G and sn negated: G and sn are odd, F and (cn dn)**(-1/2)
+  even, and negation is exact in every power, block product and Horner
+  step of the dense calculus, so -G(N), F(N), -sn(N) and
+  (cn dn)**(-1/2)(N) are the bits an evaluation at -N gives.  Negation is
+  exact in every product and sum of the relations too, so with R12, R13
+  and R14 the base's residual matrices, each image's are +-R bit for bit
+  and their norms are the base's:
+
+      image               N    Y    J0   s G   s F    R12  R13  R14
+      sign               -N   -Y    J0   -G     F      +    -    -
+      odd i K' count      N   -Y   -J0   -G    -F      -    -    +
+      even i K' count     N    Y    J0    G     F      +    +    +
+
+  (every shift step flips Y and J0 and adds one i K' step, so the parity
+  of the i K' count is the parity of the flips).
 - "own": invert_map's (J+, J-), which need Yhat.  Never shared.
 
 The memoised arrays are read-only, since every holder of the triplet sees
@@ -157,17 +176,19 @@ def _remember(t, scope, key, compute):
     return store[key]
 
 
-def _image_of(t, batch=None, **changes):
-    """replace(t, **changes), sharing t's "module" scope and, unless batch
-    is the image's own (G, F, sn, (cn dn)**(-1/2)), its "nilpotent" scope
-    (computed already or later, by either triplet).  Only for images at the
-    same (rep, h, k), and without batch, whose nilpotent part is t's."""
+def _image_of(t, nilpotent=None, **changes):
+    """replace(t, **changes), sharing t's "module" scope and, unless
+    nilpotent is the image's own "nilpotent" scope, t's (computed already or
+    later, by either triplet).  Only for images at the same (rep, h, k) that
+    the sign table in the module docstring covers, and without nilpotent,
+    whose nilpotent part is t's."""
     image = replace(t, **changes)
     image._memo["module"] = t._memo["module"]
-    if batch is None:
+    if nilpotent is None:
         image._memo["nilpotent"] = t._memo["nilpotent"]
     else:
-        _remember(image, "nilpotent", "G F sn m", lambda: batch)
+        for key, value in nilpotent.items():
+            _remember(image, "nilpotent", key, lambda value=value: value)
     return image
 
 
@@ -337,6 +358,14 @@ def _parity_sign(t):
     return -1.0 if t.shift_b % 2 else 1.0
 
 
+def _sign_image_scope(t):
+    """The "nilpotent" scope of t's sign image, from t's own (made first if
+    need be): G and sn negated, F, (cn dn)**(-1/2) and the relation norms as
+    they are (see the sign table in the module docstring)."""
+    g, f, sn, m = _at_nilpotent_part(t)
+    return {"G F sn m": (-g, f, -sn, m), "relations": _relations_at_nilpotent_part(t)}
+
+
 # -- construction -------------------------------------------------------------
 
 
@@ -431,20 +460,36 @@ def structure_matrices(t):
     return g, {"primary": primary, "algebraic": _at_raising(t)[0]}, _parity_sign(t)
 
 
-def relations_on_generators(X, Y, J0, g, f, uh):
-    """Residuals of the three defining relations for generator matrices X, Y,
-    J0 and the structure-function matrices g = G(X) and f = F(X); uh picks the
-    labels of the k**2 = 1 reduction."""
-    l_comm, l_x, l_y = ("eq22", "eq23", "eq24") if uh else ("eq12", "eq13", "eq14")
+def _relation_norms(X, Y, J0, g, f):
+    """Frobenius norms of the residual matrices of the three defining
+    relations, [X, Y] - 2 J0, [J0, X] - g and [J0, Y] + (f Y + Y f)/2, then
+    of Y, J0, g and f: everything the relative residuals need but |X|.  The
+    one place the relation products are formed."""
     r_comm = commutator(X, Y) - 2.0 * J0
     r_x = commutator(J0, X) - g
     r_y = commutator(J0, Y) + 0.5 * (f @ Y + Y @ f)
-    nx, ny, n0, ng, nf = (frobenius(m) for m in (X, Y, J0, g, f))
+    return tuple(frobenius(m) for m in (r_comm, r_x, r_y, Y, J0, g, f))
+
+
+def _relative(norms, nx, uh):
+    """The three relation residuals from `_relation_norms`'s norms and |X|,
+    each relative to the largest of 1 and the norms of its terms."""
+    r_comm, r_x, r_y, ny, n0, ng, nf = norms
+    l_comm, l_x, l_y = ("eq22", "eq23", "eq24") if uh else ("eq12", "eq13", "eq14")
     return {
-        l_comm: frobenius(r_comm) / max(1.0, nx, ny, n0),
-        l_x: frobenius(r_x) / max(1.0, nx, n0, ng),
-        l_y: frobenius(r_y) / max(1.0, ny, n0, nf),
+        l_comm: r_comm / max(1.0, nx, ny, n0),
+        l_x: r_x / max(1.0, nx, n0, ng),
+        l_y: r_y / max(1.0, ny, n0, nf),
     }
+
+
+def relations_on_generators(X, Y, J0, g, f, uh):
+    """Residuals of the three defining relations for generator matrices X, Y,
+    J0 and the structure-function matrices g = G(X) and f = F(X); uh picks the
+    labels of the k**2 = 1 reduction.  Each residual is the Frobenius norm of
+    its residual matrix over max(1, the norms of its terms), formed afresh
+    on every call; `hopf.verify_coproduct` takes it on coproduct images."""
+    return _relative(_relation_norms(X, Y, J0, g, f), frobenius(X), uh)
 
 
 def _series_gaps(k, dim):
@@ -458,16 +503,33 @@ def _series_gaps(k, dim):
                                  ("f_eq15_vs_eq16", _F_doubled_series(k, dim)))}
 
 
+def _relations_at_nilpotent_part(t):
+    """The relation norms at the nilpotent part N of Xhat (`_relation_norms`
+    with the parity on G and F) and f_eq15_vs_eq17, the relative gap between
+    the two routes to F, memoised in the "nilpotent" scope."""
+    def compute():
+        g, fm, sign = structure_matrices(t)
+        f = fm["primary"]
+        return (_relation_norms(_x_nilpotent(t), t.Yhat, t.J0, sign * g, sign * f),
+                frobenius(f - fm["algebraic"]) / max(1.0, frobenius(f)))
+    return _remember(t, "nilpotent", "relations", compute)
+
+
 def relation_residuals(t):
     """Frobenius residuals of the defining relations, plus the consistency
     checks tying the structure functions together.  Keys are the relation
-    labels used throughout the residual reports."""
-    g, fm, sign = structure_matrices(t)
-    out = relations_on_generators(t.Xhat, t.Yhat, t.J0, sign * g, sign * fm["primary"],
-                                  t.params.ksq == 1)
+    labels used throughout the residual reports.
+
+    The relation products are formed once per triplet and its images, at the
+    nilpotent part N of Xhat (`_relations_at_nilpotent_part`): o I commutes
+    with everything, so [Xhat, Y] = [N, Y] and [J0, Xhat] = [J0, N] with no
+    rounding of o, and an image reads its base's norms, which the sign table
+    in the module docstring makes its own.  Each triplet divides them by its own
+    max(1, |Xhat|, ...); the series gaps come from the module scope."""
+    norms, f_routes = _relations_at_nilpotent_part(t)
+    out = _relative(norms, frobenius(t.Xhat), t.params.ksq == 1)
     out.update(_remember(t, "module", "gaps", lambda: _series_gaps(t.params.k, t.rep.dim)))
-    scale = max(1.0, frobenius(fm["primary"]))
-    out["f_eq15_vs_eq17"] = frobenius(fm["primary"] - fm["algebraic"]) / scale
+    out["f_eq15_vs_eq17"] = f_routes
     return out
 
 

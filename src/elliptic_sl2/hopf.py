@@ -64,7 +64,6 @@ from .liealg import (
     KronSum,
     OddOperator,
     SpinRep,
-    coproduct_classical,
     frobenius,
     kron,
     mat_apply_series,
@@ -140,10 +139,10 @@ def coproduct(source, params, r1, r2):
 def delta1(params, r1, r2):
     """Deform the primitive coproduct of the undeformed generators."""
     _check_product_dim(r1, r2)
-    _, djm, dj0 = coproduct_classical(r1, r2)
     order = _pair_order(r1, r2)
-    dx, dy = deform_generators(KronSum(r1.Jp, r2.Jp), djm, params, order)
-    return CoproductTriple(DX=dx, DY=dy, DJ0=dj0, params=params,
+    dx, dy = deform_generators(KronSum(r1.Jp, r2.Jp), KronSum(r1.Jm, r2.Jm).dense(), params,
+                               order)
+    return CoproductTriple(DX=dx, DY=dy, DJ0=KronSum(r1.J0, r2.J0).dense(), params=params,
                            r1=r1, r2=r2, source="delta1")
 
 
@@ -276,8 +275,8 @@ def coassociativity_delta1(params, r1, r2, r3):
     are functions of the threefold primitive sums, computed independently."""
     _check_product_dim(r1, r2, r3)
     order = r1.dim + r2.dim + r3.dim - 2
-    djp12, djm12, _ = coproduct_classical(r1, r2)
-    djp23, djm23, _ = coproduct_classical(r2, r3)
+    djp12, djm12 = (KronSum(a, b).dense() for a, b in ((r1.Jp, r2.Jp), (r1.Jm, r2.Jm)))
+    djp23, djm23 = (KronSum(a, b).dense() for a, b in ((r2.Jp, r3.Jp), (r2.Jm, r3.Jm)))
     lx, ly = deform_generators(KronSum(djp12, r3.Jp), KronSum(djm12, r3.Jm).dense(),
                                params, order)
     rx, ry = deform_generators(KronSum(r1.Jp, djp23), KronSum(r1.Jm, djm23).dense(),

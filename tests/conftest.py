@@ -2,14 +2,15 @@
 
 import pytest
 
-from elliptic_sl2 import liealg
+from elliptic_sl2 import deform, liealg
 
 
 class CalculusCalls:
     """The work of the functional calculus, one entry per call in call order:
     ("stack", M) for each power stack of a matrix M, ("horner", None) for
-    each blocked Horner run over one, and ("gather", None) for each call on
-    a weighted shift."""
+    each blocked Horner run over one, ("gather", None) for each call on a
+    weighted shift, and ("relations", None) for each time the products of
+    the three defining relations are formed."""
 
     def __init__(self):
         self.log = []
@@ -26,18 +27,24 @@ class CalculusCalls:
         kinds = [kind for kind, _ in self.log]
         return kinds.count("stack"), kinds.count("gather"), kinds.count("horner")
 
+    def relations(self):
+        """How many times the relation products were formed."""
+        return [kind for kind, _ in self.log].count("relations")
+
 
 @pytest.fixture
 def calculus_calls(monkeypatch):
     """A CalculusCalls that records from now until the test ends."""
     calls = CalculusCalls()
-    for name, kind in (("_power_stack", "stack"), ("_blocked_horner", "horner"),
-                       ("_shift_apply", "gather")):
-        real = getattr(liealg, name)
+    for module, name, kind in ((liealg, "_power_stack", "stack"),
+                               (liealg, "_blocked_horner", "horner"),
+                               (liealg, "_shift_apply", "gather"),
+                               (deform, "_relation_norms", "relations")):
+        real = getattr(module, name)
 
         def counted(*args, real=real, kind=kind):
             calls.log.append((kind, args[0] if kind == "stack" else None))
             return real(*args)
 
-        monkeypatch.setattr(liealg, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls

@@ -240,32 +240,71 @@ def _by_hand(t):
                            provenance=t.provenance, shift_a=t.shift_a, shift_b=t.shift_b)
 
 
-@pytest.mark.parametrize("j", [1.0, 2.5, 8.0])
+@pytest.mark.parametrize("j", [1.0, 2.5, 8.0, 12.5])
 def test_images_share_only_values_equal_to_their_own(j):
+    for h in (0.8, 0.8 - 0.3j):
+        rep = build_spin(j)
+        t = build_elliptic_triplet(rep, DeformParams(h=h, k=0.6))
+        uh = build_jordanian_triplet(rep, h)
+        for base in (t, uh):   # the images find their base's values computed
+            relation_residuals(base)
+        sign = sign_involution(t)
+        shifts = [period_shift_elliptic(t, spec) for spec in (ELL_IKP, ELL_2K_IKP)]
+        half = half_period_shift_uh(uh)
+        full = half_period_shift_uh(half)
+        for image, report in [(sign, None), *shifts, (half, None), (full, None)]:
+            fresh = relation_residuals(_by_hand(image))
+            assert relation_residuals(image) == fresh, h
+            if report is not None:
+                assert {key: report[key] for key in fresh} == fresh
+        # the shifts take G and the primary F of their base; the sign image
+        # only F at J+
+        base_g, base_f, _ = structure_matrices(t)
+        for image, _ in shifts:
+            g, f, _ = structure_matrices(image)
+            assert g is base_g and f["primary"] is base_f["primary"]
+        g, f, _ = structure_matrices(sign)
+        assert g is not base_g and f["algebraic"] is base_f["algebraic"]
+        assert structure_matrices(full)[0] is structure_matrices(uh)[0]
+        for a, b in zip(invert_map(full), invert_map(_by_hand(full))):
+            assert np.array_equal(a, b)
+
+
+def _shift_images(j):
+    """A base whose relations are computed, and its three shift images."""
     rep = build_spin(j)
     t = build_elliptic_triplet(rep, DeformParams(h=0.8, k=0.6))
     uh = build_jordanian_triplet(rep, 0.8)
-    for base in (t, uh):   # the images find their base's values computed
+    for base in (t, uh):
         relation_residuals(base)
-    sign = sign_involution(t)
-    shifts = [period_shift_elliptic(t, spec) for spec in (ELL_IKP, ELL_2K_IKP)]
-    half = half_period_shift_uh(uh)
-    full = half_period_shift_uh(half)
-    for image, report in [(sign, None), *shifts, (half, None), (full, None)]:
-        fresh = relation_residuals(_by_hand(image))
-        assert relation_residuals(image) == fresh
-        if report is not None:
-            assert {key: report[key] for key in fresh} == fresh
-    # the shifts take G and the primary F of their base; the sign image only F at J+
-    base_g, base_f, _ = structure_matrices(t)
-    for image, _ in shifts:
-        g, f, _ = structure_matrices(image)
-        assert g is base_g and f["primary"] is base_f["primary"]
-    g, f, _ = structure_matrices(sign)
-    assert g is not base_g and f["algebraic"] is base_f["algebraic"]
-    assert structure_matrices(full)[0] is structure_matrices(uh)[0]
-    for a, b in zip(invert_map(full), invert_map(_by_hand(full))):
-        assert np.array_equal(a, b)
+    return [period_shift_elliptic(t, spec)[0] for spec in (ELL_IKP, ELL_2K_IKP)] + [
+        half_period_shift_uh(uh)]
+
+
+@pytest.mark.parametrize("j", [0.5, 2.5, 8.0])
+def test_a_shift_image_with_yhat_or_j0_unflipped_fails_its_relations(j):
+    """Sharing holds only under the sign table: a triplet that holds a shift
+    image's Xhat and shift counts but its base's Yhat or J0 computes its own
+    relations, and they fail."""
+    for image in _shift_images(j):
+        base_y, base_j0 = -image.Yhat, -image.J0
+        for changes in ({"Yhat": base_y}, {"J0": base_j0}):
+            wrong = _by_hand(replace(image, **changes))
+            assert worst_residual(relation_residuals(wrong)) > 1e-9, (image.shift_a, changes)
+        assert worst_residual(relation_residuals(_by_hand(image))) < 1e-9
+
+
+def test_a_replaced_image_never_reads_the_shared_norms(calculus_calls):
+    t = build_elliptic_triplet(build_spin(2.5), DeformParams(h=0.8, k=0.6))
+    relation_residuals(t)
+    for image in [sign_involution(t), *_shift_images(2.5)]:
+        before = relation_residuals(image)
+        changed = replace(image, Yhat=3.0 * image.Yhat)
+        calculus_calls.clear()
+        report = relation_residuals(changed)
+        assert calculus_calls.relations() == 1
+        assert report == relation_residuals(_by_hand(changed))
+        assert worst_residual(report) > 1e-9 > worst_residual(before)
 
 
 def test_replaced_arrays_never_meet_a_stale_value():

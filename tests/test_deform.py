@@ -248,9 +248,12 @@ def test_relation_residuals_evaluate_one_batch_at_xhat(calculus_calls):
     # build's gather, and the series gaps use no matrix
     relation_residuals(t)
     assert calculus_calls.counts() == (1, 0, 4)
+    assert calculus_calls.relations() == 1
     calculus_calls.clear()
     invert_map(t)   # sn and (cn dn)**(-1/2) from that batch
+    relation_residuals(t)   # the relation norms, and no product
     assert calculus_calls.counts() == (0, 0, 0)
+    assert calculus_calls.relations() == 0
 
 
 def test_a_modulus_whose_square_overflows_is_refused_by_name():
@@ -416,9 +419,10 @@ def _spin_verify_sequence(t):
 def test_spin_verify_sequence_makes_one_gather_and_one_power_stack(k, calculus_calls,
                                                                    monkeypatch):
     """The build's gather at J+ gives the map and every other function of J+
-    (F, and cosh, dressing and sinh of the Jordanian Casimir form), and one
-    batch at Xhat gives G, F, sn and (cn dn)**(-1/2); the sign and shift
-    images share both.  Two (h/2)**i tables, one per argument."""
+    (F, and cosh, dressing and sinh of the Jordanian Casimir form), one
+    batch at Xhat gives G, F, sn and (cn dn)**(-1/2), and the relation
+    products are formed once; the sign and shift images share all three.
+    Two (h/2)**i tables, one per argument."""
     from elliptic_sl2 import deform
 
     tables = []
@@ -427,6 +431,7 @@ def test_spin_verify_sequence_makes_one_gather_and_one_power_stack(k, calculus_c
     _spin_verify_sequence(build_elliptic_triplet(build_spin(8.0), DeformParams(h=0.45, k=k)))
     assert [m.shape for m in calculus_calls.stacks()] == [(17, 17)]
     assert calculus_calls.counts() == (1, 1, 4)
+    assert calculus_calls.relations() == 1
     assert len(tables) == 2
 
 
@@ -460,6 +465,7 @@ def test_sign_image_shares_one_stack_in_either_order(calculus_calls):
             image = autos.sign_involution(t)
             image_checks = checks(image)
         assert calculus_calls.counts() == (1, 0, 4), sign_first
+        assert calculus_calls.relations() == 1, sign_first
         results.append((base_checks, image_checks))
     (base_a, image_a), (base_b, image_b) = results
     for a, b in ((base_a, base_b), (image_a, image_b)):

@@ -40,6 +40,7 @@ COMMANDS = (
     "sweep --families deform,elliptic --j 0.5,1,3 --k 0.4,1",
     "auto shift --which uh-half --j 2 --h 0.8 --k 0.6",
     "auto shift --which ell-iKp --j 2 --h 0.8 --k 0.6",
+    "auto shift --which ell-2KiKp --j 8 --h 0.45 --k 0.7",
     "auto shift --which sign --j 2 --h 0.8 --k 0.6",
     "elliptic eval --k 0.5",
     "elliptic eval --k 0.5 --u 0.3+0.2i",
