@@ -12,18 +12,10 @@ Shift offsets are stored as exact integer counts of K and i K' on the
 triplet (never as accumulated floating point).  Relation checks on shifted
 triplets ride on the half-period parity of the structure functions rather
 than on any evaluation at the shifted argument.  An image shares what its
-base has computed, or computes later (see `deform`).  Every image takes the
-functions of J+ and the series gaps, which depend on (rep, h, k) alone.  A
-shifted image's Xhat is N plus the offset times I, N the nilpotent part of
-its base's, which subtracting the offset again gives back bit for bit, so it
-shares its base's G, F, sn and (cn dn)**(-1/2) of N and its relation norms.
-The sign image's nilpotent part is -N: it holds its base's batch, made
-first if need be, with G and sn negated and F and (cn dn)**(-1/2) as they
-are, and its base's relation norms.  Parity, with negation exact in every
-step of the dense calculus and of the relation products, makes those the
-bits the image's own evaluation gives (the sign table in `deform`).  So no
-image evaluates a series or forms a relation product, whichever of it and
-its base asks first; each divides the shared norms by its own |Xhat|.
+base has computed, or computes later, so no image evaluates a series or
+forms a relation product, whichever of it and its base asks first; the
+sign table in the `deform` module docstring gives what each image reads and
+why those are the bits of its own evaluation.
 
 The induced action on the raising and lowering generators themselves
 involves an inverse power of J+, which has no finite-matrix realization;
@@ -189,7 +181,7 @@ _EXTRA_RATIONAL_SAMPLES = (
 )
 
 
-def inversion_symbolic_report(h, k, eps, extra_samples=_EXTRA_RATIONAL_SAMPLES):
+def inversion_symbolic_report(h, k, eps):
     """Exact check, on the localized algebra, that the induced generator map
 
         J+ -> eps (1/k)(2/h)^2 J+^{-1},  J- -> eps k (h/2)^2 J+ J- J+,
@@ -203,7 +195,7 @@ def inversion_symbolic_report(h, k, eps, extra_samples=_EXTRA_RATIONAL_SAMPLES):
 
     h_r = h if isinstance(h, Fraction) else Fraction(float(h)).limit_denominator(10 ** 12)
     k_r = k if isinstance(k, Fraction) else Fraction(float(k)).limit_denominator(10 ** 12)
-    samples = [(h_r, k_r), *extra_samples]
+    samples = [(h_r, k_r), *_EXTRA_RATIONAL_SAMPLES]
     rows = []
     all_pass = True
     for hs, ks in samples:

@@ -60,7 +60,7 @@ from .deform import (
 )
 from .elliptic import complete_K, complete_Kprime, jacobi_numeric, periods
 from .errors import DomainError
-from .liealg import build_spin, frobenius, matrix_to_json, worst
+from .liealg import build_spin, frobenius, worst
 from .rewrite import parse_expression
 from .version import __version__
 
@@ -84,7 +84,8 @@ def _json_float(x):
 
 def _jsonable(obj):
     """The payload in plain JSON values: complex numbers become [re, im] and
-    matrices the layout of ``matrix_to_json``."""
+    a matrix {"dim": d, "entries": [[re, im], ...]}, entries in row-major
+    order."""
     if isinstance(obj, float):
         return _json_float(obj)
     if isinstance(obj, dict):
@@ -94,7 +95,9 @@ def _jsonable(obj):
     if isinstance(obj, complex):
         return [_json_float(obj.real), _json_float(obj.imag)]
     if isinstance(obj, np.ndarray):
-        out = matrix_to_json(obj)
+        mat = np.asarray(obj, dtype=complex)
+        out = {"dim": mat.shape[0],
+               "entries": np.stack((mat.real, mat.imag), axis=-1).reshape(-1, 2).tolist()}
         return out if np.isfinite(obj).all() else _jsonable(out)
     return obj
 
@@ -127,7 +130,7 @@ def _csv_cell(v):
 
 
 def _matrix_csv(prefix, mat):
-    """The entry rows of a matrix's ``matrix_to_json`` layout as one text
+    """The entry rows of a matrix's JSON layout (see `_jsonable`) as one text
     block.  Only the entries that are nonzero or -0.0 are formatted; every
     other cell is "0".  The key prefix is quoted once, as ``csv.writer``
     quotes a whole key: the index part adds no character that needs quoting."""

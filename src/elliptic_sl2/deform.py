@@ -207,10 +207,11 @@ def _asn(k, order):
 
 @lru_cache(maxsize=None)
 def _g_of_v(k, order):
-    """g(v) = ((1-v^2)(1-k^2 v^2))**(1/4) as a series in v."""
-    u = TruncatedSeries.identity(order)
-    prod = (1.0 - u * u) * (1.0 - (u * u) * (k * k))
-    return prod.pow_rational(0.25)
+    """g(v) = ((1-v^2)(1-k^2 v^2))**(1/4) as a series in v: one Miller power
+    of arcsn's radicand (see `asn_series`)."""
+    k2 = complex(k) * complex(k)
+    radicand = ([1, 0, -1 - k2, 0, k2] + [0] * order)[:order + 1]
+    return TruncatedSeries(pow_coeffs(radicand, 0.25))
 
 
 @lru_cache(maxsize=None)
@@ -258,13 +259,13 @@ def _F_of_v_series(k, order):
 
 
 def _jordanian_factors(order):
-    """cosh(arctanh v) = (1 - v**2)**(-1/2), the Jordanian dressing
-    (1 - v**2)**(1/2) and sinh(arctanh v) = v (1 - v**2)**(-1/2): the
-    factors of the Jordanian Casimir form as series of v = (h/2) J+."""
+    """cosh(arctanh v) = (1 - v**2)**(-1/2), the Jordanian dressing, which
+    is the map's own g at k = 1, and sinh(arctanh v) = v (1 - v**2)**(-1/2):
+    the factors of the Jordanian Casimir form as series of v = (h/2) J+."""
     one_minus_v2 = ([1.0, 0.0, -1.0] + [0.0] * order)[:order + 1]
     cosh = TruncatedSeries(pow_coeffs(one_minus_v2, -0.5))
     sinh = TruncatedSeries(np.concatenate(([0.0], cosh.coeffs[:-1])))
-    return cosh, TruncatedSeries(pow_coeffs(one_minus_v2, 0.5)), sinh
+    return cosh, _g_of_v(1.0, order), sinh
 
 
 def _raising_terms(k, order):
@@ -543,8 +544,8 @@ def casimir(t, form):
     "elliptic" is the same on the triplet's inverse map, so it measures the
     round trip through its own Xhat and Yhat.  "jordanian" is
     cosh(hX/2) Y (2/h) sinh(hX/2) + J0**2 + J0 on the hyperbolic pair (X, Y)
-    at the triplet's h, Y = d J- d with d = (1 - v**2)**(1/2), the k = 1
-    dressing.  Since (h/2) X = arctanh((h/2) J+), its cosh and sinh are
+    at the triplet's h, Y = d J- d with d = (1 - v**2)**(1/2), the map's g
+    at k = 1.  Since (h/2) X = arctanh((h/2) J+), its cosh and sinh are
     closed-form functions of J+ (`_jordanian_factors`), so this form is
     C d J- d S + J0**2 + J0 from the module scope's gather at J+ and no
     matrix X is formed: it measures the Jordanian dressing against cosh and

@@ -79,9 +79,6 @@ __all__ = [
     "mat_apply_series",
     "nilpotency_bound",
     "kron",
-    "coproduct_classical",
-    "matrix_to_json",
-    "matrix_from_json",
     "frobenius",
     "worst",
 ]
@@ -471,12 +468,6 @@ def kron(a, b):
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(r1 * r2, c1 * c2)
 
 
-def coproduct_classical(r1, r2):
-    """Primitive tensor generators J_i x 1 + 1 x J_i on the product module."""
-    return tuple(KronSum(a, b).dense()
-                 for a, b in ((r1.Jp, r2.Jp), (r1.Jm, r2.Jm), (r1.J0, r2.J0)))
-
-
 def frobenius(a):
     """The Frobenius norm, from one dot product; NaN and inf propagate.  Where
     the squares overflow (entries above about 1e154) or all underflow (below
@@ -495,20 +486,3 @@ def worst(values):
     non-finite residual is always the worst and never passes a tolerance.
     The worst of no residuals is 0.0."""
     return max(map(float, values), key=lambda v: (v != v, v), default=0.0)
-
-
-def matrix_to_json(mat):
-    """{"dim": d, "entries": [[re, im], ...]}, entries in row-major order."""
-    mat = np.asarray(mat, dtype=complex)
-    return {
-        "dim": mat.shape[0],
-        "entries": np.stack((mat.real, mat.imag), axis=-1).reshape(-1, 2).tolist(),
-    }
-
-
-def matrix_from_json(obj):
-    dim = obj["dim"]
-    entries = [complex(re, im) for re, im in obj["entries"]]
-    if len(entries) != dim * dim:
-        raise DomainError("matrix JSON entry count disagrees with dim")
-    return np.array(entries, dtype=complex).reshape(dim, dim)

@@ -372,14 +372,6 @@ class NCPoly:
             for (a, b, c) in sorted(self.terms)
         ]
 
-    @classmethod
-    def from_terms(cls, rows):
-        terms = {}
-        for row in rows:
-            key = (int(row["a"]), int(row["b"]), int(row["c"]))
-            terms[key] = terms.get(key, Fraction(0)) + Fraction(row["coeff"])
-        return cls(terms)
-
     def __repr__(self):
         if not self.terms:
             return "NCPoly(0)"
@@ -455,10 +447,8 @@ def _rewrite(word, strategy, limit):
 
 
 def nf(obj, strategy="leftmost"):
-    """Normal form of an NCPoly or an iterable of (coeff, word) pairs, the
-    words normalised by the reference rewriter."""
-    if isinstance(obj, NCPoly):
-        return obj
+    """Normal form of an iterable of (coeff, word) pairs, the words
+    normalised by the reference rewriter."""
     acc = {}
     for coeff, word in obj:
         coeff = Fraction(coeff)
@@ -478,12 +468,6 @@ class GeneratorMap:
     jp: NCPoly
     jm: NCPoly
     j0: NCPoly
-
-
-def identity_map():
-    return GeneratorMap(jp=NCPoly.generator("Jp"),
-                        jm=NCPoly.generator("Jm"),
-                        j0=NCPoly.generator("J0"))
 
 
 def sign_map():

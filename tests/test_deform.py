@@ -13,12 +13,16 @@ from elliptic_sl2.deform import (
     _asn,
     _at_half_h,
     _at_nilpotent_part,
+    _at_raising,
     _g_inv_of_u,
     _g_of_v,
     _half_h_powers,
     _jordanian_factors,
+    _relation_norms,
+    _relative,
     _series_gaps,
     _sncndn,
+    _x_nilpotent,
     build_elliptic_triplet,
     build_jordanian_triplet,
     casimir,
@@ -28,7 +32,6 @@ from elliptic_sl2.deform import (
     lift_series,
     lift_uh_to_elliptic,
     relation_residuals,
-    relations_on_generators,
     structure_matrices,
 )
 from elliptic_sl2.elliptic import sd_cd_nd_series
@@ -300,13 +303,14 @@ def _images(j, k):
 
 
 @pytest.mark.parametrize("k", [0.6, 1.0])
-@pytest.mark.parametrize("j", [1.0, 2.5, 6.0])
+@pytest.mark.parametrize("j", [1.0, 2.5, 6.0, 8.0])
 def test_each_identity_is_computed_once_with_the_same_bits(j, k):
     for t in _images(j, k):
-        # the relations take G and the primary f-matrix times the parity
+        # the relations take G and the primary f-matrix times the parity, at
+        # the nilpotent part of Xhat, over the image's own |Xhat|
         g, fm, sign = structure_matrices(t)
-        direct = relations_on_generators(t.Xhat, t.Yhat, t.J0, sign * g, sign * fm["primary"],
-                                         k == 1)
+        norms = _relation_norms(_x_nilpotent(t), t.Yhat, t.J0, sign * g, sign * fm["primary"])
+        direct = _relative(norms, frobenius(t.Xhat), k == 1)
         report = relation_residuals(t)
         assert {key: report[key] for key in direct} == direct
     t = _images(j, k)[0]
@@ -483,17 +487,36 @@ def _casimir_gap(t, form):
 
 
 def test_jordanian_casimir_catches_a_wrong_dressing(monkeypatch):
-    """The Jordanian form takes its dressing from the Miller power
-    (1 - v**2)**(1/2), so a wrong exponent there shows in it."""
+    """The Jordanian form takes its dressing from g at k = 1, the Miller
+    power ((1 - v**2)(1 - k**2 v**2))**(1/4), so a wrong exponent there shows
+    in it."""
     from elliptic_sl2 import deform
 
     rep, p = build_spin(2.5), DeformParams(h=0.8, k=0.55)
     builds = (lambda: build_elliptic_triplet(rep, p), lambda: build_jordanian_triplet(rep, p.h))
     assert all(_casimir_gap(build(), "jordanian") < 1e-12 for build in builds)
     real = deform.pow_coeffs
-    monkeypatch.setattr(deform, "pow_coeffs",
-                        lambda a, power: real(a, power + 1e-6 if power == 0.5 else power))
-    assert all(_casimir_gap(build(), "jordanian") > 1e-9 for build in builds)
+    _g_of_v.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(deform, "pow_coeffs",
+                          lambda a, power: real(a, power + 1e-6 if power == 0.25 else power))
+            assert all(_casimir_gap(build(), "jordanian") > 1e-9 for build in builds)
+    finally:
+        _g_of_v.cache_clear()
+
+
+@pytest.mark.parametrize("k", [1.0, 0.6])
+def test_the_jordanian_dressing_is_the_map_dressing_at_k_1(k):
+    """The Jordanian dressing is g at k = 1, one series.  At order 81 a
+    separate Miller power (1 - v**2)**(1/2) differs from g in its last bits."""
+    rep, h = build_spin(40.0), 0.45
+    t = build_elliptic_triplet(rep, DeformParams(h=h, k=k))
+    assert _jordanian_factors(rep.dim)[1] is _g_of_v(1.0, rep.dim)
+    dress = _at_raising(t)[2]
+    assert np.array_equal(dress, _at_half_h(rep.raising, h, (_g_of_v(1.0, rep.dim), 0))[0])
+    if k == 1.0:   # Yhat is dressed by the same matrix
+        assert np.array_equal(t.Yhat, dress @ rep.Jm @ dress)
 
 
 @pytest.mark.parametrize("a", [0.5, -0.5, 0.25, -1.0])

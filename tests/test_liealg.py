@@ -15,12 +15,9 @@ from elliptic_sl2.liealg import (
     WeightedShift,
     build_spin,
     commutator,
-    coproduct_classical,
     frobenius,
     kron,
     mat_apply_series,
-    matrix_from_json,
-    matrix_to_json,
     nilpotency_bound,
     worst,
 )
@@ -102,7 +99,7 @@ def _nilpotent_inputs():
     for dim in range(1, 31):
         yield _strictly_upper(rng, dim)
     for j1, j2 in ((0.5, 1.0), (1.0, 1.5), (2.0, 2.5), (3.0, 3.0)):
-        yield coproduct_classical(build_spin(j1), build_spin(j2))[0]
+        yield KronSum(build_spin(j1).Jp, build_spin(j2).Jp).dense()
 
 
 def test_mat_apply_series_matches_explicit_power_sum():
@@ -406,25 +403,14 @@ def test_non_finite_entries_are_named_as_an_overflow():
 
 def test_classical_coproduct_satisfies_relations():
     r1, r2 = build_spin(0.5), build_spin(1.0)
-    djp, djm, dj0 = coproduct_classical(r1, r2)
+    djp, djm, dj0 = (KronSum(a, b).dense()
+                     for a, b in ((r1.Jp, r2.Jp), (r1.Jm, r2.Jm), (r1.J0, r2.J0)))
     assert frobenius(commutator(djp, djm) - 2 * dj0) < 1e-13
     assert frobenius(commutator(dj0, djp) - djp) < 1e-13
     d = r1.dim * r2.dim
     assert djp.shape == (d, d)
     assert np.max(np.abs(kron(np.eye(r1.dim), r2.Jp)
                          + kron(r1.Jp, np.eye(r2.dim)) - djp)) == 0.0
-
-
-def test_matrix_json_roundtrip():
-    rng = np.random.default_rng(1)
-    m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    back = matrix_from_json(matrix_to_json(m))
-    assert np.array_equal(back, m)
-
-
-def test_matrix_from_json_validates_entry_count():
-    with pytest.raises(DomainError):
-        matrix_from_json({"dim": 2, "entries": [[0.0, 0.0]] * 3})
 
 
 def test_worst_is_the_largest_residual():

@@ -37,7 +37,9 @@ COMMANDS = (
     "verify-all --h 0.45 --k 0.3",
     "deform verify --j 8 --h 0.8 --k 0.6",
     "deform verify --j 8 --h 0.8 --k 0.6 --jordanian",
+    "deform verify --j 40 --h 0.45 --k 1",
     "sweep --families deform,elliptic --j 0.5,1,3 --k 0.4,1",
+    "sweep --j 20,40 --h 0.45 --k 0.6,1",
     "auto shift --which uh-half --j 2 --h 0.8 --k 0.6",
     "auto shift --which ell-iKp --j 2 --h 0.8 --k 0.6",
     "auto shift --which ell-2KiKp --j 8 --h 0.45 --k 0.7",
