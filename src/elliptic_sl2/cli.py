@@ -190,13 +190,6 @@ def _emit(payload, fmt, out):
         _emit_csv(payload, out)
 
 
-def _render(payload, fmt):
-    """The document text of a payload in one of the two formats."""
-    buf = io.StringIO()
-    _emit(payload, fmt, buf)
-    return buf.getvalue()
-
-
 def _write_payload(payload, fmt, out_path):
     """Stream the document to ``out_path``, or to stdout without one.  A
     file that cannot be opened or written is a domain error."""

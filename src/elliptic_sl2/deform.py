@@ -19,8 +19,9 @@ odd, is realized by scaling coefficients rather than the matrix,
 
 with one (h/2)**i table cut at the nilpotency bound of M, so h = 0 is an
 ordinary point of every formula, never a division.  The series taken at one
-argument go to one call of `mat_apply_series`, which builds one power stack
-for all of them.
+argument go to one call of `mat_apply_series`: at J+ (`SpinRep.raising`)
+they are coefficient vectors made matrices by one `densify` gather, and at
+Xhat they share one power stack.
 
 f = dG/du and the doubled form of f are identities between series, checked
 on coefficients through order dim - 1 and never on matrices: series that agree
@@ -94,7 +95,7 @@ import numpy as np
 from .elliptic import (asn_series, complete_K, complete_Kprime, sd_cd_nd_series,
                        sn_cn_dn_series)
 from .errors import DomainError
-from .liealg import (SpinRep, commutator, frobenius, mat_apply_series, nilpotency_bound,
+from .liealg import (SpinRep, commutator, densify, frobenius, mat_apply_series, nilpotency_bound,
                      real_if_exact)
 from .series import TruncatedSeries, pow_coeffs
 
@@ -296,8 +297,8 @@ def _at_half_h(mat, h, *terms):
     p = 0 is the plain map F((h/2) M); p = 1 is the odd map (2/h) F((h/2) M),
     written without the division, so F must have zero constant term.  Each
     coefficient c_i is scaled by (h/2)**(i-p) from one table cut at the
-    nilpotency bound of M (a matrix or a KronSum), and all the series are
-    evaluated from one power stack of M."""
+    nilpotency bound of M (a matrix or an element of A), and all the series
+    go to one `mat_apply_series` call."""
     bound = nilpotency_bound(mat)
     powers = _half_h_powers(h, min(bound, max(s.order for s, _ in terms)))
     scaled = []
@@ -339,8 +340,8 @@ def _x_nilpotent(t):
 def _at_raising(t):
     """F, cosh, dressing and rescaled sinh at J+ (see `_raising_terms`): the
     builder's gather made them, or one gather on first use."""
-    return _remember(t, "module", "at J+", lambda: tuple(_at_half_h(
-        t.rep.raising, t.params.h, *_raising_terms(t.params.k, t.rep.dim))))
+    return _remember(t, "module", "at J+", lambda: tuple(densify(_at_half_h(
+        t.rep.raising, t.params.h, *_raising_terms(t.params.k, t.rep.dim)))))
 
 
 def _at_nilpotent_part(t):
@@ -381,8 +382,8 @@ def build_elliptic_triplet(rep, params):
     """Deformed triplet (Xhat, Yhat, J0) on the spin-j module, from one gather
     at J+ that also fills the module scope (`_at_raising`)."""
     k, order = params.k, rep.dim
-    xhat, d, *at_raising = _at_half_h(rep.raising, params.h, (_asn(k, order), 1),
-                                      (_g_of_v(k, order), 0), *_raising_terms(k, order))
+    xhat, d, *at_raising = densify(_at_half_h(rep.raising, params.h, (_asn(k, order), 1),
+                                              (_g_of_v(k, order), 0), *_raising_terms(k, order)))
     t = DeformedTriplet(Xhat=xhat, Yhat=d @ rep.Jm @ d, J0=rep.J0.copy(), params=params,
                         rep=rep, provenance="direct")
     _remember(t, "module", "at J+", lambda: tuple(at_raising))

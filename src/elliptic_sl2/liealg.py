@@ -3,57 +3,35 @@
 Basis order is m = j, j-1, ..., -j, so the raising operator is strictly
 upper triangular and every power series applied to it is a finite sum.
 
-The functional calculus (`mat_apply_series`) accepts only strictly
-upper-triangular arguments, and takes one of four routes by the argument's
-type:
+The functional calculus (`mat_apply_series`) has two routes, by the type of
+its argument:
 
+- a `RaisingPoly`, an element of the commutative algebra
+
+      A = C[S_1, ..., S_m] / (S_1**d_1, ..., S_m**d_m)
+
+  of the raising operators S_i (superdiagonal w_i) of m spin-module
+  factors: J+ (`SpinRep.raising`), every coproduct image of it and every
+  function of one.  The series is evaluated on coefficient arrays, and
+  `densify` makes matrices: S**a has entry prod_i prod(w_i[r_i : r_i + a_i])
+  at row r and column r + a, so an element is one gather of its
+  coefficients by offset c - r times those products (the Toeplitz form of
+  a Jordan block, Higham, Functions of Matrices, SIAM 2008, ch. 1);
 - a matrix M of dimension d: M**d = 0, so the series is cut at order d - 1
   without error and evaluated baby-step/giant-step (Paterson and Stockmeyer,
-  SIAM J. Comput. 2(1), 1973) in about 2 sqrt(n) matmuls of size d;
-- a `KronSum` A x 1 + 1 x B: the two terms commute, so the binomial theorem
-  writes the series as a weighted sum of A**a x B**b with a + b <= d1 + d2 - 2
-  (Higham, Functions of Matrices, SIAM 2008, ch. 1).  Only factor powers
-  are multiplied, at sizes d1 and d2, and one product with the weight table
-  gives every entry of the (d1 d2)-square result;
-- a `WeightedShift`, the matrix with superdiagonal w and zeros elsewhere
-  (a spin module's raising operator, `SpinRep.raising`): its powers are
-  w's running products on the superdiagonals, so a series of it is the
-  upper-triangular Toeplitz matrix of its coefficients (the Jordan-block
-  formula, Higham, ch. 1) times those products entrywise,
+  SIAM J. Comput. 2(1), 1973) in about 2 sqrt(n) matmuls of size d.  This
+  is the route of every function of a spin module's Xhat, and the reference
+  the algebra is tested against.
 
-      F(S)[r, r+i] = c_i prod(w[r : r+i]),
-
-  one gather with no matmul, and each entry is the product of c_i with
-  one running product.  Both factors are carried scaled by exact powers of
-  two, so the bits are those of the plain products and only a result out of
-  double range overflows; a power or coefficient that does is a DomainError;
-- an `OddOperator`, a matrix that maps each class of a two-class grading to
-  the other: in the classes' order it is M = [[0, B], [C, 0]], so
-  M**2 = diag(BC, CB), and a series S(x) = E(x**2) + x O(x**2) is
-
-      S(M) = [[E(BC), B O(CB)], [C O(BC), E(CB)]],
-
-  Paterson-Stockmeyer on two blocks of about half the dimension at half
-  the order; the result is dense, in the original order.
-
-Several series at one argument are one call: the argument is validated
-once and its power stack (the two factor stacks of a `KronSum`, the running
-products of a `WeightedShift`, the stacks of BC and CB of an `OddOperator`)
-is built once, and each series gives the same bits as it would alone.
-
-Callers pass a `KronSum`, a `WeightedShift` or an `OddOperator` only where
-the argument really is one: the coproduct layer builds the sums, the
-deformation map and the algebraic structure function take J+ itself, and
-`hopf.verify_coproduct` takes G and F at a coproduct image DX split by the
-weight parity of the product module.  Everything else, in particular every
-function of a spin module's Xhat, stays on the dense route, which is the
-reference the other three are tested against.
+Several series at one argument are one call: the argument is validated once
+and its power stack (or its multiplication matrix) is built once, and each
+series gives the same bits as it would alone.
 
 The dtype follows the inputs.  `real_if_exact` is the one place that
-decides it, for every matrix and coefficient vector that enters the
-calculus, `commutator`, `kron`, `KronSum` and `WeightedShift`: an operand
-with no nonzero imaginary part is float64, anything else is complex128, and
-numpy runs the same code on either.  Spin matrices are real, so at real h and real k every
+decides it, for every matrix, coefficient array and superdiagonal that
+enters the calculus, `commutator` and `kron`: an operand with no nonzero
+imaginary part is float64, anything else is complex128, and numpy runs the
+same code on either.  Spin matrices are real, so at real h and real k every
 generator image, coproduct image and structure-function matrix is float64;
 a complex h, a complex k or a complex shift offset makes them complex128.
 A NaN or inf imaginary part counts as nonzero, so the demotion is exact.
@@ -71,12 +49,11 @@ from .errors import DomainError
 
 __all__ = [
     "SpinRep",
-    "KronSum",
-    "WeightedShift",
-    "OddOperator",
+    "RaisingPoly",
     "build_spin",
     "commutator",
     "mat_apply_series",
+    "densify",
     "nilpotency_bound",
     "kron",
     "frobenius",
@@ -104,9 +81,10 @@ class SpinRep:
 
     @property
     def raising(self):
-        """J+ as the weighted shift of its superdiagonal, for the gather route
-        of `mat_apply_series`."""
-        return WeightedShift(np.diagonal(self.Jp, 1))
+        """J+ as the generator S of the one-factor algebra (`RaisingPoly`)."""
+        coeffs = np.zeros(self.dim)
+        coeffs[1:2] = 1.0
+        return RaisingPoly(coeffs, (np.diagonal(self.Jp, 1),))
 
 
 def build_spin(j):
@@ -148,80 +126,6 @@ def commutator(a, b):
     return a @ b - b @ a
 
 
-@dataclass(frozen=True)
-class KronSum:
-    """The Kronecker sum A x 1 + 1 x B on the product module, kept as its two
-    factors so that a series of it is formed from factor powers alone."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", real_if_exact(self.a))
-        object.__setattr__(self, "b", real_if_exact(self.b))
-
-    def __rmul__(self, c):
-        return KronSum(c * self.a, c * self.b)
-
-    def dense(self):
-        return kron(self.a, np.eye(self.b.shape[0])) + kron(np.eye(self.a.shape[0]), self.b)
-
-
-@dataclass(frozen=True)
-class OddOperator:
-    """A matrix that is odd under a two-class grading, kept as its two
-    off-diagonal blocks: in the order (even, odd) of the index sets it is
-    [[0, b], [c, 0]], so that a series of it is a pair of series of the
-    half-size blocks b c and c b."""
-
-    b: np.ndarray
-    c: np.ndarray
-    even: np.ndarray
-    odd: np.ndarray
-
-    def __post_init__(self):
-        for name in ("b", "c"):
-            object.__setattr__(self, name, real_if_exact(getattr(self, name)))
-        for name in ("even", "odd"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.intp))
-        shape = (self.even.size, self.odd.size)
-        if self.b.shape != shape or self.c.shape != shape[::-1]:
-            raise DomainError(f"odd operator blocks of shapes {self.b.shape} and "
-                              f"{self.c.shape} do not fit index sets of sizes {shape}")
-
-    @classmethod
-    def split(cls, mat, odd):
-        """The off-diagonal blocks of a square matrix under the grading whose
-        odd class is the boolean mask odd, as an OddOperator, and the
-        Frobenius norm of the two diagonal blocks that leaves out."""
-        mat = real_if_exact(mat)
-        even, odd = np.flatnonzero(~odd), np.flatnonzero(odd)
-        from_even, from_odd = mat.take(even, 0), mat.take(odd, 0)
-        dropped = math.hypot(frobenius(from_even.take(even, 1)), frobenius(from_odd.take(odd, 1)))
-        return cls(from_even.take(odd, 1), from_odd.take(even, 1), even, odd), dropped
-
-    def dense(self):
-        return _from_blocks(self, None, self.b, self.c, None,
-                            np.result_type(self.b, self.c))
-
-
-@dataclass(frozen=True)
-class WeightedShift:
-    """The matrix with superdiagonal w and zeros elsewhere, kept as w so that
-    a series of it is one gather of w's running products."""
-
-    w: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "w", real_if_exact(self.w))
-
-    def dense(self):
-        d = self.w.size + 1
-        mat = np.zeros((d, d), dtype=self.w.dtype)
-        mat[:-1, 1:][np.diag_indices(d - 1)] = self.w
-        return mat
-
-
 def _strictly_upper(mat):
     mat = real_if_exact(mat)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -243,15 +147,10 @@ def _lower_mask(dim):
 
 def nilpotency_bound(mat):
     """The highest power of a strictly upper-triangular argument that can be
-    nonzero: dim - 1 for a matrix or a WeightedShift, d1 + d2 - 2 for a
-    KronSum of factors of dimensions d1 and d2.  Every series is exact when
-    cut there."""
-    if isinstance(mat, KronSum):
-        return mat.a.shape[0] + mat.b.shape[0] - 2
-    if isinstance(mat, WeightedShift):
-        return mat.w.size
-    if isinstance(mat, OddOperator):
-        return mat.even.size + mat.odd.size - 1
+    nonzero: dim - 1 for a matrix, and the highest total degree of A,
+    sum(d_i - 1), for an element.  Every series is exact when cut there."""
+    if isinstance(mat, RaisingPoly):
+        return sum(mat.coeffs.shape) - mat.coeffs.ndim
     return np.shape(mat)[0] - 1
 
 
@@ -268,29 +167,25 @@ def _power_stack(mat, count):
 
 def mat_apply_series(s, mat):
     """sum c_i M**i for a strictly upper-triangular (hence nilpotent) M, given
-    as a matrix, as a KronSum of two such factors, as a WeightedShift or as
-    an OddOperator.
+    as a matrix or as a `RaisingPoly`; an element gives elements on its
+    factors (`densify` makes them matrices).
 
     s is one series, or a sequence of series at the same argument, which
     gives a list.  A sequence validates M once and builds one power stack
-    (one per factor for a KronSum, one per diagonal block of an
-    OddOperator's square); each series then costs only its table product
-    and its Horner loop, and gives the same bits as alone.
+    (for an element, one table of powers, or one per factor); each series
+    then costs only its own products, and gives the same bits as alone.
 
     The order is clipped to n = min(s.order, nilpotency_bound(M)), which is
-    exact; so every order past the bound gives the same bits.  With
-    step = isqrt(n + 1), the baby steps I, M, ..., M**(step-1) are stacked
-    once, every block sum_r c_(b*step+r) M**r comes out of one product with
-    the coefficient table, and Horner in M**step runs over the blocks.
+    exact; so every order past the bound gives the same bits.  On a matrix,
+    with step = isqrt(n + 1), the baby steps I, M, ..., M**(step-1) are
+    stacked once, every block sum_r c_(b*step+r) M**r comes out of one
+    product with the coefficient table, and Horner in M**step runs over the
+    blocks.
     """
     batch = isinstance(s, (list, tuple))
     series = list(s) if batch else [s]
-    if isinstance(mat, KronSum):
-        out = _kron_sum_apply(series, mat)
-    elif isinstance(mat, WeightedShift):
-        out = _shift_apply(series, mat)
-    elif isinstance(mat, OddOperator):
-        out = _odd_apply(series, mat)
+    if isinstance(mat, RaisingPoly):
+        out = _poly_apply(series, mat)
     else:
         mat = _strictly_upper(mat)
         bound = nilpotency_bound(mat)
@@ -320,133 +215,163 @@ def _blocked_horner(c, powers, step):
     return acc
 
 
-def _odd_apply(series, op):
-    """S(M) = E(M**2) + M O(M**2) for the odd M = [[0, B], [C, 0]], E and O
-    the series of S's even and odd coefficients, is
+class RaisingPoly:
+    """An element of A: coeffs[a_1, ..., a_m] is the coefficient of
+    S_1**a_1 ... S_m**a_m, and w[i] the superdiagonal of S_i, on the
+    Kronecker product of the factors in their order.  Both are read-only."""
 
-        S(M) = [[E(BC), B O(CB)], [C O(BC), E(CB)]]
+    __slots__ = ("coeffs", "w")
 
-    since M**2 = diag(BC, CB); C O(BC) = O(CB) C, so the odd half is one
-    evaluation, at CB.  (BC)**i is the even block of M**(2i), so each half
-    is cut at n = min(s.order, nilpotency_bound(M)) without error, and BC
-    and CB are strictly upper triangular when M is and each index set is
-    increasing.  One power stack per block serves every series, each half
-    runs blocked Horner at its own step, and a half with no nonzero
-    coefficient contributes zero blocks without a product."""
-    bc, cb = _strictly_upper(op.b @ op.c), _strictly_upper(op.c @ op.b)
-    bound = nilpotency_bound(op)
-    halves = []
-    for s in series:
-        c = real_if_exact(s.coeffs[: min(s.order, bound) + 1])
-        even, odd = (h if h.any() else None for h in (c[0::2], c[1::2]))
-        halves.append((even, odd, c.dtype))
-    count = max((math.isqrt(h.size) for even, odd, _ in halves for h in (even, odd)
-                 if h is not None), default=0)
-    pbc, pcb = _power_stack(bc, count + 1), _power_stack(cb, count + 1)
+    def __init__(self, coeffs, w):
+        coeffs = np.asarray(coeffs)
+        self.coeffs = coeffs if coeffs.dtype.kind == "c" else coeffs.astype(float, copy=False)
+        self.w = tuple(map(real_if_exact, w))
+        if self.coeffs.shape != tuple(x.size + 1 for x in self.w):
+            raise DomainError(f"coefficients of shape {self.coeffs.shape} do not fit factors of "
+                              f"dimensions {tuple(x.size + 1 for x in self.w)}")
+
+    @classmethod
+    def _on(cls, coeffs, w):
+        """An element on the factors w of an existing one, unchecked."""
+        x = object.__new__(cls)
+        x.coeffs, x.w = coeffs, w
+        return x
+
+    def tensor_sum(self, other):
+        """self x 1 + 1 x other, on the factors of self followed by those of
+        other."""
+        coeffs = np.zeros(self.coeffs.shape + other.coeffs.shape,
+                          dtype=np.result_type(self.coeffs, other.coeffs))
+        coeffs[(...,) + (0,) * other.coeffs.ndim] = self.coeffs
+        coeffs[(0,) * self.coeffs.ndim] += other.coeffs
+        return RaisingPoly._on(coeffs, self.w + other.w)
+
+    def dense(self):
+        return densify([self])[0]
+
+
+def _poly_apply(series, x):
+    """sum c_i x**i in A for each series, as elements on x's factors.
+
+    At x = a_1 + ... + a_m, a_i a polynomial in S_i alone (J+, J+ x 1 + 1 x J+,
+    the twisted DX), the a_i commute: the result is c_|k| multinomial(k)
+    contracted with each a_i's powers (none at a_i = S_i), on d_i-square
+    tables.  At any other x it is the coefficients times 1, x, ..., x**n,
+    each power from the last by one product with the (D x D) matrix
+    X[a, b] = x[b - a] of multiplication by x."""
+    arg = real_if_exact(x.coeffs)
+    if arg.flat[0] != 0:
+        raise DomainError("series application needs a strictly upper-triangular argument, "
+                          "an element of A without constant term")
+    shape, m = arg.shape, arg.ndim
+    table = np.zeros((len(series), sum(shape) - m + 1), dtype=complex)
+    for row, s in zip(table, series):
+        c = s.coeffs[: len(row)]
+        row[: c.size] = c
+    real = ~table.imag.any(axis=1)      # a real series keeps float64 beside a complex one
+    table = table.real if real.all() else table
+    if m == 1 and _is_generator(arg):     # x = S: the coefficients themselves
+        return [RaisingPoly._on(row.real if r else row, x.w) for row, r in zip(table, real)]
+    parts = [arg[(0,) * i + (slice(None),) + (0,) * (m - i - 1)] for i in range(m)]
+    if np.count_nonzero(arg) > sum(map(np.count_nonzero, parts)):
+        powers = _powers(arg, table.shape[1] - 1)
+        return [RaisingPoly._on(((row.real if r else row) @ powers).reshape(shape), x.w)
+                for row, r in zip(table, real)]
+    powers = [None if _is_generator(a) else _powers(a, a.size - 1) for a in parts]
+    weights, degree = _multinomials(shape)
     out = []
-    for even, odd, dtype in halves:
-        ee = eo = oe = oo = None
-        if even is not None:
-            step = math.isqrt(even.size)
-            ee, oo = _blocked_horner(even, pbc, step), _blocked_horner(even, pcb, step)
-        if odd is not None:
-            at_cb = _blocked_horner(odd, pcb, math.isqrt(odd.size))
-            eo, oe = op.b @ at_cb, at_cb @ op.c
-        out.append(_from_blocks(op, ee, eo, oe, oo, np.result_type(dtype, op.b, op.c)))
+    for coeffs, r in zip(weights * table[:, degree], real):
+        coeffs = coeffs.real if r else coeffs
+        for p in powers if any(p is not None for p in powers) else ():
+            # contract the first axis with the factor's powers, appended last
+            rest = coeffs.shape[1:]
+            coeffs = coeffs.reshape(len(coeffs), -1).T
+            coeffs = (coeffs if p is None else coeffs @ p).reshape(*rest, -1)
+        out.append(RaisingPoly._on(coeffs, x.w))
     return out
 
 
-def _from_blocks(op, ee, eo, oe, oo, dtype):
-    """The matrix with blocks [[ee, eo], [oe, oo]] in op's parity order, in
-    the original order; a block given as None is zero."""
-    d = op.even.size + op.odd.size
-    mat = np.zeros((d, d), dtype=dtype)
-    for block, rows, cols in ((ee, op.even, op.even), (eo, op.even, op.odd),
-                              (oe, op.odd, op.even), (oo, op.odd, op.odd)):
-        if block is not None:
-            mat[rows[:, None], cols] = block
-    return mat
+def _is_generator(a):
+    """Whether the one-factor coefficient vector a is S itself."""
+    return a[1:2].tolist() == [1] and not a[2:].any()
 
 
-def _kron_sum_apply(series, ks):
-    """sum c_i (A x 1 + 1 x B)**i
-         = sum_{a < d1, b < d2, a + b <= n} C(a+b, a) c_(a+b) A**a x B**b
-
-    for each series, since the two terms commute; n = min(s.order, d1 + d2 - 2)
-    is exact, as A**d1 = B**d2 = 0.  With Pa, Pb the stacked factor powers,
-    built once for the whole list, and W a series' weight table, its entries
-    are the one product Pa^T W Pb, reindexed."""
-    a, b = _strictly_upper(ks.a), _strictly_upper(ks.b)
-    d1, d2 = a.shape[0], b.shape[0]
-    bound = nilpotency_bound(ks)
-    orders = [min(s.order, bound) for s in series]
-    top = max(orders, default=0)
-    pa = _power_stack(a, min(d1 - 1, top) + 1).reshape(-1, d1 * d1)
-    pb = _power_stack(b, min(d2 - 1, top) + 1).reshape(-1, d2 * d2)
-    binom = np.ones((len(pa), len(pb)))  # binom[a, b] = C(a+b, a), exact below 2**53
-    for r in range(1, len(pa)):
-        binom[r] = np.cumsum(binom[r - 1])
-    out = []
-    for s, n in zip(series, orders):
-        p, q = min(d1 - 1, n) + 1, min(d2 - 1, n) + 1
-        coeffs = real_if_exact(s.coeffs[: n + 1])
-        c = np.zeros(p + q - 1, dtype=coeffs.dtype)
-        c[: n + 1] = coeffs
-        w = binom[:p, :q] * c[np.add.outer(np.arange(p), np.arange(q))]
-        entries = (pa[:p].T @ w @ pb[:q]).reshape(d1, d1, d2, d2)
-        out.append(entries.transpose(0, 2, 1, 3).reshape(d1 * d2, d1 * d2))
-        del entries  # one factor-product table alive at a time
-    return out
+def _powers(arg, n):
+    """x**0, ..., x**n for the element with coefficient array arg, flattened,
+    each from the last by one product with x's multiplication matrix."""
+    times_x = _toeplitz(arg[None], [_lower_mask(d).T for d in arg.shape])[0]
+    powers = np.zeros((n + 1, arg.size), dtype=arg.dtype)
+    powers[0, 0] = 1
+    for r in range(1, n + 1):
+        np.matmul(powers[r - 1], times_x, out=powers[r])
+    return powers
 
 
-def _shift_apply(series, op):
-    """sum c_i S**i for the weighted shift S with superdiagonal w:
+def _multinomials(dims):
+    """|a|! / prod_i a_i! and |a| on the grid of shape dims, as products of
+    correctly rounded binomials C(s + t, t)."""
+    weights, degree = np.ones(dims[0]), np.arange(dims[0])
+    for d in dims[1:]:
+        binom = np.array([[math.comb(s + t, t) for t in range(d)]
+                          for s in range(degree[(-1,) * degree.ndim] + 1)], dtype=float)
+        weights = weights[..., None] * binom[degree[..., None], np.arange(d)]
+        degree = degree[..., None] + np.arange(d)
+    return weights, degree
 
-        S**i[r, r+i] = prod(w[r : r+i]),   so   F(S)[r, r+i] = c_i prod(w[r : r+i]).
 
-    One running product along the rows of a table holding w above the
-    diagonal gives every power at once; the coefficients of all the series,
-    gathered by offset col - r (upper-triangular Toeplitz matrices), are
-    then multiplied by that table in one product.
+def _toeplitz(table, factors):
+    """Matrices [r, c] = table[k][c - r] * prod_i factors[i][r_i, c_i] in
+    Kronecker order, gathered one factor at a time; each factor is zero below
+    its diagonal, where the offset is negative and reads another entry."""
+    n, *dims = table.shape
+    m, size = len(dims), math.prod(dims)
+    out = table.astype(np.result_type(table, *factors), copy=False)
+    for i, d in enumerate(dims):
+        steps = np.arange(d)
+        out = np.take(out, steps - steps[:, None], axis=2 * i + 1)   # axis 2i + 1 -> (r_i, c_i)
+        if i < m - 1:
+            out *= factors[i].reshape((d, d) + (1,) * (m - i - 1))
+    out = out.transpose(0, *range(1, 2 * m, 2), *range(2, 2 * m + 1, 2))   # (r_1.., c_1..)
+    last = factors[-1].reshape([1] * (m - 1) + [dims[-1]] + [1] * (m - 1) + [dims[-1]])
+    return np.multiply(out, last, out=np.empty(out.shape, dtype=out.dtype)).reshape(n, size, size)
 
-    When a product leaves double range although the entry need not (at spin
-    100, prod(w) alone reaches 200!), the products are run again on w / 2**e
-    with the coefficients taken times 2**(e i), 2**e at most the geometric
-    mean of |w|.  Both scalings are exact, so every entry keeps the bits of
-    c_i prod(w[r : r+i]), and a factor leaves double range only when the
-    entry itself does; that is a DomainError."""
-    w = op.w
+
+def densify(elements):
+    """The matrices of elements of A on the same factors, from one gather:
+    S_1**a_1 ... S_m**a_m has entry prod_i prod(w_i[r_i : c_i]) at [r, r + a].
+    Where a product leaves double range although the entry need not (at spin
+    100, prod(w) reaches 200!), it runs again on w_i / 2**e_i with coefficient
+    a times 2**(sum_i e_i a_i), 2**e_i at most the geometric mean of |w_i|;
+    both scalings are exact, so the bits are the plain products', and a
+    non-finite entry after that is a DomainError."""
+    w, coeffs = elements[0].w, [x.coeffs for x in elements]
+    table = np.array(coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):     # non-finite is refused below
+        out = _toeplitz(table, [_running_products(x) for x in w])
+        if not np.isfinite(out).all():
+            exps = [int(np.frexp(abs(x))[1].sum()) // max(x.size, 1) - 1 for x in w]
+            grid = 0
+            for e, x in zip(exps, w):
+                grid = np.add.outer(grid, e * np.arange(x.size + 1))
+            out = _toeplitz(_ldexp(table, grid), [_running_products(x, e) for x, e in zip(w, exps)])
+    if not np.isfinite(out).all():
+        raise DomainError("series application at a raising operator: a power or a "
+                          "coefficient overflowed double precision")
+    if out.dtype.kind != "c" or any(x.dtype.kind == "c" for x in w):
+        return list(out)
+    # at real w, a real element keeps its float64 matrix beside a complex one
+    return [f if c.dtype.kind == "c" else np.ascontiguousarray(f.real) for f, c in zip(out, coeffs)]
+
+
+def _running_products(w, e=0):
+    """[r, c] = prod(w[r : c]) / 2**(e (c - r)) on and above the diagonal,
+    0 below it: the weights of S**(c - r)."""
     d = w.size + 1
-    orders = [min(s.order, d - 1) for s in series]
-    top = max(orders, default=0)
-    steps = np.arange(d)
-    offsets = steps - steps[:, None]                             # [r, col] = col - r
-    unit = _lower_mask(d) if top == d - 1 else _lower_mask(d) | (offsets > top)
-    table = np.zeros((len(series), 2 * d - 1), dtype=complex)    # negative offsets: the zero tail
-    for i, (s, n) in enumerate(zip(series, orders)):
-        table[i, : n + 1] = s.coeffs[: n + 1]
-    imag = table.imag.any(axis=1)
-    if not imag.any():
-        table = np.ascontiguousarray(table.real)
     row = np.empty(d, dtype=w.dtype)
     row[0] = 1
-    row[1:] = w
-    for scaled in (False, True):
-        with np.errstate(over="ignore", invalid="ignore"):       # non-finite is refused below
-            if scaled:
-                e = int(np.frexp(abs(w))[1].sum()) // max(w.size, 1) - 1
-                row[1:] = _ldexp(w, -e)
-                table = _ldexp(table, e * np.arange(2 * d - 1))
-            # [r, col] = prod(w[r:col]) / 2**(e (col - r)) through every order, 1 elsewhere
-            powers = np.where(unit, 1, row).cumprod(axis=1)
-            out = np.take(table, offsets, axis=1) * powers   # each out[i] C-contiguous
-        if np.isfinite(out).all():
-            # at a real w, a real series keeps its float64 result beside a complex one
-            demote = ~imag if w.dtype.kind != "c" else np.zeros_like(imag)
-            return [np.ascontiguousarray(f.real) if real and f.dtype.kind == "c" else f
-                    for f, real in zip(out, demote)]
-    raise DomainError("series application at a raising operator: a power or a "
-                      "coefficient overflowed double precision")
+    row[1:] = _ldexp(w, -e) if e else w
+    lower = _lower_mask(d)
+    return np.where(lower.T, np.where(lower, 1, row).cumprod(axis=1), 0)
 
 
 def _ldexp(a, exponents):

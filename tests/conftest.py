@@ -2,14 +2,14 @@
 
 import pytest
 
-from elliptic_sl2 import deform, liealg
+from elliptic_sl2 import deform, hopf, liealg
 
 
 class CalculusCalls:
     """The work of the functional calculus, one entry per call in call order:
     ("stack", M) for each power stack of a matrix M, ("horner", None) for
-    each blocked Horner run over one, ("gather", None) for each call on a
-    weighted shift, and ("relations", None) for each time the products of
+    each blocked Horner run over one, ("gather", None) for each gather that
+    makes matrices of elements of the raising algebra (`liealg.densify`), and ("relations", None) for each time the products of
     the three defining relations are formed."""
 
     def __init__(self):
@@ -38,7 +38,9 @@ def calculus_calls(monkeypatch):
     calls = CalculusCalls()
     for module, name, kind in ((liealg, "_power_stack", "stack"),
                                (liealg, "_blocked_horner", "horner"),
-                               (liealg, "_shift_apply", "gather"),
+                               (liealg, "densify", "gather"),
+                               (deform, "densify", "gather"),
+                               (hopf, "densify", "gather"),
                                (deform, "_relation_norms", "relations")):
         real = getattr(module, name)
 

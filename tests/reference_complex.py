@@ -1,7 +1,9 @@
 """A complex reference for the nilpotent calculus: every series is evaluated
-by plain Horner in complex128 on the dense argument, with no power stack, no
-blocking, no factor route and no gather.  `complex_calculus` swaps it in for
-`mat_apply_series` wherever deform and hopf call it, so the whole pipeline
+by plain Horner in complex128 on the dense argument, with no power stack and
+no blocking.  At an element x of the raising algebra the dense argument is
+x's multiplication matrix, x at unit weights, and the result's coefficients
+are the first row of the series there.  `complex_calculus` swaps it in for
+`mat_apply_series` where deform calls it, for itself and for hopf, so the whole pipeline
 can be rerun in complex arithmetic and held against the package's float64
 results."""
 
@@ -9,8 +11,8 @@ import contextlib
 
 import numpy as np
 
-from elliptic_sl2 import deform, hopf
-from elliptic_sl2.liealg import KronSum, WeightedShift
+from elliptic_sl2 import deform
+from elliptic_sl2.liealg import RaisingPoly
 
 
 def complex_horner(s, mat):
@@ -18,7 +20,11 @@ def complex_horner(s, mat):
     sequence of them, as for mat_apply_series."""
     if isinstance(s, (list, tuple)):
         return [complex_horner(t, mat) for t in s]
-    m = np.array(mat.dense() if isinstance(mat, (KronSum, WeightedShift)) else mat, dtype=complex)
+    if isinstance(mat, RaisingPoly):
+        unit = RaisingPoly(mat.coeffs, tuple(np.ones(w.size) for w in mat.w))
+        first_row = complex_horner(s, unit.dense())[0]
+        return RaisingPoly(first_row.reshape(mat.coeffs.shape), mat.w)
+    m = np.array(mat, dtype=complex)
     eye = np.eye(m.shape[0], dtype=complex)
     c = np.asarray(s.coeffs, dtype=complex)[: m.shape[0]]
     acc = c[-1] * eye
@@ -29,9 +35,8 @@ def complex_horner(s, mat):
 
 @contextlib.contextmanager
 def complex_calculus(monkeypatch):
-    """Within the block, deform and hopf evaluate every series by
+    """Within the block, every series deform and hopf evaluate goes through
     complex_horner."""
     with monkeypatch.context() as patch:
-        for module in (deform, hopf):
-            patch.setattr(module, "mat_apply_series", complex_horner)
+        patch.setattr(deform, "mat_apply_series", complex_horner)
         yield

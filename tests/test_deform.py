@@ -36,7 +36,7 @@ from elliptic_sl2.deform import (
 )
 from elliptic_sl2.elliptic import sd_cd_nd_series
 from elliptic_sl2.errors import DomainError
-from elliptic_sl2.liealg import KronSum, build_spin, frobenius, mat_apply_series
+from elliptic_sl2.liealg import RaisingPoly, build_spin, frobenius, mat_apply_series
 from elliptic_sl2.series import TruncatedSeries, exp_series, pow_coeffs
 
 
@@ -372,10 +372,14 @@ def test_coefficient_scaling_matches_matrix_scaling(j, h):
     uh = build_jordanian_triplet(r, h)
     cases = [(_g_of_v(p.k, r.dim), r.Jp), (_g_inv_of_u(p.k, r.dim), t.Xhat),
              (_F_series(p.k, r.dim), t.Xhat), (exp_series(r.dim), uh.Xhat),
-             (_g_of_v(p.k, 2 * r.dim - 1), KronSum(r.Jp, r.Jp))]
+             (_g_of_v(p.k, 2 * r.dim - 1), r.raising.tensor_sum(r.raising))]
     for s, m in cases:
         got, = _at_half_h(m, h, (s, 0))
-        expect = mat_apply_series(s, (complex(h) / 2.0) * m)
+        if isinstance(m, RaisingPoly):
+            got = got.dense()
+            expect = mat_apply_series(s, RaisingPoly(complex(h) / 2.0 * m.coeffs, m.w)).dense()
+        else:
+            expect = mat_apply_series(s, (complex(h) / 2.0) * m)
         assert frobenius(got - expect) <= 1e-14 * frobenius(expect)
 
 
@@ -514,7 +518,7 @@ def test_the_jordanian_dressing_is_the_map_dressing_at_k_1(k):
     t = build_elliptic_triplet(rep, DeformParams(h=h, k=k))
     assert _jordanian_factors(rep.dim)[1] is _g_of_v(1.0, rep.dim)
     dress = _at_raising(t)[2]
-    assert np.array_equal(dress, _at_half_h(rep.raising, h, (_g_of_v(1.0, rep.dim), 0))[0])
+    assert np.array_equal(dress, _at_half_h(rep.raising, h, (_g_of_v(1.0, rep.dim), 0))[0].dense())
     if k == 1.0:   # Yhat is dressed by the same matrix
         assert np.array_equal(t.Yhat, dress @ rep.Jm @ dress)
 

@@ -17,7 +17,7 @@ from elliptic_sl2.deform import (
     structure_matrices,
 )
 from elliptic_sl2.liealg import (
-    KronSum,
+    RaisingPoly,
     build_spin,
     commutator,
     frobenius,
@@ -52,8 +52,8 @@ def test_kron_is_np_kron_bit_for_bit(d1, d2, kinds):
     got, expect = kron(a, b), np.kron(a, b)
     assert got.dtype == expect.dtype
     assert got.tobytes() == expect.tobytes()
-    ks = KronSum(a, b)
-    assert ks.dense().tobytes() == (np.kron(ks.a, np.eye(d2)) + np.kron(np.eye(d1), ks.b)).tobytes()
+    expect = np.kron(real_if_exact(a), np.eye(d2)) + np.kron(np.eye(d1), real_if_exact(b))
+    assert hopf._kron_sum(a, b).tobytes() == expect.tobytes()
 
 
 def test_real_if_exact_keeps_every_nonzero_imaginary_part():
@@ -77,7 +77,8 @@ def test_a_tiny_or_nan_imaginary_part_reaches_the_result():
     m[0, 1] += 1e-300j
     got = mat_apply_series(s, m)
     assert got.dtype == C128 and got.imag.any()
-    assert mat_apply_series(s, KronSum(m, r.Jp)).imag.any()
+    tiny = RaisingPoly(r.raising.coeffs, (np.diagonal(m, 1),))
+    assert mat_apply_series(s, tiny.tensor_sum(r.raising)).dense().imag.any()
     assert commutator(m, r.J0).imag.any() and kron(m, r.J0).imag.any()
     c = np.ones(5, dtype=complex)
     c[3] = complex(1.0, 1e-300)
@@ -103,7 +104,7 @@ def test_real_h_and_k_give_float64_throughout():
         assert all(m.dtype == F64 for m in (ct.DX, ct.DY, ct.DJ0)), ct.source
     s = TruncatedSeries(np.arange(1.0, 9.0).astype(complex))
     assert mat_apply_series(s, r1.Jp).dtype == F64
-    assert mat_apply_series(s, KronSum(r1.Jp, r2.Jp)).dtype == F64
+    assert mat_apply_series(s, r1.raising.tensor_sum(r2.raising)).dense().dtype == F64
     assert _half_h_powers(0.8, 6).dtype == F64
 
 
@@ -158,29 +159,25 @@ def test_float64_matches_a_complex_horner_on_the_acceptance_grid(build, monkeypa
     assert top <= 1e-14
 
 
-def _stack_dtypes(calls, call):
-    """(dtype, argument) of every power stack built by call()."""
-    calls.clear()
-    call()
-    return [(m.dtype, m) for m in calls.stacks()]
+def test_a_real_coproduct_check_builds_no_complex_power_stack(calculus_calls, monkeypatch):
+    """Every function a coproduct check evaluates is taken in the raising
+    algebra, so no dense power stack is built; at real h and k every element
+    and every multiplication matrix is float64, and a complex h or k makes
+    them complex128."""
+    from elliptic_sl2 import liealg
 
-
-def test_a_real_coproduct_check_builds_no_complex_power_stack(calculus_calls):
     r1, r2 = build_spin(1.0), build_spin(1.5)
-    # G and F at DX (dimension 12) stack its two weight-parity blocks of 6
-    half = (6, 6)
-    p = DeformParams(h=0.8, k=0.6)
-    seen = _stack_dtypes(calculus_calls, lambda: hopf.verify_coproduct(hopf.delta2(p, r1, r2)))
-    assert seen and {dtype for dtype, _ in seen} == {F64}
-    assert [m.shape for _, m in seen].count(half) == 2
-
-    def raising(m):
-        return any(m.shape == jp.shape and np.array_equal(m, jp) for jp in (r1.Jp, r2.Jp))
-
-    # at complex h only the spin modules' own raising matrices stay real; at
-    # complex k the factors' k = 1 images do too, but DX's blocks do not
-    for p in (DeformParams(h=0.8 + 0.2j, k=0.6), DeformParams(h=0.8, k=0.3 + 0.2j)):
-        seen = _stack_dtypes(calculus_calls, lambda: hopf.verify_coproduct(hopf.delta2(p, r1, r2)))
-        if p.h.imag:
-            assert all((dtype == F64) == raising(m) for dtype, m in seen)
-        assert [dtype for dtype, m in seen if m.shape == half] == [C128, C128]
+    seen = []
+    real = liealg._poly_apply
+    monkeypatch.setattr(liealg, "_poly_apply",
+                        lambda series, x: seen.append(x.coeffs.dtype) or real(series, x))
+    for p, dtype in ((DeformParams(h=0.8, k=0.6), F64), (DeformParams(h=0.8 + 0.2j, k=0.6), C128),
+                     (DeformParams(h=0.8, k=0.3 + 0.2j), C128)):
+        seen.clear(), calculus_calls.clear()
+        report = hopf.verify_coproduct(hopf.delta2(p, r1, r2))
+        assert calculus_calls.stacks() == [] and seen
+        assert all(type(v) is float for v in report.values())
+        if dtype == F64:
+            assert set(seen) == {F64}
+        else:   # the factors' raising generators stay real; the images do not
+            assert C128 in seen

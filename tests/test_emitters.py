@@ -2,6 +2,8 @@
 straight from them, byte for byte as the recursive reference emitters in
 ``reference_emitters`` write their per-entry layout."""
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,13 @@ from elliptic_sl2 import cli
 from elliptic_sl2.deform import DeformParams, build_elliptic_triplet
 from elliptic_sl2.liealg import build_spin
 from reference_emitters import csv_text, json_text
+
+
+def _render(payload, fmt):
+    """The document text that cli._emit writes for a payload."""
+    buf = io.StringIO()
+    cli._emit(payload, fmt, buf)
+    return buf.getvalue()
 
 FLOATS = st.floats()  # NaN, both infinities, subnormals and huge values included
 COMPLEX = st.builds(complex, FLOATS, FLOATS)
@@ -68,23 +77,23 @@ MATRIX_PAYLOADS = st.dictionaries(
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(PAYLOADS)
 def test_both_formats_match_the_recursive_reference_byte_for_byte(payload):
-    assert cli._render(payload, "json") == json_text(payload)
-    assert cli._render(payload, "csv") == csv_text(payload)
+    assert _render(payload, "json") == json_text(payload)
+    assert _render(payload, "csv") == csv_text(payload)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(MATRIX_PAYLOADS)
 def test_real_mostly_zero_and_quoted_key_matrices_match_the_reference(payload):
-    assert cli._render(payload, "json") == json_text(payload)
-    assert cli._render(payload, "csv") == csv_text(payload)
+    assert _render(payload, "json") == json_text(payload)
+    assert _render(payload, "csv") == csv_text(payload)
 
 
 def test_non_finite_matrix_entries_are_the_json_strings():
     m = np.array([[complex(np.nan, 1.0), complex(np.inf, -np.inf)], [0.0, -0.0]])
-    assert cli._render({"M": m}, "json") == (
+    assert _render({"M": m}, "json") == (
         '{"M": {"dim": 2, "entries": [["NaN", 1.0], ["Infinity", "-Infinity"], '
         '[0.0, 0.0], [-0.0, 0.0]]}}\n')
-    assert cli._render({"M": m}, "csv").splitlines()[1:4] == [
+    assert _render({"M": m}, "csv").splitlines()[1:4] == [
         "M.dim,2", "M.entries[0][0],NaN", "M.entries[0][1],1"]
 
 
@@ -108,7 +117,7 @@ COMPLEX_H = ["deform", "build", "--j", "5", "--h", "0.5+0.2i", "--k", "0.6", "--
     COMPLEX_H,
 ])
 def test_matrix_reports_match_the_reference_emitter(argv, tmp_path, capsys, monkeypatch):
-    """stdout, the --out file and _render write the reference's bytes."""
+    """stdout, the --out file and _emit write the reference's bytes."""
     if argv is COMPLEX_H:
         t = build_elliptic_triplet(build_spin(5.0), DeformParams(h=0.5 + 0.2j, k=0.6))
         monkeypatch.setattr(cli, "_build_triplet", lambda args: t)
@@ -117,7 +126,7 @@ def test_matrix_reports_match_the_reference_emitter(argv, tmp_path, capsys, monk
     assert code == 0
     assert sum(isinstance(v, np.ndarray) for v in payload.values()) == 3
     reference = json_text(payload) if args.format == "json" else csv_text(payload)
-    assert cli._render(payload, args.format) == reference
+    assert _render(payload, args.format) == reference
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == reference
     out = tmp_path / "report"
