@@ -17,10 +17,11 @@ nested through `_as_factor` for coassociativity_uh.
 
 Series orders are 2(j1+j2)+1, so each application is exact.  Every function
 here is a polynomial in the factors' commuting raising operators, computed
-in the algebra of `liealg.RaisingPoly`, and made dense, one gather per
-argument, only where it meets a lowering or J0 matrix or a report; an image
-keeps DX's element, odd by construction, beside its matrix.  The relation
-checks stay dense, so an error in the algebra shows in their residuals.
+in the algebra of `liealg.RaisingPoly` at a sum of one-factor parts, and
+made dense, one gather per argument, only where it meets a lowering or J0
+matrix or a report.  An image keeps DX = (2/h) outer((h/2) base) as base
+and outer, both odd, so G and F at DX are G o outer and F o outer at base.
+The relation checks stay dense, so an error in the algebra shows in them.
 
 Dtypes follow `liealg.real_if_exact`: at real h and real k every coproduct
 image, exponential factor and structure-function matrix is float64, and a
@@ -52,6 +53,7 @@ from .liealg import (
     densify,
     frobenius,
     kron,
+    mat_apply_series,
     worst,
 )
 from .series import TruncatedSeries
@@ -72,9 +74,8 @@ __all__ = [
 # The largest product module the coproduct layer builds on: dimension 2048,
 # which admits j1 = j2 = 22 (dimension 2025).  The images and the relation
 # checks on them are dense, dim**2 entries per matrix, float64 at real h and
-# k; a series in the algebra holds one dim-square multiplication matrix.  A
-# cold `hopf verify --which 1|2 --h 0.8 --k 0.6` peaked at 145 MB at
-# dimension 1089 and 296 MB at 1681, and `--which 2` at 414 MB at 2025.
+# k.  A cold `hopf verify --which 1|2 --h 0.8 --k 0.6` took 145 MB and 0.8 s
+# at dimension 1089, 296 MB and 2.1 s at 1681, and 414 MB and 3.6 s at 2025.
 # Complex h or k doubles the storage.
 MAX_PRODUCT_DIM = 2048
 
@@ -88,8 +89,7 @@ def _check_product_dim(*reps):
 
 @dataclass(frozen=True)
 class CoproductTriple:
-    """Coproduct images of the generator triple on a two-factor module, with
-    DX also as its element of A on the two factors."""
+    """Coproduct images of the generator triple on a two-factor module."""
 
     DX: np.ndarray
     DY: np.ndarray
@@ -98,7 +98,8 @@ class CoproductTriple:
     r1: SpinRep
     r2: SpinRep
     source: str  # "delta1" | "delta_uh" | "delta2"
-    DX_poly: RaisingPoly
+    base: RaisingPoly                # DX = (2/h) outer((h/2) base), a sum in A,
+    outer: TruncatedSeries | None    # or DX = base where outer is None (delta_uh)
 
 
 def _pair_order(r1, r2):
@@ -123,21 +124,20 @@ def coproduct(source, params, r1, r2):
 
 
 def _mapped(x, lowering, h, raising, dressing):
-    """(2/h) raising((h/2) x) for an element x, as an element and a matrix,
-    and d lowering d at d = dressing((h/2) x); one gather."""
-    image, d = _at_half_h(x, h, (raising, 1), (dressing, 0))
-    matrix, d = densify([image, d])
-    return image, matrix, d @ lowering @ d
+    """The matrices of (2/h) raising((h/2) x) for an element x and of
+    d lowering d at d = dressing((h/2) x); one gather."""
+    matrix, d = densify(_at_half_h(x, h, (raising, 1), (dressing, 0)))
+    return matrix, d @ lowering @ d
 
 
 def delta1(params, r1, r2):
     """Deform the primitive coproduct of the undeformed generators."""
     _check_product_dim(r1, r2)
     k, order = params.k, _pair_order(r1, r2)
-    dx, matrix, dy = _mapped(r1.raising.tensor_sum(r2.raising), _kron_sum(r1.Jm, r2.Jm),
-                             params.h, _asn(k, order), _g_of_v(k, order))
-    return CoproductTriple(DX=matrix, DY=dy, DJ0=_kron_sum(r1.J0, r2.J0), params=params,
-                           r1=r1, r2=r2, source="delta1", DX_poly=dx)
+    base, outer = r1.raising.tensor_sum(r2.raising), _asn(k, order)
+    dx, dy = _mapped(base, _kron_sum(r1.Jm, r2.Jm), params.h, outer, _g_of_v(k, order))
+    return CoproductTriple(DX=dx, DY=dy, DJ0=_kron_sum(r1.J0, r2.J0), params=params,
+                           r1=r1, r2=r2, source="delta1", base=base, outer=outer)
 
 
 def _twist_series(sign, order):
@@ -177,38 +177,37 @@ def delta_uh(h, r1, r2):
     """Twisted coproduct of the hyperbolic (k**2 = 1) algebra."""
     _check_product_dim(r1, r2)
     params = DeformParams(h=h, k=1.0)
-    dx, matrix, dy, dj0, _, _ = _as_factor(*(_uh_factor(r, params.h) for r in (r1, r2)))
-    return CoproductTriple(DX=matrix, DY=dy, DJ0=dj0, params=params,
-                           r1=r1, r2=r2, source="delta_uh", DX_poly=dx)
+    base, dx, dy, dj0, _, _ = _as_factor(*(_uh_factor(r, params.h) for r in (r1, r2)))
+    return CoproductTriple(DX=dx, DY=dy, DJ0=dj0, params=params,
+                           r1=r1, r2=r2, source="delta_uh", base=base, outer=None)
 
 
 def delta2(params, r1, r2):
     """Lift the twisted hyperbolic coproduct to modulus k."""
     _check_product_dim(r1, r2)
-    dx, dy, dj0 = _twisted(*(_uh_factor(r, params.h) for r in (r1, r2)))
-    dx, matrix, dy = _mapped(dx, dy, params.h, *lift_series(params.k, _pair_order(r1, r2)))
-    return CoproductTriple(DX=matrix, DY=dy, DJ0=dj0, params=params,
-                           r1=r1, r2=r2, source="delta2", DX_poly=dx)
+    base, dy, dj0 = _twisted(*(_uh_factor(r, params.h) for r in (r1, r2)))
+    outer, q = lift_series(params.k, _pair_order(r1, r2))
+    dx, dy = _mapped(base, dy, params.h, outer, q)
+    return CoproductTriple(DX=dx, DY=dy, DJ0=dj0, params=params,
+                           r1=r1, r2=r2, source="delta2", base=base, outer=outer)
 
 
 # -- re-expressed raising images ----------------------------------------------
 
 
-def _x_from_factor_sn(source, params, r1, r2):
+def _x_from_factor_sn(ct):
     """The raising image of delta1 or delta2 computed the long way round:
     each factor's Xhat at k, a per-factor series (sn for delta1, the pullback
-    arcsn(sn(.), 1) for delta2), the primitive sum, and an outer series back
-    (arcsn at k for delta1, the lift's map for delta2), all in A."""
-    k, h = params.k, params.h
+    arcsn(sn(.), 1) for delta2), the primitive sum, and ct's outer series
+    back (arcsn at k for delta1, the lift's map for delta2), all in A."""
+    k, h = ct.params.k, ct.params.h
     per_factor = []
-    for rep in (r1, r2):
+    for rep in (ct.r1, ct.r2):
         t_x, = _at_half_h(rep.raising, h, (_asn(k, rep.dim), 1))
         sn = _sncndn(k, rep.dim)[0]
-        series = sn if source == "delta1" else _asn(1.0, rep.dim).compose(sn)
+        series = sn if ct.source == "delta1" else _asn(1.0, rep.dim).compose(sn)
         per_factor.extend(_at_half_h(t_x, h, (series, 1)))
-    order = _pair_order(r1, r2)
-    outer = _asn(k, order) if source == "delta1" else lift_series(k, order)[0]
-    return _at_half_h(per_factor[0].tensor_sum(per_factor[1]), h, (outer, 1))[0]
+    return _at_half_h(per_factor[0].tensor_sum(per_factor[1]), h, (ct.outer, 1))[0]
 
 
 # -- verification ---------------------------------------------------------------
@@ -236,17 +235,20 @@ def cocommutativity_gap(ct):
 
 def verify_coproduct(ct):
     """Residuals of the defining relations for the coproduct images (G and F
-    taken at DX's element), the re-expressed raising-image check, and the
-    cocommutativity gap (a residual for delta1, informational otherwise)."""
+    at DX as G o outer and F o outer at base), the re-expressed raising-image
+    check, and the cocommutativity gap (a residual for delta1, informational
+    otherwise)."""
     k, h = ct.params.k, ct.params.h
-    order = _pair_order(ct.r1, ct.r2)
-    label = {"delta1": "eq48_vs_eq39", "delta2": "eq49_vs_eq45"}.get(ct.source)
-    elements = _at_half_h(ct.DX_poly, h, (_G_series(k, order), 1), (_F_series(k, order), 0))
-    if label:
-        elements.append(_x_from_factor_sn(ct.source, ct.params, ct.r1, ct.r2))
-    g, f, *alt = densify(elements)
+    g, f = (s(k, _pair_order(ct.r1, ct.r2)) for s in (_G_series, _F_series))
+    alt = []
+    if ct.outer is not None:     # both compositions from one call, in one variable
+        unit = RaisingPoly(ct.outer.coeffs, (np.ones(ct.outer.order),))
+        g, f = (TruncatedSeries(x.coeffs) for x in mat_apply_series([g, f], unit))
+        alt = [_x_from_factor_sn(ct)]
+    g, f, *alt = densify(_at_half_h(ct.base, h, (g, 1), (f, 0)) + alt)
     out = relations_on_generators(ct.DX, ct.DY, ct.DJ0, g, f, ct.params.ksq == 1)
-    if label:
+    if alt:
+        label = "eq48_vs_eq39" if ct.source == "delta1" else "eq49_vs_eq45"
         out[label] = frobenius(alt[0] - ct.DX) / max(1.0, frobenius(ct.DX))
     out["cocommutativity_gap"] = cocommutativity_gap(ct)["max"]
     return out
@@ -276,9 +278,9 @@ def coassociativity_delta1(params, r1, r2, r3):
     order = r1.dim + r2.dim + r3.dim - 2
     s1, s2, s3 = (r.raising for r in (r1, r2, r3))
     series = params.h, _asn(params.k, order), _g_of_v(params.k, order)
-    _, lx, ly = _mapped(s1.tensor_sum(s2).tensor_sum(s3),
+    lx, ly = _mapped(s1.tensor_sum(s2).tensor_sum(s3),
                         _kron_sum(_kron_sum(r1.Jm, r2.Jm), r3.Jm), *series)
-    _, rx, ry = _mapped(s1.tensor_sum(s2.tensor_sum(s3)),
+    rx, ry = _mapped(s1.tensor_sum(s2.tensor_sum(s3)),
                         _kron_sum(r1.Jm, _kron_sum(r2.Jm, r3.Jm)), *series)
     gaps = {
         "X": frobenius(lx - rx) / max(1.0, frobenius(lx)),

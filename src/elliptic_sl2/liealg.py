@@ -11,12 +11,14 @@ its argument:
       A = C[S_1, ..., S_m] / (S_1**d_1, ..., S_m**d_m)
 
   of the raising operators S_i (superdiagonal w_i) of m spin-module
-  factors: J+ (`SpinRep.raising`), every coproduct image of it and every
-  function of one.  The series is evaluated on coefficient arrays, and
-  `densify` makes matrices: S**a has entry prod_i prod(w_i[r_i : r_i + a_i])
-  at row r and column r + a, so an element is one gather of its
-  coefficients by offset c - r times those products (the Toeplitz form of
-  a Jordan block, Higham, Functions of Matrices, SIAM 2008, ch. 1);
+  factors, at a sum a_1(S_1) + ... + a_m(S_m) of one-factor parts: J+
+  (`SpinRep.raising`), every coproduct's base, or one variable at unit
+  weights, where a series of a series is their composition.  It is
+  evaluated on coefficient arrays, and `densify` makes matrices: S**a has
+  entry prod_i prod(w_i[r_i : r_i + a_i]) at row r and column r + a, so an
+  element is one gather of its coefficients by offset c - r times those
+  products (the Toeplitz form of a Jordan block, Higham, Functions of
+  Matrices, SIAM 2008, ch. 1);
 - a matrix M of dimension d: M**d = 0, so the series is cut at order d - 1
   without error and evaluated baby-step/giant-step (Paterson and Stockmeyer,
   SIAM J. Comput. 2(1), 1973) in about 2 sqrt(n) matmuls of size d.  This
@@ -24,8 +26,8 @@ its argument:
   the algebra is tested against.
 
 Several series at one argument are one call: the argument is validated once
-and its power stack (or its multiplication matrix) is built once, and each
-series gives the same bits as it would alone.
+and its power stack (or each part's multiplication matrix) is built once,
+and each series gives the same bits as it would alone.
 
 The dtype follows the inputs.  `real_if_exact` is the one place that
 decides it, for every matrix, coefficient array and superdiagonal that
@@ -172,8 +174,9 @@ def mat_apply_series(s, mat):
 
     s is one series, or a sequence of series at the same argument, which
     gives a list.  A sequence validates M once and builds one power stack
-    (for an element, one table of powers, or one per factor); each series
-    then costs only its own products, and gives the same bits as alone.
+    (for an element, which must be a sum of one-factor parts, one table of
+    powers per factor); each series then costs only its own products, and
+    gives the same bits as alone.
 
     The order is clipped to n = min(s.order, nilpotency_bound(M)), which is
     exact; so every order past the bound gives the same bits.  On a matrix,
@@ -223,8 +226,7 @@ class RaisingPoly:
     __slots__ = ("coeffs", "w")
 
     def __init__(self, coeffs, w):
-        coeffs = np.asarray(coeffs)
-        self.coeffs = coeffs if coeffs.dtype.kind == "c" else coeffs.astype(float, copy=False)
+        self.coeffs = real_if_exact(coeffs)
         self.w = tuple(map(real_if_exact, w))
         if self.coeffs.shape != tuple(x.size + 1 for x in self.w):
             raise DomainError(f"coefficients of shape {self.coeffs.shape} do not fit factors of "
@@ -253,12 +255,10 @@ class RaisingPoly:
 def _poly_apply(series, x):
     """sum c_i x**i in A for each series, as elements on x's factors.
 
-    At x = a_1 + ... + a_m, a_i a polynomial in S_i alone (J+, J+ x 1 + 1 x J+,
-    the twisted DX), the a_i commute: the result is c_|k| multinomial(k)
-    contracted with each a_i's powers (none at a_i = S_i), on d_i-square
-    tables.  At any other x it is the coefficients times 1, x, ..., x**n,
-    each power from the last by one product with the (D x D) matrix
-    X[a, b] = x[b - a] of multiplication by x."""
+    x must be a_1 + ... + a_m, a_i a polynomial in S_i alone; the a_i
+    commute, so the result is c_|k| multinomial(k) contracted with each
+    a_i's powers (none at a_i = S_i), on d_i-square tables.  Any other x,
+    whose powers would need its D x D multiplication matrix, is refused."""
     arg = real_if_exact(x.coeffs)
     if arg.flat[0] != 0:
         raise DomainError("series application needs a strictly upper-triangular argument, "
@@ -274,10 +274,8 @@ def _poly_apply(series, x):
         return [RaisingPoly._on(row.real if r else row, x.w) for row, r in zip(table, real)]
     parts = [arg[(0,) * i + (slice(None),) + (0,) * (m - i - 1)] for i in range(m)]
     if np.count_nonzero(arg) > sum(map(np.count_nonzero, parts)):
-        powers = _powers(arg, table.shape[1] - 1)
-        return [RaisingPoly._on(((row.real if r else row) @ powers).reshape(shape), x.w)
-                for row, r in zip(table, real)]
-    powers = [None if _is_generator(a) else _powers(a, a.size - 1) for a in parts]
+        raise DomainError("series application needs a sum of one-factor parts in A")
+    powers = [None if _is_generator(a) else _powers(a) for a in parts]
     weights, degree = _multinomials(shape)
     out = []
     for coeffs, r in zip(weights * table[:, degree], real):
@@ -296,14 +294,14 @@ def _is_generator(a):
     return a[1:2].tolist() == [1] and not a[2:].any()
 
 
-def _powers(arg, n):
-    """x**0, ..., x**n for the element with coefficient array arg, flattened,
-    each from the last by one product with x's multiplication matrix."""
-    times_x = _toeplitz(arg[None], [_lower_mask(d).T for d in arg.shape])[0]
-    powers = np.zeros((n + 1, arg.size), dtype=arg.dtype)
+def _powers(a):
+    """a**0, ..., a**(d-1) for a one-factor coefficient vector a of length d,
+    each from the last by one product with a's multiplication matrix."""
+    times_a = _toeplitz(a[None], [_lower_mask(a.size).T])[0]
+    powers = np.zeros((a.size, a.size), dtype=a.dtype)
     powers[0, 0] = 1
-    for r in range(1, n + 1):
-        np.matmul(powers[r - 1], times_x, out=powers[r])
+    for r in range(1, a.size):
+        np.matmul(powers[r - 1], times_a, out=powers[r])
     return powers
 
 

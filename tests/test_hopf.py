@@ -137,10 +137,10 @@ def test_reexpressed_raising_images_match_both_families():
     p = DeformParams(h=0.8, k=0.5)
     r1, r2 = build_spin(1.0), build_spin(0.5)
     ct1 = delta1(p, r1, r2)
-    alt1 = _x_from_factor_sn("delta1", p, r1, r2).dense()
+    alt1 = _x_from_factor_sn(ct1).dense()
     assert frobenius(ct1.DX - alt1) / max(1.0, frobenius(ct1.DX)) < 1e-10
     ct2 = delta2(p, r1, r2)
-    alt2 = _x_from_factor_sn("delta2", p, r1, r2).dense()
+    alt2 = _x_from_factor_sn(ct2).dense()
     assert frobenius(ct2.DX - alt2) / max(1.0, frobenius(ct2.DX)) < 1e-10
 
 
@@ -234,8 +234,7 @@ def test_factor_routes_take_the_raising_image_bits_of_the_map(h, k):
         rep = build_spin(j)
         alone, = _at_half_h(rep.raising, h, (_asn(p.k, rep.dim), 1))
         mapped = hopf._mapped(rep.raising, rep.Jm, p.h, _asn(p.k, rep.dim), _g_of_v(p.k, rep.dim))
-        assert np.array_equal(alone.coeffs, mapped[0].coeffs)
-        assert np.array_equal(alone.dense(), mapped[1])
+        assert np.array_equal(alone.dense(), mapped[0])
         assert np.array_equal(alone.dense(), build_elliptic_triplet(rep, p).Xhat)
 
 
@@ -352,7 +351,7 @@ def test_reexpressed_raising_route_has_the_bits_of_the_separate_loops(source, h,
     p = DeformParams(h=h, k=k)
     for j1, j2 in ((0.5, 0.5), (1.0, 2.5), (3.0, 2.0)):
         r1, r2 = build_spin(j1), build_spin(j2)
-        assert np.array_equal(_x_from_factor_sn(source, p, r1, r2).coeffs,
+        assert np.array_equal(_x_from_factor_sn(coproduct(source, p, r1, r2)).coeffs,
                               _x_by_hand(source, p, r1, r2).coeffs), (j1, j2)
 
 
@@ -363,8 +362,10 @@ def test_coproduct_dispatch_builds_each_source_and_refuses_an_unknown_one():
         got = coproduct(ct.source, p, r1, r2)
         assert got.source == ct.source and got.params == ct.params
         for a, b in ((got.DX, ct.DX), (got.DY, ct.DY), (got.DJ0, ct.DJ0),
-                     (got.DX_poly.coeffs, ct.DX_poly.coeffs)):
+                     (got.base.coeffs, ct.base.coeffs)):
             assert np.array_equal(a, b)
+        assert (got.outer is None) == (ct.outer is None) == (ct.source == "delta_uh")
+        assert ct.outer is None or np.array_equal(got.outer.coeffs, ct.outer.coeffs)
     for source in ("delta3", "uh", "1"):
         with pytest.raises(DomainError, match="unknown coproduct source"):
             coproduct(source, p, r1, r2)
@@ -375,24 +376,30 @@ SOURCES = ("delta1", "delta_uh", "delta2")
 
 @pytest.mark.parametrize("h,k", [(0.35, 0.7), (0.8, 1.0), (0.3 - 0.2j, 0.3 + 0.2j)])
 def test_every_coproduct_image_dx_is_odd_under_the_weight_parity(h, k):
-    """DX's element has no coefficient at even total degree, so its matrix
-    maps each weight-parity class (i1 + i2) mod 2 to the other."""
+    """DX's base element has no coefficient at even total degree and its
+    outer series none at even degree, so DX maps each weight-parity class
+    (i1 + i2) mod 2 to the other; (2/h) outer((h/2) base) is DX bit for bit."""
     p = DeformParams(h=h, k=k)
     for j1, j2 in ((0.5, 2.0), (1.5, 1.0), (2.5, 3.0)):
         r1, r2 = build_spin(j1), build_spin(j2)
         even = np.add.outer(np.arange(r1.dim), np.arange(r2.dim)) % 2 == 0
         for source in SOURCES:
             ct = coproduct(source, p, r1, r2)
-            c = ct.DX_poly.coeffs
+            c = ct.base.coeffs
             assert c.shape == (r1.dim, r2.dim) and c[~even].any()
             assert not c[even].any(), (source, j1, j2)
-            assert np.array_equal(ct.DX_poly.dense(), ct.DX)
+            if ct.outer is None:
+                image = ct.base
+            else:
+                assert not ct.outer.coeffs[::2].any() and ct.outer.coeffs[1] == 1
+                image, = _at_half_h(ct.base, p.h, (ct.outer, 1))
+            assert np.array_equal(image.dense(), ct.DX), (source, j1, j2)
 
 
 @pytest.mark.parametrize("which,builder", [("1", "delta1"), ("2", "delta2"), ("uh", "delta_uh")])
 def test_a_stray_even_entry_in_dx_fails_hopf_verify(monkeypatch, capsys, which, builder):
-    """G and F come from DX's element, so a stray entry in the dense DX that
-    the element does not hold breaks [J0, X] = G(X): eq13 fails."""
+    """G and F come from DX's base and outer series, so a stray entry in the
+    dense DX that they do not hold breaks [J0, X] = G(X): eq13 fails."""
     argv = ["hopf", "verify", "--which", which, "--j1", "1", "--j2", "1", "--h", "0.35",
             "--k", "0.7"]
     assert cli.main(argv) == 0
@@ -473,3 +480,83 @@ def test_relations_through_the_algebra_match_the_dense_route():
                         assert abs(report[key] - dense) <= tol / 10, (source, j1, j2, h, k, key)
                         checked += 1
     assert checked == 6 * 9 * 3 * 3
+
+
+def test_delta2_and_its_check_build_the_lift_series_once(monkeypatch):
+    calls = []
+    real = hopf.lift_series
+    monkeypatch.setattr(hopf, "lift_series", lambda k, order: calls.append(order) or real(k, order))
+    r = build_spin(1.5)      # equal factors: the swap check reuses the triple
+    report = verify_coproduct(delta2(DeformParams(h=0.8, k=0.6), r, r))
+    assert calls == [2 * r.dim - 1] and report["eq49_vs_eq45"] <= 1e-13
+
+
+def _g_and_f_of(ct, monkeypatch):
+    """The G and F matrices `verify_coproduct` puts into the relations."""
+    seen = []
+    real = hopf.relations_on_generators
+    monkeypatch.setattr(hopf, "relations_on_generators",
+                        lambda *args: seen.append(args[3:5]) or real(*args))
+    verify_coproduct(ct)
+    monkeypatch.undo()
+    return seen[0]
+
+
+@pytest.mark.parametrize("h,k", [(0.8, 0.6), (0.3 - 0.2j, 0.6), (0.45, 0.3 + 0.2j), (0.8, 1.0)])
+def test_g_and_f_through_the_composition_match_dense_paterson_stockmeyer(monkeypatch, h, k):
+    """G o outer and F o outer at base are G and F at DX, taken by dense
+    Paterson-Stockmeyer on the matrix DX."""
+    p = DeformParams(h=h, k=k)
+    for j1, j2 in ((0.5, 0.5), (1.0, 2.5), (3.0, 2.0), (3.0, 4.0)):
+        r1, r2 = build_spin(j1), build_spin(j2)
+        order = r1.dim + r2.dim - 1
+        for source in SOURCES:
+            ct = coproduct(source, p, r1, r2)
+            got = _g_and_f_of(ct, monkeypatch)
+            k = ct.params.k
+            expect = _at_half_h(ct.DX, p.h, (_G_series(k, order), 1), (_F_series(k, order), 0))
+            for name, a, b in zip("GF", got, expect):
+                assert frobenius(a - b) / frobenius(b) <= 1e-13, (source, j1, j2, name)
+
+
+def _perturbed(series, index=3, by=1e-3):
+    """A copy of series with coefficient index moved by a relative amount."""
+    c = series.coeffs.copy()
+    c[index] *= 1 + by
+    return type(series)(c)
+
+
+@pytest.mark.parametrize("which", ["1", "2"])
+def test_a_perturbed_outer_map_fails_hopf_verify(monkeypatch, capsys, which):
+    """One coefficient of delta1's arcsn or of delta2's lift map, moved where
+    the coproduct layer looks it up, makes DX a different function of base;
+    G and F composed with the same moved map then no longer satisfy the
+    relations, so the composition does not make them hold by construction."""
+    argv = ["hopf", "verify", "--which", which, "--j1", "1", "--j2", "1.5", "--h", "0.35",
+            "--k", "0.7"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    order = 3 + 4 - 1           # the pair order at dimensions 3 and 4
+    if which == "1":
+        real = hopf._asn
+        monkeypatch.setattr(hopf, "_asn", lambda k, n: _perturbed(real(k, n)) if n == order
+                            else real(k, n))
+    else:
+        real = hopf.lift_series
+        monkeypatch.setattr(hopf, "lift_series",
+                            lambda k, n: (_perturbed(real(k, n)[0]), real(k, n)[1]))
+    code = cli.main(argv)
+    payload = json.loads(capsys.readouterr().out)
+    assert (code, payload["pass"]) == (1, False)
+    assert max(payload["report"]["eq13"], payload["report"]["eq14"]) > 1e-6
+
+
+def test_hopf_verify_takes_powers_of_one_factor_parts_alone(monkeypatch, capsys):
+    shapes = []
+    real = liealg._powers
+    monkeypatch.setattr(liealg, "_powers", lambda a: shapes.append(a.shape) or real(a))
+    for which in ("1", "2", "uh"):
+        assert cli.main(["hopf", "verify", "--which", which, "--j1", "2", "--j2", "1.5",
+                         "--h", "0.8", "--k", "0.6"]) == 0
+    capsys.readouterr()
+    assert shapes and all(len(shape) == 1 for shape in shapes)

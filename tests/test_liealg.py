@@ -1,5 +1,6 @@
 """Spin modules and matrix helpers."""
 
+import functools
 import math
 
 import numpy as np
@@ -141,13 +142,14 @@ def test_mat_apply_series_rejects_entries_on_or_below_the_diagonal():
         mat_apply_series(s, np.zeros((2, 3)))
 
 
-def _element(rng, dim, complex_entries=True):
+def _element(rng, dim, complex_entries=True, odd=False):
     """A random element of the one-factor algebra of dimension dim: random
-    coefficients without constant term on a random superdiagonal."""
+    coefficients without constant term (or without any at even degree) on a
+    random superdiagonal."""
     c = rng.standard_normal(dim)
     if complex_entries:
         c = c + 1j * rng.standard_normal(dim)
-    c[0] = 0.0
+    c[:: 2 if odd else dim] = 0.0
     return RaisingPoly(c, (rng.standard_normal(dim - 1),))
 
 
@@ -171,35 +173,35 @@ def _rel_gap(got, expect):
     return frobenius(got - expect) / max(frobenius(expect), 1e-300)
 
 
-def _odd_element(rng, d1, d2, complex_entries=True):
-    """A random element on a d1 x d2 product with no coefficient at even
-    total degree, so that its matrix is odd under the weight parity
-    (i1 + i2) mod 2 of basis vector i1 d2 + i2."""
-    c = rng.standard_normal((d1, d2))
-    if complex_entries:
-        c = c + 1j * rng.standard_normal(c.shape)
-    c[np.add.outer(np.arange(d1), np.arange(d2)) % 2 == 0] = 0.0
-    return RaisingPoly(c, (rng.standard_normal(d1 - 1), rng.standard_normal(d2 - 1)))
+def _sum_of_parts(rng, dims, odd, complex_entries=True):
+    """A random sum a_1(S_1) + ... + a_m(S_m) of one-factor parts on random
+    superdiagonals; with odd parts the sum's matrix is odd under the weight
+    parity sum_i r_i mod 2."""
+    parts = [_element(rng, d, complex_entries, odd) for d in dims]
+    return functools.reduce(RaisingPoly.tensor_sum, parts)
 
 
-def _odd_inputs():
-    """Random odd elements up to 6 x 7, real and complex, one factor of
-    dimension 1 among them."""
+def _sum_inputs():
+    """Random sums of one-factor parts on up to three factors, odd and
+    general, real and complex, factors of dimension 1 among them."""
     rng = np.random.default_rng(38)
-    for d1, d2 in ((1, 1), (1, 2), (2, 1), (2, 3), (3, 3), (4, 2), (5, 4), (6, 7)):
-        for complex_entries in (False, True):
-            yield _odd_element(rng, d1, d2, complex_entries)
+    for dims in ((1,), (5,), (1, 1), (1, 2), (2, 1), (2, 3), (3, 3), (4, 2), (5, 4), (6, 7),
+                 (2, 3, 4)):
+        for odd in (True, False):
+            for complex_entries in (False, True):
+                yield _sum_of_parts(rng, dims, odd, complex_entries), odd
 
 
-def test_odd_elements_match_the_dense_route():
+def test_sums_of_one_factor_parts_match_the_dense_route():
     rng = np.random.default_rng(40)
     top = 0.0
-    for op in _odd_inputs():
+    for op, odd in _sum_inputs():
         dense = op.dense()
-        odd = np.add.outer(*(np.arange(d) for d in op.coeffs.shape)).ravel() % 2 == 1
-        assert not dense[odd[:, None] == odd].any()
+        if odd:
+            parity = np.indices(op.coeffs.shape).sum(axis=0).ravel() % 2
+            assert not dense[parity[:, None] == parity].any()
         bound = nilpotency_bound(op)
-        assert bound == sum(op.coeffs.shape) - 2
+        assert bound == sum(op.coeffs.shape) - op.coeffs.ndim
         for n in sorted({0, 1, 2, 3, bound // 2, bound, bound + 2}):
             c = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
             parity = np.arange(n + 1) % 2
@@ -212,11 +214,23 @@ def test_odd_elements_match_the_dense_route():
     assert top <= 1e-14
 
 
+def test_algebra_route_refuses_an_element_that_is_not_a_sum_of_one_factor_parts():
+    s = TruncatedSeries(np.ones(4))
+    rng = np.random.default_rng(42)
+    for dims, cross in (((2, 2), (1, 1)), ((3, 4), (2, 1)), ((2, 3, 2), (1, 0, 1))):
+        x = _sum_of_parts(rng, dims, odd=False)
+        coeffs = x.coeffs.copy()
+        coeffs[cross] = 0.5          # a product S_i S_j of two factors
+        with pytest.raises(DomainError, match="sum of one-factor parts"):
+            mat_apply_series([s, s], RaisingPoly(coeffs, x.w))
+        mat_apply_series(s, x)
+
+
 def test_algebra_route_refuses_an_element_with_a_constant_term():
     s = TruncatedSeries(np.ones(4))
     rng = np.random.default_rng(41)
     for d1, d2 in ((1, 1), (2, 3), (4, 2)):
-        x = _odd_element(rng, d1, d2)
+        x = _sum_of_parts(rng, (d1, d2), odd=True)
         with_constant = RaisingPoly(x.coeffs + (np.arange(x.coeffs.size) == 0).reshape(d1, d2),
                                     x.w)
         assert np.diagonal(with_constant.dense()).all()   # the constant is on the diagonal
@@ -291,8 +305,7 @@ def _values(result):
 
 def test_a_batch_gives_the_same_bits_as_each_series_alone():
     rng = np.random.default_rng(35)
-    args = ([m for m in _nilpotent_inputs()] + [a.tensor_sum(b) for a, b in _kron_sum_inputs()]
-            + list(_odd_inputs()))
+    args = [m for m in _nilpotent_inputs()] + [a.tensor_sum(b) for a, b in _kron_sum_inputs()]
     for m in args:
         bound = nilpotency_bound(m)
         batch = _series_batch(rng, bound)
@@ -321,12 +334,9 @@ def test_a_batch_validates_its_argument_once(monkeypatch, calculus_calls):
     assert (len(checked), [m.shape for m in calculus_calls.stacks()]) == (1, [(7, 7)])
     checked.clear(), calculus_calls.clear()
     # an element: no power stack, and one multiplication matrix for the whole
-    # batch, on each factor of a separable element
-    for x, matrices in ((_element(rng, 3).tensor_sum(_element(rng, 5)), [(1, 3), (1, 5)]),
-                        (_odd_element(rng, 3, 5, False), [(1, 3, 5)])):
-        mat_apply_series(_series_batch(rng, 6), x)
-        assert (len(checked), calculus_calls.stacks(), tables) == (0, [], matrices)
-        tables.clear()
+    # batch on each factor
+    mat_apply_series(_series_batch(rng, 6), _element(rng, 3).tensor_sum(_element(rng, 5)))
+    assert (len(checked), calculus_calls.stacks(), tables) == (0, [], [(1, 3), (1, 5)])
 
 
 def test_frobenius_matches_the_library_norm():
