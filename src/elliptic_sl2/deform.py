@@ -400,13 +400,17 @@ def lift_series(k, order):
     """The lift's two series in x, with t = tanh(x): the raising map
     arcsn(t, k), and the dressing q = (1 - k^2 t^2)**(1/4) (1 - t^2)**(-1/4).
 
-    d/dx arcsn(tanh x, k) = (1 - t^2)**(1/2) (1 - k^2 t^2)**(-1/2) = q**-2,
-    so the raising map is the integral of a Miller power of q, and no series
-    is composed.  tanh is sn at k = 1."""
-    t = _sncndn(1.0, order)[0]
-    t2 = t * t
-    q = (1.0 - t2 * (k * k)).pow_rational(0.25) * (1.0 - t2).pow_rational(-0.25)
-    return q.truncated(order - 1).pow_rational(-2).integral(), q
+    q**4 = 1 + (1 - k^2) sinh^2 x, with sinh^2 x = sum 2**(n-1) x**n / n! over
+    even n > 0, and d/dx arcsn(tanh x, k) = q**-2, so each series is one
+    Miller power of q**4 (the map its integral), and at k**2 = 1 they are
+    exactly x and 1."""
+    if order < 1:
+        raise DomainError("lift series need order >= 1")
+    sinh2 = np.cumprod(np.concatenate(([0.5], 2.0 / np.arange(1, order + 1))))
+    c = ((1.0 - k * k) * sinh2).tolist()
+    q4 = [1.0] + [0.0 if n % 2 else c[n] for n in range(1, order + 1)]
+    return (TruncatedSeries(pow_coeffs(q4[:order], -0.5)).integral(),
+            TruncatedSeries(pow_coeffs(q4, 0.25)))
 
 
 def lift_generators(X, Y, params, order):

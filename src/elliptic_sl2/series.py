@@ -12,9 +12,9 @@ J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7) as a plain loop over
 a coefficient list (`pow_coeffs`), so exact `Fraction` coefficients run
 through the same code as complex ones.  Composition and reversion are kept
 as independent references: the tests check the recurrences against them,
-and composition gives the deliberately separate per-factor route that
-`hopf._x_from_factor_sn` compares delta2's lift with.  Preconditions (an
-inner series with zero constant term, a power of a series with constant
+and composition gives `hopf._x_from_factor_sn`'s separate per-factor route
+and the identities the coproducts' coassociativity rests on.  Preconditions
+(an inner series with zero constant term, a power of a series with constant
 term 1) are enforced exactly, not to a tolerance.  exp is the one elementary
 series here; tanh and arctanh are sn and arcsn at k = 1, from `elliptic`.
 """

@@ -1,6 +1,8 @@
 """The nonlinear map: spot values by hand, relations on a parameter grid,
 Casimir forms, the hyperbolic reduction and its lift, structure functions."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -34,7 +36,7 @@ from elliptic_sl2.deform import (
     relation_residuals,
     structure_matrices,
 )
-from elliptic_sl2.elliptic import sd_cd_nd_series
+from elliptic_sl2.elliptic import sd_cd_nd_series, sn_cn_dn_coeffs
 from elliptic_sl2.errors import DomainError
 from elliptic_sl2.liealg import RaisingPoly, build_spin, frobenius, mat_apply_series
 from elliptic_sl2.series import TruncatedSeries, exp_series, pow_coeffs
@@ -356,9 +358,33 @@ def test_lift_series_is_arcsn_of_tanh(k):
     ref = _asn(k, order).compose(_sncndn(1.0, order)[0])   # tanh is sn at k = 1
     assert through.order == order == q.order
     assert np.max(np.abs(through.coeffs - ref.coeffs)) <= 1e-15
-    if k == 1.0:  # arcsn(t, 1) = arctanh(t), and the dressing is 1
-        assert np.max(np.abs(through.coeffs - TruncatedSeries.identity(order).coeffs)) <= 1e-15
-        assert np.max(np.abs(q.coeffs - TruncatedSeries.constant(1.0, order).coeffs)) <= 1e-15
+    with pytest.raises(DomainError, match="order"):
+        lift_series(k, 0)
+    if k == 1.0:  # arcsn(t, 1) = arctanh(t), and the dressing is 1, exactly
+        assert np.array_equal(through.coeffs, TruncatedSeries.identity(order).coeffs)
+        assert np.array_equal(q.coeffs, TruncatedSeries.constant(1.0, order).coeffs)
+
+
+def _exact_product(a, b):
+    return [sum((a[i] * b[m - i] for i in range(m + 1)), Fraction(0)) for m in range(len(a))]
+
+
+def test_lift_series_matches_exact_coefficients():
+    """Against the lift's series in Fractions at k**2 = 9/25, from exact tanh
+    by the former route: q = (1 - k^2 t^2)**(1/4) (1 - t^2)**(-1/4) and the
+    map the integral of q**-2.  Every nonzero coefficient agrees to 1e-13
+    relative, and every zero one is exactly zero."""
+    order, k2 = 49, Fraction(9, 25)
+    t = sn_cn_dn_coeffs(Fraction(1), order)[0]
+    t2 = _exact_product(t, t)
+    q = _exact_product(pow_coeffs([Fraction(1)] + [-k2 * c for c in t2[1:]], Fraction(1, 4)),
+                       pow_coeffs([Fraction(1)] + [-c for c in t2[1:]], Fraction(-1, 4)))
+    q_minus_2 = pow_coeffs(q[:order], Fraction(-2))
+    through = [Fraction(0)] + [c / (i + 1) for i, c in enumerate(q_minus_2)]
+    for got, exact in zip(lift_series(0.6, order), (through, q)):
+        assert got.order == order
+        for c, e in zip(got.coeffs, exact):
+            assert (c == 0) if e == 0 else abs(c - float(e)) <= 1e-13 * abs(float(e))
 
 
 @pytest.mark.parametrize("h", [0.0, 0.45, 0.8 - 0.3j])

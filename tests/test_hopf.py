@@ -165,6 +165,86 @@ def test_coassociativity_of_the_primitive_coproduct():
     assert gaps["max"] <= 1e-11
 
 
+COASSOC_KS = (0.6, 1.0, 0.99, 0.3 + 0.2j, 0.02)
+# (22, 2, 0) has the series order of three j = 8 factors, 48, whose product
+# module (dimension 4913) is over the cap; (200, 2, 0) reaches order 404.
+COASSOC_FACTORS = ((0.5, 0.5, 0.5), (2.0, 2.0, 2.0), (22.0, 2.0, 0.0), (200.0, 2.0, 0.0))
+
+
+def _coassociativity(source, k, js):
+    reps = [build_spin(j) for j in js]
+    if source == "delta1":
+        return coassociativity_delta1(DeformParams(h=0.8, k=k), *reps)
+    return coassociativity_uh(0.8, *reps)
+
+
+@pytest.mark.parametrize("k", COASSOC_KS)
+def test_coassociativity_identities_hold_to_rounding_on_the_grid(k):
+    for js in COASSOC_FACTORS:
+        for source, keys in (("delta1", {"X", "Y", "max"}), ("uh", {"group_like", "max"})):
+            gaps = _coassociativity(source, k, js)
+            assert set(gaps) == keys and gaps["max"] == worst(gaps.values())
+            assert gaps["max"] <= 1e-15, (source, js, gaps)
+    with pytest.raises(DomainError, match="cap"):
+        coassociativity_uh(0.8, *[build_spin(8.0)] * 3)
+
+
+def _bumped(series, by=1e-4):
+    """A copy of series with its first nonzero coefficient past the linear
+    one moved by a relative amount."""
+    c = series.coeffs.copy()
+    c[2 if c[2] else 3] *= 1 + by
+    return type(series)(c)
+
+
+# each series as `hopf` looks it up, and the coproduct and key it must lift
+BUMPS = {"_asn": ("delta1", "X"), "_sncndn": ("delta1", "X"), "_g_of_v": ("delta1", "Y"),
+         "_g_inv_of_u": ("delta1", "Y"), "_twist_series": ("uh", "group_like")}
+
+
+@pytest.mark.parametrize("name", sorted(BUMPS))
+def test_a_bumped_series_fails_its_coassociativity_identity(monkeypatch, name):
+    """A 1e-4 relative move in one coefficient of arcsn, sn, g,
+    (cn dn)**(-1/2) or the twist series, made where `hopf` looks it up, lifts
+    the identity's key above 1e-6 everywhere on the grid."""
+    source, key = BUMPS[name]
+    real = getattr(hopf, name)
+
+    def bumped(*args):
+        out = real(*args)       # _sncndn gives (sn, cn, dn): move sn
+        return (_bumped(out[0]), *out[1:]) if isinstance(out, tuple) else _bumped(out)
+
+    monkeypatch.setattr(hopf, name, bumped)
+    for k in COASSOC_KS:
+        for js in COASSOC_FACTORS:
+            gaps = _coassociativity(source, k, js)
+            assert gaps[key] > 1e-6 and gaps["max"] >= gaps[key], (k, js, gaps)
+
+
+def test_coassociativity_forms_no_matrix(monkeypatch, calculus_calls):
+    def refuse(*args):
+        raise AssertionError("coassociativity forms no matrix")
+
+    for name in ("kron", "_kron_sum", "_uh_factor", "_mapped"):
+        monkeypatch.setattr(hopf, name, refuse)
+    reps = [build_spin(j) for j in (2.0, 1.5, 3.0)]
+    calculus_calls.clear()
+    coassociativity_uh(0.8, *reps)
+    coassociativity_delta1(DeformParams(h=0.8, k=0.6), *reps)
+    assert calculus_calls.log == []
+
+
+@pytest.mark.parametrize("h", [0.8, 0.3 - 0.2j])
+def test_delta2_at_k_one_is_delta_uh_bit_for_bit(h):
+    """At k**2 = 1 the lift's map is exactly x and its dressing exactly 1."""
+    for j1, j2 in ((0.5, 0.5), (1.0, 2.5), (3.0, 2.0)):
+        r1, r2 = build_spin(j1), build_spin(j2)
+        lifted, uh = delta2(DeformParams(h=h, k=1.0), r1, r2), delta_uh(h, r1, r2)
+        for name in ("DX", "DY", "DJ0"):
+            a, b = getattr(lifted, name), getattr(uh, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (j1, j2, name)
+
+
 def test_cocommutativity_gap_keys():
     ct = delta1(DeformParams(h=0.4, k=0.3), build_spin(0.5), build_spin(0.5))
     gaps = cocommutativity_gap(ct)
@@ -288,41 +368,6 @@ def test_product_dimension_cap_refuses_before_building():
                  lambda: coassociativity_delta1(p, small, big, big)):
         with pytest.raises(DomainError, match="cap"):
             call()
-
-
-def _coassociativity_uh_by_hand(h, r1, r2, r3):
-    """Both associations of the twisted coproduct written out in full: the
-    pair images of (1, 2) and (2, 3), then the outer level, where a pair's
-    exponentials are the Kronecker products of its factors'."""
-    h = complex(h)
-    (x1, _, y1, j1, _, em1), (x2, _, y2, j2, ep2, em2), (x3, _, y3, j3, ep3, _) = (
-        _uh_factor(r, h) for r in (r1, r2, r3))
-    dx12, dx23 = x1.tensor_sum(x2), x2.tensor_sum(x3)
-    dy12, dj012 = kron(y1, ep2) + kron(em1, y2), kron(j1, ep2) + kron(em1, j2)
-    dy23, dj023 = kron(y2, ep3) + kron(em2, y3), kron(j2, ep3) + kron(em2, j3)
-    em12 = kron(em1, em2)
-    left = {
-        "X": dx12.tensor_sum(x3).dense(),
-        "Y": kron(dy12, ep3) + kron(em12, y3),
-        "J0": kron(dj012, ep3) + kron(em12, j3),
-    }
-    ep23 = kron(ep2, ep3)
-    right = {
-        "X": x1.tensor_sum(dx23).dense(),
-        "Y": kron(y1, ep23) + kron(em1, dy23),
-        "J0": kron(j1, ep23) + kron(em1, dj023),
-    }
-    gaps = {name: frobenius(left[name] - right[name]) /
-            max(1.0, frobenius(left[name])) for name in ("X", "Y", "J0")}
-    gaps["max"] = worst(gaps.values())
-    return gaps
-
-
-@pytest.mark.parametrize("h", [0.8, 0.3 - 0.2j])
-@pytest.mark.parametrize("js", [(0.5, 0.5, 0.5), (1.0, 0.5, 1.5), (2.0, 1.5, 0.5)])
-def test_coassociativity_nests_the_twisted_builder_with_the_written_out_bits(h, js):
-    r1, r2, r3 = (build_spin(j) for j in js)
-    assert coassociativity_uh(h, r1, r2, r3) == _coassociativity_uh_by_hand(h, r1, r2, r3)
 
 
 def _x_by_hand(source, params, r1, r2):
