@@ -494,7 +494,8 @@ def relations_on_generators(X, Y, J0, g, f, uh):
     J0 and the structure-function matrices g = G(X) and f = F(X); uh picks the
     labels of the k**2 = 1 reduction.  Each residual is the Frobenius norm of
     its residual matrix over max(1, the norms of its terms), formed afresh
-    on every call; `hopf.verify_coproduct` takes it on coproduct images."""
+    on every call; on gathered coproduct images it is the dense reference
+    for `hopf.verify_coproduct`'s normal-form residuals."""
     return _relative(_relation_norms(X, Y, J0, g, f), frobenius(X), uh)
 
 

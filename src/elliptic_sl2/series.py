@@ -168,9 +168,11 @@ def pow_coeffs(a, p):
 
     which is the equation a b' = p a' b of b = a**p, read one coefficient
     at a time.  Only the nonzero a[i] enter the loop, so a polynomial such
-    as 1 - k**2 u**2 costs O(N).  Exact for Fraction a and p."""
-    zero = a[0] * 0
+    as 1 - k**2 u**2 costs O(N).  Exact for Fraction a and p: the zero the
+    sums start from is the coefficients' own, so an int a[0] beside
+    Fractions gives Fractions throughout."""
     nonzero = [i for i in range(1, len(a)) if a[i]]
+    zero = sum((a[i] * 0 for i in nonzero), a[0] * 0)
     b = [a[0]] + [zero] * (len(a) - 1)
     for m in range(1, len(a)):
         acc = zero

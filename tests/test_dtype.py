@@ -52,8 +52,6 @@ def test_kron_is_np_kron_bit_for_bit(d1, d2, kinds):
     got, expect = kron(a, b), np.kron(a, b)
     assert got.dtype == expect.dtype
     assert got.tobytes() == expect.tobytes()
-    expect = np.kron(real_if_exact(a), np.eye(d2)) + np.kron(np.eye(d1), real_if_exact(b))
-    assert hopf._kron_sum(a, b).tobytes() == expect.tobytes()
 
 
 def test_real_if_exact_keeps_every_nonzero_imaginary_part():

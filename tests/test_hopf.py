@@ -34,7 +34,6 @@ from elliptic_sl2.hopf import (
     delta2,
     delta_uh,
     verify_coproduct,
-    _kron_sum,
     _swap_factors,
     _uh_factor,
     _x_from_factor_sn,
@@ -50,6 +49,11 @@ from elliptic_sl2.liealg import (
 from elliptic_sl2.series import exp_series
 
 PAIRS = [(0.5, 0.5), (0.5, 1.0), (1.0, 1.0)]
+
+
+def _kron_sum(a, b):
+    """The dense Kronecker sum a x 1 + 1 x b."""
+    return np.kron(a, np.eye(b.shape[0])) + np.kron(np.eye(a.shape[0]), b)
 
 
 def report_ok(report, tol):
@@ -97,8 +101,9 @@ def test_twisted_raising_is_primitive():
 def test_twisted_coproducts_gather_only_the_map(monkeypatch):
     """Each factor of the twisted coproducts is the k = 1 map's (X, Y) with
     its exponentials: no other function of J+ (F, the Jordanian Casimir
-    factors) is gathered, and the images have the bits of the Jordanian
-    triplets'."""
+    factors) is taken.  DX has the bits of the Jordanian triplets' Kronecker
+    sum, and DY and DJ0, gathered from their normal forms, are the written-out
+    Kronecker forms to rounding."""
     from elliptic_sl2 import deform
 
     def refuse(*args):
@@ -112,12 +117,13 @@ def test_twisted_coproducts_gather_only_the_map(monkeypatch):
     coassociativity_uh(h, r1, r2, r1)
     monkeypatch.undo()
     t1, t2 = (build_jordanian_triplet(r, h) for r in (r1, r2))
-    (x1, m1, _, _, _, em1), (x2, m2, _, _, ep2, _) = (_uh_factor(r, complex(h)) for r in (r1, r2))
-    for x, m, t in ((x1, m1, t1), (x2, m2, t2)):
-        assert np.array_equal(x.dense(), t.Xhat) and np.array_equal(m, t.Xhat)
+    (x1, _, _, em1), (x2, _, ep2, _) = (_uh_factor(r, complex(h)) for r in (r1, r2))
+    for x, t in ((x1, t1), (x2, t2)):
+        assert np.array_equal(x.dense(), t.Xhat)
+    em1, ep2 = em1.dense(), ep2.dense()
     assert np.array_equal(uh.DX, _kron_sum(t1.Xhat, t2.Xhat))
-    assert np.array_equal(uh.DY, kron(t1.Yhat, ep2) + kron(em1, t2.Yhat))
-    assert np.array_equal(uh.DJ0, kron(t1.J0, ep2) + kron(em1, t2.J0))
+    assert _rel_gap(uh.DY, np.kron(t1.Yhat, ep2) + np.kron(em1, t2.Yhat)) <= 1e-15
+    assert _rel_gap(uh.DJ0, np.kron(t1.J0, ep2) + np.kron(em1, t2.J0)) <= 1e-15
 
 
 @pytest.mark.parametrize("h", [0.8, 0.3 - 0.2j, 2.0])
@@ -126,8 +132,8 @@ def test_twist_factors_are_the_exponentials_of_the_factor_images(h):
     exponential series at the factor's X, by dense Paterson-Stockmeyer."""
     for j in (0.5, 1.0, 2.5, 5.0, 8.0):
         rep = build_spin(j)
-        x, _, _, _, ep, em = _uh_factor(rep, complex(h))
-        for sign, got in ((1, ep), (-1, em)):
+        x, _, ep, em = _uh_factor(rep, complex(h))
+        for sign, got in ((1, ep.dense()), (-1, em.dense())):
             expect = mat_apply_series(exp_series(rep.dim), sign * complex(h) * x.dense())
             assert got.dtype == expect.dtype
             assert _rel_gap(got, expect) <= 1e-14, (j, sign)
@@ -221,11 +227,35 @@ def test_a_bumped_series_fails_its_coassociativity_identity(monkeypatch, name):
             assert gaps[key] > 1e-6 and gaps["max"] >= gaps[key], (k, js, gaps)
 
 
+def test_coassociativity_uh_composes_the_term_sizes_once(monkeypatch):
+    """|+2 arctanh| and |-2 arctanh| are one series, so the group-like check
+    composes three times (exp at each sign, and the sizes once), and its gap
+    is the one the two signs give with the sizes composed for each."""
+    from elliptic_sl2.series import TruncatedSeries
+
+    calls = []
+    real = TruncatedSeries.compose
+    monkeypatch.setattr(TruncatedSeries, "compose", lambda s, t: calls.append(1) or real(s, t))
+    reps = [build_spin(j) for j in (2.0, 1.5, 3.0)]
+    gap = coassociativity_uh(0.8, *reps)["group_like"]
+    assert len(calls) == 3
+    monkeypatch.undo()
+    n = sum(r.dim for r in reps) - 3
+    size = lambda s: TruncatedSeries(np.abs(s.coeffs))
+    by_sign = []
+    for sign in (1, -1):
+        inner = 2.0 * sign * _asn(1.0, n)
+        got, terms = exp_series(n).compose(inner), size(exp_series(n)).compose(size(inner))
+        target = hopf._twist_series(sign, n).coeffs
+        by_sign.append(float(np.max(np.abs(got.coeffs - target) / np.maximum(1.0, terms.coeffs.real))))
+    assert gap == max(by_sign)
+
+
 def test_coassociativity_forms_no_matrix(monkeypatch, calculus_calls):
     def refuse(*args):
         raise AssertionError("coassociativity forms no matrix")
 
-    for name in ("kron", "_kron_sum", "_uh_factor", "_mapped"):
+    for name in ("_uh_factor", "_sandwich", "_products", "_gather"):
         monkeypatch.setattr(hopf, name, refuse)
     reps = [build_spin(j) for j in (2.0, 1.5, 3.0)]
     calculus_calls.clear()
@@ -313,8 +343,8 @@ def test_factor_routes_take_the_raising_image_bits_of_the_map(h, k):
     for j in (0.5, 1.0, 2.5, 5.0):
         rep = build_spin(j)
         alone, = _at_half_h(rep.raising, h, (_asn(p.k, rep.dim), 1))
-        mapped = hopf._mapped(rep.raising, rep.Jm, p.h, _asn(p.k, rep.dim), _g_of_v(p.k, rep.dim))
-        assert np.array_equal(alone.dense(), mapped[0])
+        mapped = _at_half_h(rep.raising, p.h, (_asn(p.k, rep.dim), 1), (_g_of_v(p.k, rep.dim), 0))
+        assert np.array_equal(alone.dense(), mapped[0].dense())
         assert np.array_equal(alone.dense(), build_elliptic_triplet(rep, p).Xhat)
 
 
@@ -443,21 +473,22 @@ def test_every_coproduct_image_dx_is_odd_under_the_weight_parity(h, k):
 
 @pytest.mark.parametrize("which,builder", [("1", "delta1"), ("2", "delta2"), ("uh", "delta_uh")])
 def test_a_stray_even_entry_in_dx_fails_hopf_verify(monkeypatch, capsys, which, builder):
-    """G and F come from DX's base and outer series, so a stray entry in the
-    dense DX that they do not hold breaks [J0, X] = G(X): eq13 fails."""
+    """G and F come from DX's base and outer series, so a stray coefficient
+    of S2**2 in DX's element of A, which they do not hold, breaks
+    [J0, X] = G(X): eq13 fails."""
     argv = ["hopf", "verify", "--which", which, "--j1", "1", "--j2", "1", "--h", "0.35",
             "--k", "0.7"]
     assert cli.main(argv) == 0
     capsys.readouterr()
     real = getattr(hopf, builder)
 
-    def with_stray_entry(*args):
+    def with_stray_coefficient(*args):
         ct = real(*args)
-        dx = ct.DX.copy()
-        dx[0, 2] += 1e-6  # basis vectors (0, 0) and (0, 2), both even
-        return dataclasses.replace(ct, DX=dx)
+        nx = ct.NX.copy()
+        nx[hopf._A, 0, 2] += 1e-6       # S2**2: even, as every coefficient of DX is odd
+        return dataclasses.replace(ct, NX=nx)
 
-    monkeypatch.setattr(hopf, builder, with_stray_entry)
+    monkeypatch.setattr(hopf, builder, with_stray_coefficient)
     code = cli.main(argv)
     payload = json.loads(capsys.readouterr().out)
     eq13 = payload["report"]["eq23" if which == "uh" else "eq13"]
@@ -473,6 +504,22 @@ def test_verify_coproduct_builds_no_dense_power_stack(calculus_calls):
         calculus_calls.clear()
         verify_coproduct(ct)
         assert calculus_calls.stacks() == [], source
+
+
+@pytest.mark.parametrize("j1,j2", [(1.5, 1.5), (1.5, 2.0)])
+def test_verify_coproduct_forms_no_relation_product_and_gathers_nothing(calculus_calls, j1, j2):
+    """The residuals are taken in normal form: no relation product is formed
+    and G, F and the re-expressed image stay elements of A, never gathered
+    into matrices.  Only the cocommutativity gap's swapped images, built
+    anew for unequal factors, are gathered, from their normal forms."""
+    p = DeformParams(h=0.8, k=0.6)
+    r1, r2 = build_spin(j1), build_spin(j2)
+    swapped = [] if j1 == j2 else [("images", None)]
+    for source in SOURCES:
+        ct = coproduct(source, p, r1, r2)
+        calculus_calls.clear()
+        verify_coproduct(ct)
+        assert calculus_calls.log == swapped, (source, calculus_calls.log)
 
 
 HOPF_VERIFY_1_AT_8 = ["hopf", "verify", "--which", "1", "--j1", "8", "--j2", "8", "--h", "0.8",
@@ -510,21 +557,57 @@ def _dense_relations(ct):
     return relations_on_generators(ct.DX, ct.DY, ct.DJ0, g, f, p.ksq == 1)
 
 
+RELATION_GRID = [(h, k) for h in (0.35, 0.8, 0.3 - 0.2j) for k in (0.7, 1.0, 0.3 + 0.2j)]
+
+
 def test_relations_through_the_algebra_match_the_dense_route():
     tol = 1e-9
     checked = 0
-    for j1, j2 in ((0.5, 0.5), (0.5, 4.5), (1.0, 2.5), (3.5, 2.0), (4.0, 5.0), (5.0, 5.0)):
+    cases = [(j1, j2, SOURCES) for j1, j2 in ((0.5, 0.5), (0.5, 4.5), (1.0, 2.5), (3.5, 2.0),
+                                                (4.0, 5.0), (5.0, 5.0))]
+    cases += [(8.0, 8.0, ("delta1",)), (8.0, 12.0, ("delta1",))]
+    for j1, j2, sources in cases:
         r1, r2 = build_spin(j1), build_spin(j2)
-        for h in (0.35, 0.8, 0.3 - 0.2j):
-            for k in (0.7, 1.0, 0.3 + 0.2j):
-                p = DeformParams(h=h, k=k)
-                for source in SOURCES:
-                    ct = coproduct(source, p, r1, r2)
-                    report = verify_coproduct(ct)
-                    for key, dense in _dense_relations(ct).items():
-                        assert abs(report[key] - dense) <= tol / 10, (source, j1, j2, h, k, key)
-                        checked += 1
-    assert checked == 6 * 9 * 3 * 3
+        for h, k in RELATION_GRID:
+            p = DeformParams(h=h, k=k)
+            for source in sources:
+                ct = coproduct(source, p, r1, r2)
+                report = verify_coproduct(ct)
+                for key, dense in _dense_relations(ct).items():
+                    assert abs(report[key] - dense) <= tol / 10, (source, j1, j2, h, k, key)
+                    checked += 1
+    assert checked == (6 * 3 + 2) * 9 * 3
+
+
+def _bumped_dy_term(factor):
+    """A builder wrapper for `hopf._sandwich` that moves the coefficient of
+    the factor's S**2 in the p of its DY term p L q by 1e-6."""
+    real = hopf._sandwich
+
+    def bumped(p, q):
+        p = p.copy()
+        p[factor, 0 if factor else 2, 2 if factor else 0] += 1e-6
+        return real(p, q)
+    return bumped
+
+
+@pytest.mark.parametrize("factor", [0, 1])
+def test_a_corrupted_dy_coefficient_fails_both_routes(monkeypatch, factor):
+    """One moved coefficient in one factor's DY term fails eq12 or eq14 in
+    the normal form and in the dense reference on the gathered matrices."""
+    p = DeformParams(h=0.8, k=0.6)
+    r1, r2 = build_spin(1.5), build_spin(2.0)
+    for source in SOURCES:
+        good = verify_coproduct(coproduct(source, p, r1, r2))
+        with monkeypatch.context() as patch:
+            patch.setattr(hopf, "_sandwich", _bumped_dy_term(factor))
+            ct = coproduct(source, p, r1, r2)
+            report = verify_coproduct(ct)
+        dense = _dense_relations(ct)
+        keys = ("eq22", "eq24") if source == "delta_uh" else ("eq12", "eq14")
+        assert max(good[key] for key in keys) <= 1e-13, source
+        for got in (report, dense):
+            assert max(got[key] for key in keys) > 1e-9, (source, factor, got)
 
 
 def test_delta2_and_its_check_build_the_lift_series_once(monkeypatch):
@@ -537,14 +620,14 @@ def test_delta2_and_its_check_build_the_lift_series_once(monkeypatch):
 
 
 def _g_and_f_of(ct, monkeypatch):
-    """The G and F matrices `verify_coproduct` puts into the relations."""
+    """The G and F elements of A that `verify_coproduct` puts into the
+    normal-form relations, as matrices on ct's factors."""
     seen = []
-    real = hopf.relations_on_generators
-    monkeypatch.setattr(hopf, "relations_on_generators",
-                        lambda *args: seen.append(args[3:5]) or real(*args))
+    real = hopf._residuals
+    monkeypatch.setattr(hopf, "_residuals", lambda *args: seen.append(args[3:5]) or real(*args))
     verify_coproduct(ct)
     monkeypatch.undo()
-    return seen[0]
+    return [RaisingPoly(c, ct.base.w).dense() for c in seen[0]]
 
 
 @pytest.mark.parametrize("h,k", [(0.8, 0.6), (0.3 - 0.2j, 0.6), (0.45, 0.3 + 0.2j), (0.8, 1.0)])

@@ -130,6 +130,16 @@ def test_miller_powers_match_the_exact_binomial_coefficients_at_order_81(p):
     assert all(g == 0 for g, e in zip(got, exact) if not e)
 
 
+def test_miller_power_with_an_int_leading_one_stays_in_fractions():
+    """An int a[0] beside Fractions: every coefficient, including those no
+    term reaches, is an exact Fraction."""
+    b = pow_coeffs([1, Fraction(0), Fraction(-1, 3)], Fraction(1, 4))
+    assert all(type(c) is Fraction for c in b[1:]) and b == [1, 0, Fraction(-1, 12)]
+    b = pow_coeffs([1] + [Fraction(0), Fraction(-9, 25)] * 4, Fraction(-1, 2))
+    assert all(type(c) is Fraction for c in b[1:])
+    assert b[1::2] == [0] * 4 and b[2] == Fraction(9, 50)
+
+
 def test_miller_power_of_a_dense_series_is_exact_in_fractions():
     a = [Fraction(1), Fraction(2, 3), Fraction(-5, 7), Fraction(1, 11), Fraction(4), Fraction(-1, 2)]
     b = pow_coeffs(a, Fraction(-1, 2))                       # b**2 a = 1

@@ -32,6 +32,9 @@ COMMANDS = (
     "hopf verify --which 2 --j1 2 --j2 3 --h 0.45 --k 0.3",
     "hopf verify --which 1 --j1 8 --j2 8 --h 0.8 --k 0.6",
     "hopf verify --which 2 --j1 8 --j2 8 --h 0.8 --k 0.6",
+    "hopf verify --which 1 --j1 12 --j2 12 --h 0.8 --k 0.6",
+    "hopf verify --which 2 --j1 12 --j2 12 --h 0.8 --k 0.6",
+    "hopf verify --which uh --j1 12 --j2 12 --h 0.8 --k 0.6",
     "hopf verify --which 2 --j1 0 --j2 2 --h 0.8 --k 0.6",
     "hopf verify --which 1 --j1 200 --j2 2 --h 0.8 --k 0.6",
     "hopf delta --which 2 --j1 2 --j2 2 --h 0.8 --k 0.6",
