@@ -42,9 +42,16 @@ c[a] times factor-wise weights: the superdiagonal products of S**a, the J0
 eigenvalues at column r + a and L's weight there.  So every norm is one
 contraction over the terms on each factor's (offset, row) grid, and the norm
 of an element of A comes from the weights sum_r prod(w[r : r + a])**2 alone.
-DX, DY and DJ0 are gathered from the same normal forms, one gather per
-coproduct; `deform.relations_on_generators` on them is the dense reference
-the tests hold these residuals against.
+The residuals, and the norms of the images they are relative to, read the
+normal forms alone.
+
+The matrices DX, DY and DJ0 are eager.  delta1's are gathered from the
+normal forms, in one gather.  delta_uh's are Kronecker forms of the
+factors' matrices, each entry one product of two factor entries, so they
+keep the Jordanian triplets' bits; delta2 takes DJ0 and DY_uh from them and
+gathers DX and the lift's part DY - DY_uh.  Only the tests check the matrices against their normal
+forms, and hold the normal-form residuals against
+`deform.relations_on_generators` on the matrices, the dense reference.
 
 Dtypes follow `liealg.real_if_exact`: at real h and real k every coproduct
 image, exponential factor and structure function is float64, and a complex h
@@ -75,7 +82,9 @@ from .errors import DomainError
 from .liealg import (
     RaisingPoly,
     SpinRep,
+    densify,
     frobenius,
+    kron,
     mat_apply_series,
     real_if_exact,
     worst,
@@ -100,8 +109,9 @@ __all__ = [
 # which admits j1 = j2 = 22 (dimension 2025).  The images are dense, dim**2
 # entries per matrix, float64 at real h and k, and so are the entries the
 # relation norms sum.  A cold `hopf verify --which 1|2|uh --h 0.8 --k 0.6`
-# took about 0.35 s and 117 MB at dimension 1089, 0.6 s and 235 MB at 1681,
-# and 0.7 s and 330 MB at 2025.  Complex h or k doubles the storage.
+# took 0.22-0.25 s and 114-124 MB at dimension 1089, 0.32-0.39 s and
+# 227-229 MB at 1681, and 0.39-0.47 s and 316-346 MB at 2025, on a 2-vCPU
+# VM with one BLAS thread.  Complex h or k doubles the storage.
 MAX_PRODUCT_DIM = 2048
 
 
@@ -115,7 +125,8 @@ def _check_product_dim(*reps):
 @dataclass(frozen=True)
 class CoproductTriple:
     """Coproduct images of the generator triple on a two-factor module: the
-    matrices DX, DY, DJ0, gathered from the normal forms NX, NY, NJ0."""
+    matrices DX, DY, DJ0 and their normal forms NX (an element of A), NY
+    and NJ0."""
 
     DX: np.ndarray
     DY: np.ndarray
@@ -126,10 +137,9 @@ class CoproductTriple:
     source: str  # "delta1" | "delta_uh" | "delta2"
     base: RaisingPoly                # DX = (2/h) outer((h/2) base), a sum in A,
     outer: TruncatedSeries | None    # or DX = base where outer is None (delta_uh)
-    NX: np.ndarray                   # normal forms, c[kind] (see _KINDS)
-    NY: np.ndarray
+    NX: np.ndarray                   # DX's element of A, coefficients c[a1, a2]
+    NY: np.ndarray                   # normal forms c[kind] (see _KINDS)
     NJ0: np.ndarray
-    grids: tuple                     # the factors' weights the normal forms are read with
 
 
 def _pair_order(r1, r2):
@@ -338,21 +348,23 @@ def _norms(elements, g1, g2):
 
 
 def _entries(nfs, g1, g2):
-    """The entries of normal forms nfs[b, kind] as E[o2, r2, b, r1, c1]:
+    """The entries of normal forms nfs[b, kind] as E[b, o2, r2, r1, c1]:
     factor 1's at [r1, c1] (offset c1 - r1), factor 2's at row r2 and offset
-    o2 - 1, summed over the (b, kind) that occur in one contraction.  An
-    offset past factor 1's grid wraps round to where its weights are 0."""
+    o2 - 1, each normal form's (kind)s summed in one contraction.  An offset
+    past factor 1's grid wraps round to where its weights are 0."""
     b, kind, c = _placed(nfs, g1, g2)
-    count, d1, d2 = len(nfs), g1.tables.shape[2], g2.tables.shape[2]
+    d1, d2 = g1.tables.shape[2], g2.tables.shape[2]
     steps = np.arange(d1)
     at = (steps - steps[:, None] + 1) % (d1 + 1)                        # [r1, c1]
     with np.errstate(over="ignore", invalid="ignore"):
         part = c[:, at] * g1.tables[_TABLE[0, kind]][:, at, steps[:, None]][..., None]
-        v = np.zeros((len(b), d2 + 1, count, d1, d1), dtype=part.dtype)
-        v[np.arange(len(b)), :, b] = part.transpose(0, 3, 1, 2)
-        e = (g2.tables[_TABLE[1, kind]].transpose(1, 2, 0)
-             @ v.reshape(len(b), d2 + 1, -1).transpose(1, 0, 2))
-    return e.reshape(d2 + 1, d2, count, d1, d1)
+        part = part.reshape(len(b), d1 * d1, d2 + 1).transpose(2, 0, 1)     # [o2, term, (r1, c1)]
+        second = g2.tables[_TABLE[1, kind]].transpose(1, 2, 0)             # [o2, r2, term]
+        e = np.empty((len(nfs), d2 + 1, d2, d1 * d1), dtype=np.result_type(part, second))
+        ends = np.searchsorted(b, np.arange(len(nfs) + 1))     # b is sorted: each nfs[n] a slice
+        for n, (lo, hi) in enumerate(zip(ends[:-1], ends[1:])):
+            np.matmul(second[..., lo:hi], part[:, lo:hi], out=e[n])
+    return e.reshape(len(nfs), d2 + 1, d2, d1, d1)
 
 
 def _gather(nfs, g1, g2):
@@ -366,20 +378,24 @@ def _gather(nfs, g1, g2):
     count, d1, d2 = len(nfs), g1.tables.shape[2], g2.tables.shape[2]
     steps = np.arange(d2)
     rows = (steps - steps[:, None] + 1) % (d2 + 1) * d2 + steps[:, None]    # [r2, c2]
-    out = e.reshape((d2 + 1) * d2, count, d1, d1)[rows]                   # [r2, c2, b, r1, c1]
-    return out.transpose(2, 3, 0, 4, 1).reshape(count, d1 * d2, d1 * d2)
+    out = e.reshape(count, (d2 + 1) * d2, d1, d1)[:, rows]                # [b, r2, c2, r1, c1]
+    return out.transpose(0, 3, 1, 4, 2).reshape(count, d1 * d2, d1 * d2)
 
 
 # -- the coproducts ---------------------------------------------------------------
 
 
-def _triple(source, params, r1, r2, base, outer, x, ny, nj0):
-    nx = np.zeros((_IMAGE,) + x.shape, dtype=x.dtype)
-    nx[_A] = x
-    grids = _grids(r1, r2)
-    dx, dy, dj0 = (real_if_exact(m) for m in _gather(np.array([nx, ny, nj0]), *grids))
+def _triple(source, params, r1, r2, base, outer, x, ny, nj0, matrices):
+    dx, dy, dj0 = (real_if_exact(m) for m in matrices)
     return CoproductTriple(DX=dx, DY=dy, DJ0=dj0, params=params, r1=r1, r2=r2, source=source,
-                           base=base, outer=outer, NX=nx, NY=ny, NJ0=nj0, grids=grids)
+                           base=base, outer=outer, NX=x, NY=ny, NJ0=nj0)
+
+
+def _image(x):
+    """An element x of A as a normal form."""
+    nf = np.zeros((_IMAGE,) + x.shape, dtype=x.dtype)
+    nf[_A] = x
+    return nf
 
 
 def _unit(shape):
@@ -409,8 +425,9 @@ def delta1(params, r1, r2):
     x, d = (e.coeffs for e in _at_half_h(base, params.h, (outer, 1), (_g_of_v(k, order), 0)))
     nj0 = np.zeros((_IMAGE,) + d.shape)
     nj0[list(_J0)] = _unit(d.shape)
-    return _triple("delta1", params, r1, r2, base, outer, x,
-                   _sandwich(np.array([d, d]), np.array([d, d])), nj0)
+    ny = _sandwich(np.array([d, d]), np.array([d, d]))
+    return _triple("delta1", params, r1, r2, base, outer, x, ny, nj0,
+                   _gather(np.array([_image(x), ny, nj0]), *_grids(r1, r2)))
 
 
 def _twist_series(sign, order):
@@ -423,45 +440,61 @@ def _twist_series(sign, order):
 
 def _uh_factor(rep, h):
     """(X, dressing, e^(hX), e^(-hX)) of the k = 1 map on one factor, as
-    elements of its algebra, from one call at J+."""
+    elements of its algebra from one call at J+, and the matrices of X,
+    Y = d J- d, e^(hX) and e^(-hX), from one gather."""
     order = rep.dim
-    return _at_half_h(rep.raising, complex(h), (_asn(1.0, order), 1), (_g_of_v(1.0, order), 0),
-                      (_twist_series(1, order), 0), (_twist_series(-1, order), 0))
+    elements = _at_half_h(rep.raising, complex(h), (_asn(1.0, order), 1),
+                          (_g_of_v(1.0, order), 0), (_twist_series(1, order), 0),
+                          (_twist_series(-1, order), 0))
+    x, d, ep, em = densify(elements)
+    return elements, (x, d @ rep.Jm @ d, ep, em)
 
 
 def _twisted(r1, r2, h):
     """The twisted coproduct's DX as the tensor sum of the factors' X; DY as
     the terms p L_i q of Y x e^(hX) + e^(-hX) x Y, Y = d L d, stacked as
-    (p, q); and DJ0 = e^(hX) J0_1 + e^(-hX) J0_2 in normal form."""
+    (p, q); DJ0 = e^(hX) J0_1 + e^(-hX) J0_2 in normal form; and the factors'
+    X matrices, with DY and DJ0 as Kronecker products of the factors'
+    matrices, each entry one product of two factor entries, the Jordanian
+    triplets' bits."""
     f1 = _uh_factor(r1, h)
-    (x1, d1, _, em1), (x2, d2, ep2, _) = f1, f1 if r2.j == r1.j else _uh_factor(r2, h)
+    f2 = f1 if r2.j == r1.j else _uh_factor(r2, h)
+    ((x1, d1, _, em1), (mx1, y1, _, mem1)), ((x2, d2, ep2, _), (mx2, y2, mep2, _)) = f1, f2
     d1, em1, d2, ep2 = (e.coeffs for e in (d1, em1, d2, ep2))
     one1, one2 = _unit(r1.dim), _unit(r2.dim)
     outer = np.multiply.outer
     p, q = np.array([outer(d1, ep2), outer(em1, d2)]), np.array([outer(d1, one2), outer(one1, d2)])
     nj0 = np.zeros((_IMAGE,) + q.shape[1:], dtype=p.dtype)
     nj0[_J0[0]], nj0[_J0[1]] = outer(one1, ep2), outer(em1, one2)
-    return x1.tensor_sum(x2), (p, q), nj0
+    dy, dj0 = kron(y1, mep2) + kron(mem1, y2), kron(r1.J0, mep2) + kron(mem1, r2.J0)
+    return x1.tensor_sum(x2), (p, q), nj0, ((mx1, mx2), dy, dj0)
 
 
 def delta_uh(h, r1, r2):
-    """Twisted coproduct of the hyperbolic (k**2 = 1) algebra."""
+    """Twisted coproduct of the hyperbolic (k**2 = 1) algebra; DX is the
+    Kronecker sum of the factors' X."""
     _check_product_dim(r1, r2)
     params = DeformParams(h=h, k=1.0)
-    base, (p, q), nj0 = _twisted(r1, r2, params.h)
-    return _triple("delta_uh", params, r1, r2, base, None, base.coeffs, _sandwich(p, q), nj0)
+    base, (p, q), nj0, ((mx1, mx2), dy, dj0) = _twisted(r1, r2, params.h)
+    dx = kron(mx1, np.eye(r2.dim)) + kron(np.eye(r1.dim), mx2)
+    return _triple("delta_uh", params, r1, r2, base, None, base.coeffs, _sandwich(p, q), nj0,
+                   (dx, dy, dj0))
 
 
 def delta2(params, r1, r2):
     """Lift the twisted hyperbolic coproduct to modulus k: DX and the dressing
-    q at the twisted DX, and DY = q DY_uh q."""
+    q at the twisted DX, DY = q DY_uh q, and DJ0 = DJ0_uh.  DX is gathered
+    from x, and DY is DY_uh plus the lift's part DY - DY_uh, gathered from
+    its normal form; so at k**2 = 1, where the map is exactly x and q
+    exactly 1, the matrices are delta_uh's bits."""
     _check_product_dim(r1, r2)
-    base, (p, q), nj0 = _twisted(r1, r2, params.h)
+    base, (p, q), nj0, (_, dy, dj0) = _twisted(r1, r2, params.h)
     outer, dress = lift_series(params.k, _pair_order(r1, r2))
     x, dress = (e.coeffs for e in _at_half_h(base, params.h, (outer, 1), (dress, 0)))
     dressed = _products(np.array([dress, dress, *q]), np.array([*p, dress, dress]))
-    return _triple("delta2", params, r1, r2, base, outer, x,
-                   _sandwich(dressed[:2], dressed[2:]), nj0)
+    ny = _sandwich(dressed[:2], dressed[2:])
+    dx, lift = _gather(np.array([_image(x), ny - _sandwich(p, q)]), *_grids(r1, r2))
+    return _triple("delta2", params, r1, r2, base, outer, x, ny, nj0, (dx, dy + lift, dj0))
 
 
 # -- re-expressed raising images ----------------------------------------------
@@ -522,13 +555,13 @@ def verify_coproduct(ct):
         g, f = (TruncatedSeries(x.coeffs) for x in mat_apply_series([g, f], unit))
         alt = [_x_from_factor_sn(ct)]
     g, f, *alt = (e.coeffs for e in _at_half_h(ct.base, h, (g, 1), (f, 0)) + alt)
-    grids = ct.grids
-    x = ct.NX[_A]
+    grids, x = _grids(ct.r1, ct.r2), ct.NX
     eq12, eq13, eq14 = _residuals(x, ct.NY, ct.NJ0, g, f)
     nx, n13, ng, nf, *n_alt = _norms([x, eq13[_A], g, f] + [c - x for c in alt], *grids)
-    e = _entries(np.array([eq12, eq14]), *grids)
-    n12, n14 = (frobenius(e[:, :, n]) for n in (0, 1))
-    norms = (n12, n13, n14, frobenius(ct.DY), frobenius(ct.DJ0), ng, nf)
+    images = np.zeros((2,) + eq12.shape, dtype=np.result_type(ct.NY, ct.NJ0))
+    images[:, :_IMAGE] = ct.NY, ct.NJ0
+    n12, n14, ny, nj0 = (frobenius(e) for e in _entries(np.array([eq12, eq14, *images]), *grids))
+    norms = (n12, n13, n14, ny, nj0, ng, nf)
     out = _relative(norms, nx, ct.params.ksq == 1)
     if alt:
         label = "eq48_vs_eq39" if ct.source == "delta1" else "eq49_vs_eq45"

@@ -307,19 +307,11 @@ def _powers(a):
 
 def _multinomials(dims):
     """|a|! / prod_i a_i! and |a| on the grid of shape dims, as products of
-    correctly rounded binomials C(s + t, t).  Below 2**53 they are exact
-    sums, column t the running sum of column t - 1 (C(s + t, t) = sum over
-    s' <= s of C(s' + t - 1, t - 1))."""
+    correctly rounded binomials C(s + t, t)."""
     weights, degree = np.ones(dims[0]), np.arange(dims[0])
     for d in dims[1:]:
-        top = int(degree[(-1,) * degree.ndim])
-        if math.comb(top + d - 1, d - 1) < 2 ** 53:
-            binom = np.ones((top + 1, d))
-            for t in range(1, d):
-                np.cumsum(binom[:, t - 1], out=binom[:, t])
-        else:
-            binom = np.array([[math.comb(s + t, t) for t in range(d)]
-                              for s in range(top + 1)], dtype=float)
+        binom = np.array([[math.comb(s + t, t) for t in range(d)]
+                          for s in range(degree[(-1,) * degree.ndim] + 1)], dtype=float)
         weights = weights[..., None] * binom[degree[..., None], np.arange(d)]
         degree = degree[..., None] + np.arange(d)
     return weights, degree

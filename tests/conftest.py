@@ -42,6 +42,7 @@ def calculus_calls(monkeypatch):
                                (liealg, "_blocked_horner", "horner"),
                                (liealg, "densify", "gather"),
                                (deform, "densify", "gather"),
+                               (hopf, "densify", "gather"),
                                (hopf, "_gather", "images"),
                                (deform, "_relation_norms", "relations")):
         real = getattr(module, name)

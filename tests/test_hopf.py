@@ -101,9 +101,8 @@ def test_twisted_raising_is_primitive():
 def test_twisted_coproducts_gather_only_the_map(monkeypatch):
     """Each factor of the twisted coproducts is the k = 1 map's (X, Y) with
     its exponentials: no other function of J+ (F, the Jordanian Casimir
-    factors) is taken.  DX has the bits of the Jordanian triplets' Kronecker
-    sum, and DY and DJ0, gathered from their normal forms, are the written-out
-    Kronecker forms to rounding."""
+    factors) is gathered, and the images have the bits of the Jordanian
+    triplets'."""
     from elliptic_sl2 import deform
 
     def refuse(*args):
@@ -117,13 +116,14 @@ def test_twisted_coproducts_gather_only_the_map(monkeypatch):
     coassociativity_uh(h, r1, r2, r1)
     monkeypatch.undo()
     t1, t2 = (build_jordanian_triplet(r, h) for r in (r1, r2))
-    (x1, _, _, em1), (x2, _, ep2, _) = (_uh_factor(r, complex(h)) for r in (r1, r2))
-    for x, t in ((x1, t1), (x2, t2)):
-        assert np.array_equal(x.dense(), t.Xhat)
-    em1, ep2 = em1.dense(), ep2.dense()
+    ((x1, *_), (m1, y1, _, em1)), ((x2, *_), (m2, y2, ep2, _)) = (_uh_factor(r, complex(h))
+                                                                  for r in (r1, r2))
+    for x, m, y, t in ((x1, m1, y1, t1), (x2, m2, y2, t2)):
+        assert np.array_equal(x.dense(), t.Xhat) and np.array_equal(m, t.Xhat)
+        assert np.array_equal(y, t.Yhat)
     assert np.array_equal(uh.DX, _kron_sum(t1.Xhat, t2.Xhat))
-    assert _rel_gap(uh.DY, np.kron(t1.Yhat, ep2) + np.kron(em1, t2.Yhat)) <= 1e-15
-    assert _rel_gap(uh.DJ0, np.kron(t1.J0, ep2) + np.kron(em1, t2.J0)) <= 1e-15
+    assert np.array_equal(uh.DY, kron(t1.Yhat, ep2) + kron(em1, t2.Yhat))
+    assert np.array_equal(uh.DJ0, kron(t1.J0, ep2) + kron(em1, t2.J0))
 
 
 @pytest.mark.parametrize("h", [0.8, 0.3 - 0.2j, 2.0])
@@ -132,8 +132,8 @@ def test_twist_factors_are_the_exponentials_of_the_factor_images(h):
     exponential series at the factor's X, by dense Paterson-Stockmeyer."""
     for j in (0.5, 1.0, 2.5, 5.0, 8.0):
         rep = build_spin(j)
-        x, _, ep, em = _uh_factor(rep, complex(h))
-        for sign, got in ((1, ep.dense()), (-1, em.dense())):
+        (x, *_), (_, _, ep, em) = _uh_factor(rep, complex(h))
+        for sign, got in ((1, ep), (-1, em)):
             expect = mat_apply_series(exp_series(rep.dim), sign * complex(h) * x.dense())
             assert got.dtype == expect.dtype
             assert _rel_gap(got, expect) <= 1e-14, (j, sign)
@@ -255,7 +255,7 @@ def test_coassociativity_forms_no_matrix(monkeypatch, calculus_calls):
     def refuse(*args):
         raise AssertionError("coassociativity forms no matrix")
 
-    for name in ("_uh_factor", "_sandwich", "_products", "_gather"):
+    for name in ("kron", "_uh_factor", "_sandwich", "_products", "_gather"):
         monkeypatch.setattr(hopf, name, refuse)
     reps = [build_spin(j) for j in (2.0, 1.5, 3.0)]
     calculus_calls.clear()
@@ -328,7 +328,7 @@ def test_deformed_and_lifted_sums_match_the_dense_route(j1, j2):
                                                              p, order)):
         assert _rel_gap(got, expect) <= 1e-13
     base = delta_uh(p.h, r1, r2)
-    x = _uh_factor(r1, p.h)[0].tensor_sum(_uh_factor(r2, p.h)[0])
+    x = _uh_factor(r1, p.h)[0][0].tensor_sum(_uh_factor(r2, p.h)[0][0])
     assert np.array_equal(x.dense(), base.DX)
     ct = delta2(p, r1, r2)
     for got, expect in zip((ct.DX, ct.DY), lift_generators(base.DX, base.DY, p, order)):
@@ -485,7 +485,7 @@ def test_a_stray_even_entry_in_dx_fails_hopf_verify(monkeypatch, capsys, which, 
     def with_stray_coefficient(*args):
         ct = real(*args)
         nx = ct.NX.copy()
-        nx[hopf._A, 0, 2] += 1e-6       # S2**2: even, as every coefficient of DX is odd
+        nx[0, 2] += 1e-6                # S2**2: even, as every coefficient of DX is odd
         return dataclasses.replace(ct, NX=nx)
 
     monkeypatch.setattr(hopf, builder, with_stray_coefficient)
@@ -511,11 +511,14 @@ def test_verify_coproduct_forms_no_relation_product_and_gathers_nothing(calculus
     """The residuals are taken in normal form: no relation product is formed
     and G, F and the re-expressed image stay elements of A, never gathered
     into matrices.  Only the cocommutativity gap's swapped images, built
-    anew for unequal factors, are gathered, from their normal forms."""
+    anew for unequal factors, are gathered, as their build gathers them."""
     p = DeformParams(h=0.8, k=0.6)
     r1, r2 = build_spin(j1), build_spin(j2)
-    swapped = [] if j1 == j2 else [("images", None)]
     for source in SOURCES:
+        calculus_calls.clear()
+        coproduct(source, p, r2, r1)
+        swapped = [] if j1 == j2 else list(calculus_calls.log)
+        assert ("relations", None) not in swapped
         ct = coproduct(source, p, r1, r2)
         calculus_calls.clear()
         verify_coproduct(ct)
@@ -579,35 +582,44 @@ def test_relations_through_the_algebra_match_the_dense_route():
     assert checked == (6 * 3 + 2) * 9 * 3
 
 
-def _bumped_dy_term(factor):
-    """A builder wrapper for `hopf._sandwich` that moves the coefficient of
-    the factor's S**2 in the p of its DY term p L q by 1e-6."""
-    real = hopf._sandwich
-
-    def bumped(p, q):
-        p = p.copy()
-        p[factor, 0 if factor else 2, 2 if factor else 0] += 1e-6
-        return real(p, q)
-    return bumped
+def _with_moved_dy_coefficient(ct, factor):
+    """ct with the coefficient of the factor's S**2 in DY's L term of that
+    factor moved by 1e-6, in the normal form and in the matrix alike."""
+    move = np.zeros_like(ct.NY)
+    move[hopf._LOW[factor], 0 if factor else 2, 2 if factor else 0] = 1e-6
+    moved = hopf._gather(move[None], *hopf._grids(ct.r1, ct.r2))[0]
+    return dataclasses.replace(ct, NY=ct.NY + move, DY=ct.DY + moved)
 
 
 @pytest.mark.parametrize("factor", [0, 1])
-def test_a_corrupted_dy_coefficient_fails_both_routes(monkeypatch, factor):
+def test_a_corrupted_dy_coefficient_fails_both_routes(factor):
     """One moved coefficient in one factor's DY term fails eq12 or eq14 in
-    the normal form and in the dense reference on the gathered matrices."""
+    the normal form and in the dense reference on the matrices."""
     p = DeformParams(h=0.8, k=0.6)
     r1, r2 = build_spin(1.5), build_spin(2.0)
     for source in SOURCES:
-        good = verify_coproduct(coproduct(source, p, r1, r2))
-        with monkeypatch.context() as patch:
-            patch.setattr(hopf, "_sandwich", _bumped_dy_term(factor))
-            ct = coproduct(source, p, r1, r2)
-            report = verify_coproduct(ct)
-        dense = _dense_relations(ct)
+        ct = coproduct(source, p, r1, r2)
         keys = ("eq22", "eq24") if source == "delta_uh" else ("eq12", "eq14")
-        assert max(good[key] for key in keys) <= 1e-13, source
-        for got in (report, dense):
+        for got in (verify_coproduct(ct), _dense_relations(ct)):
+            assert max(got[key] for key in keys) <= 1e-13, source
+        ct = _with_moved_dy_coefficient(ct, factor)
+        for got in (verify_coproduct(ct), _dense_relations(ct)):
             assert max(got[key] for key in keys) > 1e-9, (source, factor, got)
+
+
+@pytest.mark.parametrize("h,k", [(0.8, 0.6), (0.3 - 0.2j, 0.3 + 0.2j)])
+def test_each_image_matrix_is_its_normal_form(h, k):
+    """The residuals read the normal forms alone, so each emitted matrix must
+    be its normal form's: delta_uh's Kronecker forms and delta2's sum of
+    them and the lift's part agree with one gather of NX, NY and NJ0."""
+    p = DeformParams(h=h, k=k)
+    for j1, j2 in ((0.5, 2.0), (2.5, 3.0), (4.0, 4.0)):
+        r1, r2 = build_spin(j1), build_spin(j2)
+        for source in SOURCES:
+            ct = coproduct(source, p, r1, r2)
+            nfs = np.array([hopf._image(ct.NX), ct.NY, ct.NJ0])
+            for got, expect in zip((ct.DX, ct.DY, ct.DJ0), hopf._gather(nfs, *hopf._grids(r1, r2))):
+                assert _rel_gap(got, expect) <= 1e-14, (source, j1, j2)
 
 
 def test_delta2_and_its_check_build_the_lift_series_once(monkeypatch):

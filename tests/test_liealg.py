@@ -499,21 +499,3 @@ def test_raising_gather_refuses_an_overflowing_entry():
     c = _shift(np.full(40, 5e9 + 5e9j))   # a complex shift stays complex under a real series
     assert np.array_equal(mat_apply_series(exp_series(3), c).dense(),
                           mat_apply_series(exp_series(3), c.dense()))
-
-
-@pytest.mark.parametrize("dims", [(3,), (9, 11), (41, 41), (5, 5, 5), (401, 5), (90, 90)])
-def test_multinomial_weights_are_correctly_rounded(dims):
-    """|a|! / prod a_i! on the grid, as products of binomials each the
-    correctly rounded float of the exact integer; (90, 90) reaches
-    C(178, 89), past 2**53, and (401, 5) a long first axis."""
-    from elliptic_sl2 import liealg
-
-    weights, degree = liealg._multinomials(dims)
-    expect = np.ones(dims[0])
-    total = np.arange(dims[0])
-    for d in dims[1:]:
-        binom = np.array([[float(math.comb(s + t, t)) for t in range(d)]
-                          for s in range(total.max() + 1)])
-        expect = expect[..., None] * binom[total[..., None], np.arange(d)]
-        total = total[..., None] + np.arange(d)
-    assert weights.tobytes() == expect.tobytes() and np.array_equal(degree, total)
