@@ -37,21 +37,19 @@ identities `rewrite.py` uses,
 with E_i the degree in S_i and d_i = d/dS_i.  A product in A is a truncated
 2-D convolution.  So each relation residual is a short normal form, with no
 matrix product: eq13 is the element z_1 E_1 x + z_2 E_2 x - G of A, and eq12
-and eq14 have J0 and L terms.  A term's entry at row r and offset a - e_L is
-c[a] times factor-wise weights: the superdiagonal products of S**a, the J0
-eigenvalues at column r + a and L's weight there.  So every norm is one
-contraction over the terms on each factor's (offset, row) grid, and the norm
-of an element of A comes from the weights sum_r prod(w[r : r + a])**2 alone.
-The residuals, and the norms of the images they are relative to, read the
-normal forms alone.
+and eq14 have J0 and L terms.
 
-The matrices DX, DY and DJ0 are eager.  delta1's are gathered from the
-normal forms, in one gather.  delta_uh's are Kronecker forms of the
-factors' matrices, each entry one product of two factor entries, so they
-keep the Jordanian triplets' bits; delta2 takes DJ0 and DY_uh from them and
-gathers DX and the lift's part DY - DY_uh.  Only the tests check the matrices against their normal
-forms, and hold the normal-form residuals against
-`deform.relations_on_generators` on the matrices, the dense reference.
+A term's entry at row r and offset a - e_L is c[a] times one weight per
+factor (`_grid`): the superdiagonal products of S**a, the J0 eigenvalues
+at column r + a and L's weight there.  `liealg`'s one gather, that of the
+elements of A too, contracts them over the terms on the last factor's
+(offset, row) grid, so each norm is one contraction, and an element's needs
+only the weights sum_r prod(w[r : r + a])**2.  The residuals and the norms
+they are relative to read the normal forms alone.  The matrices are eager:
+delta1's, and delta2's DX and lift part DY - DY_uh, are gathered from the
+normal forms; delta_uh's are Kronecker forms of the factors' matrices, the
+Jordanian triplets' bits.  Only the tests check the matrices against their
+normal forms and the residuals against `deform.relations_on_generators`.
 
 Dtypes follow `liealg.real_if_exact`: at real h and real k every coproduct
 image, exponential factor and structure function is float64, and a complex h
@@ -62,7 +60,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -88,7 +85,10 @@ from .liealg import (
     mat_apply_series,
     real_if_exact,
     worst,
-    _ldexp,
+    _entries,
+    _matrices,
+    _norms,
+    _weights,
 )
 from .series import TruncatedSeries, exp_series
 
@@ -109,8 +109,8 @@ __all__ = [
 # which admits j1 = j2 = 22 (dimension 2025).  The images are dense, dim**2
 # entries per matrix, float64 at real h and k, and so are the entries the
 # relation norms sum.  A cold `hopf verify --which 1|2|uh --h 0.8 --k 0.6`
-# took 0.22-0.25 s and 114-124 MB at dimension 1089, 0.32-0.39 s and
-# 227-229 MB at 1681, and 0.39-0.47 s and 316-346 MB at 2025, on a 2-vCPU
+# took 0.24-0.30 s and 87-99 MB at dimension 1089, 0.33-0.36 s and
+# 158-204 MB at 1681, and 0.39-0.46 s and 213-283 MB at 2025, on a 2-vCPU
 # VM with one BLAS thread.  Complex h or k doubles the storage.
 MAX_PRODUCT_DIM = 2048
 
@@ -262,51 +262,23 @@ def _residuals(x, ny, nj0, g, f):
     return out
 
 
-# -- entries on the (offset, row) grid -------------------------------------------
+# -- the gather -----------------------------------------------------------------
 
 
-class _Grid(NamedTuple):
-    """A factor's part of the entries of each kind of term on its (offset,
-    row) grid, tables[t, o, r]: the offset is o - 1, that is a - 1 for c[a] L
-    and a without, and the entry is p[a, r] = prod(w[r : r + a]) (the weight
-    of S**a at [r, r + a], 0 past the module) times, by t, 1, J0's eigenvalue
-    m at column r + a, its square, or L's weight l at [r + a, r + a - 1].
-    Where the products of w leave double range they are taken at w / 2**e,
-    and each coefficient of S**a carries 2**(e a), both exact, as in
-    `liealg.densify`."""
-
-    tables: np.ndarray
-    e: int
-
-
-# the table of each kind in each factor: the kind's J0 power there, or 3 for its L
-_TABLE = np.array([[3 if kind[2] == f else kind[f] for kind in _KINDS] for f in (0, 1)])
-_LOWER = np.array([-1 if kind[2] is None else kind[2] for kind in _KINDS])
+# each kind's (table, 1 where its L lowers) in each factor: its J0 power there, or 3 for its L
+_AT = np.array([[(3, 1) if kind[2] == f else (kind[f], 0) for kind in _KINDS] for f in (0, 1)])
 
 
 def _grid(rep):
-    d = rep.dim
-    ext = np.zeros((3, 2 * d), dtype=np.result_type(rep.Jp, rep.J0, rep.Jm))
-    ext[0, 1:d], ext[1, :d], ext[2, 1:d] = (m.ravel()[n::d + 1][:d - (n != 0)] for m, n in
-                                            ((rep.Jp, 1), (rep.J0, 0), (rep.Jm, d)))
-    w, m, l = np.ndarray((3, d, d), ext.dtype, ext, 0, (ext.strides[0],) + ext.strides[1:] * 2)
-    e = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = _cumulative(w)
-        if not np.isfinite(p).all():
-            e = int(np.frexp(abs(ext[0, 1:d]))[1].sum()) // max(d - 1, 1) - 1
-            p = _cumulative(_ldexp(w, -e))
-    tables = np.zeros((4, d + 1, d), dtype=p.dtype)
-    tables[:3, 1:] = p * np.array([np.ones_like(m), m, m * m])
-    tables[3, :d] = p * l
-    return _Grid(tables, e)
-
-
-def _cumulative(w):
-    """p[a, r] = prod(w[r : r + a]) from the grid's [a, r] = w[r + a - 1]."""
-    p = w.copy()
-    p[0] = 1
-    return np.cumprod(p, axis=0, out=p)
+    """A factor's tables [t, r, c] and their rescale: S**a's weights P[r, c]
+    (`liealg._weights`) times 1, J0's eigenvalue m at column c or its square,
+    and, as L lowers by one, P[r, c + 1] times L's weight at [c + 1, c]."""
+    p, e = _weights(np.diagonal(rep.Jp, 1))
+    m = np.diagonal(rep.J0)
+    tables = np.zeros((4, *p.shape), dtype=p.dtype)
+    tables[:3] = p * np.array([np.ones_like(m), m, m * m])[:, None] + 0.0     # +0 where m < 0
+    tables[3, :, :-1] = p[:, 1:] * np.diagonal(rep.Jm, -1)
+    return tables, e
 
 
 def _grids(r1, r2):
@@ -316,70 +288,9 @@ def _grids(r1, r2):
     return g1, g1 if r2.j == r1.j else _grid(r2)
 
 
-def _scaled(c, g1, g2):
-    """c with each coefficient of S1**a1 S2**a2 times 2**(e1 a1 + e2 a2)."""
-    if not (g1.e or g2.e):
-        return c
-    return _ldexp(c, np.add.outer(g1.e * np.arange(c.shape[-2]), g2.e * np.arange(c.shape[-1])))
-
-
-def _placed(nfs, g1, g2):
-    """The (b, kind) that occur in normal forms nfs[b, kind], and their
-    coefficients on the grid of offsets o = (o1, o2), one past the offset:
-    c[a] at a + 1, but at a for L's factor, as L lowers by one."""
-    count, kinds, d1, d2 = nfs.shape
-    b, kind = np.nonzero(nfs.reshape(count, kinds, -1).any(axis=2))
-    c = np.zeros((len(b), d1 + 1, d2 + 1), dtype=nfs.dtype)
-    coeffs, lower = _scaled(nfs[b, kind], g1, g2), _LOWER[kind]
-    for n, at in ((-1, np.s_[1:, 1:]), (0, np.s_[:-1, 1:]), (1, np.s_[1:, :-1])):
-        c[(lower == n,) + at] = coeffs[lower == n]
-    return b, kind, c
-
-
-def _norms(elements, g1, g2):
-    """The Frobenius norms of elements of A: sum_a |c[a]|**2 |S1**a1|**2
-    |S2**a2|**2, each |S**a| the norm of a row of p."""
-    weights = []
-    for g in (g1, g2):      # scaled by each row's largest entry, so no square overflows
-        p = np.abs(g.tables[0, 1:])
-        top = p.max(axis=1, keepdims=True)
-        weights.append(top[:, 0] * np.sqrt(np.sum((p / top) ** 2, axis=1)))
-    return [frobenius(c) for c in _scaled(np.array(elements), g1, g2) * np.multiply.outer(*weights)]
-
-
-def _entries(nfs, g1, g2):
-    """The entries of normal forms nfs[b, kind] as E[b, o2, r2, r1, c1]:
-    factor 1's at [r1, c1] (offset c1 - r1), factor 2's at row r2 and offset
-    o2 - 1, each normal form's (kind)s summed in one contraction.  An offset
-    past factor 1's grid wraps round to where its weights are 0."""
-    b, kind, c = _placed(nfs, g1, g2)
-    d1, d2 = g1.tables.shape[2], g2.tables.shape[2]
-    steps = np.arange(d1)
-    at = (steps - steps[:, None] + 1) % (d1 + 1)                        # [r1, c1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        part = c[:, at] * g1.tables[_TABLE[0, kind]][:, at, steps[:, None]][..., None]
-        part = part.reshape(len(b), d1 * d1, d2 + 1).transpose(2, 0, 1)     # [o2, term, (r1, c1)]
-        second = g2.tables[_TABLE[1, kind]].transpose(1, 2, 0)             # [o2, r2, term]
-        e = np.empty((len(nfs), d2 + 1, d2, d1 * d1), dtype=np.result_type(part, second))
-        ends = np.searchsorted(b, np.arange(len(nfs) + 1))     # b is sorted: each nfs[n] a slice
-        for n, (lo, hi) in enumerate(zip(ends[:-1], ends[1:])):
-            np.matmul(second[..., lo:hi], part[:, lo:hi], out=e[n])
-    return e.reshape(len(nfs), d2 + 1, d2, d1, d1)
-
-
 def _gather(nfs, g1, g2):
-    """The matrices of normal forms nfs[b]: row (c2 - r2 + 1, r2) of their
-    entries for [r2, c2], an offset past factor 2's grid wrapping round to
-    where its weights are 0."""
-    e = _entries(nfs, g1, g2)
-    if not np.isfinite(e).all():
-        raise DomainError("series application at a raising operator: a power or a "
-                          "coefficient overflowed double precision")
-    count, d1, d2 = len(nfs), g1.tables.shape[2], g2.tables.shape[2]
-    steps = np.arange(d2)
-    rows = (steps - steps[:, None] + 1) % (d2 + 1) * d2 + steps[:, None]    # [r2, c2]
-    out = e.reshape(count, (d2 + 1) * d2, d1, d1)[:, rows]                # [b, r2, c2, r1, c1]
-    return out.transpose(0, 3, 1, 4, 2).reshape(count, d1 * d2, d1 * d2)
+    """The matrices of normal forms nfs[b] (`liealg._matrices`)."""
+    return _matrices(nfs, _AT, g1, g2)
 
 
 # -- the coproducts ---------------------------------------------------------------
@@ -560,7 +471,8 @@ def verify_coproduct(ct):
     nx, n13, ng, nf, *n_alt = _norms([x, eq13[_A], g, f] + [c - x for c in alt], *grids)
     images = np.zeros((2,) + eq12.shape, dtype=np.result_type(ct.NY, ct.NJ0))
     images[:, :_IMAGE] = ct.NY, ct.NJ0
-    n12, n14, ny, nj0 = (frobenius(e) for e in _entries(np.array([eq12, eq14, *images]), *grids))
+    n12, n14, ny, nj0 = (frobenius(e) for e in _entries(np.array([eq12, eq14, *images]), _AT,
+                                                         *grids))
     norms = (n12, n13, n14, ny, nj0, ng, nf)
     out = _relative(norms, nx, ct.params.ksq == 1)
     if alt:

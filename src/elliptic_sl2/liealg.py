@@ -14,11 +14,12 @@ its argument:
   factors, at a sum a_1(S_1) + ... + a_m(S_m) of one-factor parts: J+
   (`SpinRep.raising`), every coproduct's base, or one variable at unit
   weights, where a series of a series is their composition.  It is
-  evaluated on coefficient arrays, and `densify` makes matrices: S**a has
-  entry prod_i prod(w_i[r_i : r_i + a_i]) at row r and column r + a, so an
-  element is one gather of its coefficients by offset c - r times those
-  products (the Toeplitz form of a Jordan block, Higham, Functions of
-  Matrices, SIAM 2008, ch. 1);
+  evaluated on coefficient arrays, and one gather (`_matrices`) makes the
+  matrices of elements (`densify`) and of normal forms over A: S**a has
+  entry prod_i prod(w_i[r_i : r_i + a_i]) at row r and column r + a, so a
+  term is its coefficients by offset c - r times those products (the
+  Toeplitz form of a Jordan block, Higham, Functions of Matrices, SIAM 2008,
+  ch. 1), with one 2**e rescale (`_weights`) past double range;
 - a matrix M of dimension d: M**d = 0, so the series is cut at order d - 1
   without error and evaluated baby-step/giant-step (Paterson and Stockmeyer,
   SIAM J. Comput. 2(1), 1973) in about 2 sqrt(n) matmuls of size d.  This
@@ -296,8 +297,10 @@ def _is_generator(a):
 
 def _powers(a):
     """a**0, ..., a**(d-1) for a one-factor coefficient vector a of length d,
-    each from the last by one product with a's multiplication matrix."""
-    times_a = _toeplitz(a[None], [_lower_mask(a.size).T])[0]
+    each from the last by one product with a's multiplication matrix, the
+    Toeplitz matrix [r, c] = a[c - r] on and above the diagonal."""
+    steps = np.arange(a.size)
+    times_a = np.where(steps >= steps[:, None], a[steps - steps[:, None]], 0)
     powers = np.zeros((a.size, a.size), dtype=a.dtype)
     powers[0, 0] = 1
     for r in range(1, a.size):
@@ -317,59 +320,140 @@ def _multinomials(dims):
     return weights, degree
 
 
-def _toeplitz(table, factors):
-    """Matrices [r, c] = table[k][c - r] * prod_i factors[i][r_i, c_i] in
-    Kronecker order, gathered one factor at a time; each factor is zero below
-    its diagonal, where the offset is negative and reads another entry."""
-    n, *dims = table.shape
-    m, size = len(dims), math.prod(dims)
-    out = table.astype(np.result_type(table, *factors), copy=False)
-    for i, d in enumerate(dims):
-        steps = np.arange(d)
-        out = np.take(out, steps - steps[:, None], axis=2 * i + 1)   # axis 2i + 1 -> (r_i, c_i)
-        if i < m - 1:
-            out *= factors[i].reshape((d, d) + (1,) * (m - i - 1))
-    out = out.transpose(0, *range(1, 2 * m, 2), *range(2, 2 * m + 1, 2))   # (r_1.., c_1..)
-    last = factors[-1].reshape([1] * (m - 1) + [dims[-1]] + [1] * (m - 1) + [dims[-1]])
-    return np.multiply(out, last, out=np.empty(out.shape, dtype=out.dtype)).reshape(n, size, size)
-
-
 def densify(elements):
-    """The matrices of elements of A on the same factors, from one gather:
-    S_1**a_1 ... S_m**a_m has entry prod_i prod(w_i[r_i : c_i]) at [r, r + a].
-    Where a product leaves double range although the entry need not (at spin
-    100, prod(w) reaches 200!), it runs again on w_i / 2**e_i with coefficient
-    a times 2**(sum_i e_i a_i), 2**e_i at most the geometric mean of |w_i|;
-    both scalings are exact, so the bits are the plain products', and a
-    non-finite entry after that is a DomainError."""
+    """The matrices of elements of A on the same factors, normal forms of one
+    term each, from the one gather (`_matrices`) and its one 2**e rescale
+    (`_weights`)."""
     w, coeffs = elements[0].w, [x.coeffs for x in elements]
-    table = np.array(coeffs)
-    with np.errstate(over="ignore", invalid="ignore"):     # non-finite is refused below
-        out = _toeplitz(table, [_running_products(x) for x in w])
-        if not np.isfinite(out).all():
-            exps = [int(np.frexp(abs(x))[1].sum()) // max(x.size, 1) - 1 for x in w]
-            grid = 0
-            for e, x in zip(exps, w):
-                grid = np.add.outer(grid, e * np.arange(x.size + 1))
-            out = _toeplitz(_ldexp(table, grid), [_running_products(x, e) for x, e in zip(w, exps)])
-    if not np.isfinite(out).all():
-        raise DomainError("series application at a raising operator: a power or a "
-                          "coefficient overflowed double precision")
+    out = _matrices(np.array(coeffs)[:, None], np.zeros((len(w), 1, 2), dtype=int),
+                    *((p[None], e) for p, e in map(_weights, w)))
     if out.dtype.kind != "c" or any(x.dtype.kind == "c" for x in w):
         return list(out)
     # at real w, a real element keeps its float64 matrix beside a complex one
     return [f if c.dtype.kind == "c" else np.ascontiguousarray(f.real) for f, c in zip(out, coeffs)]
 
 
-def _running_products(w, e=0):
-    """[r, c] = prod(w[r : c]) / 2**(e (c - r)) on and above the diagonal,
-    0 below it: the weights of S**(c - r)."""
-    d = w.size + 1
-    row = np.empty(d, dtype=w.dtype)
-    row[0] = 1
-    row[1:] = _ldexp(w, -e) if e else w
-    lower = _lower_mask(d)
-    return np.where(lower.T, np.where(lower, 1, row).cumprod(axis=1), 0)
+# -- the gather: normal forms over A to entries and matrices --------------------
+
+
+def _weights(w):
+    """S**a's weights P[r, c] = prod(w[r : c]) on and above the diagonal, 0
+    below, for superdiagonal w, and the exponent e of the one rescale: where
+    a product leaves double range (at spin 100, prod(w) reaches 200!), P is
+    taken at w / 2**e, 2**e at most the geometric mean of |w|, and each
+    coefficient of S**a times 2**(e a) (`_scaled`), both exactly."""
+    row, lower, e = np.empty(w.size + 1, dtype=w.dtype), _lower_mask(w.size + 1), 0
+    row[0], row[1:] = 1, w
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = np.where(lower, 1, row).cumprod(axis=1)
+        if not np.isfinite(p).all():
+            e = int(np.frexp(abs(w))[1].sum()) // max(w.size, 1) - 1
+            row[1:] = _ldexp(w, -e)
+            p = np.where(lower, 1, row).cumprod(axis=1)
+    return np.where(lower.T, p, 0), e
+
+
+def _scaled(c, grids):
+    """Coefficient arrays c[..., a_1, ..., a_m] times 2**(sum_i e_i a_i)."""
+    if not any(e for _, e in grids):
+        return c
+    return _ldexp(c, sum(np.ix_(*(e * np.arange(d) for (_, e), d in
+                                  zip(grids, c.shape[-len(grids):])))))
+
+
+def _on_grid(tables, s):
+    """Tables [t, r, c] on the (offset, row) grid [t, o, r], c - r = o - s, 0
+    past the module."""
+    k, d, _ = tables.shape
+    pad = np.zeros((k, d, 2 * d + s), dtype=tables.dtype)
+    pad[:, :, s:s + d] = tables
+    steps = np.arange(d)
+    return pad[:, steps, steps + np.arange(d + s)[:, None]]     # [t, o, r] = pad[t, r, r + o]
+
+
+def _weighted(nfs, kinds, grids, factors):
+    """The nonzero terms (b, kind) of normal forms sum_kind nfs[n, kind] X_kind
+    over A, X_kind one diagonal or lowering operator per factor (with one
+    kind, each normal form's one term), and their scaled coefficients on the
+    offset grids, one longer where a kind lowers, times the first `factors`
+    factors' weights in turn, taken to [r_i, c_i]: part[term, r_1, c_1, ...,
+    o_m].  Grid i is (tables, e), tables[t, r, c] the entry of S**a times the
+    t-th operator, table 0 S**a's (`_weights`); kinds[i, kind] is (the kind's
+    table, 1 where it lowers).  Offsets past a grid wrap round to weights 0."""
+    count, nkinds, *dims = nfs.shape
+    b, kind, lift = slice(None), 0, [0] * len(dims)     # an element of A: one term
+    with np.errstate(over="ignore", invalid="ignore"):
+        part = _scaled(nfs, grids)
+        if nkinds > 1:
+            b, kind = np.nonzero(nfs.reshape(count, nkinds, -1).any(axis=2))
+            lift = kinds[:, :, 1].max(axis=1).tolist()
+            placed = np.zeros((count, nkinds, *map(sum, zip(dims, lift))), dtype=part.dtype)
+            for k, low in enumerate(kinds[:, :nkinds, 1].T.tolist()):
+                placed[(slice(None), k) + tuple(slice(s - x, s - x + d) for s, x, d in
+                                                 zip(lift, low, dims))] = part[:, k]
+            part = placed
+        part = part[b, kind]
+        for i, ((t, _), d, s) in enumerate(zip(grids[:factors], dims, lift)):
+            at = np.arange(s, s + d) - np.arange(d)[:, None]     # [r_i, c_i] -> o_i
+            part = part.take(at, axis=2 * i + 1) * t[kinds[i, kind, 0]].reshape(
+                (-1,) + (1,) * 2 * i + (d, d) + (1,) * (len(dims) - i - 1))
+    return b, kind, part
+
+
+def _entries(nfs, kinds, *grids):
+    """The entries of normal forms nfs[n] of several kinds, one at a time, as
+    E[o_m, r_m, r_1, c_1, ..., r_(m-1), c_(m-1)]: the terms weighted on the
+    first m - 1 factors (`_weighted`) and contracted with the last factor's
+    weights on its (offset, row) grid, one matmul per normal form."""
+    b, kind, part = _weighted(nfs, kinds, grids, len(grids) - 1)
+    last = _on_grid(grids[-1][0], kinds[-1, :, 1].max())[kinds[-1, kind, 0]].transpose(1, 2, 0)
+    part = part.reshape(len(part), -1, last.shape[0]).transpose(2, 0, 1)     # [o_m, term, ...]
+    ends = np.searchsorted(b, np.arange(len(nfs) + 1))     # b is sorted: each nfs[n] a slice
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        with np.errstate(over="ignore", invalid="ignore"):
+            entries = np.matmul(last[..., lo:hi], part[:, lo:hi])
+        yield entries
+
+
+def _matrices(nfs, kinds, *grids):
+    """The matrices of normal forms nfs[n] in Kronecker order: with one kind,
+    elements of A, their terms weighted on every factor (`_weighted`; a
+    matmul over one term would make -0.0 +0.0); with several, each normal
+    form's entries (`_entries`), [r_m, c_m] from [o_m, r_m], written before
+    the next is made."""
+    count, nkinds, *dims = nfs.shape
+    m, d, size = len(dims), dims[-1], math.prod(dims)
+    if nkinds == 1:
+        e = _finite(_weighted(nfs, kinds, grids, m)[2])                 # [n, r_1, c_1, ...]
+        order = (0, *range(1, 2 * m, 2), *range(2, 2 * m + 1, 2))
+        return e.transpose(order).reshape(count, size, size)
+    steps, s = np.arange(d), kinds[-1, :, 1].max()
+    rows = (steps - steps[:, None] + s) * d + steps[:, None]
+    pairs = [x for x in dims[:-1] for _ in (0, 1)]
+    order = (*range(2, 2 * m, 2), 0, *range(3, 2 * m, 2), 1)     # from [r_m, c_m, r_1, c_1, ...]
+    out = np.empty((count, *dims, *dims), dtype=np.result_type(nfs, *(t for t, _ in grids)))
+    for matrix, e in zip(out, _entries(nfs, kinds, *grids)):
+        matrix[...] = _finite(e).reshape((d + s) * d, *pairs)[rows].transpose(order)
+    return out.reshape(count, size, size)
+
+
+def _finite(e):
+    """e, where every entry is finite; a DomainError otherwise."""
+    if not np.isfinite(e).all():
+        raise DomainError("series application at a raising operator: a power or a "
+                          "coefficient overflowed double precision")
+    return e
+
+
+def _norms(elements, *grids):
+    """The Frobenius norms of elements of A: sum_a |c[a]|**2 prod_i
+    |S_i**a_i|**2, each |S**a| the norm of a row of S**a's weights."""
+    weights = 1.0
+    for tables, _ in grids:     # scaled by each row's largest entry, so no square overflows
+        p = np.abs(_on_grid(tables[:1], 0)[0])                         # [a, r]
+        top = p.max(axis=1, keepdims=True)
+        weights = np.multiply.outer(weights, top[:, 0] * np.sqrt(np.sum((p / top) ** 2, axis=1)))
+    return [frobenius(c) for c in _scaled(np.array(elements), grids) * weights]
 
 
 def _ldexp(a, exponents):

@@ -622,6 +622,37 @@ def test_each_image_matrix_is_its_normal_form(h, k):
                 assert _rel_gap(got, expect) <= 1e-14, (source, j1, j2)
 
 
+def test_a_rescaled_grid_gathers_and_norms_every_kind_of_term():
+    """At spin 100 the superdiagonal products reach 200!, past double range,
+    so that factor's grid is rescaled by 2**e.  A normal form with A, J0 and
+    L terms in both factors, each coefficient array separable and decaying
+    like arcsn((h/2) S), gathers to the sum of Kronecker products of the
+    factors' matrices; its entries and its element of A have the dense
+    Frobenius norms; and a coefficient whose entry overflows is refused."""
+    r1, r2 = build_spin(100.0), build_spin(1.0)
+    g1, g2 = hopf._grids(r1, r2)
+    assert g1[1] > 0 and g2[1] == 0
+    x, y = (_asn(0.6, r.dim).coeffs[:r.dim] * 0.4 ** np.arange(r.dim) for r in (r1, r2))
+    u, v = (RaisingPoly(c, (np.diagonal(r.Jp, 1),)).dense() for c, r in ((x, r1), (y, r2)))
+    scales = [(-1.0) ** n * (n + 1) for n in range(len(hopf._KINDS))]
+    nf = np.array([scale * np.multiply.outer(x, y) for scale in scales])
+    dense = 0
+    for scale, (a1, a2, low) in zip(scales, hopf._KINDS):
+        first = u @ np.linalg.matrix_power(r1.J0, a1) @ (r1.Jm if low == 0 else np.eye(r1.dim))
+        second = v @ np.linalg.matrix_power(r2.J0, a2) @ (r2.Jm if low == 1 else np.eye(r2.dim))
+        dense = dense + scale * kron(first, second)
+    assert np.isfinite(dense).all() and frobenius(dense) > 1e295
+    got = hopf._gather(nf[None], g1, g2)[0]
+    assert frobenius(got - dense) <= 1e-14 * frobenius(dense)
+    entries = next(liealg._entries(nf[None], hopf._AT, g1, g2))
+    assert abs(frobenius(entries) - frobenius(dense)) <= 1e-14 * frobenius(dense)
+    element = frobenius(kron(u, v))
+    assert abs(hopf._norms([nf[0]], g1, g2)[0] - element) <= 1e-14 * element
+    nf[0, r1.dim - 1, 0] = 1e300            # at [0, 200] the weight is 200!
+    with pytest.raises(DomainError, match="overflowed double precision"):
+        hopf._gather(nf[None], g1, g2)
+
+
 def test_delta2_and_its_check_build_the_lift_series_once(monkeypatch):
     calls = []
     real = hopf.lift_series

@@ -37,6 +37,7 @@ COMMANDS = (
     "hopf verify --which uh --j1 12 --j2 12 --h 0.8 --k 0.6",
     "hopf verify --which 2 --j1 0 --j2 2 --h 0.8 --k 0.6",
     "hopf verify --which 1 --j1 200 --j2 2 --h 0.8 --k 0.6",
+    "hopf verify --which 2 --j1 100 --j2 4 --h 0.8 --k 0.6",
     "hopf delta --which 2 --j1 2 --j2 2 --h 0.8 --k 0.6",
     "hopf delta --which uh --j1 2 --j2 1 --h 0.8",
     "hopf delta --which 1 --j1 2 --j2 1 --h 0.8 --k 0.6 --format csv",
@@ -45,6 +46,7 @@ COMMANDS = (
     "deform verify --j 8 --h 0.8 --k 0.6",
     "deform verify --j 8 --h 0.8 --k 0.6 --jordanian",
     "deform verify --j 40 --h 0.45 --k 1",
+    "deform build --j 100 --h 0.8 --k 0.6",
     "sweep --families deform,elliptic --j 0.5,1,3 --k 0.4,1",
     "sweep --j 20,40 --h 0.45 --k 0.6,1",
     "auto shift --which uh-half --j 2 --h 0.8 --k 0.6",
