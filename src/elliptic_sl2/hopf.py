@@ -48,8 +48,9 @@ only the weights sum_r prod(w[r : r + a])**2.  The residuals and the norms
 they are relative to read the normal forms alone.  The matrices are eager:
 delta1's, and delta2's DX and lift part DY - DY_uh, are gathered from the
 normal forms; delta_uh's are Kronecker forms of the factors' matrices, the
-Jordanian triplets' bits.  Only the tests check the matrices against their
-normal forms and the residuals against `deform.relations_on_generators`.
+Jordanian triplets' bits, and delta2 takes DJ0 and DY_uh from them.  Only
+the tests check the matrices against their normal forms and the residuals
+against `deform.relations_on_generators` on them, the dense reference.
 
 Dtypes follow `liealg.real_if_exact`: at real h and real k every coproduct
 image, exponential factor and structure function is float64, and a complex h
@@ -276,7 +277,7 @@ def _grid(rep):
     p, e = _weights(np.diagonal(rep.Jp, 1))
     m = np.diagonal(rep.J0)
     tables = np.zeros((4, *p.shape), dtype=p.dtype)
-    tables[:3] = p * np.array([np.ones_like(m), m, m * m])[:, None] + 0.0     # +0 where m < 0
+    tables[:3] = p * np.array([np.ones_like(m), m, m * m])[:, None] + 0.0   # no -0 where m < 0
     tables[3, :, :-1] = p[:, 1:] * np.diagonal(rep.Jm, -1)
     return tables, e
 
