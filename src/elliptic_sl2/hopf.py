@@ -12,7 +12,8 @@ coproduct of the hyperbolic algebra,
 through the tanh -> arcsn change of coordinates, from each factor's (X, Y)
 at k = 1, where (h/2) X = arctanh(v) at v = (h/2) J+, so the twist factors
 e^{+-hX} = (1 +- v)/(1 -+ v) are series at J+ too.  `coproduct` builds any
-of the three by name; the twisted images come from `_twisted` alone.
+of the three by name, the one build path: a source computes only its normal
+forms (`_forms`), the twisted ones from `_twisted` alone.
 
 Coassociativity is the one-variable identity each coproduct rests on,
 checked on coefficients through the nilpotency bound of S1 + S2 + S3:
@@ -45,12 +46,11 @@ at column r + a and L's weight there.  `liealg`'s one gather, that of the
 elements of A too, contracts them over the terms on the last factor's
 (offset, row) grid, so each norm is one contraction, and an element's needs
 only the weights sum_r prod(w[r : r + a])**2.  The residuals and the norms
-they are relative to read the normal forms alone.  The matrices are eager:
-delta1's, and delta2's DX and lift part DY - DY_uh, are gathered from the
-normal forms; delta_uh's are Kronecker forms of the factors' matrices, the
-Jordanian triplets' bits, and delta2 takes DJ0 and DY_uh from them.  Only
-the tests check the matrices against their normal forms and the residuals
-against `deform.relations_on_generators` on them, the dense reference.
+they are relative to read the normal forms alone, and so does the
+cocommutativity gap: the factor swap transposes each coefficient array and
+swaps J0_1 <-> J0_2 and L_1 <-> L_2 (`_TAU`).  The eager matrices DX, DY
+and DJ0 of every source are one gather of NX, NY and NJ0.  Only the tests
+check the residuals against `deform.relations_on_generators` on them.
 
 Dtypes follow `liealg.real_if_exact`: at real h and real k every coproduct
 image, exponential factor and structure function is float64, and a complex h
@@ -80,9 +80,7 @@ from .errors import DomainError
 from .liealg import (
     RaisingPoly,
     SpinRep,
-    densify,
     frobenius,
-    kron,
     mat_apply_series,
     real_if_exact,
     worst,
@@ -110,9 +108,9 @@ __all__ = [
 # which admits j1 = j2 = 22 (dimension 2025).  The images are dense, dim**2
 # entries per matrix, float64 at real h and k, and so are the entries the
 # relation norms sum.  A cold `hopf verify --which 1|2|uh --h 0.8 --k 0.6`
-# took 0.24-0.30 s and 87-99 MB at dimension 1089, 0.33-0.36 s and
-# 158-204 MB at 1681, and 0.39-0.46 s and 213-283 MB at 2025, on a 2-vCPU
-# VM with one BLAS thread.  Complex h or k doubles the storage.
+# took 0.19-0.22 s and 81-83 MB at dimension 1089, 0.24-0.28 s and
+# 145-146 MB at 1681, and 0.29-0.38 s and 195 MB at 2025, on a 2-vCPU VM
+# with one BLAS thread.  Complex h or k doubles the storage.
 MAX_PRODUCT_DIM = 2048
 
 
@@ -126,8 +124,8 @@ def _check_product_dim(*reps):
 @dataclass(frozen=True)
 class CoproductTriple:
     """Coproduct images of the generator triple on a two-factor module: the
-    matrices DX, DY, DJ0 and their normal forms NX (an element of A), NY
-    and NJ0."""
+    normal forms NX (an element of A), NY and NJ0, their matrices DX, DY and
+    DJ0, and the factors' grids, which gathered them and give the norms."""
 
     DX: np.ndarray
     DY: np.ndarray
@@ -141,6 +139,7 @@ class CoproductTriple:
     NX: np.ndarray                   # DX's element of A, coefficients c[a1, a2]
     NY: np.ndarray                   # normal forms c[kind] (see _KINDS)
     NJ0: np.ndarray
+    grids: tuple                     # each factor's gather tables (`_grid`)
 
 
 def _pair_order(r1, r2):
@@ -297,12 +296,6 @@ def _gather(nfs, g1, g2):
 # -- the coproducts ---------------------------------------------------------------
 
 
-def _triple(source, params, r1, r2, base, outer, x, ny, nj0, matrices):
-    dx, dy, dj0 = (real_if_exact(m) for m in matrices)
-    return CoproductTriple(DX=dx, DY=dy, DJ0=dj0, params=params, r1=r1, r2=r2, source=source,
-                           base=base, outer=outer, NX=x, NY=ny, NJ0=nj0)
-
-
 def _image(x):
     """An element x of A as a normal form."""
     nf = np.zeros((_IMAGE,) + x.shape, dtype=x.dtype)
@@ -318,28 +311,57 @@ def _unit(shape):
 
 def coproduct(source, params, r1, r2):
     """The coproduct images named by source ("delta1", "delta_uh" or
-    "delta2"); delta_uh reads h alone from params."""
-    if source == "delta1":
-        return delta1(params, r1, r2)
+    "delta2"): the source's normal forms, and their matrices from one gather;
+    delta_uh reads h alone from params."""
+    if source not in ("delta1", "delta_uh", "delta2"):
+        raise DomainError(f"unknown coproduct source {source!r}")
+    _check_product_dim(r1, r2)
     if source == "delta_uh":
-        return delta_uh(params.h, r1, r2)
-    if source == "delta2":
-        return delta2(params, r1, r2)
-    raise DomainError(f"unknown coproduct source {source!r}")
+        params = DeformParams(h=params.h, k=1.0)
+    base, outer, x, ny, nj0 = _forms(source, params, r1, r2)
+    grids = _grids(r1, r2)
+    dx, dy, dj0 = (real_if_exact(m) for m in _gather(np.array([_image(x), ny, nj0]), *grids))
+    return CoproductTriple(DX=dx, DY=dy, DJ0=dj0, params=params, r1=r1, r2=r2, source=source,
+                           base=base, outer=outer, NX=x, NY=ny, NJ0=nj0, grids=grids)
 
 
 def delta1(params, r1, r2):
-    """Deform the primitive coproduct of the undeformed generators: DX and the
-    dressing d at base = S1 + S2, DY = d L_1 d + d L_2 d, DJ0 = J0_1 + J0_2."""
-    _check_product_dim(r1, r2)
-    k, order = params.k, _pair_order(r1, r2)
-    base, outer = r1.raising.tensor_sum(r2.raising), _asn(k, order)
-    x, d = (e.coeffs for e in _at_half_h(base, params.h, (outer, 1), (_g_of_v(k, order), 0)))
-    nj0 = np.zeros((_IMAGE,) + d.shape)
-    nj0[list(_J0)] = _unit(d.shape)
-    ny = _sandwich(np.array([d, d]), np.array([d, d]))
-    return _triple("delta1", params, r1, r2, base, outer, x, ny, nj0,
-                   _gather(np.array([_image(x), ny, nj0]), *_grids(r1, r2)))
+    """Deform the primitive coproduct of the undeformed generators."""
+    return coproduct("delta1", params, r1, r2)
+
+
+def delta_uh(h, r1, r2):
+    """Twisted coproduct of the hyperbolic (k**2 = 1) algebra."""
+    return coproduct("delta_uh", DeformParams(h=h, k=1.0), r1, r2)
+
+
+def delta2(params, r1, r2):
+    """Lift the twisted hyperbolic coproduct to modulus k."""
+    return coproduct("delta2", params, r1, r2)
+
+
+def _forms(source, params, r1, r2):
+    """The normal forms (base, outer, NX, NY, NJ0) of a source, all that it
+    computes.  delta1: DX and the dressing d at base = S1 + S2,
+    DY = d L_1 d + d L_2 d and DJ0 = J0_1 + J0_2.  delta_uh: the twisted
+    coproduct (`_twisted`), DX its base.  delta2: DX and the dressing q at
+    the twisted DX, DY = q DY_uh q and DJ0 = DJ0_uh; at k**2 = 1 the lift's
+    map is exactly x and q exactly 1, so these are delta_uh's bits."""
+    order = _pair_order(r1, r2)
+    if source == "delta1":
+        base, outer = r1.raising.tensor_sum(r2.raising), _asn(params.k, order)
+        x, d = (e.coeffs for e in _at_half_h(base, params.h, (outer, 1),
+                                              (_g_of_v(params.k, order), 0)))
+        nj0 = np.zeros((_IMAGE,) + d.shape)
+        nj0[list(_J0)] = _unit(d.shape)
+        return base, outer, x, _sandwich(np.array([d, d]), np.array([d, d])), nj0
+    base, (p, q), nj0 = _twisted(r1, r2, params.h)
+    if source == "delta_uh":
+        return base, None, base.coeffs, _sandwich(p, q), nj0
+    outer, dress = lift_series(params.k, order)
+    x, dress = (e.coeffs for e in _at_half_h(base, params.h, (outer, 1), (dress, 0)))
+    dressed = _products(np.array([dress, dress, *q]), np.array([*p, dress, dress]))
+    return base, outer, x, _sandwich(dressed[:2], dressed[2:]), nj0
 
 
 def _twist_series(sign, order):
@@ -352,61 +374,25 @@ def _twist_series(sign, order):
 
 def _uh_factor(rep, h):
     """(X, dressing, e^(hX), e^(-hX)) of the k = 1 map on one factor, as
-    elements of its algebra from one call at J+, and the matrices of X,
-    Y = d J- d, e^(hX) and e^(-hX), from one gather."""
+    elements of its algebra from one call at J+."""
     order = rep.dim
-    elements = _at_half_h(rep.raising, complex(h), (_asn(1.0, order), 1),
-                          (_g_of_v(1.0, order), 0), (_twist_series(1, order), 0),
-                          (_twist_series(-1, order), 0))
-    x, d, ep, em = densify(elements)
-    return elements, (x, d @ rep.Jm @ d, ep, em)
+    return _at_half_h(rep.raising, complex(h), (_asn(1.0, order), 1), (_g_of_v(1.0, order), 0),
+                      (_twist_series(1, order), 0), (_twist_series(-1, order), 0))
 
 
 def _twisted(r1, r2, h):
     """The twisted coproduct's DX as the tensor sum of the factors' X; DY as
     the terms p L_i q of Y x e^(hX) + e^(-hX) x Y, Y = d L d, stacked as
-    (p, q); DJ0 = e^(hX) J0_1 + e^(-hX) J0_2 in normal form; and the factors'
-    X matrices, with DY and DJ0 as Kronecker products of the factors'
-    matrices, each entry one product of two factor entries, the Jordanian
-    triplets' bits."""
+    (p, q); and DJ0 = e^(hX) J0_1 + e^(-hX) J0_2 in normal form."""
     f1 = _uh_factor(r1, h)
-    f2 = f1 if r2.j == r1.j else _uh_factor(r2, h)
-    ((x1, d1, _, em1), (mx1, y1, _, mem1)), ((x2, d2, ep2, _), (mx2, y2, mep2, _)) = f1, f2
+    (x1, d1, _, em1), (x2, d2, ep2, _) = f1, f1 if r2.j == r1.j else _uh_factor(r2, h)
     d1, em1, d2, ep2 = (e.coeffs for e in (d1, em1, d2, ep2))
     one1, one2 = _unit(r1.dim), _unit(r2.dim)
     outer = np.multiply.outer
     p, q = np.array([outer(d1, ep2), outer(em1, d2)]), np.array([outer(d1, one2), outer(one1, d2)])
     nj0 = np.zeros((_IMAGE,) + q.shape[1:], dtype=p.dtype)
     nj0[_J0[0]], nj0[_J0[1]] = outer(one1, ep2), outer(em1, one2)
-    dy, dj0 = kron(y1, mep2) + kron(mem1, y2), kron(r1.J0, mep2) + kron(mem1, r2.J0)
-    return x1.tensor_sum(x2), (p, q), nj0, ((mx1, mx2), dy, dj0)
-
-
-def delta_uh(h, r1, r2):
-    """Twisted coproduct of the hyperbolic (k**2 = 1) algebra; DX is the
-    Kronecker sum of the factors' X."""
-    _check_product_dim(r1, r2)
-    params = DeformParams(h=h, k=1.0)
-    base, (p, q), nj0, ((mx1, mx2), dy, dj0) = _twisted(r1, r2, params.h)
-    dx = kron(mx1, np.eye(r2.dim)) + kron(np.eye(r1.dim), mx2)
-    return _triple("delta_uh", params, r1, r2, base, None, base.coeffs, _sandwich(p, q), nj0,
-                   (dx, dy, dj0))
-
-
-def delta2(params, r1, r2):
-    """Lift the twisted hyperbolic coproduct to modulus k: DX and the dressing
-    q at the twisted DX, DY = q DY_uh q, and DJ0 = DJ0_uh.  DX is gathered
-    from x, and DY is DY_uh plus the lift's part DY - DY_uh, gathered from
-    its normal form; so at k**2 = 1, where the map is exactly x and q
-    exactly 1, the matrices are delta_uh's bits."""
-    _check_product_dim(r1, r2)
-    base, (p, q), nj0, (_, dy, dj0) = _twisted(r1, r2, params.h)
-    outer, dress = lift_series(params.k, _pair_order(r1, r2))
-    x, dress = (e.coeffs for e in _at_half_h(base, params.h, (outer, 1), (dress, 0)))
-    dressed = _products(np.array([dress, dress, *q]), np.array([*p, dress, dress]))
-    ny = _sandwich(dressed[:2], dressed[2:])
-    dx, lift = _gather(np.array([_image(x), ny - _sandwich(p, q)]), *_grids(r1, r2))
-    return _triple("delta2", params, r1, r2, base, outer, x, ny, nj0, (dx, dy + lift, dj0))
+    return x1.tensor_sum(x2), (p, q), nj0
 
 
 # -- re-expressed raising images ----------------------------------------------
@@ -433,24 +419,38 @@ def _x_from_factor_sn(ct):
 # -- verification ---------------------------------------------------------------
 
 
-def _swap_factors(a, d1, d2):
-    """tau a tau^-1 for the factor swap tau: V1 x V2 -> V2 x V1, as an index
-    permutation of a (d1 d2)-square matrix."""
-    return a.reshape(d1, d2, d1, d2).transpose(1, 0, 3, 2).reshape(d1 * d2, d1 * d2)
+# tau, the factor swap, on the kinds of an image: J0_1 <-> J0_2 and L_1 <-> L_2
+_TAU = [_KINDS.index((a2, a1, None if low is None else 1 - low)) for a1, a2, low in _KINDS[:_IMAGE]]
+
+
+def _swap_gaps(ct):
+    """Delta(x) - tau Delta'(x) tau^-1 on ct's factors for x = X, Y, J0,
+    Delta' ct's coproduct on the swapped factors, whose forms the swap tau
+    takes to ct's (_TAU).  Equal factors reuse ct's own forms (build_spin is
+    deterministic in j); unequal ones build the swapped forms, no gather."""
+    if ct.r1.j == ct.r2.j:
+        x, ny, nj0 = ct.NX, ct.NY, ct.NJ0
+    else:
+        *_, x, ny, nj0 = _forms(ct.source, ct.params, ct.r2, ct.r1)
+    return ct.NX - x.T, ct.NY - ny[_TAU].swapaxes(1, 2), ct.NJ0 - nj0[_TAU].swapaxes(1, 2)
+
+
+def _cocommutativity(norms, gaps):
+    """Each generator's swap gap over max(1, its image's norm), and the max."""
+    out = {name: gap / max(1.0, norm) for name, norm, gap in zip(("X", "Y", "J0"), norms, gaps)}
+    out["max"] = worst(out.values())
+    return out
 
 
 def cocommutativity_gap(ct):
-    """|tau Delta(x) tau - Delta(x)| / max(1, |Delta(x)|) per generator x, tau
-    the factor swap, relative like every other residual."""
-    d1, d2 = ct.r1.dim, ct.r2.dim
-    # build_spin is deterministic in j, so equal factors rebuild ct itself
-    swapped = ct if ct.r1.j == ct.r2.j else coproduct(ct.source, ct.params, ct.r2, ct.r1)
-    gaps = {}
-    for name, a, b in (("X", ct.DX, swapped.DX), ("Y", ct.DY, swapped.DY),
-                       ("J0", ct.DJ0, swapped.DJ0)):
-        gaps[name] = frobenius(_swap_factors(a, d1, d2) - b) / max(1.0, frobenius(a))
-    gaps["max"] = worst(gaps.values())
-    return gaps
+    """|Delta(x) - tau Delta(x) tau^-1| / max(1, |Delta(x)|) per generator x,
+    tau the factor swap, relative like every other residual and taken on the
+    normal forms (`_swap_gaps`)."""
+    gx, gy, gj0 = _swap_gaps(ct)
+    nx, ngx = _norms([ct.NX, gx], *ct.grids)
+    ny, nj0, ngy, ngj0 = (frobenius(e) for e in _entries(np.array([ct.NY, ct.NJ0, gy, gj0]), _AT,
+                                                         *ct.grids))
+    return _cocommutativity((nx, ny, nj0), (ngx, ngy, ngj0))
 
 
 def verify_coproduct(ct):
@@ -458,7 +458,8 @@ def verify_coproduct(ct):
     form (G and F at DX as G o outer and F o outer at base, elements of A),
     the re-expressed raising-image check, and the cocommutativity gap (a
     residual for delta1, informational otherwise).  Each residual is the
-    Frobenius norm of its normal form over max(1, the norms of its terms)."""
+    Frobenius norm of its normal form over max(1, the norms of its terms),
+    all from one `_norms` and one `_entries` call on ct's grids."""
     k, h = ct.params.k, ct.params.h
     g, f = (s(k, _pair_order(ct.r1, ct.r2)) for s in (_G_series, _F_series))
     alt = []
@@ -467,19 +468,21 @@ def verify_coproduct(ct):
         g, f = (TruncatedSeries(x.coeffs) for x in mat_apply_series([g, f], unit))
         alt = [_x_from_factor_sn(ct)]
     g, f, *alt = (e.coeffs for e in _at_half_h(ct.base, h, (g, 1), (f, 0)) + alt)
-    grids, x = _grids(ct.r1, ct.r2), ct.NX
+    x = ct.NX
     eq12, eq13, eq14 = _residuals(x, ct.NY, ct.NJ0, g, f)
-    nx, n13, ng, nf, *n_alt = _norms([x, eq13[_A], g, f] + [c - x for c in alt], *grids)
-    images = np.zeros((2,) + eq12.shape, dtype=np.result_type(ct.NY, ct.NJ0))
-    images[:, :_IMAGE] = ct.NY, ct.NJ0
-    n12, n14, ny, nj0 = (frobenius(e) for e in _entries(np.array([eq12, eq14, *images]), _AT,
-                                                         *grids))
+    gx, gy, gj0 = _swap_gaps(ct)
+    nx, n13, ng, nf, ngx, *n_alt = _norms([x, eq13[_A], g, f, gx] + [c - x for c in alt],
+                                          *ct.grids)
+    images = np.zeros((4,) + eq12.shape, dtype=np.result_type(ct.NY, ct.NJ0))
+    images[:, :_IMAGE] = ct.NY, ct.NJ0, gy, gj0
+    n12, n14, ny, nj0, ngy, ngj0 = (frobenius(e) for e in _entries(np.array([eq12, eq14, *images]),
+                                                                   _AT, *ct.grids))
     norms = (n12, n13, n14, ny, nj0, ng, nf)
     out = _relative(norms, nx, ct.params.ksq == 1)
     if alt:
         label = "eq48_vs_eq39" if ct.source == "delta1" else "eq49_vs_eq45"
         out[label] = n_alt[0] / max(1.0, nx)
-    out["cocommutativity_gap"] = cocommutativity_gap(ct)["max"]
+    out["cocommutativity_gap"] = _cocommutativity((nx, ny, nj0), (ngx, ngy, ngj0))["max"]
     return out
 
 

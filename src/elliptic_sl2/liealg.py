@@ -32,7 +32,7 @@ and each series gives the same bits as it would alone.
 
 The dtype follows the inputs.  `real_if_exact` is the one place that
 decides it, for every matrix, coefficient array and superdiagonal that
-enters the calculus, `commutator` and `kron`: an operand with no nonzero
+enters the calculus and `commutator`: an operand with no nonzero
 imaginary part is float64, anything else is complex128, and numpy runs the
 same code on either.  Spin matrices are real, so at real h and real k every
 generator image, coproduct image and structure-function matrix is float64;
@@ -58,7 +58,6 @@ __all__ = [
     "mat_apply_series",
     "densify",
     "nilpotency_bound",
-    "kron",
     "frobenius",
     "worst",
 ]
@@ -367,8 +366,8 @@ def _on_grid(tables, s):
     k, d, _ = tables.shape
     pad = np.zeros((k, d, 2 * d + s), dtype=tables.dtype)
     pad[:, :, s:s + d] = tables
-    steps = np.arange(d)
-    return pad[:, steps, steps + np.arange(d + s)[:, None]]     # [t, o, r] = pad[t, r, r + o]
+    st, sr, sc = pad.strides     # [t, o, r] = pad[t, r, r + o], at o + r (2d + s + 1) in pad[t]
+    return np.ndarray((k, d + s, d), pad.dtype, pad, 0, (st, sc, sr + sc)).copy()
 
 
 def _weighted(nfs, kinds, grids, factors):
@@ -404,14 +403,17 @@ def _entries(nfs, kinds, *grids):
     """The entries of normal forms nfs[n] of several kinds, one at a time, as
     E[o_m, r_m, r_1, c_1, ..., r_(m-1), c_(m-1)]: the terms weighted on the
     first m - 1 factors (`_weighted`) and contracted with the last factor's
-    weights on its (offset, row) grid, one matmul per normal form."""
+    weights on its (offset, row) grid, one matmul per normal form, each into
+    the one buffer the first made: a yielded array holds until the next."""
     b, kind, part = _weighted(nfs, kinds, grids, len(grids) - 1)
     last = _on_grid(grids[-1][0], kinds[-1, :, 1].max())[kinds[-1, kind, 0]].transpose(1, 2, 0)
-    part = part.reshape(len(part), -1, last.shape[0]).transpose(2, 0, 1)     # [o_m, term, ...]
+    # [o_m, term, ...]; with no nonzero term, each matmul sums nothing and gives zeros
+    part = part.reshape(len(part), math.prod(part.shape[1:-1]), last.shape[0]).transpose(2, 0, 1)
     ends = np.searchsorted(b, np.arange(len(nfs) + 1))     # b is sorted: each nfs[n] a slice
+    entries = None
     for lo, hi in zip(ends[:-1], ends[1:]):
         with np.errstate(over="ignore", invalid="ignore"):
-            entries = np.matmul(last[..., lo:hi], part[:, lo:hi])
+            entries = np.matmul(last[..., lo:hi], part[:, lo:hi], out=entries)
         yield entries
 
 
@@ -465,14 +467,6 @@ def _ldexp(a, exponents):
     out.real = np.ldexp(a.real, exponents)
     out.imag = np.ldexp(a.imag, exponents)
     return out
-
-
-def kron(a, b):
-    """The Kronecker product of two matrices, as one broadcast outer product:
-    the same products as np.kron, without its reshaping overhead."""
-    a, b = real_if_exact(a), real_if_exact(b)
-    (r1, c1), (r2, c2) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(r1 * r2, c1 * c2)
 
 
 def frobenius(a):

@@ -11,8 +11,8 @@ class CalculusCalls:
     each blocked Horner run over one, ("gather", None) for each gather that
     makes matrices of elements of the raising algebra (`liealg.densify`),
     ("images", None) for each gather of coproduct images from their normal
-    forms (`hopf._gather`), and ("relations", None) for each time the
-    products of the three defining relations are formed."""
+    forms (`hopf._gather`, one per coproduct build), and ("relations", None)
+    for each time the products of the three defining relations are formed."""
 
     def __init__(self):
         self.log = []
@@ -42,7 +42,6 @@ def calculus_calls(monkeypatch):
                                (liealg, "_blocked_horner", "horner"),
                                (liealg, "densify", "gather"),
                                (deform, "densify", "gather"),
-                               (hopf, "densify", "gather"),
                                (hopf, "_gather", "images"),
                                (deform, "_relation_norms", "relations")):
         real = getattr(module, name)

@@ -231,6 +231,21 @@ def test_sweep_deterministic_and_parallel_identical(tmp_path):
     assert header[:5] == ["family", "j", "h", "k", "status"]
 
 
+def test_hopf_commands_on_spin_zero_factors_exit_0(capsys):
+    """On V_0 x V_0 the raising algebra is C, so DX and DY have no nonzero
+    term: each coproduct still builds, prints and verifies, and every
+    residual is 0."""
+    from elliptic_sl2 import cli
+
+    for which in ("1", "uh", "2"):
+        args = ["--which", which, "--j1", "0", "--j2", "0", "--h", "0.8", "--k", "0.6"]
+        assert cli.main(["hopf", "delta", *args]) == 0, which
+        assert json.loads(capsys.readouterr().out)["DY"]["entries"] == [[0.0, 0.0]]
+        assert cli.main(["hopf", "verify", *args]) == 0, which
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["worst"], payload["pass"]) == (0.0, True), which
+
+
 def test_hopf_verify_counts_the_delta1_cocommutativity_gap():
     proc = run("hopf", "verify", "--which", "1", "--j1", "1", "--j2", "1",
                "--h", "0.8", "--k", "0.6")

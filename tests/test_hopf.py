@@ -34,15 +34,14 @@ from elliptic_sl2.hopf import (
     delta2,
     delta_uh,
     verify_coproduct,
-    _swap_factors,
     _uh_factor,
     _x_from_factor_sn,
 )
 from elliptic_sl2.liealg import (
     RaisingPoly,
     build_spin,
+    densify,
     frobenius,
-    kron,
     mat_apply_series,
     worst,
 )
@@ -94,15 +93,15 @@ def test_twisted_raising_is_primitive():
     ct = delta_uh(0.8, r1, r2)
     t1 = build_jordanian_triplet(r1, 0.8)
     t2 = build_jordanian_triplet(r2, 0.8)
-    primitive = kron(t1.Xhat, np.eye(r2.dim)) + kron(np.eye(r1.dim), t2.Xhat)
-    assert np.max(np.abs(ct.DX - primitive)) == 0.0
+    assert np.max(np.abs(ct.DX - _kron_sum(t1.Xhat, t2.Xhat))) == 0.0
 
 
 def test_twisted_coproducts_gather_only_the_map(monkeypatch):
     """Each factor of the twisted coproducts is the k = 1 map's (X, Y) with
     its exponentials: no other function of J+ (F, the Jordanian Casimir
-    factors) is gathered, and the images have the bits of the Jordanian
-    triplets'."""
+    factors) is taken.  DX has the bits of the Jordanian triplets' Kronecker
+    sum, and DY and DJ0, gathered from their normal forms, are the Kronecker
+    products of the triplets' matrices to rounding."""
     from elliptic_sl2 import deform
 
     def refuse(*args):
@@ -116,14 +115,14 @@ def test_twisted_coproducts_gather_only_the_map(monkeypatch):
     coassociativity_uh(h, r1, r2, r1)
     monkeypatch.undo()
     t1, t2 = (build_jordanian_triplet(r, h) for r in (r1, r2))
-    ((x1, *_), (m1, y1, _, em1)), ((x2, *_), (m2, y2, ep2, _)) = (_uh_factor(r, complex(h))
-                                                                  for r in (r1, r2))
-    for x, m, y, t in ((x1, m1, y1, t1), (x2, m2, y2, t2)):
-        assert np.array_equal(x.dense(), t.Xhat) and np.array_equal(m, t.Xhat)
-        assert np.array_equal(y, t.Yhat)
+    (x1, d1, _, em1), (x2, d2, ep2, _) = (_uh_factor(r, complex(h)) for r in (r1, r2))
+    for x, d, r, t in ((x1, d1, r1, t1), (x2, d2, r2, t2)):
+        assert np.array_equal(x.dense(), t.Xhat)
+        assert np.array_equal(d.dense() @ r.Jm @ d.dense(), t.Yhat)
+    ep2, em1 = ep2.dense(), em1.dense()
     assert np.array_equal(uh.DX, _kron_sum(t1.Xhat, t2.Xhat))
-    assert np.array_equal(uh.DY, kron(t1.Yhat, ep2) + kron(em1, t2.Yhat))
-    assert np.array_equal(uh.DJ0, kron(t1.J0, ep2) + kron(em1, t2.J0))
+    assert _rel_gap(uh.DY, np.kron(t1.Yhat, ep2) + np.kron(em1, t2.Yhat)) <= 1e-15
+    assert _rel_gap(uh.DJ0, np.kron(t1.J0, ep2) + np.kron(em1, t2.J0)) <= 1e-15
 
 
 @pytest.mark.parametrize("h", [0.8, 0.3 - 0.2j, 2.0])
@@ -132,8 +131,8 @@ def test_twist_factors_are_the_exponentials_of_the_factor_images(h):
     exponential series at the factor's X, by dense Paterson-Stockmeyer."""
     for j in (0.5, 1.0, 2.5, 5.0, 8.0):
         rep = build_spin(j)
-        (x, *_), (_, _, ep, em) = _uh_factor(rep, complex(h))
-        for sign, got in ((1, ep), (-1, em)):
+        x, _, *twists = _uh_factor(rep, complex(h))
+        for sign, got in zip((1, -1), densify(twists)):
             expect = mat_apply_series(exp_series(rep.dim), sign * complex(h) * x.dense())
             assert got.dtype == expect.dtype
             assert _rel_gap(got, expect) <= 1e-14, (j, sign)
@@ -255,7 +254,7 @@ def test_coassociativity_forms_no_matrix(monkeypatch, calculus_calls):
     def refuse(*args):
         raise AssertionError("coassociativity forms no matrix")
 
-    for name in ("kron", "_uh_factor", "_sandwich", "_products", "_gather"):
+    for name in ("_uh_factor", "_sandwich", "_products", "_gather"):
         monkeypatch.setattr(hopf, name, refuse)
     reps = [build_spin(j) for j in (2.0, 1.5, 3.0)]
     calculus_calls.clear()
@@ -282,18 +281,54 @@ def test_cocommutativity_gap_keys():
     assert gaps["max"] < 1e-12
 
 
-@pytest.mark.parametrize("d1,d2", [(2, 3), (3, 2), (4, 4)])
-def test_factor_swap_is_the_permutation_conjugation(d1, d2):
+def _swap_permutation(d1, d2):
+    """The permutation matrix P of V1 x V2 onto V2 x V1: P (b1 x b2) P^T =
+    b2 x b1."""
     p = np.zeros((d1 * d2, d1 * d2))
     for i1 in range(d1):
         for i2 in range(d2):
             p[i2 * d1 + i1, i1 * d2 + i2] = 1.0
+    return p
+
+
+@pytest.mark.parametrize("d1,d2", [(2, 3), (3, 2), (4, 4)])
+def test_factor_swap_is_the_permutation_conjugation(d1, d2):
+    """tau on a normal form, each coefficient array transposed and the kinds
+    J0_1 <-> J0_2 and L_1 <-> L_2 swapped (`hopf._TAU`), gathers on the
+    swapped factors to P N P^T, N its gather on the factors in order."""
+    p = _swap_permutation(d1, d2)
     rng = np.random.default_rng(d1 * 10 + d2)
-    a = rng.standard_normal((d1 * d2,) * 2) + 1j * rng.standard_normal((d1 * d2,) * 2)
-    assert np.array_equal(_swap_factors(a, d1, d2), p @ a @ p.T)
     b1 = rng.standard_normal((d1, d1))
     b2 = rng.standard_normal((d2, d2))
-    assert np.array_equal(_swap_factors(kron(b1, b2), d1, d2), kron(b2, b1))
+    assert np.array_equal(p @ np.kron(b1, b2) @ p.T, np.kron(b2, b1))
+    assert sorted(hopf._TAU) == list(range(hopf._IMAGE))
+    assert [hopf._TAU[t] for t in hopf._TAU] == list(range(hopf._IMAGE))
+    r1, r2 = build_spin((d1 - 1) / 2), build_spin((d2 - 1) / 2)
+    shape = (hopf._IMAGE, d1, d2)
+    nf = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    a = hopf._gather(nf[None], *hopf._grids(r1, r2))[0]
+    swapped = hopf._gather(nf[hopf._TAU].swapaxes(1, 2)[None], *hopf._grids(r2, r1))[0]
+    assert _rel_gap(swapped, p @ a @ p.T) <= 1e-15
+
+
+@pytest.mark.parametrize("j1,j2", [(1.5, 2.0), (2.0, 1.5), (3.0, 3.0)])
+def test_cocommutativity_gap_is_the_gap_of_the_gathered_matrices(j1, j2):
+    """Each generator's normal-form gap is |P Delta P^T - Delta'| /
+    max(1, |Delta|) on the gathered matrices, P the swap permutation and
+    Delta' the coproduct on the swapped factors; verify_coproduct reports
+    the same largest gap."""
+    p = DeformParams(h=0.8, k=0.6)
+    r1, r2 = build_spin(j1), build_spin(j2)
+    perm = _swap_permutation(r1.dim, r2.dim)
+    for source in SOURCES:
+        ct, swapped = coproduct(source, p, r1, r2), coproduct(source, p, r2, r1)
+        gaps = cocommutativity_gap(ct)
+        for name in ("X", "Y", "J0"):
+            a, b = getattr(ct, "D" + name), getattr(swapped, "D" + name)
+            expect = frobenius(perm @ a @ perm.T - b) / max(1.0, frobenius(a))
+            assert abs(gaps[name] - expect) <= 1e-12, (source, j1, j2, name)
+        assert gaps["max"] == worst([gaps["X"], gaps["Y"], gaps["J0"]])
+        assert verify_coproduct(ct)["cocommutativity_gap"] == gaps["max"], source
 
 
 def test_delta1_is_cocommutative_on_unequal_factors():
@@ -304,7 +339,7 @@ def test_delta1_is_cocommutative_on_unequal_factors():
 def test_a_nan_gap_is_the_max_gap():
     r = build_spin(0.5)
     ct = delta1(DeformParams(h=0.4, k=0.3), r, r)
-    broken = dataclasses.replace(ct, DY=ct.DY * np.nan)
+    broken = dataclasses.replace(ct, NY=ct.NY * np.nan)
     gap = cocommutativity_gap(broken)["max"]
     assert gap != gap
     gap = verify_coproduct(broken)["cocommutativity_gap"]
@@ -328,7 +363,7 @@ def test_deformed_and_lifted_sums_match_the_dense_route(j1, j2):
                                                              p, order)):
         assert _rel_gap(got, expect) <= 1e-13
     base = delta_uh(p.h, r1, r2)
-    x = _uh_factor(r1, p.h)[0][0].tensor_sum(_uh_factor(r2, p.h)[0][0])
+    x = _uh_factor(r1, p.h)[0].tensor_sum(_uh_factor(r2, p.h)[0])
     assert np.array_equal(x.dense(), base.DX)
     ct = delta2(p, r1, r2)
     for got, expect in zip((ct.DX, ct.DY), lift_generators(base.DX, base.DY, p, order)):
@@ -480,15 +515,16 @@ def test_a_stray_even_entry_in_dx_fails_hopf_verify(monkeypatch, capsys, which, 
             "--k", "0.7"]
     assert cli.main(argv) == 0
     capsys.readouterr()
-    real = getattr(hopf, builder)
+    real = hopf.coproduct
 
     def with_stray_coefficient(*args):
         ct = real(*args)
+        assert ct.source == builder
         nx = ct.NX.copy()
         nx[0, 2] += 1e-6                # S2**2: even, as every coefficient of DX is odd
         return dataclasses.replace(ct, NX=nx)
 
-    monkeypatch.setattr(hopf, builder, with_stray_coefficient)
+    monkeypatch.setattr(hopf, "coproduct", with_stray_coefficient)
     code = cli.main(argv)
     payload = json.loads(capsys.readouterr().out)
     eq13 = payload["report"]["eq23" if which == "uh" else "eq13"]
@@ -509,20 +545,29 @@ def test_verify_coproduct_builds_no_dense_power_stack(calculus_calls):
 @pytest.mark.parametrize("j1,j2", [(1.5, 1.5), (1.5, 2.0)])
 def test_verify_coproduct_forms_no_relation_product_and_gathers_nothing(calculus_calls, j1, j2):
     """The residuals are taken in normal form: no relation product is formed
-    and G, F and the re-expressed image stay elements of A, never gathered
-    into matrices.  Only the cocommutativity gap's swapped images, built
-    anew for unequal factors, are gathered, as their build gathers them."""
+    and G, F, the re-expressed image and the cocommutativity gap's swapped
+    forms, built anew for unequal factors, stay normal forms over A, never
+    gathered into matrices."""
     p = DeformParams(h=0.8, k=0.6)
     r1, r2 = build_spin(j1), build_spin(j2)
     for source in SOURCES:
-        calculus_calls.clear()
-        coproduct(source, p, r2, r1)
-        swapped = [] if j1 == j2 else list(calculus_calls.log)
-        assert ("relations", None) not in swapped
         ct = coproduct(source, p, r1, r2)
         calculus_calls.clear()
         verify_coproduct(ct)
-        assert calculus_calls.log == swapped, (source, calculus_calls.log)
+        assert calculus_calls.log == [], (source, calculus_calls.log)
+
+
+@pytest.mark.parametrize("j1,j2", [(0.0, 0.0), (1.5, 1.5), (1.5, 2.0)])
+def test_each_coproduct_build_makes_one_images_gather_and_no_other(calculus_calls, j1, j2):
+    """Every source builds its normal forms alone, and one gather of NX, NY
+    and NJ0 makes its three matrices: no element of A is densified."""
+    p = DeformParams(h=0.8, k=0.6)
+    r1, r2 = build_spin(j1), build_spin(j2)
+    builds = [lambda: delta1(p, r1, r2), lambda: delta_uh(p.h, r1, r2), lambda: delta2(p, r1, r2)]
+    for build in builds + [lambda s=s: coproduct(s, p, r1, r2) for s in SOURCES]:
+        calculus_calls.clear()
+        build()
+        assert calculus_calls.log == [("images", None)]
 
 
 HOPF_VERIFY_1_AT_8 = ["hopf", "verify", "--which", "1", "--j1", "8", "--j2", "8", "--h", "0.8",
@@ -539,15 +584,19 @@ def test_cocommutative_delta1_passes_hopf_verify_at_large_norms(capsys):
 
 
 def test_one_moved_entry_still_fails_the_relative_cocommutativity_gap(monkeypatch, capsys):
-    real = hopf.delta1
+    """One coefficient of delta1's DY, that of S1**2 L_1, moved so that its
+    term's matrix has norm 1e-8 |DY|: the swap moves S2**2 L_2 as well, whose
+    matrix is orthogonal to it, so the gap reads sqrt(2) 1e-8."""
+    real = hopf.coproduct
 
     def with_moved_entry(*args):
         ct = real(*args)
-        dy = ct.DY.copy()
-        dy[3, 40] += 1e-8 * frobenius(dy)
-        return dataclasses.replace(ct, DY=dy)
+        move = np.zeros_like(ct.NY)
+        move[hopf._LOW[0], 2, 0] = 1.0
+        move *= 1e-8 * frobenius(ct.DY) / frobenius(hopf._gather(move[None], *ct.grids)[0])
+        return dataclasses.replace(ct, NY=ct.NY + move)
 
-    monkeypatch.setattr(hopf, "delta1", with_moved_entry)
+    monkeypatch.setattr(hopf, "coproduct", with_moved_entry)
     assert cli.main(HOPF_VERIFY_1_AT_8) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["report"]["cocommutativity_gap"] == pytest.approx(2 ** 0.5 * 1e-8, rel=1e-6)
@@ -587,7 +636,7 @@ def _with_moved_dy_coefficient(ct, factor):
     factor moved by 1e-6, in the normal form and in the matrix alike."""
     move = np.zeros_like(ct.NY)
     move[hopf._LOW[factor], 0 if factor else 2, 2 if factor else 0] = 1e-6
-    moved = hopf._gather(move[None], *hopf._grids(ct.r1, ct.r2))[0]
+    moved = hopf._gather(move[None], *ct.grids)[0]
     return dataclasses.replace(ct, NY=ct.NY + move, DY=ct.DY + moved)
 
 
@@ -610,8 +659,8 @@ def test_a_corrupted_dy_coefficient_fails_both_routes(factor):
 @pytest.mark.parametrize("h,k", [(0.8, 0.6), (0.3 - 0.2j, 0.3 + 0.2j)])
 def test_each_image_matrix_is_its_normal_form(h, k):
     """The residuals read the normal forms alone, so each emitted matrix must
-    be its normal form's: delta_uh's Kronecker forms and delta2's sum of
-    them and the lift's part agree with one gather of NX, NY and NJ0."""
+    be its normal form's: one gather of NX, NY and NJ0 on the factors' own
+    grids gives the triple's matrices."""
     p = DeformParams(h=h, k=k)
     for j1, j2 in ((0.5, 2.0), (2.5, 3.0), (4.0, 4.0)):
         r1, r2 = build_spin(j1), build_spin(j2)
@@ -620,6 +669,18 @@ def test_each_image_matrix_is_its_normal_form(h, k):
             nfs = np.array([hopf._image(ct.NX), ct.NY, ct.NJ0])
             for got, expect in zip((ct.DX, ct.DY, ct.DJ0), hopf._gather(nfs, *hopf._grids(r1, r2))):
                 assert _rel_gap(got, expect) <= 1e-14, (source, j1, j2)
+
+
+@pytest.mark.parametrize("j1,j2", [(0.0, 0.0), (1.0, 0.5)])
+def test_a_batch_of_zero_normal_forms_gathers_zeros(j1, j2):
+    """Normal forms with no nonzero term give zero entries and zero
+    matrices, as delta2's DY does on V_0 x V_0."""
+    r1, r2 = build_spin(j1), build_spin(j2)
+    grids, dim = hopf._grids(r1, r2), r1.dim * r2.dim
+    zero = np.zeros((2, len(hopf._KINDS), r1.dim, r2.dim))
+    assert [e.any() for e in liealg._entries(zero, hopf._AT, *grids)] == [False, False]
+    got = hopf._gather(zero[:, :hopf._IMAGE], *grids)
+    assert got.shape == (2, dim, dim) and not got.any()
 
 
 def test_a_rescaled_grid_gathers_and_norms_every_kind_of_term():
@@ -640,13 +701,13 @@ def test_a_rescaled_grid_gathers_and_norms_every_kind_of_term():
     for scale, (a1, a2, low) in zip(scales, hopf._KINDS):
         first = u @ np.linalg.matrix_power(r1.J0, a1) @ (r1.Jm if low == 0 else np.eye(r1.dim))
         second = v @ np.linalg.matrix_power(r2.J0, a2) @ (r2.Jm if low == 1 else np.eye(r2.dim))
-        dense = dense + scale * kron(first, second)
+        dense = dense + scale * np.kron(first, second)
     assert np.isfinite(dense).all() and frobenius(dense) > 1e295
     got = hopf._gather(nf[None], g1, g2)[0]
     assert frobenius(got - dense) <= 1e-14 * frobenius(dense)
     entries = next(liealg._entries(nf[None], hopf._AT, g1, g2))
     assert abs(frobenius(entries) - frobenius(dense)) <= 1e-14 * frobenius(dense)
-    element = frobenius(kron(u, v))
+    element = frobenius(np.kron(u, v))
     assert abs(hopf._norms([nf[0]], g1, g2)[0] - element) <= 1e-14 * element
     nf[0, r1.dim - 1, 0] = 1e300            # at [0, 200] the weight is 200!
     with pytest.raises(DomainError, match="overflowed double precision"):

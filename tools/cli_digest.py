@@ -36,10 +36,12 @@ COMMANDS = (
     "hopf verify --which 2 --j1 12 --j2 12 --h 0.8 --k 0.6",
     "hopf verify --which uh --j1 12 --j2 12 --h 0.8 --k 0.6",
     "hopf verify --which 2 --j1 0 --j2 2 --h 0.8 --k 0.6",
+    "hopf verify --which 2 --j1 0 --j2 0 --h 0.8 --k 0.6",
     "hopf verify --which 1 --j1 200 --j2 2 --h 0.8 --k 0.6",
     "hopf verify --which 2 --j1 100 --j2 4 --h 0.8 --k 0.6",
     "hopf delta --which 2 --j1 2 --j2 2 --h 0.8 --k 0.6",
     "hopf delta --which uh --j1 2 --j2 1 --h 0.8",
+    "hopf delta --which uh --j1 3 --j2 2 --h 0.8",
     "hopf delta --which 1 --j1 2 --j2 1 --h 0.8 --k 0.6 --format csv",
     "verify-all",
     "verify-all --h 0.45 --k 0.3",
