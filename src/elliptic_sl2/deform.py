@@ -19,7 +19,7 @@ odd, is realized by scaling coefficients rather than the matrix,
 
 with one (h/2)**i table cut at the nilpotency bound of M, so h = 0 is an
 ordinary point of every formula, never a division.  The series taken at one
-argument go to one call of `mat_apply_series`: at J+ (`SpinRep.raising`)
+argument go to one call of `liealg.apply_table`: at J+ (`SpinRep.raising`)
 they are coefficient vectors made matrices by one `densify` gather, and at
 Xhat they share one power stack.
 
@@ -42,7 +42,7 @@ scopes, by what its values depend on:
   not a series of J+, makes that one gather on first use.  Every image
   shares it.
 - "nilpotent": what is taken at the nilpotent part N of Xhat.  First G, F,
-  sn and (cn dn)**(-1/2) at N, from one `mat_apply_series` call; each
+  sn and (cn dn)**(-1/2) at N, from one `apply_table` call; each
   series has order dim, so it has the bits it would have alone.  Then the
   relation norms (`_relation_norms`): the Frobenius norms of the residual
   matrices [N, Y] - 2 J0, [J0, N] - s G and [J0, Y] + (s F Y + Y s F)/2,
@@ -95,8 +95,8 @@ import numpy as np
 from .elliptic import (asn_series, complete_K, complete_Kprime, sd_cd_nd_series,
                        sn_cn_dn_series)
 from .errors import DomainError
-from .liealg import (SpinRep, commutator, densify, frobenius, mat_apply_series, nilpotency_bound,
-                     real_if_exact)
+from .liealg import (RaisingPoly, SpinRep, apply_table, commutator, densify, frobenius,
+                     nilpotency_bound, real_if_exact)
 from .series import TruncatedSeries, pow_coeffs
 
 __all__ = [
@@ -297,19 +297,21 @@ def _at_half_h(mat, h, *terms):
     p = 0 is the plain map F((h/2) M); p = 1 is the odd map (2/h) F((h/2) M),
     written without the division, so F must have zero constant term.  Each
     coefficient c_i is scaled by (h/2)**(i-p) from one table cut at the
-    nilpotency bound of M (a matrix or an element of A), and all the series
-    go to one `mat_apply_series` call."""
-    bound = nilpotency_bound(mat)
-    powers = _half_h_powers(h, min(bound, max(s.order for s, _ in terms)))
-    scaled = []
-    for s, p in terms:
+    nilpotency bound of M (a matrix or an element of A), straight into the
+    coefficient table of one `apply_table` call."""
+    n = min(nilpotency_bound(mat), max(s.order for s, _ in terms))
+    powers = _half_h_powers(h, n)
+    table = np.zeros((len(terms), n + 1), dtype=complex)
+    rows = []
+    for row, (s, p) in zip(table, terms):
         if p and s.coeffs[0] != 0:
             raise DomainError("rescaled application needs a series with zero constant term")
-        n = min(s.order, bound)
-        d = np.zeros(n + 1, dtype=complex)
-        d[p:] = s.coeffs[p: n + 1] * powers[: n + 1 - p]
-        scaled.append(TruncatedSeries(d))
-    return mat_apply_series(scaled, mat)
+        m = min(s.order, n)
+        row[p: m + 1] = s.coeffs[p: m + 1] * powers[: m + 1 - p]
+        rows.append(row[: m + 1])
+    # an element reads the table in place, where a zero tail is exact; on a
+    # matrix the blocking follows each series' own order
+    return apply_table(table if isinstance(mat, RaisingPoly) else rows, mat)
 
 
 def x_offset(t):

@@ -89,7 +89,7 @@ from .liealg import (
     _norms,
     _weights,
 )
-from .series import TruncatedSeries, exp_series
+from .series import TruncatedSeries, exp_series, power_table
 
 __all__ = [
     "CoproductTriple",
@@ -140,6 +140,7 @@ class CoproductTriple:
     NY: np.ndarray                   # normal forms c[kind] (see _KINDS)
     NJ0: np.ndarray
     grids: tuple                     # each factor's gather tables (`_grid`)
+    series: tuple                    # what the forms were made from (`_series`)
 
 
 def _pair_order(r1, r2):
@@ -318,11 +319,13 @@ def coproduct(source, params, r1, r2):
     _check_product_dim(r1, r2)
     if source == "delta_uh":
         params = DeformParams(h=params.h, k=1.0)
-    base, outer, x, ny, nj0 = _forms(source, params, r1, r2)
+    series = _series(source, params, r1, r2)
+    base, outer, x, ny, nj0 = _forms(source, params, r1, r2, series)
     grids = _grids(r1, r2)
     dx, dy, dj0 = (real_if_exact(m) for m in _gather(np.array([_image(x), ny, nj0]), *grids))
     return CoproductTriple(DX=dx, DY=dy, DJ0=dj0, params=params, r1=r1, r2=r2, source=source,
-                           base=base, outer=outer, NX=x, NY=ny, NJ0=nj0, grids=grids)
+                           base=base, outer=outer, NX=x, NY=ny, NJ0=nj0, grids=grids,
+                           series=series)
 
 
 def delta1(params, r1, r2):
@@ -340,25 +343,39 @@ def delta2(params, r1, r2):
     return coproduct("delta2", params, r1, r2)
 
 
-def _forms(source, params, r1, r2):
-    """The normal forms (base, outer, NX, NY, NJ0) of a source, all that it
-    computes.  delta1: DX and the dressing d at base = S1 + S2,
-    DY = d L_1 d + d L_2 d and DJ0 = J0_1 + J0_2.  delta_uh: the twisted
-    coproduct (`_twisted`), DX its base.  delta2: DX and the dressing q at
-    the twisted DX, DY = q DY_uh q and DJ0 = DJ0_uh; at k**2 = 1 the lift's
-    map is exactly x and q exactly 1, so these are delta_uh's bits."""
+def _series(source, params, r1, r2):
+    """The series a source's forms are made from, each deterministic in its
+    arguments: delta1's map and dressing at the pair order; the twisted
+    coproduct's per-factor (X, dressing, e^(hX), e^(-hX)) (`_uh_factor`,
+    one call for equal factors, as build_spin is deterministic in j); and
+    for delta2 besides, the lift's map and dressing (`lift_series`)."""
     order = _pair_order(r1, r2)
     if source == "delta1":
-        base, outer = r1.raising.tensor_sum(r2.raising), _asn(params.k, order)
-        x, d = (e.coeffs for e in _at_half_h(base, params.h, (outer, 1),
-                                              (_g_of_v(params.k, order), 0)))
+        return _asn(params.k, order), _g_of_v(params.k, order)
+    f1 = _uh_factor(r1, params.h)
+    f2 = f1 if r2.j == r1.j else _uh_factor(r2, params.h)
+    return (f1, f2) if source == "delta_uh" else (f1, f2, *lift_series(params.k, order))
+
+
+def _forms(source, params, r1, r2, series):
+    """The normal forms (base, outer, NX, NY, NJ0) of a source from its
+    `_series`, all that it computes.  delta1: DX and the dressing d at
+    base = S1 + S2, DY = d L_1 d + d L_2 d and DJ0 = J0_1 + J0_2.  delta_uh:
+    the twisted coproduct (`_twisted`), DX its base.  delta2: DX and the
+    dressing q at the twisted DX, DY = q DY_uh q and DJ0 = DJ0_uh; at
+    k**2 = 1 the lift's map is exactly x and q exactly 1, so these are
+    delta_uh's bits."""
+    if source == "delta1":
+        base, (outer, dress) = r1.raising.tensor_sum(r2.raising), series
+        x, d = (e.coeffs for e in _at_half_h(base, params.h, (outer, 1), (dress, 0)))
         nj0 = np.zeros((_IMAGE,) + d.shape)
         nj0[list(_J0)] = _unit(d.shape)
         return base, outer, x, _sandwich(np.array([d, d]), np.array([d, d])), nj0
-    base, (p, q), nj0 = _twisted(r1, r2, params.h)
-    if source == "delta_uh":
+    f1, f2, *lift = series
+    base, (p, q), nj0 = _twisted(f1, f2)
+    if not lift:
         return base, None, base.coeffs, _sandwich(p, q), nj0
-    outer, dress = lift_series(params.k, order)
+    outer, dress = lift
     x, dress = (e.coeffs for e in _at_half_h(base, params.h, (outer, 1), (dress, 0)))
     dressed = _products(np.array([dress, dress, *q]), np.array([*p, dress, dress]))
     return base, outer, x, _sandwich(dressed[:2], dressed[2:]), nj0
@@ -380,14 +397,14 @@ def _uh_factor(rep, h):
                       (_twist_series(1, order), 0), (_twist_series(-1, order), 0))
 
 
-def _twisted(r1, r2, h):
-    """The twisted coproduct's DX as the tensor sum of the factors' X; DY as
-    the terms p L_i q of Y x e^(hX) + e^(-hX) x Y, Y = d L d, stacked as
-    (p, q); and DJ0 = e^(hX) J0_1 + e^(-hX) J0_2 in normal form."""
-    f1 = _uh_factor(r1, h)
-    (x1, d1, _, em1), (x2, d2, ep2, _) = f1, f1 if r2.j == r1.j else _uh_factor(r2, h)
+def _twisted(f1, f2):
+    """The twisted coproduct from its factors' `_uh_factor`: DX as the tensor
+    sum of the factors' X; DY as the terms p L_i q of Y x e^(hX) +
+    e^(-hX) x Y, Y = d L d, stacked as (p, q); and DJ0 = e^(hX) J0_1 +
+    e^(-hX) J0_2 in normal form."""
+    (x1, d1, _, em1), (x2, d2, ep2, _) = f1, f2
     d1, em1, d2, ep2 = (e.coeffs for e in (d1, em1, d2, ep2))
-    one1, one2 = _unit(r1.dim), _unit(r2.dim)
+    one1, one2 = _unit(d1.size), _unit(d2.size)
     outer = np.multiply.outer
     p, q = np.array([outer(d1, ep2), outer(em1, d2)]), np.array([outer(d1, one2), outer(one1, d2)])
     nj0 = np.zeros((_IMAGE,) + q.shape[1:], dtype=p.dtype)
@@ -427,11 +444,13 @@ def _swap_gaps(ct):
     """Delta(x) - tau Delta'(x) tau^-1 on ct's factors for x = X, Y, J0,
     Delta' ct's coproduct on the swapped factors, whose forms the swap tau
     takes to ct's (_TAU).  Equal factors reuse ct's own forms (build_spin is
-    deterministic in j); unequal ones build the swapped forms, no gather."""
+    deterministic in j); unequal ones build the swapped forms, no gather,
+    from ct's series with the factors' parts exchanged (delta1's have none)."""
     if ct.r1.j == ct.r2.j:
         x, ny, nj0 = ct.NX, ct.NY, ct.NJ0
     else:
-        *_, x, ny, nj0 = _forms(ct.source, ct.params, ct.r2, ct.r1)
+        s = ct.series if ct.source == "delta1" else (ct.series[1], ct.series[0], *ct.series[2:])
+        *_, x, ny, nj0 = _forms(ct.source, ct.params, ct.r2, ct.r1, s)
     return ct.NX - x.T, ct.NY - ny[_TAU].swapaxes(1, 2), ct.NJ0 - nj0[_TAU].swapaxes(1, 2)
 
 
@@ -489,35 +508,36 @@ def verify_coproduct(ct):
 def _term_sizes(outer, inner, factor=None):
     """outer(inner) (times factor) at the coefficients' absolute values: what
     each coefficient gap of a composition is relative to."""
-    size = lambda s: TruncatedSeries(np.abs(s.coeffs))
-    terms = size(outer).compose(size(inner))
-    return terms if factor is None else terms * size(factor)
+    terms = np.abs(outer.coeffs) @ power_table(np.abs(inner.coeffs))
+    return terms if factor is None else np.convolve(terms, np.abs(factor.coeffs))[:terms.size]
 
 
 def _composition_gap(target, got, terms):
     """The largest coefficient gap of got from target, each over max(1, the
     matching coefficient of terms)."""
-    gap = np.abs(got.coeffs - target.coeffs[:got.order + 1]) / np.maximum(1.0, terms.coeffs.real)
+    gap = np.abs(got.coeffs - target.coeffs[:got.order + 1]) / np.maximum(1.0, terms)
     return float(np.max(gap))
 
 
 def coassociativity_uh(h, r1, r2, r3):
     """The twisted coproduct's coassociativity on r1 x r2 x r3 at every h:
     the group-like gap of (1 +- v)/(1 -+ v) from exp(+-2 arctanh v), the
-    larger of the two; +-2 arctanh have the same absolute coefficients, so
-    the term sizes are composed once."""
+    larger of the two.  The powers of -2 arctanh are those of 2 arctanh times
+    (-1)**r, exactly, and the two have the same absolute coefficients, so one
+    power table gives both compositions and one the term sizes."""
     _check_product_dim(r1, r2, r3)
     n = max(1, r1.dim + r2.dim + r3.dim - 3)     # the bound of S1 + S2 + S3
     exp, inner = exp_series(n), 2.0 * _asn(1.0, n)
-    terms = _term_sizes(exp, inner)
-    gap = worst(_composition_gap(_twist_series(sign, n), exp.compose(sign * inner), terms)
-                for sign in (1, -1))
+    powers, terms = power_table(inner.coeffs), _term_sizes(exp, inner)
+    gap = worst(_composition_gap(_twist_series(sign, n), TruncatedSeries(c @ powers), terms)
+                for sign, c in ((1, exp.coeffs), (-1, exp.coeffs * (-1.0) ** np.arange(n + 1))))
     return {"group_like": gap, "max": gap}
 
 
 def coassociativity_delta1(params, r1, r2, r3):
     """delta1's coassociativity on r1 x r2 x r3 at every h: the map's inverse
-    at modulus k, sn(arcsn v) = v (X) and g(sn u) (cn dn)**(-1/2)(u) = 1 (Y)."""
+    at modulus k, sn(arcsn v) = v (X) and g(sn u) (cn dn)**(-1/2)(u) = 1 (Y),
+    one power table for each of arcsn, sn and their absolute values."""
     _check_product_dim(r1, r2, r3)
     k, n = params.k, max(1, r1.dim + r2.dim + r3.dim - 3)
     sn, asn, g, g_inv = _sncndn(k, n)[0], _asn(k, n), _g_of_v(k, n), _g_inv_of_u(k, n)

@@ -14,8 +14,10 @@ its argument:
   factors, at a sum a_1(S_1) + ... + a_m(S_m) of one-factor parts: J+
   (`SpinRep.raising`), every coproduct's base, or one variable at unit
   weights, where a series of a series is their composition.  It is
-  evaluated on coefficient arrays, and one gather (`_matrices`) makes the
-  matrices of elements (`densify`) and of normal forms over A: S**a has
+  evaluated on coefficient arrays, each part's powers the rows of its
+  `series.power_table`, the table every composition is made from, and one
+  gather (`_matrices`) makes the matrices of elements (`densify`) and of
+  normal forms over A: S**a has
   entry prod_i prod(w_i[r_i : r_i + a_i]) at row r and column r + a, so a
   term is its coefficients by offset c - r times those products (the
   Toeplitz form of a Jordan block, Higham, Functions of Matrices, SIAM 2008,
@@ -27,8 +29,9 @@ its argument:
   the algebra is tested against.
 
 Several series at one argument are one call: the argument is validated once
-and its power stack (or each part's multiplication matrix) is built once,
-and each series gives the same bits as it would alone.
+and its power stack (or each part's power table) is built once, and each
+series gives the same bits as it would alone.  `apply_table` takes the
+series as a table of coefficient rows, which `deform` writes directly.
 
 The dtype follows the inputs.  `real_if_exact` is the one place that
 decides it, for every matrix, coefficient array and superdiagonal that
@@ -49,6 +52,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
+from .series import power_table
 
 __all__ = [
     "SpinRep",
@@ -56,6 +60,7 @@ __all__ = [
     "build_spin",
     "commutator",
     "mat_apply_series",
+    "apply_table",
     "densify",
     "nilpotency_bound",
     "frobenius",
@@ -173,32 +178,36 @@ def mat_apply_series(s, mat):
     factors (`densify` makes them matrices).
 
     s is one series, or a sequence of series at the same argument, which
-    gives a list.  A sequence validates M once and builds one power stack
-    (for an element, which must be a sum of one-factor parts, one table of
-    powers per factor); each series then costs only its own products, and
-    gives the same bits as alone.
+    gives a list, from one `apply_table` call on their coefficients.
+    """
+    batch = isinstance(s, (list, tuple))
+    out = apply_table([t.coeffs for t in (s if batch else [s])], mat)
+    return out if batch else out[0]
 
-    The order is clipped to n = min(s.order, nilpotency_bound(M)), which is
+
+def apply_table(table, mat):
+    """sum c_i M**i for each row c of table, coefficient vectors of any
+    lengths (a list of them, or the rows of a 2-D array), as a list.
+
+    M is validated once and one power stack is built (for an element, which
+    must be a sum of one-factor parts, one power table per factor); each row
+    then costs only its own products, and gives the same bits as alone.
+
+    Each row is clipped to n = min(its order, nilpotency_bound(M)), which is
     exact; so every order past the bound gives the same bits.  On a matrix,
     with step = isqrt(n + 1), the baby steps I, M, ..., M**(step-1) are
     stacked once, every block sum_r c_(b*step+r) M**r comes out of one
     product with the coefficient table, and Horner in M**step runs over the
     blocks.
     """
-    batch = isinstance(s, (list, tuple))
-    series = list(s) if batch else [s]
     if isinstance(mat, RaisingPoly):
-        out = _poly_apply(series, mat)
-    else:
-        mat = _strictly_upper(mat)
-        bound = nilpotency_bound(mat)
-        orders = [min(t.order, bound) for t in series]
-        steps = [math.isqrt(n + 1) for n in orders]
-        # the baby steps of every series, and the giant step of the largest
-        powers = _power_stack(mat, max(steps, default=0) + 1)
-        out = [_blocked_horner(t.coeffs[: n + 1], powers, step)
-               for t, n, step in zip(series, orders, steps)]
-    return out if batch else out[0]
+        return _poly_apply(table, mat)
+    mat = _strictly_upper(mat)
+    rows = [c[: nilpotency_bound(mat) + 1] for c in table]
+    steps = [math.isqrt(c.size) for c in rows]
+    # the baby steps of every row, and the giant step of the largest
+    powers = _power_stack(mat, max(steps, default=0) + 1)
+    return [_blocked_horner(c, powers, step) for c, step in zip(rows, steps)]
 
 
 def _blocked_horner(c, powers, step):
@@ -252,8 +261,10 @@ class RaisingPoly:
         return densify([self])[0]
 
 
-def _poly_apply(series, x):
-    """sum c_i x**i in A for each series, as elements on x's factors.
+def _poly_apply(table, x):
+    """sum c_i x**i in A for each coefficient row c of table, as elements on
+    x's factors; a complex 2-D table as wide as the bound of x plus one is
+    read in place.
 
     x must be a_1 + ... + a_m, a_i a polynomial in S_i alone; the a_i
     commute, so the result is c_|k| multinomial(k) contracted with each
@@ -264,10 +275,12 @@ def _poly_apply(series, x):
         raise DomainError("series application needs a strictly upper-triangular argument, "
                           "an element of A without constant term")
     shape, m = arg.shape, arg.ndim
-    table = np.zeros((len(series), sum(shape) - m + 1), dtype=complex)
-    for row, s in zip(table, series):
-        c = s.coeffs[: len(row)]
-        row[: c.size] = c
+    width = sum(shape) - m + 1
+    if not (isinstance(table, np.ndarray) and table.shape[1] == width and table.dtype == complex):
+        rows, table = table, np.zeros((len(table), width), dtype=complex)
+        for row, c in zip(table, rows):
+            c = c[:width]
+            row[: c.size] = c
     real = ~table.imag.any(axis=1)      # a real series keeps float64 beside a complex one
     table = table.real if real.all() else table
     if m == 1 and _is_generator(arg):     # x = S: the coefficients themselves
@@ -275,47 +288,39 @@ def _poly_apply(series, x):
     parts = [arg[(0,) * i + (slice(None),) + (0,) * (m - i - 1)] for i in range(m)]
     if np.count_nonzero(arg) > sum(map(np.count_nonzero, parts)):
         raise DomainError("series application needs a sum of one-factor parts in A")
-    powers = [None if _is_generator(a) else _powers(a) for a in parts]
+    powers = [None if _is_generator(a) else power_table(a) for a in parts]
     weights, degree = _multinomials(shape)
-    out = []
-    for coeffs, r in zip(weights * table[:, degree], real):
-        coeffs = coeffs.real if r else coeffs
+    coeffs, out = weights * table[:, degree], [None] * len(table)
+    for rows in (np.flatnonzero(real), np.flatnonzero(~real)):     # float64, then complex
+        if not rows.size:
+            continue
+        c = coeffs[rows].real if real[rows[0]] else coeffs[rows]
         for p in powers if any(p is not None for p in powers) else ():
-            # contract the first axis with the factor's powers, appended last
-            rest = coeffs.shape[1:]
-            coeffs = coeffs.reshape(len(coeffs), -1).T
-            coeffs = (coeffs if p is None else coeffs @ p).reshape(*rest, -1)
-        out.append(RaisingPoly._on(coeffs, x.w))
+            # contract the first axis of each with the factor's powers, appended last
+            rest = c.shape[2:]
+            c = c.reshape(len(c), c.shape[1], -1).transpose(0, 2, 1)
+            c = (c if p is None else c @ p).reshape(len(c), *rest, -1)
+        for i, e in zip(rows, c):
+            out[i] = RaisingPoly._on(e, x.w)
     return out
 
 
 def _is_generator(a):
     """Whether the one-factor coefficient vector a is S itself."""
-    return a[1:2].tolist() == [1] and not a[2:].any()
+    return a.size > 1 and a[1] == 1 and not a[2:].any()
 
 
-def _powers(a):
-    """a**0, ..., a**(d-1) for a one-factor coefficient vector a of length d,
-    each from the last by one product with a's multiplication matrix, the
-    Toeplitz matrix [r, c] = a[c - r] on and above the diagonal."""
-    steps = np.arange(a.size)
-    times_a = np.where(steps >= steps[:, None], a[steps - steps[:, None]], 0)
-    powers = np.zeros((a.size, a.size), dtype=a.dtype)
-    powers[0, 0] = 1
-    for r in range(1, a.size):
-        np.matmul(powers[r - 1], times_a, out=powers[r])
-    return powers
-
-
+@lru_cache(maxsize=8)
 def _multinomials(dims):
     """|a|! / prod_i a_i! and |a| on the grid of shape dims, as products of
-    correctly rounded binomials C(s + t, t)."""
+    correctly rounded binomials C(s + t, t); read-only, made once per shape."""
     weights, degree = np.ones(dims[0]), np.arange(dims[0])
     for d in dims[1:]:
         binom = np.array([[math.comb(s + t, t) for t in range(d)]
                           for s in range(degree[(-1,) * degree.ndim] + 1)], dtype=float)
         weights = weights[..., None] * binom[degree[..., None], np.arange(d)]
         degree = degree[..., None] + np.arange(d)
+    weights.flags.writeable = degree.flags.writeable = False
     return weights, degree
 
 
@@ -378,40 +383,51 @@ def _weighted(nfs, kinds, grids, factors):
     factors' weights in turn, taken to [r_i, c_i]: part[term, r_1, c_1, ...,
     o_m].  Grid i is (tables, e), tables[t, r, c] the entry of S**a times the
     t-th operator, table 0 S**a's (`_weights`); kinds[i, kind] is (the kind's
-    table, 1 where it lowers).  Offsets past a grid wrap round to weights 0."""
+    table, 1 where it lowers).  Offsets past a grid wrap round to weights 0.
+    The caller ignores overflow: a product past double range is inf or NaN,
+    which the gather names (`_finite`)."""
     count, nkinds, *dims = nfs.shape
     b, kind, lift = slice(None), 0, [0] * len(dims)     # an element of A: one term
-    with np.errstate(over="ignore", invalid="ignore"):
-        part = _scaled(nfs, grids)
-        if nkinds > 1:
-            b, kind = np.nonzero(nfs.reshape(count, nkinds, -1).any(axis=2))
-            lift = kinds[:, :, 1].max(axis=1).tolist()
-            placed = np.zeros((count, nkinds, *map(sum, zip(dims, lift))), dtype=part.dtype)
-            for k, low in enumerate(kinds[:, :nkinds, 1].T.tolist()):
-                placed[(slice(None), k) + tuple(slice(s - x, s - x + d) for s, x, d in
-                                                 zip(lift, low, dims))] = part[:, k]
-            part = placed
-        part = part[b, kind]
-        for i, ((t, _), d, s) in enumerate(zip(grids[:factors], dims, lift)):
-            at = np.arange(s, s + d) - np.arange(d)[:, None]     # [r_i, c_i] -> o_i
-            part = part.take(at, axis=2 * i + 1) * t[kinds[i, kind, 0]].reshape(
-                (-1,) + (1,) * 2 * i + (d, d) + (1,) * (len(dims) - i - 1))
+    part = _scaled(nfs, grids)
+    if nkinds > 1:
+        b, kind = np.nonzero(nfs.reshape(count, nkinds, -1).any(axis=2))
+        lift = kinds[:, :, 1].max(axis=1).tolist()
+        placed = np.zeros((count, nkinds, *map(sum, zip(dims, lift))), dtype=part.dtype)
+        for k, low in enumerate(kinds[:, :nkinds, 1].T.tolist()):
+            placed[(slice(None), k) + tuple(slice(s - x, s - x + d) for s, x, d in
+                                             zip(lift, low, dims))] = part[:, k]
+        part = placed
+    part = part[b, kind]
+    for i, ((t, _), d, s) in enumerate(zip(grids[:factors], dims, lift)):
+        at = np.arange(s, s + d) - np.arange(d)[:, None]     # [r_i, c_i] -> o_i
+        part = part.take(at, axis=2 * i + 1) * t[kinds[i, kind, 0]].reshape(
+            (-1,) + (1,) * 2 * i + (d, d) + (1,) * (len(dims) - i - 1))
     return b, kind, part
 
 
-def _entries(nfs, kinds, *grids):
-    """The entries of normal forms nfs[n] of several kinds, one at a time, as
-    E[o_m, r_m, r_1, c_1, ..., r_(m-1), c_(m-1)]: the terms weighted on the
-    first m - 1 factors (`_weighted`) and contracted with the last factor's
-    weights on its (offset, row) grid, one matmul per normal form, each into
-    the one buffer the first made: a yielded array holds until the next."""
+def _contraction(nfs, kinds, grids):
+    """(last, part, spans): the terms weighted on the first m - 1 factors
+    (`_weighted`) as part[o_m, term, ...], the last factor's weights on its
+    (offset, row) grid as last[o_m, r_m, term], and each normal form's
+    slice (lo, hi) of the terms, so that nfs[n]'s entries are
+    last[..., lo:hi] @ part[:, lo:hi].  The caller ignores overflow."""
     b, kind, part = _weighted(nfs, kinds, grids, len(grids) - 1)
     last = _on_grid(grids[-1][0], kinds[-1, :, 1].max())[kinds[-1, kind, 0]].transpose(1, 2, 0)
     # [o_m, term, ...]; with no nonzero term, each matmul sums nothing and gives zeros
     part = part.reshape(len(part), math.prod(part.shape[1:-1]), last.shape[0]).transpose(2, 0, 1)
-    ends = np.searchsorted(b, np.arange(len(nfs) + 1))     # b is sorted: each nfs[n] a slice
+    ends = np.searchsorted(b, np.arange(len(nfs) + 1)).tolist()     # b is sorted
+    return last, part, list(zip(ends[:-1], ends[1:]))
+
+
+def _entries(nfs, kinds, *grids):
+    """The entries of normal forms nfs[n] of several kinds, one at a time, as
+    E[o_m, r_m, r_1, c_1, ..., r_(m-1), c_(m-1)], one matmul per normal form
+    (`_contraction`), each into the one buffer the first made: a yielded
+    array holds until the next."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        last, part, spans = _contraction(nfs, kinds, grids)
     entries = None
-    for lo, hi in zip(ends[:-1], ends[1:]):
+    for lo, hi in spans:
         with np.errstate(over="ignore", invalid="ignore"):
             entries = np.matmul(last[..., lo:hi], part[:, lo:hi], out=entries)
         yield entries
@@ -421,22 +437,26 @@ def _matrices(nfs, kinds, *grids):
     """The matrices of normal forms nfs[n] in Kronecker order: with one kind,
     elements of A, their terms weighted on every factor (`_weighted`; a
     matmul over one term would make -0.0 +0.0); with several, each normal
-    form's entries (`_entries`), [r_m, c_m] from [o_m, r_m], written before
-    the next is made."""
+    form's entries (`_contraction`), [r_m, c_m] from [o_m, r_m], written
+    before the next is made.  Overflow is named once, on the matrices."""
     count, nkinds, *dims = nfs.shape
     m, d, size = len(dims), dims[-1], math.prod(dims)
-    if nkinds == 1:
-        e = _finite(_weighted(nfs, kinds, grids, m)[2])                 # [n, r_1, c_1, ...]
-        order = (0, *range(1, 2 * m, 2), *range(2, 2 * m + 1, 2))
-        return e.transpose(order).reshape(count, size, size)
-    steps, s = np.arange(d), kinds[-1, :, 1].max()
-    rows = (steps - steps[:, None] + s) * d + steps[:, None]
-    pairs = [x for x in dims[:-1] for _ in (0, 1)]
-    order = (*range(2, 2 * m, 2), 0, *range(3, 2 * m, 2), 1)     # from [r_m, c_m, r_1, c_1, ...]
-    out = np.empty((count, *dims, *dims), dtype=np.result_type(nfs, *(t for t, _ in grids)))
-    for matrix, e in zip(out, _entries(nfs, kinds, *grids)):
-        matrix[...] = _finite(e).reshape((d + s) * d, *pairs)[rows].transpose(order)
-    return out.reshape(count, size, size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if nkinds == 1:
+            e = _weighted(nfs, kinds, grids, m)[2]                          # [n, r_1, c_1, ...]
+            order = (0, *range(1, 2 * m, 2), *range(2, 2 * m + 1, 2))
+            return _finite(e.transpose(order).reshape(count, size, size))
+        steps, s = np.arange(d), kinds[-1, :, 1].max()
+        rows = (steps - steps[:, None] + s) * d + steps[:, None]
+        pairs = [x for x in dims[:-1] for _ in (0, 1)]
+        order = (*range(2, 2 * m, 2), 0, *range(3, 2 * m, 2), 1)   # from [r_m, c_m, r_1, c_1, ...]
+        out = np.empty((count, *dims, *dims), dtype=np.result_type(nfs, *(t for t, _ in grids)))
+        last, part, spans = _contraction(nfs, kinds, grids)
+        e = None
+        for matrix, (lo, hi) in zip(out, spans):
+            e = np.matmul(last[..., lo:hi], part[:, lo:hi], out=e)
+            matrix[...] = e.reshape((d + s) * d, *pairs)[rows].transpose(order)
+    return _finite(out.reshape(count, size, size))
 
 
 def _finite(e):

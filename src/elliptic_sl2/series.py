@@ -13,10 +13,14 @@ a coefficient list (`pow_coeffs`), so exact `Fraction` coefficients run
 through the same code as complex ones.  Composition and reversion are kept
 as independent references: the tests check the recurrences against them,
 and composition gives `hopf._x_from_factor_sn`'s separate per-factor route
-and the identities the coproducts' coassociativity rests on.  Preconditions
-(an inner series with zero constant term, a power of a series with constant
-term 1) are enforced exactly, not to a tolerance.  exp is the one elementary
-series here; tanh and arctanh are sn and arcsn at k = 1, from `elliptic`.
+and the identities the coproducts' coassociativity rests on.  A composition
+c(a) is c times the table of a's powers (`power_table`), the table
+`liealg` takes the powers of a one-factor part from, so compositions with
+one inner series can share it; the tests hold it against plain Horner.
+Preconditions (an inner series with zero constant term, a power of a series
+with constant term 1) are enforced exactly, not to a tolerance.  exp is the
+one elementary series here; tanh and arctanh are sn and arcsn at k = 1, from
+`elliptic`.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .errors import DomainError
 __all__ = [
     "TruncatedSeries",
     "pow_coeffs",
+    "power_table",
     "exp_series",
 ]
 
@@ -98,15 +103,10 @@ class TruncatedSeries:
     # -- structural operations ----------------------------------------------
 
     def compose(self, inner):
-        """self(inner(u)); inner must have exactly zero constant term."""
-        if inner.coeffs[0] != 0:
-            raise DomainError("composition needs an inner series with zero constant term")
+        """self(inner(u)), self's coefficients times inner's `power_table`;
+        inner must have exactly zero constant term."""
         n = min(self.order, inner.order)
-        g = inner.truncated(n)
-        acc = TruncatedSeries.constant(self.coeffs[n], n)
-        for i in range(n - 1, -1, -1):
-            acc = acc * g + self.coeffs[i]
-        return acc
+        return TruncatedSeries(self.coeffs[: n + 1] @ power_table(inner.coeffs[: n + 1]))
 
     def revert(self):
         """Compositional inverse t with self(t(u)) = u + O(u**(N+1))."""
@@ -182,6 +182,27 @@ def pow_coeffs(a, p):
             acc += ((p + 1) * i - m) * a[i] * b[m - i]
         b[m] = acc / m
     return b
+
+
+def power_table(a):
+    """a**0, ..., a**(d-1), cut at u**(d-1), as the rows of a d x d table,
+    for a coefficient vector a of length d with a[0] == 0: each row from the
+    last by one product with a's multiplication matrix, the upper-triangular
+    Toeplitz matrix [r, c] = a[c - r].  A composition c(a) is c @ table.
+    The table keeps a's dtype, and the powers of -a are its rows times
+    (-1)**r, exactly."""
+    if a[0] != 0:
+        raise DomainError("composition needs an inner series with zero constant term")
+    d = a.size
+    pad = np.zeros(2 * d - 1, dtype=a.dtype)
+    pad[d - 1:] = a
+    s = pad.strides[0]       # [r, c] = pad[d - 1 + c - r], 0 where c < r
+    times_a = np.ndarray((d, d), a.dtype, pad, (d - 1) * s, (-s, s)).copy()
+    powers = np.zeros((d, d), dtype=a.dtype)
+    powers[0, 0] = 1
+    for last, row in zip(powers, powers[1:]):
+        np.dot(last, times_a, out=row)
+    return powers
 
 
 def exp_series(order):

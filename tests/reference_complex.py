@@ -3,9 +3,9 @@ by plain Horner in complex128 on the dense argument, with no power stack and
 no blocking.  At an element x of the raising algebra the dense argument is
 x's multiplication matrix, x at unit weights, and the result's coefficients
 are the first row of the series there.  `complex_calculus` swaps it in for
-`mat_apply_series` where deform calls it, for itself and for hopf, so the whole pipeline
-can be rerun in complex arithmetic and held against the package's float64
-results."""
+`apply_table` where deform calls it, for itself and for hopf, so the whole
+pipeline can be rerun in complex arithmetic and held against the package's
+float64 results."""
 
 import contextlib
 
@@ -13,6 +13,7 @@ import numpy as np
 
 from elliptic_sl2 import deform
 from elliptic_sl2.liealg import RaisingPoly
+from elliptic_sl2.series import TruncatedSeries
 
 
 def complex_horner(s, mat):
@@ -33,10 +34,15 @@ def complex_horner(s, mat):
     return acc
 
 
+def complex_table(table, mat):
+    """complex_horner on each coefficient row of table, as apply_table."""
+    return [complex_horner(TruncatedSeries(c), mat) for c in table]
+
+
 @contextlib.contextmanager
 def complex_calculus(monkeypatch):
     """Within the block, every series deform and hopf evaluate goes through
     complex_horner."""
     with monkeypatch.context() as patch:
-        patch.setattr(deform, "mat_apply_series", complex_horner)
+        patch.setattr(deform, "apply_table", complex_table)
         yield

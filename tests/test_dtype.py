@@ -174,8 +174,9 @@ def test_a_real_coproduct_check_builds_no_complex_power_stack(calculus_calls, mo
     r1, r2 = build_spin(1.0), build_spin(1.5)
     seen = []
     real = liealg._poly_apply
+    # the element route's entry, which receives the coefficient table
     monkeypatch.setattr(liealg, "_poly_apply",
-                        lambda series, x: seen.append(x.coeffs.dtype) or real(series, x))
+                        lambda table, x: seen.append(x.coeffs.dtype) or real(table, x))
     for p, dtype in ((DeformParams(h=0.8, k=0.6), F64), (DeformParams(h=0.8 + 0.2j, k=0.6), C128),
                      (DeformParams(h=0.8, k=0.3 + 0.2j), C128)):
         seen.clear(), calculus_calls.clear()

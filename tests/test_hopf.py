@@ -39,6 +39,7 @@ from elliptic_sl2.hopf import (
 )
 from elliptic_sl2.liealg import (
     RaisingPoly,
+    apply_table,
     build_spin,
     densify,
     frobenius,
@@ -204,14 +205,16 @@ def _bumped(series, by=1e-4):
 
 # each series as `hopf` looks it up, and the coproduct and key it must lift
 BUMPS = {"_asn": ("delta1", "X"), "_sncndn": ("delta1", "X"), "_g_of_v": ("delta1", "Y"),
-         "_g_inv_of_u": ("delta1", "Y"), "_twist_series": ("uh", "group_like")}
+         "_g_inv_of_u": ("delta1", "Y"), "_twist_series": ("uh", "group_like"),
+         "exp_series": ("uh", "group_like")}
 
 
 @pytest.mark.parametrize("name", sorted(BUMPS))
 def test_a_bumped_series_fails_its_coassociativity_identity(monkeypatch, name):
     """A 1e-4 relative move in one coefficient of arcsn, sn, g,
-    (cn dn)**(-1/2) or the twist series, made where `hopf` looks it up, lifts
-    the identity's key above 1e-6 everywhere on the grid."""
+    (cn dn)**(-1/2), the twist series or exp (whose compositions at both signs
+    share one power table), made where `hopf` looks it up, lifts the
+    identity's key above 1e-6 everywhere on the grid."""
     source, key = BUMPS[name]
     real = getattr(hopf, name)
 
@@ -227,27 +230,73 @@ def test_a_bumped_series_fails_its_coassociativity_identity(monkeypatch, name):
 
 
 def test_coassociativity_uh_composes_the_term_sizes_once(monkeypatch):
-    """|+2 arctanh| and |-2 arctanh| are one series, so the group-like check
-    composes three times (exp at each sign, and the sizes once), and its gap
-    is the one the two signs give with the sizes composed for each."""
-    from elliptic_sl2.series import TruncatedSeries
+    """+-2 arctanh share their powers up to the sign (-1)**r, and |+2 arctanh|
+    and |-2 arctanh| are one series, so the group-like check builds two power
+    tables (the inner series and its term sizes), and its gap is the one the
+    two signs give with every table built for each."""
+    from elliptic_sl2 import series
+    from elliptic_sl2.series import power_table
 
     calls = []
-    real = TruncatedSeries.compose
-    monkeypatch.setattr(TruncatedSeries, "compose", lambda s, t: calls.append(1) or real(s, t))
+    for module in (series, hopf):
+        monkeypatch.setattr(module, "power_table", lambda a: calls.append(1) or power_table(a))
     reps = [build_spin(j) for j in (2.0, 1.5, 3.0)]
     gap = coassociativity_uh(0.8, *reps)["group_like"]
-    assert len(calls) == 3
+    assert len(calls) == 2
     monkeypatch.undo()
     n = sum(r.dim for r in reps) - 3
-    size = lambda s: TruncatedSeries(np.abs(s.coeffs))
     by_sign = []
     for sign in (1, -1):
         inner = 2.0 * sign * _asn(1.0, n)
-        got, terms = exp_series(n).compose(inner), size(exp_series(n)).compose(size(inner))
+        got = exp_series(n).compose(inner)
+        terms = np.abs(exp_series(n).coeffs) @ power_table(np.abs(inner.coeffs))
         target = hopf._twist_series(sign, n).coeffs
-        by_sign.append(float(np.max(np.abs(got.coeffs - target) / np.maximum(1.0, terms.coeffs.real))))
+        by_sign.append(float(np.max(np.abs(got.coeffs - target) / np.maximum(1.0, terms))))
     assert gap == max(by_sign)
+
+
+def test_coassociativity_delta1_builds_one_table_per_inner_series(monkeypatch):
+    """sn(arcsn) and g(sn), and their term sizes: four power tables, one for
+    each of arcsn, sn, |arcsn| and |sn|."""
+    from elliptic_sl2 import series
+    from elliptic_sl2.series import power_table
+
+    inners = []
+    for module in (series, hopf):
+        monkeypatch.setattr(module, "power_table", lambda a: inners.append(a) or power_table(a))
+    k, reps = 0.6, [build_spin(j) for j in (2.0, 1.5, 3.0)]
+    coassociativity_delta1(DeformParams(h=0.8, k=k), *reps)
+    n = sum(r.dim for r in reps) - 3
+    asn, sn = _asn(k, n).coeffs, _sncndn(k, n)[0].coeffs
+    assert len(inners) == 4
+    for want in (asn, sn, np.abs(asn), np.abs(sn)):     # the sizes are real, the series complex
+        assert sum(a.dtype == want.dtype and np.array_equal(a, want) for a in inners) == 1
+
+
+@pytest.mark.parametrize("which", ["delta_uh", "delta2"])
+def test_swapped_forms_reuse_the_factors_series(monkeypatch, which):
+    """At unequal factors the swapped build takes ct's per-factor series: no
+    `_uh_factor` and no `lift_series` call, and the report of a build from
+    scratch on the swapped factors."""
+    p = DeformParams(h=0.35, k=0.7)
+    for js in ((4.0, 5.0), (5.0, 4.0)):
+        r1, r2 = (build_spin(j) for j in js)
+        ct = coproduct(which, p, r1, r2)
+        with monkeypatch.context() as patch:
+            calls = []
+            for name in ("_uh_factor", "lift_series"):
+                real = getattr(hopf, name)
+                patch.setattr(hopf, name, lambda *a, real=real: calls.append(a) or real(*a))
+            report = verify_coproduct(ct)
+            assert calls == []
+        real_forms = hopf._forms
+
+        def from_scratch(source, params, s1, s2, series):
+            return real_forms(source, params, s1, s2, hopf._series(source, params, s1, s2))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(hopf, "_forms", from_scratch)
+            assert verify_coproduct(ct) == report
 
 
 def test_coassociativity_forms_no_matrix(monkeypatch, calculus_calls):
@@ -401,12 +450,12 @@ def _verdicts(tol):
     return out
 
 
-def _dense_algebra(series, x):
-    """Series in the raising algebra by dense Paterson-Stockmeyer on the
-    multiplication matrix of x, x at unit weights: row 0 of F there holds
-    F(x)'s coefficients."""
+def _dense_algebra(table, x):
+    """Series (rows of coefficients) in the raising algebra by dense
+    Paterson-Stockmeyer on the multiplication matrix of x, x at unit weights:
+    row 0 of F there holds F(x)'s coefficients."""
     unit = RaisingPoly(x.coeffs, tuple(np.ones(w.size) for w in x.w)).dense()
-    return [RaisingPoly(f[0].reshape(x.coeffs.shape), x.w) for f in mat_apply_series(series, unit)]
+    return [RaisingPoly(f[0].reshape(x.coeffs.shape), x.w) for f in apply_table(table, unit)]
 
 
 def test_coproduct_verdicts_on_the_grid_match_the_dense_route(monkeypatch):
@@ -785,8 +834,8 @@ def test_a_perturbed_outer_map_fails_hopf_verify(monkeypatch, capsys, which):
 
 def test_hopf_verify_takes_powers_of_one_factor_parts_alone(monkeypatch, capsys):
     shapes = []
-    real = liealg._powers
-    monkeypatch.setattr(liealg, "_powers", lambda a: shapes.append(a.shape) or real(a))
+    real = liealg.power_table
+    monkeypatch.setattr(liealg, "power_table", lambda a: shapes.append(a.shape) or real(a))
     for which in ("1", "2", "uh"):
         assert cli.main(["hopf", "verify", "--which", which, "--j1", "2", "--j2", "1.5",
                          "--h", "0.8", "--k", "0.6"]) == 0

@@ -324,10 +324,10 @@ def test_a_batch_validates_its_argument_once(monkeypatch, calculus_calls):
     from elliptic_sl2 import liealg
 
     checked, tables = [], []
-    real_check, real_powers = liealg._strictly_upper, liealg._powers
+    real_check, real_powers = liealg._strictly_upper, liealg.power_table
     monkeypatch.setattr(liealg, "_strictly_upper", lambda m: checked.append(1) or real_check(m))
     # each table of powers builds its part's one multiplication matrix
-    monkeypatch.setattr(liealg, "_powers", lambda a: tables.append(a.shape) or real_powers(a))
+    monkeypatch.setattr(liealg, "power_table", lambda a: tables.append(a.shape) or real_powers(a))
     rng = np.random.default_rng(36)
     mat_apply_series(_series_batch(rng, 6), _strictly_upper(rng, 7))
     assert (len(checked), [m.shape for m in calculus_calls.stacks()]) == (1, [(7, 7)])

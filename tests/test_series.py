@@ -8,7 +8,7 @@ import pytest
 
 from elliptic_sl2.elliptic import asn_series, sn_cn_dn_series
 from elliptic_sl2.errors import DomainError
-from elliptic_sl2.series import TruncatedSeries, exp_series, pow_coeffs
+from elliptic_sl2.series import TruncatedSeries, exp_series, pow_coeffs, power_table
 
 
 def series(*coeffs):
@@ -52,6 +52,64 @@ def test_compose_matches_polynomial_identity():
     inner = series(0, 1, 1, 0, 0)
     got = outer.compose(inner)
     assert np.allclose(got.coeffs, [1, 2, 3, 2, 1])
+
+
+def horner_compose(outer, inner):
+    """outer(inner) by Horner in inner, one truncated product per
+    coefficient: the reference composition."""
+    n = min(outer.order, inner.order)
+    g = inner.truncated(n)
+    acc = TruncatedSeries.constant(outer.coeffs[n], n)
+    for i in range(n - 1, -1, -1):
+        acc = acc * g + outer.coeffs[i]
+    return acc
+
+
+def _composition_pairs(n, rng):
+    """(outer, inner) pairs at order n: exp at +-2 arctanh and sn at arcsn
+    (the coassociativity identities), and random real and complex series."""
+    yield exp_series(n), 2.0 * asn_series(1.0, n)
+    yield exp_series(n), -2.0 * asn_series(1.0, n)
+    yield sn_cn_dn_series(0.6, n)[0], asn_series(0.6, n)
+    for i in (0, 1j):       # real, then complex
+        outer, inner = ((rng.standard_normal(n + 1) + i * rng.standard_normal(n + 1))
+                        / np.arange(1, n + 2) for _ in range(2))
+        inner[0] = 0.0
+        yield TruncatedSeries(outer), TruncatedSeries(inner)
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 40, 80])
+def test_power_table_composition_matches_horner(n):
+    """Each coefficient of the power-table composition is within 1e-15 of
+    Horner's, relative to max(1, the composition of the absolute values)."""
+    from elliptic_sl2.hopf import _term_sizes
+
+    rng = np.random.default_rng(n)
+    for outer, inner in _composition_pairs(n, rng):
+        got, ref = outer.compose(inner), horner_compose(outer, inner)
+        assert got.order == ref.order == n
+        gap = np.abs(got.coeffs - ref.coeffs) / np.maximum(1.0, _term_sizes(outer, inner))
+        assert np.max(gap) <= 1e-15, (n, np.max(gap))
+
+
+def test_power_table_rows_are_successive_products():
+    """Row r is row r - 1 times the multiplication matrix, bit for bit, the
+    kernel `liealg` takes one-factor powers from; the powers of -a are the
+    rows times (-1)**r exactly; the table keeps a's dtype."""
+    rng = np.random.default_rng(11)
+    for a in (rng.standard_normal(9), rng.standard_normal(9) + 1j * rng.standard_normal(9)):
+        a[0] = 0.0
+        table = power_table(a)
+        assert table.dtype == a.dtype and table.shape == (9, 9)
+        times_a = np.array([[a[c - r] if c >= r else 0 for c in range(9)] for r in range(9)])
+        expect = np.eye(9, dtype=a.dtype)[:1]
+        for _ in range(8):
+            expect = np.vstack([expect, expect[-1] @ times_a])
+        assert np.array_equal(table, expect)
+        assert np.array_equal(power_table(-a), table * (-1.0) ** np.arange(9)[:, None])
+    assert np.array_equal(power_table(np.zeros(1)), [[1.0]])
+    with pytest.raises(DomainError, match="zero constant term"):
+        power_table(np.array([1e-300, 1.0]))
 
 
 def test_revert_arcsin_gives_sin():
