@@ -95,8 +95,8 @@ import numpy as np
 from .elliptic import (asn_series, complete_K, complete_Kprime, sd_cd_nd_series,
                        sn_cn_dn_series)
 from .errors import DomainError
-from .liealg import (RaisingPoly, SpinRep, apply_table, commutator, densify, frobenius,
-                     nilpotency_bound, real_if_exact)
+from .liealg import (SpinRep, apply_table, commutator, densify, frobenius, nilpotency_bound,
+                     real_if_exact)
 from .series import TruncatedSeries, pow_coeffs
 
 __all__ = [
@@ -298,20 +298,18 @@ def _at_half_h(mat, h, *terms):
     written without the division, so F must have zero constant term.  Each
     coefficient c_i is scaled by (h/2)**(i-p) from one table cut at the
     nilpotency bound of M (a matrix or an element of A), straight into the
-    coefficient table of one `apply_table` call."""
+    coefficient rows of one `apply_table` call."""
     n = min(nilpotency_bound(mat), max(s.order for s, _ in terms))
     powers = _half_h_powers(h, n)
-    table = np.zeros((len(terms), n + 1), dtype=complex)
     rows = []
-    for row, (s, p) in zip(table, terms):
+    for s, p in terms:
         if p and s.coeffs[0] != 0:
             raise DomainError("rescaled application needs a series with zero constant term")
         m = min(s.order, n)
-        row[p: m + 1] = s.coeffs[p: m + 1] * powers[: m + 1 - p]
-        rows.append(row[: m + 1])
-    # an element reads the table in place, where a zero tail is exact; on a
-    # matrix the blocking follows each series' own order
-    return apply_table(table if isinstance(mat, RaisingPoly) else rows, mat)
+        row = np.zeros(m + 1, dtype=complex)
+        row[p:] = s.coeffs[p: m + 1] * powers[: m + 1 - p]
+        rows.append(row)
+    return apply_table(rows, mat)
 
 
 def x_offset(t):

@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -140,7 +141,7 @@ class CoproductTriple:
     NY: np.ndarray                   # normal forms c[kind] (see _KINDS)
     NJ0: np.ndarray
     grids: tuple                     # each factor's gather tables (`_grid`)
-    series: tuple                    # what the forms were made from (`_series`)
+    series: FormSeries               # what the forms were made from (`_series`)
 
 
 def _pair_order(r1, r2):
@@ -320,11 +321,11 @@ def coproduct(source, params, r1, r2):
     if source == "delta_uh":
         params = DeformParams(h=params.h, k=1.0)
     series = _series(source, params, r1, r2)
-    base, outer, x, ny, nj0 = _forms(source, params, r1, r2, series)
+    base, x, ny, nj0 = _forms(source, params, r1, r2, series)
     grids = _grids(r1, r2)
     dx, dy, dj0 = (real_if_exact(m) for m in _gather(np.array([_image(x), ny, nj0]), *grids))
     return CoproductTriple(DX=dx, DY=dy, DJ0=dj0, params=params, r1=r1, r2=r2, source=source,
-                           base=base, outer=outer, NX=x, NY=ny, NJ0=nj0, grids=grids,
+                           base=base, outer=series.outer, NX=x, NY=ny, NJ0=nj0, grids=grids,
                            series=series)
 
 
@@ -343,6 +344,16 @@ def delta2(params, r1, r2):
     return coproduct("delta2", params, r1, r2)
 
 
+class FormSeries(NamedTuple):
+    """What a source's forms are made from (`_series`): each factor's
+    `_uh_factor`, none for delta1, and the outer map and dressing at the
+    pair order, delta1's or delta2's lift, none for delta_uh.  The forms on
+    the swapped factors take the factors reversed."""
+    factors: tuple
+    outer: TruncatedSeries | None
+    dress: TruncatedSeries | None
+
+
 def _series(source, params, r1, r2):
     """The series a source's forms are made from, each deterministic in its
     arguments: delta1's map and dressing at the pair order; the twisted
@@ -351,34 +362,32 @@ def _series(source, params, r1, r2):
     for delta2 besides, the lift's map and dressing (`lift_series`)."""
     order = _pair_order(r1, r2)
     if source == "delta1":
-        return _asn(params.k, order), _g_of_v(params.k, order)
+        return FormSeries((), _asn(params.k, order), _g_of_v(params.k, order))
     f1 = _uh_factor(r1, params.h)
     f2 = f1 if r2.j == r1.j else _uh_factor(r2, params.h)
-    return (f1, f2) if source == "delta_uh" else (f1, f2, *lift_series(params.k, order))
+    lift = lift_series(params.k, order) if source == "delta2" else (None, None)
+    return FormSeries((f1, f2), *lift)
 
 
 def _forms(source, params, r1, r2, series):
-    """The normal forms (base, outer, NX, NY, NJ0) of a source from its
-    `_series`, all that it computes.  delta1: DX and the dressing d at
-    base = S1 + S2, DY = d L_1 d + d L_2 d and DJ0 = J0_1 + J0_2.  delta_uh:
-    the twisted coproduct (`_twisted`), DX its base.  delta2: DX and the
-    dressing q at the twisted DX, DY = q DY_uh q and DJ0 = DJ0_uh; at
-    k**2 = 1 the lift's map is exactly x and q exactly 1, so these are
-    delta_uh's bits."""
+    """The normal forms (base, NX, NY, NJ0) of a source from its `_series`,
+    all that it computes.  delta1: DX and the dressing d at base = S1 + S2,
+    DY = d L_1 d + d L_2 d and DJ0 = J0_1 + J0_2.  delta_uh: the twisted
+    coproduct (`_twisted`), DX its base.  delta2: DX and the dressing q at
+    the twisted DX, DY = q DY_uh q and DJ0 = DJ0_uh; at k**2 = 1 the lift's
+    map is exactly x and q exactly 1, so these are delta_uh's bits."""
     if source == "delta1":
-        base, (outer, dress) = r1.raising.tensor_sum(r2.raising), series
-        x, d = (e.coeffs for e in _at_half_h(base, params.h, (outer, 1), (dress, 0)))
+        base = r1.raising.tensor_sum(r2.raising)
+        x, d = (e.coeffs for e in _at_half_h(base, params.h, (series.outer, 1), (series.dress, 0)))
         nj0 = np.zeros((_IMAGE,) + d.shape)
         nj0[list(_J0)] = _unit(d.shape)
-        return base, outer, x, _sandwich(np.array([d, d]), np.array([d, d])), nj0
-    f1, f2, *lift = series
-    base, (p, q), nj0 = _twisted(f1, f2)
-    if not lift:
-        return base, None, base.coeffs, _sandwich(p, q), nj0
-    outer, dress = lift
-    x, dress = (e.coeffs for e in _at_half_h(base, params.h, (outer, 1), (dress, 0)))
+        return base, x, _sandwich(np.array([d, d]), np.array([d, d])), nj0
+    base, (p, q), nj0 = _twisted(*series.factors)
+    if source == "delta_uh":
+        return base, base.coeffs, _sandwich(p, q), nj0
+    x, dress = (e.coeffs for e in _at_half_h(base, params.h, (series.outer, 1), (series.dress, 0)))
     dressed = _products(np.array([dress, dress, *q]), np.array([*p, dress, dress]))
-    return base, outer, x, _sandwich(dressed[:2], dressed[2:]), nj0
+    return base, x, _sandwich(dressed[:2], dressed[2:]), nj0
 
 
 def _twist_series(sign, order):
@@ -445,12 +454,12 @@ def _swap_gaps(ct):
     Delta' ct's coproduct on the swapped factors, whose forms the swap tau
     takes to ct's (_TAU).  Equal factors reuse ct's own forms (build_spin is
     deterministic in j); unequal ones build the swapped forms, no gather,
-    from ct's series with the factors' parts exchanged (delta1's have none)."""
+    from ct's series with the factors reversed."""
     if ct.r1.j == ct.r2.j:
         x, ny, nj0 = ct.NX, ct.NY, ct.NJ0
     else:
-        s = ct.series if ct.source == "delta1" else (ct.series[1], ct.series[0], *ct.series[2:])
-        *_, x, ny, nj0 = _forms(ct.source, ct.params, ct.r2, ct.r1, s)
+        series = ct.series._replace(factors=ct.series.factors[::-1])
+        _, x, ny, nj0 = _forms(ct.source, ct.params, ct.r2, ct.r1, series)
     return ct.NX - x.T, ct.NY - ny[_TAU].swapaxes(1, 2), ct.NJ0 - nj0[_TAU].swapaxes(1, 2)
 
 

@@ -263,8 +263,7 @@ class RaisingPoly:
 
 def _poly_apply(table, x):
     """sum c_i x**i in A for each coefficient row c of table, as elements on
-    x's factors; a complex 2-D table as wide as the bound of x plus one is
-    read in place.
+    x's factors.
 
     x must be a_1 + ... + a_m, a_i a polynomial in S_i alone; the a_i
     commute, so the result is c_|k| multinomial(k) contracted with each
@@ -275,12 +274,10 @@ def _poly_apply(table, x):
         raise DomainError("series application needs a strictly upper-triangular argument, "
                           "an element of A without constant term")
     shape, m = arg.shape, arg.ndim
-    width = sum(shape) - m + 1
-    if not (isinstance(table, np.ndarray) and table.shape[1] == width and table.dtype == complex):
-        rows, table = table, np.zeros((len(table), width), dtype=complex)
-        for row, c in zip(table, rows):
-            c = c[:width]
-            row[: c.size] = c
+    rows, table = table, np.zeros((len(table), sum(shape) - m + 1), dtype=complex)
+    for row, c in zip(table, rows):
+        c = c[: len(row)]
+        row[: c.size] = c
     real = ~table.imag.any(axis=1)      # a real series keeps float64 beside a complex one
     table = table.real if real.all() else table
     if m == 1 and _is_generator(arg):     # x = S: the coefficients themselves
@@ -405,29 +402,20 @@ def _weighted(nfs, kinds, grids, factors):
     return b, kind, part
 
 
-def _contraction(nfs, kinds, grids):
-    """(last, part, spans): the terms weighted on the first m - 1 factors
-    (`_weighted`) as part[o_m, term, ...], the last factor's weights on its
-    (offset, row) grid as last[o_m, r_m, term], and each normal form's
-    slice (lo, hi) of the terms, so that nfs[n]'s entries are
-    last[..., lo:hi] @ part[:, lo:hi].  The caller ignores overflow."""
-    b, kind, part = _weighted(nfs, kinds, grids, len(grids) - 1)
+def _entries(nfs, kinds, *grids):
+    """The entries of normal forms nfs[n] of several kinds, one at a time, as
+    E[o_m, r_m, r_1, c_1, ..., r_(m-1), c_(m-1)]: the terms weighted on the
+    first m - 1 factors (`_weighted`) and contracted with the last factor's
+    weights on its (offset, row) grid, one matmul per normal form, each into
+    the one buffer the first made: a yielded array holds until the next."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        b, kind, part = _weighted(nfs, kinds, grids, len(grids) - 1)
     last = _on_grid(grids[-1][0], kinds[-1, :, 1].max())[kinds[-1, kind, 0]].transpose(1, 2, 0)
     # [o_m, term, ...]; with no nonzero term, each matmul sums nothing and gives zeros
     part = part.reshape(len(part), math.prod(part.shape[1:-1]), last.shape[0]).transpose(2, 0, 1)
-    ends = np.searchsorted(b, np.arange(len(nfs) + 1)).tolist()     # b is sorted
-    return last, part, list(zip(ends[:-1], ends[1:]))
-
-
-def _entries(nfs, kinds, *grids):
-    """The entries of normal forms nfs[n] of several kinds, one at a time, as
-    E[o_m, r_m, r_1, c_1, ..., r_(m-1), c_(m-1)], one matmul per normal form
-    (`_contraction`), each into the one buffer the first made: a yielded
-    array holds until the next."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        last, part, spans = _contraction(nfs, kinds, grids)
+    ends = np.searchsorted(b, np.arange(len(nfs) + 1))     # b is sorted: each nfs[n] a slice
     entries = None
-    for lo, hi in spans:
+    for lo, hi in zip(ends[:-1], ends[1:]):
         with np.errstate(over="ignore", invalid="ignore"):
             entries = np.matmul(last[..., lo:hi], part[:, lo:hi], out=entries)
         yield entries
@@ -437,8 +425,8 @@ def _matrices(nfs, kinds, *grids):
     """The matrices of normal forms nfs[n] in Kronecker order: with one kind,
     elements of A, their terms weighted on every factor (`_weighted`; a
     matmul over one term would make -0.0 +0.0); with several, each normal
-    form's entries (`_contraction`), [r_m, c_m] from [o_m, r_m], written
-    before the next is made.  Overflow is named once, on the matrices."""
+    form's entries (`_entries`), [r_m, c_m] from [o_m, r_m], written before
+    the next is made.  Overflow is named once, on the matrices."""
     count, nkinds, *dims = nfs.shape
     m, d, size = len(dims), dims[-1], math.prod(dims)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -451,10 +439,7 @@ def _matrices(nfs, kinds, *grids):
         pairs = [x for x in dims[:-1] for _ in (0, 1)]
         order = (*range(2, 2 * m, 2), 0, *range(3, 2 * m, 2), 1)   # from [r_m, c_m, r_1, c_1, ...]
         out = np.empty((count, *dims, *dims), dtype=np.result_type(nfs, *(t for t, _ in grids)))
-        last, part, spans = _contraction(nfs, kinds, grids)
-        e = None
-        for matrix, (lo, hi) in zip(out, spans):
-            e = np.matmul(last[..., lo:hi], part[:, lo:hi], out=e)
+        for matrix, e in zip(out, _entries(nfs, kinds, *grids)):
             matrix[...] = e.reshape((d + s) * d, *pairs)[rows].transpose(order)
     return _finite(out.reshape(count, size, size))
 

@@ -67,10 +67,12 @@ def horner_compose(outer, inner):
 
 def _composition_pairs(n, rng):
     """(outer, inner) pairs at order n: exp at +-2 arctanh and sn at arcsn
-    (the coassociativity identities), and random real and complex series."""
+    (the coassociativity identities), arctanh at sn (the pullback
+    `hopf._x_from_factor_sn` makes), and random real and complex series."""
     yield exp_series(n), 2.0 * asn_series(1.0, n)
     yield exp_series(n), -2.0 * asn_series(1.0, n)
     yield sn_cn_dn_series(0.6, n)[0], asn_series(0.6, n)
+    yield asn_series(1.0, n), sn_cn_dn_series(0.6, n)[0]
     for i in (0, 1j):       # real, then complex
         outer, inner = ((rng.standard_normal(n + 1) + i * rng.standard_normal(n + 1))
                         / np.arange(1, n + 2) for _ in range(2))
@@ -78,10 +80,11 @@ def _composition_pairs(n, rng):
         yield TruncatedSeries(outer), TruncatedSeries(inner)
 
 
-@pytest.mark.parametrize("n", [1, 2, 12, 40, 80])
+@pytest.mark.parametrize("n", [1, 2, 12, 40, 80, 201])
 def test_power_table_composition_matches_horner(n):
     """Each coefficient of the power-table composition is within 1e-15 of
-    Horner's, relative to max(1, the composition of the absolute values)."""
+    Horner's, relative to max(1, the composition of the absolute values);
+    n = 201 is the largest order `hopf verify` composes at (j = 100)."""
     from elliptic_sl2.hopf import _term_sizes
 
     rng = np.random.default_rng(n)
@@ -90,6 +93,18 @@ def test_power_table_composition_matches_horner(n):
         assert got.order == ref.order == n
         gap = np.abs(got.coeffs - ref.coeffs) / np.maximum(1.0, _term_sizes(outer, inner))
         assert np.max(gap) <= 1e-15, (n, np.max(gap))
+
+
+def test_the_pullback_has_no_digits_at_its_top_orders_by_either_route():
+    """arctanh(sn(u, 0.6)) at n = 201: the absolute values compose to about
+    9e12 at the top orders, where the coefficients are about 1e-4, so
+    rounding alone leaves no digits there.  The two routes differ by at most
+    3.1e-4 (at order 201, where Horner gives 1.5e-4); a 400-bit composition
+    of the same inputs puts the power table 3.8e-4 and Horner 7.1e-5 from
+    the exact coefficients.  The bound pins that loss."""
+    outer, inner = asn_series(1.0, 201), sn_cn_dn_series(0.6, 201)[0]
+    gap = np.abs(outer.compose(inner).coeffs - horner_compose(outer, inner).coeffs)
+    assert np.max(gap) <= 4e-4
 
 
 def test_power_table_rows_are_successive_products():
