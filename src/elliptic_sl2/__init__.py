@@ -12,7 +12,6 @@ from .deform import (
     build_elliptic_triplet,
     build_jordanian_triplet,
     casimir,
-    deform_generators,
     invert_map,
     lift_uh_to_elliptic,
     relation_residuals,
@@ -82,7 +81,6 @@ __all__ = [
     "build_elliptic_triplet",
     "build_jordanian_triplet",
     "lift_uh_to_elliptic",
-    "deform_generators",
     "invert_map",
     "relation_residuals",
     "casimir",

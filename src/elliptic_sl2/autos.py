@@ -72,12 +72,13 @@ ELL_2K_IKP = ShiftSpec(kind="ell-2KiKp", du_a=2, du_b=1, epsilon=-1)
 
 
 def sign_involution(t):
-    """(X, Y, J0) -> (-X, -Y, J0); applying it twice is the identity.  The
-    image holds t's batch at Xhat with the odd G and sn negated, and t's
-    relation norms."""
+    """(X, Y, J0) -> (-X, -Y, J0), x -> -x; applying it twice is the
+    identity.  The image holds t's batch at x with the odd G and sn negated,
+    and t's relation norms."""
     if t.is_shifted():
         raise DomainError("sign involution is defined on unshifted triplets")
-    return _image_of(t, _sign_image_scope(t), Xhat=-t.Xhat, Yhat=-t.Yhat, provenance="auto")
+    return _image_of(t, _sign_image_scope(t), Xhat=-t.Xhat, Yhat=-t.Yhat, x=-t.x,
+                     provenance="auto")
 
 
 def _shifted(t, spec):

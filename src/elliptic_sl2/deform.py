@@ -18,10 +18,12 @@ odd, is realized by scaling coefficients rather than the matrix,
     sum_i  c_i (h/2)**i M**i,      sum_i  c_{2i+1} (h/2)**(2i) M**(2i+1),
 
 with one (h/2)**i table cut at the nilpotency bound of M, so h = 0 is an
-ordinary point of every formula, never a division.  The series taken at one
-argument go to one call of `liealg.apply_table`: at J+ (`SpinRep.raising`)
-they are coefficient vectors made matrices by one `densify` gather, and at
-Xhat they share one power stack.
+ordinary point of every formula, never a division.  Every such M is an
+element of the one-factor raising algebra A (`liealg.RaisingPoly`): J+
+(`SpinRep.raising`), or x, the nilpotent part of Xhat, which the builder
+makes at J+ and the triplet keeps.  The series taken at one argument go to
+one call of `liealg.apply_table`, and one `densify` gather makes their
+matrices; at x they share one power table of x.
 
 f = dG/du and the doubled form of f are identities between series, checked
 on coefficients through order dim - 1 and never on matrices: series that agree
@@ -31,19 +33,20 @@ Functions of Matrices, ch. 1), and a matrix adds only its basis's rounding.
 A triplet computes each of its matrix functions once and keeps it in a
 private memo, `DeformedTriplet._memo`, which is not an __init__ field, so
 `dataclasses.replace` starts an empty one.  So one triplet, its sign image
-and its period-shift images together make one gather at J+, build one
-power stack and form the relation products once.  The memo has three
-scopes, by what its values depend on:
+and its period-shift images together make one gather at J+, one power
+table and one gather at x, and form the relation products once.  The memo
+has three scopes, by what its values depend on:
 
 - "module": (rep, h, k) alone: every function of J+ the triplet needs
   besides its map (`_raising_terms`: F at J+, the algebraic route, and the
   factors of the Jordanian Casimir form) and the series gaps.  The builder
   fills it from the gather that makes Xhat; a lifted triplet, whose map is
-  not a series of J+, makes that one gather on first use.  Every image
-  shares it.
-- "nilpotent": what is taken at the nilpotent part N of Xhat.  First G, F,
-  sn and (cn dn)**(-1/2) at N, from one `apply_table` call; each
-  series has order dim, so it has the bits it would have alone.  Then the
+  taken at the Jordanian triplet's x rather than at J+, makes that one
+  gather on first use.  Every image shares it.
+- "nilpotent": what is taken at the nilpotent part N of Xhat, whose
+  element is x.  First G, F, sn and (cn dn)**(-1/2) at x, from one
+  `apply_table` call and one gather; each series has order dim, so it has
+  the bits it would have alone.  Then the
   relation norms (`_relation_norms`): the Frobenius norms of the residual
   matrices [N, Y] - 2 J0, [J0, N] - s G and [J0, Y] + (s F Y + Y s F)/2,
   s the shift parity, with |Y|, |J0|, |G| and |F|, and the gap between
@@ -51,14 +54,15 @@ scopes, by what its values depend on:
   with everything, o the offset, so no rounding of o enters them, and N is
   Xhat when unshifted; only |Xhat| is the triplet's own, and
   `relation_residuals` divides by it.
-  A period-shift image shares this scope: its Xhat is N plus o I, and its
-  nilpotent part is that minus o I: x + 0 - 0 = x off the diagonal and
-  0 + o - o = 0 on it, so it is N bit for bit (a zero may change sign).
-  The sign image's nilpotent part is -N, and it holds its own scope, its
-  base's with G and sn negated: G and sn are odd, F and (cn dn)**(-1/2)
-  even, and negation is exact in every power, block product and Horner
-  step of the dense calculus, so -G(N), F(N), -sn(N) and
-  (cn dn)**(-1/2)(N) are the bits an evaluation at -N gives.  Negation is
+  A period-shift image keeps x and shares this scope: its Xhat is N plus
+  o I, and its nilpotent part is that minus o I: a + 0 - 0 = a off the
+  diagonal and 0 + o - o = 0 on it, so it is N bit for bit (a zero may
+  change sign).  The sign image carries -x and -N, and it holds its own
+  scope, its base's with G and sn negated: G and sn are odd, F and
+  (cn dn)**(-1/2) even, and negation is exact in the rows of the power
+  table (those of -x are those of x times (-1)**r), in their contraction
+  with a series' coefficients and in the gather, so -G(x), F(x), -sn(x) and
+  (cn dn)**(-1/2)(x) are the bits an evaluation at -x gives.  Negation is
   exact in every product and sum of the relations too, so with R12, R13
   and R14 the base's residual matrices, each image's are +-R bit for bit
   and their norms are the base's:
@@ -95,8 +99,8 @@ import numpy as np
 from .elliptic import (asn_series, complete_K, complete_Kprime, sd_cd_nd_series,
                        sn_cn_dn_series)
 from .errors import DomainError
-from .liealg import (SpinRep, apply_table, commutator, densify, frobenius, nilpotency_bound,
-                     real_if_exact)
+from .liealg import (RaisingPoly, SpinRep, apply_table, commutator, densify, frobenius,
+                     nilpotency_bound)
 from .series import TruncatedSeries, pow_coeffs
 
 __all__ = [
@@ -110,8 +114,6 @@ __all__ = [
     "structure_matrices",
     "casimir",
     "relation_residuals",
-    "deform_generators",
-    "lift_generators",
     "lift_series",
     "relations_on_generators",
     "dressing_quartic_crosscheck",
@@ -142,9 +144,11 @@ class DeformedTriplet:
 
     (shift_a, shift_b) count u-offsets a*K + b*i*K'; at k**2 = 1, where
     K' = pi/2, a hyperbolic half shift is one i*K' step.  The stored Xhat
-    already contains the offset times the identity.  Values computed from
-    the arrays are memoised on the triplet (see the module docstring), so
-    the arrays must not be written to.
+    already contains the offset times the identity; x is its nilpotent
+    part, Xhat less the offset, as an element of the one-factor raising
+    algebra (`liealg.RaisingPoly`), where every function of Xhat is taken.
+    Values computed from the arrays are memoised on the triplet (see the
+    module docstring), so the arrays must not be written to.
     """
 
     Xhat: np.ndarray
@@ -153,6 +157,7 @@ class DeformedTriplet:
     params: DeformParams
     rep: SpinRep
     provenance: str  # "direct" | "uh" | "lifted" | "auto"
+    x: RaisingPoly
     shift_a: int = 0
     shift_b: int = 0
     # Values computed from this triplet, by scope (see the module docstring);
@@ -279,16 +284,15 @@ def _raising_terms(k, order):
 
 def _half_h_powers(h, n):
     """(h/2)**i for i = 0..n, real at real h; a domain error when one of them
-    overflows."""
+    overflows (complex ** int may raise, or return NaN parts)."""
     half = complex(h) / 2.0
     try:
-        powers = np.array([half ** i for i in range(n + 1)], dtype=complex)
-        # complex ** int may raise on overflow, or return NaN parts
-        if np.isfinite(powers).all():
-            return real_if_exact(powers)
+        powers = [half ** i for i in range(n + 1)]
     except OverflowError:
-        pass
-    raise DomainError(f"(h/2)**i for i <= {n} overflows at h = {h}")
+        powers = [cmath.nan]
+    if not all(map(cmath.isfinite, powers)):
+        raise DomainError(f"(h/2)**i for i <= {n} overflows at h = {h}")
+    return np.array(powers if any(p.imag for p in powers) else [p.real for p in powers])
 
 
 def _at_half_h(mat, h, *terms):
@@ -297,19 +301,17 @@ def _at_half_h(mat, h, *terms):
     p = 0 is the plain map F((h/2) M); p = 1 is the odd map (2/h) F((h/2) M),
     written without the division, so F must have zero constant term.  Each
     coefficient c_i is scaled by (h/2)**(i-p) from one table cut at the
-    nilpotency bound of M (a matrix or an element of A), straight into the
-    coefficient rows of one `apply_table` call."""
+    nilpotency bound of M, an element of A, straight into the coefficient
+    table of one `apply_table` call."""
     n = min(nilpotency_bound(mat), max(s.order for s, _ in terms))
     powers = _half_h_powers(h, n)
-    rows = []
-    for s, p in terms:
+    table = np.zeros((len(terms), n + 1), dtype=complex)
+    for row, (s, p) in zip(table, terms):
         if p and s.coeffs[0] != 0:
             raise DomainError("rescaled application needs a series with zero constant term")
         m = min(s.order, n)
-        row = np.zeros(m + 1, dtype=complex)
-        row[p:] = s.coeffs[p: m + 1] * powers[: m + 1 - p]
-        rows.append(row)
-    return apply_table(rows, mat)
+        np.multiply(s.coeffs[p: m + 1], powers[: m + 1 - p], out=row[p: m + 1])
+    return apply_table(table, mat)
 
 
 def x_offset(t):
@@ -345,12 +347,12 @@ def _at_raising(t):
 
 
 def _at_nilpotent_part(t):
-    """(G, F, sn, (cn dn)**(-1/2)) at the nilpotent part of Xhat, G and sn
-    rescaled by 2/h, from one power stack."""
+    """(G, F, sn, (cn dn)**(-1/2)) at the nilpotent part x of Xhat, G and sn
+    rescaled by 2/h, from one power table of x and one gather."""
     k, h, order = t.params.k, t.params.h, t.rep.dim
-    return _remember(t, "nilpotent", "G F sn m", lambda: tuple(_at_half_h(
-        _x_nilpotent(t), h, (_G_series(k, order), 1), (_F_series(k, order), 0),
-        (_sncndn(k, order)[0], 1), (_g_inv_of_u(k, order), 0))))
+    return _remember(t, "nilpotent", "G F sn m", lambda: tuple(densify(_at_half_h(
+        t.x, h, (_G_series(k, order), 1), (_F_series(k, order), 0),
+        (_sncndn(k, order)[0], 1), (_g_inv_of_u(k, order), 0)))))
 
 
 def _parity_sign(t):
@@ -371,21 +373,16 @@ def _sign_image_scope(t):
 # -- construction -------------------------------------------------------------
 
 
-def deform_generators(Jp, Jm, params, order):
-    """Apply the nonlinear map to an abstract (raising, lowering) pair."""
-    xhat, g = _at_half_h(Jp, params.h, (_asn(params.k, order), 1), (_g_of_v(params.k, order), 0))
-    yhat = g @ Jm @ g
-    return xhat, yhat
-
-
 def build_elliptic_triplet(rep, params):
     """Deformed triplet (Xhat, Yhat, J0) on the spin-j module, from one gather
-    at J+ that also fills the module scope (`_at_raising`)."""
+    at J+ that also fills the module scope (`_at_raising`); the triplet keeps
+    Xhat's element x."""
     k, order = params.k, rep.dim
-    xhat, d, *at_raising = densify(_at_half_h(rep.raising, params.h, (_asn(k, order), 1),
-                                              (_g_of_v(k, order), 0), *_raising_terms(k, order)))
+    elements = _at_half_h(rep.raising, params.h, (_asn(k, order), 1), (_g_of_v(k, order), 0),
+                          *_raising_terms(k, order))
+    xhat, d, *at_raising = densify(elements)
     t = DeformedTriplet(Xhat=xhat, Yhat=d @ rep.Jm @ d, J0=rep.J0.copy(), params=params,
-                        rep=rep, provenance="direct")
+                        rep=rep, provenance="direct", x=elements[0])
     _remember(t, "module", "at J+", lambda: tuple(at_raising))
     return t
 
@@ -413,23 +410,17 @@ def lift_series(k, order):
             TruncatedSeries(pow_coeffs(q4, 0.25)))
 
 
-def lift_generators(X, Y, params, order):
-    """Lift a hyperbolic pair (X, Y) to the elliptic one at modulus k."""
-    k, h = params.k, params.h
-    through, q = lift_series(k, order)
-    xhat, qx = _at_half_h(X, h, (through, 1), (q, 0))
-    yhat = qx @ Y @ qx
-    return xhat, yhat
-
-
 def lift_uh_to_elliptic(t, k):
-    """Change coordinates from a k**2 = 1 triplet to modulus k."""
+    """Change coordinates from a k**2 = 1 triplet to modulus k: the lift's
+    map and dressing (`lift_series`) at its x, and one gather."""
     if t.params.ksq != 1 or t.is_shifted():
         raise DomainError("lift needs an unshifted triplet at k**2 = 1")
     params = DeformParams(h=t.params.h, k=k)
-    xhat, yhat = lift_generators(t.Xhat, t.Yhat, params, t.rep.dim)
-    return DeformedTriplet(Xhat=xhat, Yhat=yhat, J0=t.J0.copy(), params=params,
-                           rep=t.rep, provenance="lifted")
+    through, q = lift_series(k, t.rep.dim)
+    x, q = _at_half_h(t.x, params.h, (through, 1), (q, 0))
+    xhat, qx = densify([x, q])
+    return DeformedTriplet(Xhat=xhat, Yhat=qx @ t.Yhat @ qx, J0=t.J0.copy(), params=params,
+                           rep=t.rep, provenance="lifted", x=x)
 
 
 def invert_map(t):
@@ -458,8 +449,8 @@ def _inverse(t):
 
 def structure_matrices(t):
     """(G, F routes, parity): G, the structure function of [J0, Xhat]; F, that
-    of [J0, Yhat], along two routes (the primary form at Xhat, from one power
-    stack of its nilpotent part with G, and the algebraic form at J+); and the
+    of [J0, Yhat], along two routes (the primary form at Xhat, taken with G
+    at its nilpotent part x, and the algebraic form at J+); and the
     sign the shift parity puts on the Xhat forms, which are returned without
     it.  The relations take parity * G and parity * F["primary"]."""
     g, primary, _, _ = _at_nilpotent_part(t)

@@ -82,7 +82,6 @@ from .liealg import (
     RaisingPoly,
     SpinRep,
     frobenius,
-    mat_apply_series,
     real_if_exact,
     worst,
     _entries,
@@ -491,9 +490,9 @@ def verify_coproduct(ct):
     k, h = ct.params.k, ct.params.h
     g, f = (s(k, _pair_order(ct.r1, ct.r2)) for s in (_G_series, _F_series))
     alt = []
-    if ct.outer is not None:     # both compositions from one call, in one variable
-        unit = RaisingPoly(ct.outer.coeffs, (np.ones(ct.outer.order),))
-        g, f = (TruncatedSeries(x.coeffs) for x in mat_apply_series([g, f], unit))
+    if ct.outer is not None:     # both compositions from one power table of outer
+        powers = power_table(ct.outer.coeffs)
+        g, f = (TruncatedSeries(s.coeffs @ powers) for s in (g, f))
         alt = [_x_from_factor_sn(ct)]
     g, f, *alt = (e.coeffs for e in _at_half_h(ct.base, h, (g, 1), (f, 0)) + alt)
     x = ct.NX

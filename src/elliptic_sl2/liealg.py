@@ -3,35 +3,29 @@
 Basis order is m = j, j-1, ..., -j, so the raising operator is strictly
 upper triangular and every power series applied to it is a finite sum.
 
-The functional calculus (`mat_apply_series`) has two routes, by the type of
-its argument:
+The functional calculus (`mat_apply_series`) takes its argument in the
+commutative algebra
 
-- a `RaisingPoly`, an element of the commutative algebra
+    A = C[S_1, ..., S_m] / (S_1**d_1, ..., S_m**d_m)
 
-      A = C[S_1, ..., S_m] / (S_1**d_1, ..., S_m**d_m)
-
-  of the raising operators S_i (superdiagonal w_i) of m spin-module
-  factors, at a sum a_1(S_1) + ... + a_m(S_m) of one-factor parts: J+
-  (`SpinRep.raising`), every coproduct's base, or one variable at unit
-  weights, where a series of a series is their composition.  It is
-  evaluated on coefficient arrays, each part's powers the rows of its
-  `series.power_table`, the table every composition is made from, and one
-  gather (`_matrices`) makes the matrices of elements (`densify`) and of
-  normal forms over A: S**a has
-  entry prod_i prod(w_i[r_i : r_i + a_i]) at row r and column r + a, so a
-  term is its coefficients by offset c - r times those products (the
-  Toeplitz form of a Jordan block, Higham, Functions of Matrices, SIAM 2008,
-  ch. 1), with one 2**e rescale (`_weights`) past double range;
-- a matrix M of dimension d: M**d = 0, so the series is cut at order d - 1
-  without error and evaluated baby-step/giant-step (Paterson and Stockmeyer,
-  SIAM J. Comput. 2(1), 1973) in about 2 sqrt(n) matmuls of size d.  This
-  is the route of every function of a spin module's Xhat, and the reference
-  the algebra is tested against.
+of the raising operators S_i (superdiagonal w_i) of m spin-module factors,
+as a `RaisingPoly` that is a sum a_1(S_1) + ... + a_m(S_m) of one-factor
+parts: J+ (`SpinRep.raising`), a triplet's Xhat less its offset, or every
+coproduct's base.  Every function of a nilpotent generator is taken this
+way, and a matrix argument is refused: a series of an element is an
+element, evaluated on coefficient arrays, each part's powers the rows of
+its `series.power_table`, the table every composition is made from.  One
+gather (`_matrices`) makes the matrices of elements (`densify`) and of
+normal forms over A: S**a has entry prod_i prod(w_i[r_i : r_i + a_i]) at
+row r and column r + a, so a term is its coefficients by offset c - r times
+those products (the Toeplitz form of a Jordan block, Higham, Functions of
+Matrices, SIAM 2008, ch. 1), with one 2**e rescale (`_weights`) past double
+range.
 
 Several series at one argument are one call: the argument is validated once
-and its power stack (or each part's power table) is built once, and each
-series gives the same bits as it would alone.  `apply_table` takes the
-series as a table of coefficient rows, which `deform` writes directly.
+and each part's power table is built once, and each series gives the same
+bits as it would alone.  `apply_table` takes the series as a table of
+coefficient rows, which `deform` writes directly.
 
 The dtype follows the inputs.  `real_if_exact` is the one place that
 decides it, for every matrix, coefficient array and superdiagonal that
@@ -69,10 +63,12 @@ __all__ = [
 
 
 # The largest module build_spin makes: dimension 401, j = 200.  A cold
-# `deform verify --h 0.8 --k 0.6` there peaked at 93 MB before it stopped on
-# the unitary basis's overflow (44 MB at j = 80).  The dense calculus holds
-# about 2 sqrt(dim) matrices of dim**2 entries, float64 at real h and k and
-# complex128 otherwise; at j = 5000 a single real matrix would take 0.8 GB.
+# `deform verify --h 0.8 --k 0.6` peaked at 38 MB at j = 80, and at 52 MB at
+# j = 200, where it stops on the unitary basis's overflow (2-vCPU VM).  Every
+# function of Xhat is taken on coefficient arrays of length dim; what grows as
+# dim**2 is the generators, their gathered functions and the relation
+# products, float64 at real h and k and complex128 otherwise; at j = 5000 a
+# single real matrix would take 0.8 GB.
 MAX_SPIN_DIM = 401
 
 
@@ -133,98 +129,22 @@ def commutator(a, b):
     return a @ b - b @ a
 
 
-def _strictly_upper(mat):
-    mat = real_if_exact(mat)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DomainError("series application needs a square matrix")
-    if mat[_lower_mask(mat.shape[0])].any():
-        if not np.isfinite(mat).all():
-            raise DomainError("series application got a matrix with non-finite entries: "
-                              "an earlier step overflowed double precision")
-        raise DomainError("series application needs a strictly upper-triangular matrix")
-    return mat
+def nilpotency_bound(x):
+    """The highest power of an element x of A that can be nonzero, the highest
+    total degree of A, sum(d_i - 1).  Every series is exact when cut there."""
+    return sum(x.coeffs.shape) - x.coeffs.ndim
 
 
-@lru_cache(maxsize=8)
-def _lower_mask(dim):
-    """The diagonal and everything below it; indexing with it costs about a
-    third of np.tril."""
-    return np.tri(dim, dtype=bool)
-
-
-def nilpotency_bound(mat):
-    """The highest power of a strictly upper-triangular argument that can be
-    nonzero: dim - 1 for a matrix, and the highest total degree of A,
-    sum(d_i - 1), for an element.  Every series is exact when cut there."""
-    if isinstance(mat, RaisingPoly):
-        return sum(mat.coeffs.shape) - mat.coeffs.ndim
-    return np.shape(mat)[0] - 1
-
-
-def _power_stack(mat, count):
-    """I, M, ..., M**(count-1) stacked along the first axis."""
-    powers = np.empty((count,) + mat.shape, dtype=mat.dtype)
-    powers[0] = np.eye(mat.shape[0])
-    if count > 1:
-        powers[1] = mat
-    for r in range(2, count):
-        powers[r] = powers[r - 1] @ mat
-    return powers
-
-
-def mat_apply_series(s, mat):
-    """sum c_i M**i for a strictly upper-triangular (hence nilpotent) M, given
-    as a matrix or as a `RaisingPoly`; an element gives elements on its
-    factors (`densify` makes them matrices).
+def mat_apply_series(s, x):
+    """sum c_i x**i for an element x of A without constant term (hence
+    nilpotent), as elements on x's factors (`densify` makes them matrices).
 
     s is one series, or a sequence of series at the same argument, which
     gives a list, from one `apply_table` call on their coefficients.
     """
     batch = isinstance(s, (list, tuple))
-    out = apply_table([t.coeffs for t in (s if batch else [s])], mat)
+    out = apply_table([t.coeffs for t in (s if batch else [s])], x)
     return out if batch else out[0]
-
-
-def apply_table(table, mat):
-    """sum c_i M**i for each row c of table, coefficient vectors of any
-    lengths (a list of them, or the rows of a 2-D array), as a list.
-
-    M is validated once and one power stack is built (for an element, which
-    must be a sum of one-factor parts, one power table per factor); each row
-    then costs only its own products, and gives the same bits as alone.
-
-    Each row is clipped to n = min(its order, nilpotency_bound(M)), which is
-    exact; so every order past the bound gives the same bits.  On a matrix,
-    with step = isqrt(n + 1), the baby steps I, M, ..., M**(step-1) are
-    stacked once, every block sum_r c_(b*step+r) M**r comes out of one
-    product with the coefficient table, and Horner in M**step runs over the
-    blocks.
-    """
-    if isinstance(mat, RaisingPoly):
-        return _poly_apply(table, mat)
-    mat = _strictly_upper(mat)
-    rows = [c[: nilpotency_bound(mat) + 1] for c in table]
-    steps = [math.isqrt(c.size) for c in rows]
-    # the baby steps of every row, and the giant step of the largest
-    powers = _power_stack(mat, max(steps, default=0) + 1)
-    return [_blocked_horner(c, powers, step) for c, step in zip(rows, steps)]
-
-
-def _blocked_horner(c, powers, step):
-    """sum c_i M**i from the stack I, M, ..., M**step: one product of the
-    coefficient table with the baby steps gives every block, and Horner in
-    M**step runs over them.  Only this call's block table is alive."""
-    c = real_if_exact(c)
-    n = c.size - 1
-    dim = powers.shape[1]
-    nblk = -(-(n + 1) // step)
-    table = np.zeros(nblk * step, dtype=c.dtype)
-    table[: n + 1] = c
-    blocks = (table.reshape(nblk, step) @ powers[:step].reshape(step, dim * dim)).reshape(nblk, dim, dim)
-    acc = blocks[-1]
-    for b in range(nblk - 2, -1, -1):
-        acc = acc @ powers[step] + blocks[b]
-    return acc
 
 
 class RaisingPoly:
@@ -248,6 +168,9 @@ class RaisingPoly:
         x.coeffs, x.w = coeffs, w
         return x
 
+    def __neg__(self):
+        return RaisingPoly._on(-self.coeffs, self.w)
+
     def tensor_sum(self, other):
         """self x 1 + 1 x other, on the factors of self followed by those of
         other."""
@@ -261,14 +184,21 @@ class RaisingPoly:
         return densify([self])[0]
 
 
-def _poly_apply(table, x):
-    """sum c_i x**i in A for each coefficient row c of table, as elements on
-    x's factors.
+def apply_table(table, x):
+    """sum c_i x**i in A for each row c of table, coefficient vectors of any
+    lengths (a list of them, or the rows of a 2-D array), as a list of
+    elements on x's factors.
 
     x must be a_1 + ... + a_m, a_i a polynomial in S_i alone; the a_i
     commute, so the result is c_|k| multinomial(k) contracted with each
-    a_i's powers (none at a_i = S_i), on d_i-square tables.  Any other x,
-    whose powers would need its D x D multiplication matrix, is refused."""
+    a_i's powers (none at a_i = S_i), on d_i-square tables, one per part,
+    built once for every row; each row gives the same bits as alone, and
+    is clipped to the nilpotency bound of x, so every order past it gives
+    the same bits.  Any other x, whose powers would need its D x D
+    multiplication matrix, and any matrix, are refused."""
+    if not isinstance(x, RaisingPoly):
+        raise DomainError("series application takes an element of the raising algebra "
+                          "(a RaisingPoly), not a matrix")
     arg = real_if_exact(x.coeffs)
     if arg.flat[0] != 0:
         raise DomainError("series application needs a strictly upper-triangular argument, "
@@ -280,14 +210,18 @@ def _poly_apply(table, x):
         row[: c.size] = c
     real = ~table.imag.any(axis=1)      # a real series keeps float64 beside a complex one
     table = table.real if real.all() else table
-    if m == 1 and _is_generator(arg):     # x = S: the coefficients themselves
-        return [RaisingPoly._on(row.real if r else row, x.w) for row, r in zip(table, real)]
-    parts = [arg[(0,) * i + (slice(None),) + (0,) * (m - i - 1)] for i in range(m)]
-    if np.count_nonzero(arg) > sum(map(np.count_nonzero, parts)):
-        raise DomainError("series application needs a sum of one-factor parts in A")
-    powers = [None if _is_generator(a) else power_table(a) for a in parts]
-    weights, degree = _multinomials(shape)
-    coeffs, out = weights * table[:, degree], [None] * len(table)
+    if m == 1:      # x is its one part, and every multinomial is 1
+        if _is_generator(arg):     # x = S: the coefficients themselves
+            return [RaisingPoly._on(row.real if r else row, x.w) for row, r in zip(table, real)]
+        powers, coeffs = [power_table(arg)], table
+    else:
+        parts = [arg[(0,) * i + (slice(None),) + (0,) * (m - i - 1)] for i in range(m)]
+        if np.count_nonzero(arg) > sum(map(np.count_nonzero, parts)):
+            raise DomainError("series application needs a sum of one-factor parts in A")
+        powers = [None if _is_generator(a) else power_table(a) for a in parts]
+        weights, degree = _multinomials(shape)
+        coeffs = weights * table[:, degree]
+    out = [None] * len(table)
     for rows in (np.flatnonzero(real), np.flatnonzero(~real)):     # float64, then complex
         if not rows.size:
             continue
@@ -342,8 +276,15 @@ def _weights(w):
     below, for superdiagonal w, and the exponent e of the one rescale: where
     a product leaves double range (at spin 100, prod(w) reaches 200!), P is
     taken at w / 2**e, 2**e at most the geometric mean of |w|, and each
-    coefficient of S**a times 2**(e a) (`_scaled`), both exactly."""
-    row, lower, e = np.empty(w.size + 1, dtype=w.dtype), _lower_mask(w.size + 1), 0
+    coefficient of S**a times 2**(e a) (`_scaled`), both exactly.  A module's
+    table is made once, by its superdiagonal's bytes, and is read-only."""
+    return _weights_of(w.tobytes(), w.dtype.str)
+
+
+@lru_cache(maxsize=16)
+def _weights_of(data, dtype):
+    w = np.frombuffer(data, dtype=dtype)
+    row, lower, e = np.empty(w.size + 1, dtype=w.dtype), np.tri(w.size + 1, dtype=bool), 0
     row[0], row[1:] = 1, w
     with np.errstate(over="ignore", invalid="ignore"):
         p = np.where(lower, 1, row).cumprod(axis=1)
@@ -351,7 +292,9 @@ def _weights(w):
             e = int(np.frexp(abs(w))[1].sum()) // max(w.size, 1) - 1
             row[1:] = _ldexp(w, -e)
             p = np.where(lower, 1, row).cumprod(axis=1)
-    return np.where(lower.T, p, 0), e
+    p = np.where(lower.T, p, 0)
+    p.flags.writeable = False
+    return p, e
 
 
 def _scaled(c, grids):

@@ -7,8 +7,8 @@ from elliptic_sl2 import deform, hopf, liealg
 
 class CalculusCalls:
     """The work of the functional calculus, one entry per call in call order:
-    ("stack", M) for each power stack of a matrix M, ("horner", None) for
-    each blocked Horner run over one, ("gather", None) for each gather that
+    ("table", a) for each power table the calculus builds of a one-factor
+    part a (`liealg.power_table`), ("gather", None) for each gather that
     makes matrices of elements of the raising algebra (`liealg.densify`),
     ("images", None) for each gather of coproduct images from their normal
     forms (`hopf._gather`, one per coproduct build), and ("relations", None)
@@ -20,14 +20,14 @@ class CalculusCalls:
     def clear(self):
         self.log.clear()
 
-    def stacks(self):
-        """The argument of every power stack, in call order."""
-        return [m for kind, m in self.log if kind == "stack"]
+    def tables(self):
+        """The part of every power table, in call order."""
+        return [a for kind, a in self.log if kind == "table"]
 
     def counts(self):
-        """(stacks, gathers, Horner runs)."""
+        """(power tables, gathers)."""
         kinds = [kind for kind, _ in self.log]
-        return kinds.count("stack"), kinds.count("gather"), kinds.count("horner")
+        return kinds.count("table"), kinds.count("gather")
 
     def relations(self):
         """How many times the relation products were formed."""
@@ -38,8 +38,7 @@ class CalculusCalls:
 def calculus_calls(monkeypatch):
     """A CalculusCalls that records from now until the test ends."""
     calls = CalculusCalls()
-    for module, name, kind in ((liealg, "_power_stack", "stack"),
-                               (liealg, "_blocked_horner", "horner"),
+    for module, name, kind in ((liealg, "power_table", "table"),
                                (liealg, "densify", "gather"),
                                (deform, "densify", "gather"),
                                (hopf, "_gather", "images"),
@@ -47,7 +46,7 @@ def calculus_calls(monkeypatch):
         real = getattr(module, name)
 
         def counted(*args, real=real, kind=kind):
-            calls.log.append((kind, args[0] if kind == "stack" else None))
+            calls.log.append((kind, args[0] if kind == "table" else None))
             return real(*args)
 
         monkeypatch.setattr(module, name, counted)

@@ -25,7 +25,6 @@ from elliptic_sl2.deform import (
     build_elliptic_triplet,
     build_jordanian_triplet,
     casimir,
-    deform_generators,
     invert_map,
     lift_uh_to_elliptic,
     relation_residuals,
@@ -282,19 +281,24 @@ def test_c12_normal_ordering_engine():
 
 
 def test_c13_truncation_sufficiency_at_spin_five_half():
+    from elliptic_sl2.deform import _asn, _at_half_h, _g_of_v
+    from elliptic_sl2.liealg import densify
+
     rep = build_spin(2.5)
     p = DeformParams(h=0.6, k=0.8)
-    x_full, y_full = deform_generators(rep.Jp, rep.Jm, p, rep.dim)
-    x_big, y_big = deform_generators(rep.Jp, rep.Jm, p, 12)
+
+    def generators(asn, g):
+        """Xhat and Yhat on rep from the map's two series, at J+ in A."""
+        x, d = densify(_at_half_h(rep.raising, p.h, (asn, 1), (g, 0)))
+        return x, d @ rep.Jm @ d
+
+    x_full, y_full = generators(_asn(p.k, rep.dim), _g_of_v(p.k, rep.dim))
+    x_big, y_big = generators(_asn(p.k, 12), _g_of_v(p.k, 12))
     assert np.array_equal(x_full, x_big)
     assert np.array_equal(y_full, y_big)
     # the dim-6 module sees the odd map only through order 5 and the even
     # dressing only through order 4, whatever their higher coefficients are
-    from elliptic_sl2.deform import _asn, _at_half_h, _g_of_v
-
-    x_trunc, g_trunc = _at_half_h(rep.Jp, p.h, (_asn(p.k, 12).truncated(5), 1),
-                                  (_g_of_v(p.k, 12).truncated(4), 0))
-    y_trunc = g_trunc @ rep.Jm @ g_trunc
+    x_trunc, y_trunc = generators(_asn(p.k, 12).truncated(5), _g_of_v(p.k, 12).truncated(4))
     assert np.array_equal(x_trunc, x_full)
     assert np.array_equal(y_trunc, y_full)
     announce("C13 truncation sufficiency on the six-dimensional module", 0.0, 1e-15)

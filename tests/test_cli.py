@@ -361,11 +361,12 @@ def test_one_set_of_triplet_checks_behind_every_verb(capsys):
 
 @pytest.mark.parametrize("model", [["--k", "0.6"], ["--jordanian"]])
 def test_deform_verify_makes_one_gather_and_one_power_stack(model, calculus_calls, capsys):
-    """The build's gather at J+ and one batch at Xhat serve every relation,
-    all three Casimir forms and the round trip."""
+    """The build's gather at J+ and one batch at x, one power table and one
+    gather, serve every relation, all three Casimir forms and the round
+    trip."""
     code, verify = main_json(capsys, "deform", "verify", "--j", "4", "--h", "0.7", *model)
     assert code == 0 and verify["pass"] is True
-    assert calculus_calls.counts() == (1, 1, 4)
+    assert calculus_calls.counts() == (1, 2)
 
 
 def test_sweep_elliptic_marks_unit_modulus_as_error():
@@ -419,16 +420,29 @@ def main_json(capsys, *argv):
 
 
 def test_nan_residuals_fail_the_verdict(capsys):
-    # At j = 2, h = 1e60 the matrix F(Xhat) itself overflows in its matmuls.
-    code, payload = main_json(capsys, "sweep", "--families", "deform", "--j", "2",
+    # At j = 2.5, h = 1e60 the dressing's matmuls that make Yhat = d J- d
+    # overflow (Xhat's corner entry is about 8e239), and the relations meet
+    # inf - inf.
+    code, payload = main_json(capsys, "sweep", "--families", "deform", "--j", "2.5",
                               "--h", "1e60", "--k", "0.6")
     row = payload["rows"][0]
     assert code == 1 and payload["pass"] is False and row["pass"] is False
     assert row["eq14"] == "NaN" and row["worst"] == "NaN"
-    code, payload = main_json(capsys, "auto", "shift", "--which", "sign", "--j", "2",
+    code, payload = main_json(capsys, "auto", "shift", "--which", "sign", "--j", "2.5",
                               "--h", "1e60", "--k", "0.6")
     assert code == 1 and payload["pass"] is False
     assert payload["report"]["eq14"] == "NaN" and payload["worst"] == "NaN"
+
+
+def test_structure_functions_at_x_stay_finite_at_a_huge_h(capsys):
+    """At j = 2, h = 1e60 F is taken on Xhat's element x, so no power of
+    Xhat's matrix overflows: eq14 and the two routes to F stay finite and
+    small, and the row fails on the elliptic Casimir form's rounding alone."""
+    code, payload = main_json(capsys, "sweep", "--families", "deform", "--j", "2",
+                              "--h", "1e60", "--k", "0.6")
+    row = payload["rows"][0]
+    assert row["eq14"] < 1e-15 and row["f_eq15_vs_eq17"] < 1e-15
+    assert code == 1 and row["pass"] is False and row["casimir_elliptic"] == row["worst"] == 1.0
 
 
 def test_residuals_stay_finite_where_the_squared_norm_overflows(capsys):

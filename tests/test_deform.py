@@ -28,7 +28,6 @@ from elliptic_sl2.deform import (
     build_elliptic_triplet,
     build_jordanian_triplet,
     casimir,
-    deform_generators,
     dressing_quartic_crosscheck,
     invert_map,
     lift_series,
@@ -38,8 +37,10 @@ from elliptic_sl2.deform import (
 )
 from elliptic_sl2.elliptic import sd_cd_nd_series, sn_cn_dn_coeffs
 from elliptic_sl2.errors import DomainError
-from elliptic_sl2.liealg import RaisingPoly, build_spin, frobenius, mat_apply_series
+from elliptic_sl2.liealg import build_spin, densify, frobenius
 from elliptic_sl2.series import TruncatedSeries, exp_series, pow_coeffs
+from reference_dense import (at_half_h as dense_at_half_h, deform_generators,
+                             mat_apply_series as dense_apply)
 
 
 def residual_ok(report, tol, skip=("epsilon",)):
@@ -249,15 +250,16 @@ def test_doubled_form_check_reads_every_order_a_matrix_sees(monkeypatch):
 def test_relation_residuals_evaluate_one_batch_at_xhat(calculus_calls):
     t = build_elliptic_triplet(build_spin(2.5), DeformParams(h=0.7, k=0.6))
     calculus_calls.clear()
-    # G, F, sn and (cn dn)**(-1/2) at Xhat in one batch; F at J+ came with the
-    # build's gather, and the series gaps use no matrix
+    # G, F, sn and (cn dn)**(-1/2) at x in one batch, from one power table
+    # and one gather; F at J+ came with the build's gather, and the series
+    # gaps use no matrix
     relation_residuals(t)
-    assert calculus_calls.counts() == (1, 0, 4)
+    assert calculus_calls.counts() == (1, 1)
     assert calculus_calls.relations() == 1
     calculus_calls.clear()
     invert_map(t)   # sn and (cn dn)**(-1/2) from that batch
     relation_residuals(t)   # the relation norms, and no product
-    assert calculus_calls.counts() == (0, 0, 0)
+    assert calculus_calls.counts() == (0, 0)
     assert calculus_calls.relations() == 0
 
 
@@ -269,7 +271,8 @@ def test_a_modulus_whose_square_overflows_is_refused_by_name():
 
 
 def test_generator_map_is_order_stable():
-    # asking for more series order than the module can see changes nothing
+    # asking for more series order than the module can see changes nothing,
+    # on the dense reference route too
     r = build_spin(1.5)
     p = DeformParams(h=0.7, k=0.5)
     x4, y4 = deform_generators(r.Jp, r.Jm, p, 4)
@@ -318,8 +321,8 @@ def test_each_identity_is_computed_once_with_the_same_bits(j, k):
     t = _images(j, k)[0]
     # the elliptic Casimir form is J- J+ + J0**2 + J0 through the inverse map
     h, dim = t.params.h, t.rep.dim
-    sn_resc, m = _at_half_h(t.Xhat, h, (_sncndn(t.params.k, dim)[0], 1),
-                            (_g_inv_of_u(t.params.k, dim), 0))
+    sn_resc, m = densify(_at_half_h(t.x, h, (_sncndn(t.params.k, dim)[0], 1),
+                                    (_g_inv_of_u(t.params.k, dim), 0)))
     expected = m @ t.Yhat @ m @ sn_resc + (t.J0 @ t.J0 + t.J0)
     assert np.array_equal(casimir(t, "elliptic"), expected)
 
@@ -391,46 +394,47 @@ def test_lift_series_matches_exact_coefficients():
 @pytest.mark.parametrize("j", [0.5, 1.0, 2.5, 5.0, 8.0])
 def test_coefficient_scaling_matches_matrix_scaling(j, h):
     """F((h/2) M) from scaled coefficients against F evaluated at the scaled
-    matrix, the former route, for the plain series of the map."""
+    matrix on the dense reference route, for the plain series of the map."""
     r = build_spin(j)
     p = DeformParams(h=h, k=0.6)
     t = build_elliptic_triplet(r, p)
     uh = build_jordanian_triplet(r, h)
-    cases = [(_g_of_v(p.k, r.dim), r.Jp), (_g_inv_of_u(p.k, r.dim), t.Xhat),
-             (_F_series(p.k, r.dim), t.Xhat), (exp_series(r.dim), uh.Xhat),
+    cases = [(_g_of_v(p.k, r.dim), r.raising), (_g_inv_of_u(p.k, r.dim), t.x),
+             (_F_series(p.k, r.dim), t.x), (exp_series(r.dim), uh.x),
              (_g_of_v(p.k, 2 * r.dim - 1), r.raising.tensor_sum(r.raising))]
     for s, m in cases:
-        got, = _at_half_h(m, h, (s, 0))
-        if isinstance(m, RaisingPoly):
-            got = got.dense()
-            expect = mat_apply_series(s, RaisingPoly(complex(h) / 2.0 * m.coeffs, m.w)).dense()
-        else:
-            expect = mat_apply_series(s, (complex(h) / 2.0) * m)
+        got = _at_half_h(m, h, (s, 0))[0].dense()
+        expect = dense_apply(s, (complex(h) / 2.0) * m.dense())
         assert frobenius(got - expect) <= 1e-14 * frobenius(expect)
 
 
 def test_one_power_stack_per_argument(calculus_calls):
+    """One power table per argument of the calculus: none at J+, which is the
+    generator S itself, and one at each triplet's x, shared by its images."""
     r = build_spin(2.5)
     p = DeformParams(h=0.7, k=0.6)
-    deform_generators(r.Jp, r.Jm, p, r.dim)
-    assert [m.shape for m in calculus_calls.stacks()] == [(6, 6)]
     t = build_elliptic_triplet(r, p)
+    assert calculus_calls.counts() == (0, 1)
     calculus_calls.clear()
-    relation_residuals(t)           # the batch at Xhat; F at J+ came with the build
-    assert [m.shape for m in calculus_calls.stacks()] == [(6, 6)]
+    relation_residuals(t)           # the batch at x; F at J+ came with the build
+    assert [a.shape for a in calculus_calls.tables()] == [(6,)]
+    assert np.array_equal(calculus_calls.tables()[0], t.x.coeffs)
     calculus_calls.clear()
     relation_residuals(autos.period_shift_elliptic(t, autos.ELL_IKP)[0])   # shares it
     invert_map(t)                   # so does the inverse map
-    assert calculus_calls.counts() == (0, 0, 0)
+    assert calculus_calls.counts() == (0, 0)
     uh = build_jordanian_triplet(r, 0.7)
     calculus_calls.clear()
     casimir(uh, "jordanian")        # cosh and sinh of arctanh came with the build
-    assert calculus_calls.counts() == (0, 0, 0)
-    lifted = lift_uh_to_elliptic(uh, 0.6)
+    assert calculus_calls.counts() == (0, 0)
+    lifted = lift_uh_to_elliptic(uh, 0.6)   # the lift's series at uh's x, one gather
+    assert np.array_equal(calculus_calls.tables()[0], uh.x.coeffs)
+    assert calculus_calls.counts() == (1, 1)
     calculus_calls.clear()
-    relation_residuals(lifted)      # its map is no series of J+: one gather on first use
-    casimir(lifted, "jordanian")
-    assert calculus_calls.counts() == (1, 1, 4)
+    relation_residuals(lifted)      # the batch at its own x, and its map is no series
+    casimir(lifted, "jordanian")    # of J+: one gather there on first use
+    assert np.array_equal(calculus_calls.tables()[0], lifted.x.coeffs)
+    assert calculus_calls.counts() == (1, 2)
 
 
 def _spin_verify_sequence(t):
@@ -449,22 +453,59 @@ def _spin_verify_sequence(t):
         invert_map(autos.half_period_shift_uh(half))
 
 
+def _every_kind_of_triplet(rep, h, k):
+    """Built, Jordanian and lifted triplets, their sign images, and the period
+    shifts each admits."""
+    t, uh = build_elliptic_triplet(rep, DeformParams(h=h, k=k)), build_jordanian_triplet(rep, h)
+    lifted = lift_uh_to_elliptic(uh, k)
+    out = [t, uh, lifted] + [autos.sign_involution(b) for b in (t, uh, lifted)]
+    out.append(autos.half_period_shift_uh(uh))
+    if k.imag == 0 and 0 < k.real < 1:
+        out += [autos.period_shift_elliptic(b, spec)[0]
+                for b in (t, lifted) for spec in (autos.ELL_IKP, autos.ELL_2K_IKP)]
+    return out
+
+
+@pytest.mark.parametrize("k", [0.6, 1.0, 0.3 + 0.2j])
+@pytest.mark.parametrize("h", [0.45, 0.8 - 0.3j, 2.0])
+def test_functions_at_x_match_the_dense_reference_on_every_kind_of_triplet(h, k):
+    """G, F, sn and (cn dn)**(-1/2), taken on each triplet's x in A, against
+    the dense Paterson-Stockmeyer reference at the matrix Xhat less its
+    offset, relative to the larger of the reference and its terms' sizes
+    (the series with absolute coefficients at |h| and the entrywise |N|).
+    The sizes are the reference's own for G, F and (cn dn)**(-1/2); sn
+    undoes the map, (2/h) sn((h/2) x) = J+, and at h = 2, j = 8 its terms
+    are 3e10 times J+, which both routes miss by about 1e-6."""
+    for j in (0.5, 1.0, 2.5, 4.5, 8.0):
+        for t in _every_kind_of_triplet(build_spin(j), h, complex(k)):
+            kk, dim, n = t.params.k, t.rep.dim, _x_nilpotent(t)
+            terms = [(_G_series(kk, dim), 1), (_F_series(kk, dim), 0), (_sncndn(kk, dim)[0], 1),
+                     (_g_inv_of_u(kk, dim), 0)]
+            expect = dense_at_half_h(n, h, *terms)
+            sizes = dense_at_half_h(abs(n), abs(h),
+                                    *((TruncatedSeries(abs(s.coeffs)), p) for s, p in terms))
+            for name, got, ref, size in zip(("G", "F", "sn", "m"), _at_nilpotent_part(t), expect,
+                                            sizes):
+                scale = max(frobenius(ref), frobenius(size))
+                assert frobenius(got - ref) <= 1e-13 * scale, (j, t.provenance, name)
+
+
 @pytest.mark.parametrize("k", [0.6, 1.0])
 def test_spin_verify_sequence_makes_one_gather_and_one_power_stack(k, calculus_calls,
                                                                    monkeypatch):
     """The build's gather at J+ gives the map and every other function of J+
     (F, and cosh, dressing and sinh of the Jordanian Casimir form), one
-    batch at Xhat gives G, F, sn and (cn dn)**(-1/2), and the relation
-    products are formed once; the sign and shift images share all three.
-    Two (h/2)**i tables, one per argument."""
+    batch at x gives G, F, sn and (cn dn)**(-1/2) from one power table and
+    one gather, and the relation products are formed once; the sign and
+    shift images share all three.  Two (h/2)**i tables, one per argument."""
     from elliptic_sl2 import deform
 
     tables = []
     real = deform._half_h_powers
     monkeypatch.setattr(deform, "_half_h_powers", lambda h, n: tables.append(n) or real(h, n))
     _spin_verify_sequence(build_elliptic_triplet(build_spin(8.0), DeformParams(h=0.45, k=k)))
-    assert [m.shape for m in calculus_calls.stacks()] == [(17, 17)]
-    assert calculus_calls.counts() == (1, 1, 4)
+    assert [a.shape for a in calculus_calls.tables()] == [(17,)]
+    assert calculus_calls.counts() == (1, 2)
     assert calculus_calls.relations() == 1
     assert len(tables) == 2
 
@@ -473,13 +514,15 @@ def test_spin_verify_sequence_makes_one_gather_and_one_power_stack(k, calculus_c
 @pytest.mark.parametrize("h", [0.45, 0.8 - 0.3j, 2.0])
 def test_sign_image_reads_the_bits_of_an_evaluation_at_minus_xhat(h, k):
     """G and sn negated, F and (cn dn)**(-1/2) as they are: parity, and
-    negation exact in every power, block and Horner step."""
+    negation exact in the rows of the power table of -x, in their
+    contraction with the coefficients and in the gather; the image holds -x."""
     for j in (0.5, 1.0, 2.5, 4.5, 8.0, 12.5, 20.0, 40.0):
         t = build_elliptic_triplet(build_spin(j), DeformParams(h=h, k=k))
-        dim = t.rep.dim
-        fresh = _at_half_h(-t.Xhat, h, (_G_series(k, dim), 1), (_F_series(k, dim), 0),
-                           (_sncndn(k, dim)[0], 1), (_g_inv_of_u(k, dim), 0))
-        for got, expect in zip(_at_nilpotent_part(autos.sign_involution(t)), fresh):
+        dim, image = t.rep.dim, autos.sign_involution(t)
+        assert np.array_equal(image.x.coeffs, -t.x.coeffs) and image.x.w is t.x.w
+        fresh = densify(_at_half_h(-t.x, h, (_G_series(k, dim), 1), (_F_series(k, dim), 0),
+                                   (_sncndn(k, dim)[0], 1), (_g_inv_of_u(k, dim), 0)))
+        for got, expect in zip(_at_nilpotent_part(image), fresh):
             assert np.array_equal(got, expect), (j, h, k)
 
 
@@ -498,7 +541,7 @@ def test_sign_image_shares_one_stack_in_either_order(calculus_calls):
             base_checks = checks(t)
             image = autos.sign_involution(t)
             image_checks = checks(image)
-        assert calculus_calls.counts() == (1, 0, 4), sign_first
+        assert calculus_calls.counts() == (1, 1), sign_first
         assert calculus_calls.relations() == 1, sign_first
         results.append((base_checks, image_checks))
     (base_a, image_a), (base_b, image_b) = results

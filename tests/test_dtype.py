@@ -28,6 +28,7 @@ from elliptic_sl2.liealg import (
 )
 from elliptic_sl2.series import TruncatedSeries
 from reference_complex import complex_calculus
+from reference_dense import mat_apply_series as dense_apply
 
 F64, C128 = np.dtype(np.float64), np.dtype(np.complex128)
 
@@ -80,14 +81,15 @@ def test_a_tiny_or_nan_imaginary_part_reaches_the_result():
     s = TruncatedSeries(np.ones(5, dtype=complex))
     m = r.Jp.astype(complex)
     m[0, 1] += 1e-300j
-    got = mat_apply_series(s, m)
+    got = dense_apply(s, m)
     assert got.dtype == C128 and got.imag.any()
     tiny = RaisingPoly(r.raising.coeffs, (np.diagonal(m, 1),))
+    assert mat_apply_series(s, tiny).dense().imag.any()
     assert mat_apply_series(s, tiny.tensor_sum(r.raising)).dense().imag.any()
     assert commutator(m, r.J0).imag.any()
     c = np.ones(5, dtype=complex)
     c[3] = complex(1.0, 1e-300)
-    assert mat_apply_series(TruncatedSeries(c), r.Jp).imag.any()
+    assert mat_apply_series(TruncatedSeries(c), r.raising).dense().imag.any()
     # a NaN imaginary part is not dropped, and its residual fails the verdict
     t = build_elliptic_triplet(r, DeformParams(h=0.8, k=0.6))
     g, fm, sign = structure_matrices(t)
@@ -96,7 +98,7 @@ def test_a_tiny_or_nan_imaginary_part_reaches_the_result():
     report = relations_on_generators(t.Xhat, y, t.J0, sign * g, sign * fm["primary"], False)
     assert not worst([1e-17, *report.values()]) <= 1e-9
     m[0, 1] = complex(1.0, math.nan)
-    assert math.isnan(frobenius(mat_apply_series(s, m)))
+    assert math.isnan(frobenius(dense_apply(s, m)))
 
 
 def test_real_h_and_k_give_float64_throughout():
@@ -108,7 +110,7 @@ def test_real_h_and_k_give_float64_throughout():
     for ct in (hopf.delta1(p, r1, r2), hopf.delta_uh(0.8, r1, r2), hopf.delta2(p, r1, r2)):
         assert all(m.dtype == F64 for m in (ct.DX, ct.DY, ct.DJ0)), ct.source
     s = TruncatedSeries(np.arange(1.0, 9.0).astype(complex))
-    assert mat_apply_series(s, r1.Jp).dtype == F64
+    assert mat_apply_series(s, r1.raising).dense().dtype == F64
     assert mat_apply_series(s, r1.raising.tensor_sum(r2.raising)).dense().dtype == F64
     assert _half_h_powers(0.8, 6).dtype == F64
 
@@ -166,24 +168,24 @@ def test_float64_matches_a_complex_horner_on_the_acceptance_grid(build, monkeypa
 
 def test_a_real_coproduct_check_builds_no_complex_power_stack(calculus_calls, monkeypatch):
     """Every function a coproduct check evaluates is taken in the raising
-    algebra, so no dense power stack is built; at real h and k every element
-    and every multiplication matrix is float64, and a complex h or k makes
-    them complex128."""
-    from elliptic_sl2 import liealg
+    algebra; at real h and k every element and every power table is
+    float64, and a complex h or k makes them complex128."""
+    from elliptic_sl2 import deform
 
     r1, r2 = build_spin(1.0), build_spin(1.5)
     seen = []
-    real = liealg._poly_apply
-    # the element route's entry, which receives the coefficient table
-    monkeypatch.setattr(liealg, "_poly_apply",
+    real = deform.apply_table
+    # the calculus's entry, which receives the coefficient table
+    monkeypatch.setattr(deform, "apply_table",
                         lambda table, x: seen.append(x.coeffs.dtype) or real(table, x))
     for p, dtype in ((DeformParams(h=0.8, k=0.6), F64), (DeformParams(h=0.8 + 0.2j, k=0.6), C128),
                      (DeformParams(h=0.8, k=0.3 + 0.2j), C128)):
         seen.clear(), calculus_calls.clear()
         report = hopf.verify_coproduct(hopf.delta2(p, r1, r2))
-        assert calculus_calls.stacks() == [] and seen
+        tables = {a.dtype for a in calculus_calls.tables()}
+        assert seen and tables
         assert all(type(v) is float for v in report.values())
         if dtype == F64:
-            assert set(seen) == {F64}
+            assert set(seen) == tables == {F64}
         else:   # the factors' raising generators stay real; the images do not
-            assert C128 in seen
+            assert C128 in seen and C128 in tables

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from elliptic_sl2 import liealg
 from elliptic_sl2.errors import DomainError
 from elliptic_sl2.elliptic import asn_series
 from elliptic_sl2.liealg import (
@@ -21,6 +22,7 @@ from elliptic_sl2.liealg import (
     worst,
 )
 from elliptic_sl2.series import TruncatedSeries, exp_series
+from reference_dense import mat_apply_series as dense_apply
 
 
 def test_spin_half_matrices_exact():
@@ -80,7 +82,7 @@ def test_build_spin_rejects_bad_labels():
 def test_mat_apply_series_is_polynomial_evaluation():
     r = build_spin(1.0)
     s = TruncatedSeries(np.array([2.0, 0.0, 1.0], dtype=complex))  # 2 + u^2
-    got = mat_apply_series(s, r.Jp)
+    got = mat_apply_series(s, r.raising).dense()
     expect = 2 * np.eye(3) + r.Jp @ r.Jp
     assert np.max(np.abs(got - expect)) == 0.0
 
@@ -101,6 +103,18 @@ def _nilpotent_inputs():
         yield build_spin(j1).raising.tensor_sum(build_spin(j2).raising).dense()
 
 
+def test_a_matrix_argument_is_refused_by_name():
+    """Every series is taken on an element of the raising algebra; a matrix,
+    even a strictly upper-triangular one, is refused before any work."""
+    s = TruncatedSeries(np.ones(4, dtype=complex))
+    rep = build_spin(1.5)
+    for m in (rep.Jp, rep.raising.dense(), np.eye(3), np.zeros((2, 3))):
+        for call in (lambda: mat_apply_series(s, m), lambda: mat_apply_series([s, s], m),
+                     lambda: liealg.apply_table([s.coeffs], m)):
+            with pytest.raises(DomainError, match="not a matrix"):
+                call()
+
+
 def test_mat_apply_series_matches_explicit_power_sum():
     rng = np.random.default_rng(21)
     worst = 0.0
@@ -110,7 +124,7 @@ def test_mat_apply_series_matches_explicit_power_sum():
         for order in range(3 * dim + 1):
             c = rng.standard_normal(order + 1) + 1j * rng.standard_normal(order + 1)
             expect = sum(ci * p for ci, p in zip(c, powers))
-            got = mat_apply_series(TruncatedSeries(c), m)
+            got = dense_apply(TruncatedSeries(c), m)
             worst = max(worst, frobenius(got - expect) / frobenius(expect))
     assert worst <= 1e-13
 
@@ -120,9 +134,9 @@ def test_mat_apply_series_is_bit_identical_past_the_nilpotency_bound():
     for m in _nilpotent_inputs():
         dim = m.shape[0]
         c = rng.standard_normal(3 * dim + 1) + 1j * rng.standard_normal(3 * dim + 1)
-        first = mat_apply_series(TruncatedSeries(c[:dim]), m)
+        first = dense_apply(TruncatedSeries(c[:dim]), m)
         for order in range(dim, 3 * dim + 1):
-            assert np.array_equal(mat_apply_series(TruncatedSeries(c[: order + 1]), m), first)
+            assert np.array_equal(dense_apply(TruncatedSeries(c[: order + 1]), m), first)
 
 
 def test_mat_apply_series_rejects_entries_on_or_below_the_diagonal():
@@ -134,11 +148,11 @@ def test_mat_apply_series_rejects_entries_on_or_below_the_diagonal():
         col = int(rng.integers(row + 1))  # col <= row: on or below the diagonal
         m[row, col] = complex(rng.standard_normal(), rng.standard_normal())
         with pytest.raises(DomainError):
-            mat_apply_series(s, m)
+            dense_apply(s, m)
     with pytest.raises(DomainError):
-        mat_apply_series(s, np.eye(3))
+        dense_apply(s, np.eye(3))
     with pytest.raises(DomainError):
-        mat_apply_series(s, np.zeros((2, 3)))
+        dense_apply(s, np.zeros((2, 3)))
 
 
 def _element(rng, dim, complex_entries=True, odd=False):
@@ -207,7 +221,7 @@ def test_sums_of_one_factor_parts_match_the_dense_route():
             for coeffs in (c, c.real, np.where(parity == 0, c, 0), np.where(parity == 1, c, 0),
                            np.where(parity == 1, c.real, 0)):
                 s = TruncatedSeries(coeffs)
-                got, expect = mat_apply_series(s, op).dense(), mat_apply_series(s, dense)
+                got, expect = mat_apply_series(s, op).dense(), dense_apply(s, dense)
                 assert got.shape == expect.shape and got.dtype == expect.dtype
                 top = max(top, frobenius(got - expect) / max(frobenius(expect), 1e-300))
     assert top <= 1e-14
@@ -262,9 +276,9 @@ def test_kron_sum_route_matches_the_dense_route():
             s = TruncatedSeries(c)
             got = mat_apply_series(s, ks).dense()
             assert got.shape == dense.shape
-            worst = max(worst, _rel_gap(got, mat_apply_series(s, dense)))
+            worst = max(worst, _rel_gap(got, dense_apply(s, dense)))
         got = mat_apply_series(exp_series(top), ks).dense()
-        worst = max(worst, _rel_gap(got, mat_apply_series(exp_series(top), dense)))
+        worst = max(worst, _rel_gap(got, dense_apply(exp_series(top), dense)))
     assert worst <= 1e-13
 
 
@@ -305,37 +319,31 @@ def _values(result):
 def test_a_batch_gives_the_same_bits_as_each_series_alone():
     rng = np.random.default_rng(35)
     args = [m for m in _nilpotent_inputs()] + [a.tensor_sum(b) for a, b in _kron_sum_inputs()]
-    for m in args:
-        bound = nilpotency_bound(m)
-        batch = _series_batch(rng, bound)
-        if isinstance(m, RaisingPoly):  # an even and an odd series, and a real one
+    for m in args:      # a matrix on the dense reference route, an element on the package's
+        element = isinstance(m, RaisingPoly)
+        batch = _series_batch(rng, nilpotency_bound(m) if element else m.shape[0] - 1)
+        if element:  # an even and an odd series, and a real one
             c = batch[-2].coeffs
             batch += [TruncatedSeries(np.where(np.arange(c.size) % 2 == p, c, 0)) for p in (0, 1)]
             batch.append(TruncatedSeries(c.real))
+        apply = mat_apply_series if element else dense_apply
         for seq in (batch, tuple(reversed(batch))):
-            got = mat_apply_series(seq, m)
+            got = apply(seq, m)
             assert type(got) is list and len(got) == len(seq)
             for s, mat in zip(seq, got):
-                assert np.array_equal(_values(mat), _values(mat_apply_series(s, m)))
-    assert mat_apply_series([], build_spin(1.0).Jp) == []
+                assert np.array_equal(_values(mat), _values(apply(s, m)))
+    assert mat_apply_series([], build_spin(1.0).raising) == []
 
 
-def test_a_batch_validates_its_argument_once(monkeypatch, calculus_calls):
-    from elliptic_sl2 import liealg
-
-    checked, tables = [], []
-    real_check, real_powers = liealg._strictly_upper, liealg.power_table
-    monkeypatch.setattr(liealg, "_strictly_upper", lambda m: checked.append(1) or real_check(m))
-    # each table of powers builds its part's one multiplication matrix
-    monkeypatch.setattr(liealg, "power_table", lambda a: tables.append(a.shape) or real_powers(a))
+def test_a_batch_validates_its_argument_once(calculus_calls):
+    """One power table on each factor for the whole batch, each built from
+    its part's one multiplication matrix, and none at a generator S."""
     rng = np.random.default_rng(36)
-    mat_apply_series(_series_batch(rng, 6), _strictly_upper(rng, 7))
-    assert (len(checked), [m.shape for m in calculus_calls.stacks()]) == (1, [(7, 7)])
-    checked.clear(), calculus_calls.clear()
-    # an element: no power stack, and one multiplication matrix for the whole
-    # batch on each factor
     mat_apply_series(_series_batch(rng, 6), _element(rng, 3).tensor_sum(_element(rng, 5)))
-    assert (len(checked), calculus_calls.stacks(), tables) == (0, [], [(3,), (5,)])
+    assert [a.shape for a in calculus_calls.tables()] == [(3,), (5,)]
+    calculus_calls.clear()
+    mat_apply_series(_series_batch(rng, 6), _element(rng, 3).tensor_sum(build_spin(2.0).raising))
+    assert [a.shape for a in calculus_calls.tables()] == [(3,)]
 
 
 def test_frobenius_matches_the_library_norm():
@@ -407,12 +415,12 @@ def test_non_finite_entries_are_named_as_an_overflow():
     s = TruncatedSeries(np.ones(4, dtype=complex))
     finite = np.triu(np.ones((3, 3)))
     with pytest.raises(DomainError, match="strictly upper-triangular"):
-        mat_apply_series(s, finite)
+        dense_apply(s, finite)
     for bad in (np.nan, np.inf):
         m = np.triu(np.ones((3, 3)), 1)
         m[2, 0] = bad
         with pytest.raises(DomainError, match="overflow"):
-            mat_apply_series(s, m)
+            dense_apply(s, m)
 
 
 def test_classical_coproduct_satisfies_relations():
@@ -461,7 +469,7 @@ def test_raising_gather_matches_dense_paterson_stockmeyer(j, h):
     rep = build_spin(j)
     raising = rep.raising
     assert np.array_equal(raising.dense(), rep.Jp)
-    assert nilpotency_bound(raising) == nilpotency_bound(rep.Jp) == rep.dim - 1
+    assert nilpotency_bound(raising) == rep.dim - 1
     u = TruncatedSeries.identity(rep.dim)
     series = [_at_half(s, h) for s in (asn_series(0.6, rep.dim), asn_series(1.0, rep.dim),
                                        exp_series(rep.dim), (1.0 - u * u).pow_rational(0.25))]
@@ -469,7 +477,7 @@ def test_raising_gather_matches_dense_paterson_stockmeyer(j, h):
         series.append(asn_series(0.6, rep.dim))
     batch = densify(mat_apply_series(series, raising))
     for s, together in zip(series, batch):
-        got, ref = mat_apply_series(s, raising).dense(), mat_apply_series(s, rep.Jp)
+        got, ref = mat_apply_series(s, raising).dense(), dense_apply(s, rep.Jp)
         assert np.array_equal(got, together) and got.dtype == together.dtype == ref.dtype
         assert together.flags.c_contiguous   # later matrix products run on it
         assert frobenius(got - ref) <= 1e-14 * frobenius(ref)
@@ -480,7 +488,7 @@ def test_raising_gather_keeps_the_powers_in_range_where_the_entries_are():
     range, while arcsn((h/2) J+) itself stays finite."""
     rep = build_spin(100.0)
     s = _at_half(asn_series(0.6, rep.dim), 0.8)
-    got, ref = mat_apply_series(s, rep.raising).dense(), mat_apply_series(s, rep.Jp)
+    got, ref = mat_apply_series(s, rep.raising).dense(), dense_apply(s, rep.Jp)
     assert np.isfinite(ref).all() and np.array_equal(got != 0, ref != 0)
     assert np.max(abs(got - ref)[ref != 0] / abs(ref[ref != 0])) <= 1e-14
 
@@ -497,4 +505,4 @@ def test_raising_gather_refuses_an_overflowing_entry():
     assert np.isfinite(mat_apply_series(exp_series(40), _shift(np.full(40, 1e7))).dense()).all()
     c = _shift(np.full(40, 5e9 + 5e9j))   # a complex shift stays complex under a real series
     assert np.array_equal(mat_apply_series(exp_series(3), c).dense(),
-                          mat_apply_series(exp_series(3), c.dense()))
+                          dense_apply(exp_series(3), c.dense()))

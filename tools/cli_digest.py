@@ -53,6 +53,7 @@ COMMANDS = (
     "deform build --j 100 --h 0.8 --k 0.6",
     "sweep --families deform,elliptic --j 0.5,1,3 --k 0.4,1",
     "sweep --j 20,40 --h 0.45 --k 0.6,1",
+    "sweep --families deform --j 2 --h 1e60 --k 0.6",
     "auto shift --which uh-half --j 2 --h 0.8 --k 0.6",
     "auto shift --which ell-iKp --j 2 --h 0.8 --k 0.6",
     "auto shift --which ell-2KiKp --j 8 --h 0.45 --k 0.7",
