@@ -9,13 +9,14 @@ Three families act on a deformed triplet:
     one i K' step, whose square restores the raising/lowering pair exactly.
 
 Shift offsets are stored as exact integer counts of K and i K' on the
-triplet (never as accumulated floating point).  Relation checks on shifted
-triplets ride on the half-period parity of the structure functions rather
-than on any evaluation at the shifted argument.  An image shares what its
-base has computed, or computes later, so no image evaluates a series or
-forms a relation product, whichever of it and its base asks first; the
-sign table in the `deform` module docstring gives what each image reads and
-why those are the bits of its own evaluation.
+triplet (never as accumulated floating point), and so is the sign.
+Relation checks on shifted triplets ride on the half-period parity of the
+structure functions rather than on any evaluation at the shifted argument.
+An image shares its build's memo, so making it evaluates nothing, and a
+build and its images evaluate each series and form the relation products
+once; the read rule in the `deform` module docstring gives how an image
+reads the build's values by its (sign, shift) counts and why they are the
+bits of its own evaluation.
 
 The induced action on the raising and lowering generators themselves
 involves an inverse power of J+, which has no finite-matrix realization;
@@ -30,8 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .deform import (_image_of, _offset, _sign_image_scope, _x_nilpotent, relation_residuals,
-                     x_offset)
+from .deform import _image_of, _offset, _x_nilpotent, relation_residuals, x_offset
 from .elliptic import complete_K, complete_Kprime, jacobi_numeric
 from .errors import DomainError
 
@@ -72,13 +72,12 @@ ELL_2K_IKP = ShiftSpec(kind="ell-2KiKp", du_a=2, du_b=1, epsilon=-1)
 
 
 def sign_involution(t):
-    """(X, Y, J0) -> (-X, -Y, J0), x -> -x; applying it twice is the
-    identity.  The image holds t's batch at x with the odd G and sn negated,
-    and t's relation norms."""
+    """(X, Y, J0) -> (-X, -Y, J0), x -> -x, and the sign flipped; applying
+    it twice is the identity.  The image shares t's memo and evaluates
+    nothing."""
     if t.is_shifted():
         raise DomainError("sign involution is defined on unshifted triplets")
-    return _image_of(t, _sign_image_scope(t), Xhat=-t.Xhat, Yhat=-t.Yhat, x=-t.x,
-                     provenance="auto")
+    return _image_of(t, Xhat=-t.Xhat, Yhat=-t.Yhat, x=-t.x, sign=-t.sign, provenance="auto")
 
 
 def _shifted(t, spec):

@@ -360,11 +360,22 @@ def _cmd_elliptic_periods(args):
     return 0, {"k": k, "periods": {name: list(pair) for name, pair in table.items()}}
 
 
+def _jordanian(args):
+    """Whether --jordanian is set, on the command line or as jordanian = true
+    or false in a config file."""
+    val = getattr(args, "jordanian", None)
+    if isinstance(val, str):
+        if val.lower() not in ("true", "false"):
+            raise UsageError(f"jordanian in a config file must be true or false, got {val!r}")
+        return val.lower() == "true"
+    return bool(val)
+
+
 def _build_triplet(args):
     j = _need(args, "j")
     h = _need(args, "h")
     rep = build_spin(j)
-    if getattr(args, "jordanian", False):
+    if _jordanian(args):
         return build_jordanian_triplet(rep, h)
     k = _need(args, "k")
     return build_elliptic_triplet(rep, DeformParams(h=h, k=k))
@@ -648,14 +659,14 @@ def build_parser():
     p.set_defaults(fn=_cmd_elliptic_periods)
 
     deform = top.add_parser("deform", help="deformed triplets").add_subparsers(dest="sub", required=True)
-    p = deform.add_parser("build", help="deformed generator matrices")
-    _add_common(p, "j", "h", "k")
-    p.add_argument("--jordanian", action="store_true", help="use the k**2 = 1 reduction")
-    p.set_defaults(fn=_cmd_deform_build)
-    p = deform.add_parser("verify", help="relations, Casimir forms, roundtrip")
-    _add_common(p, "j", "h", "k")
-    p.add_argument("--jordanian", action="store_true", help="use the k**2 = 1 reduction")
-    p.set_defaults(fn=_cmd_deform_verify)
+    for name, text, fn in (("build", "deformed generator matrices", _cmd_deform_build),
+                           ("verify", "relations, Casimir forms, roundtrip", _cmd_deform_verify)):
+        p = deform.add_parser(name, help=text)
+        _add_common(p, "j", "h", "k")
+        # None when unset, so that a config file can set it
+        p.add_argument("--jordanian", action="store_true", default=None,
+                       help="use the k**2 = 1 reduction")
+        p.set_defaults(fn=fn)
 
     hp = top.add_parser("hopf", help="coproducts").add_subparsers(dest="sub", required=True)
     for name, fn in (("delta", _cmd_hopf_delta), ("verify", _cmd_hopf_verify)):

@@ -31,53 +31,48 @@ there give the same function of every nilpotent matrix of index dim (Higham,
 Functions of Matrices, ch. 1), and a matrix adds only its basis's rounding.
 
 A triplet computes each of its matrix functions once and keeps it in a
-private memo, `DeformedTriplet._memo`, which is not an __init__ field, so
-`dataclasses.replace` starts an empty one.  So one triplet, its sign image
-and its period-shift images together make one gather at J+, one power
-table and one gather at x, and form the relation products once.  The memo
-has three scopes, by what its values depend on:
+private memo, `DeformedTriplet._memo`: one dict, shared by every image the
+automorphisms make of a build (`autos`), and not an __init__ field, so
+`dataclasses.replace` starts an empty one.  A build and its images
+together make one gather at J+, one power table and one gather at x, and
+form the relation products once, whichever of them asks first.  The
+memoised arrays are read-only, since every holder of the build sees them.
 
-- "module": (rep, h, k) alone: every function of J+ the triplet needs
-  besides its map (`_raising_terms`: F at J+, the algebraic route, and the
-  factors of the Jordanian Casimir form) and the series gaps.  The builder
-  fills it from the gather that makes Xhat; a lifted triplet, whose map is
-  taken at the Jordanian triplet's x rather than at J+, makes that one
-  gather on first use.  Every image shares it.
-- "nilpotent": what is taken at the nilpotent part N of Xhat, whose
-  element is x.  First G, F, sn and (cn dn)**(-1/2) at x, from one
+Each value is held at the build's orientation and read by one rule, with
+s the image's sign (flipped by the sign involution alone) and p = (-1)**b,
+b its i K' count:
+
+    G   F   sn   (cn dn)**(-1/2)   inverse (J+, J-)   relation norms
+    s   1   s    1                 s                  1
+
+The relations take s p G and p F (`structure_matrices`' parity).
+
+- The functions of J+ (`_raising_terms`: F at J+ by the algebraic route,
+  and the factors of the Jordanian Casimir form) and the series gaps
+  depend on (rep, h, k) alone.  The builder fills the first from the
+  gather that makes Xhat; a lifted triplet, whose map is taken at the
+  Jordanian triplet's x rather than at J+, makes that gather on first use.
+- G, F, sn and (cn dn)**(-1/2) are taken at s x, the build's x, from one
   `apply_table` call and one gather; each series has order dim, so it has
-  the bits it would have alone.  Then the
-  relation norms (`_relation_norms`): the Frobenius norms of the residual
-  matrices [N, Y] - 2 J0, [J0, N] - s G and [J0, Y] + (s F Y + Y s F)/2,
-  s the shift parity, with |Y|, |J0|, |G| and |F|, and the gap between
-  the two routes to F.  The relations are taken at N because o I commutes
-  with everything, o the offset, so no rounding of o enters them, and N is
-  Xhat when unshifted; only |Xhat| is the triplet's own, and
+  the bits it would have alone.  G and sn are odd, the others even, and
+  negation is exact in the rows of the power table (those of -x are those
+  of x times (-1)**r), in their contraction with a series' coefficients
+  and in the gather, so the rule gives the bits of an evaluation at the
+  image's own x, and for invert_map's (J+, J-) = (sn, m Yhat m),
+  m = (cn dn)**(-1/2), too: it needs b even, where Yhat is s times the
+  build's.
+- The relation norms (`_relation_norms`) are those of the residual
+  matrices R12 = [N, Y] - 2 J0, R13 = [J0, N] - s p G and
+  R14 = [J0, Y] + p (F Y + Y F)/2, of Y, J0, G and F, and the gap between
+  the two routes to F, at N, the nilpotent part of Xhat: the offset o I
+  commutes with everything, so no rounding of o enters them.  An image's
+  N, Y and J0 are s N, s p Y and p J0 of the build's (a shift image's N is
+  its base's: a + 0 - 0 = a off the diagonal and 0 + o - o = 0 on it, a
+  zero may change sign; every shift step flips Y and J0 and adds one
+  i K' step).  Negation is exact in every product and sum, so its R12,
+  R13 and R14 are p, s p and s times the build's, bit for bit, with the
+  build's norms.  Only |Xhat| is the triplet's own, and
   `relation_residuals` divides by it.
-  A period-shift image keeps x and shares this scope: its Xhat is N plus
-  o I, and its nilpotent part is that minus o I: a + 0 - 0 = a off the
-  diagonal and 0 + o - o = 0 on it, so it is N bit for bit (a zero may
-  change sign).  The sign image carries -x and -N, and it holds its own
-  scope, its base's with G and sn negated: G and sn are odd, F and
-  (cn dn)**(-1/2) even, and negation is exact in the rows of the power
-  table (those of -x are those of x times (-1)**r), in their contraction
-  with a series' coefficients and in the gather, so -G(x), F(x), -sn(x) and
-  (cn dn)**(-1/2)(x) are the bits an evaluation at -x gives.  Negation is
-  exact in every product and sum of the relations too, so with R12, R13
-  and R14 the base's residual matrices, each image's are +-R bit for bit
-  and their norms are the base's:
-
-      image               N    Y    J0   s G   s F    R12  R13  R14
-      sign               -N   -Y    J0   -G     F      +    -    -
-      odd i K' count      N   -Y   -J0   -G    -F      -    -    +
-      even i K' count     N    Y    J0    G     F      +    +    +
-
-  (every shift step flips Y and J0 and adds one i K' step, so the parity
-  of the i K' count is the parity of the flips).
-- "own": invert_map's (J+, J-), which need Yhat.  Never shared.
-
-The memoised arrays are read-only, since every holder of the triplet sees
-them.
 
 Triplets produced by the period-shift automorphisms carry their offset as
 exact integer bookkeeping: integer combinations a K + b i K' scaled by 2/h.
@@ -147,8 +142,9 @@ class DeformedTriplet:
     already contains the offset times the identity; x is its nilpotent
     part, Xhat less the offset, as an element of the one-factor raising
     algebra (`liealg.RaisingPoly`), where every function of Xhat is taken.
-    Values computed from the arrays are memoised on the triplet (see the
-    module docstring), so the arrays must not be written to.
+    sign (+-1) is flipped by each sign involution; the build's x is
+    sign * x.  Values computed from the arrays are memoised for the
+    build (see the module docstring), so the arrays must not be written to.
     """
 
     Xhat: np.ndarray
@@ -160,41 +156,33 @@ class DeformedTriplet:
     x: RaisingPoly
     shift_a: int = 0
     shift_b: int = 0
-    # Values computed from this triplet, by scope (see the module docstring);
+    sign: int = 1
+    # Values computed from this triplet's build (see the module docstring);
     # never passed to __init__, so dataclasses.replace starts an empty one.
-    _memo: dict = field(default_factory=lambda: {"module": {}, "nilpotent": {}, "own": {}},
-                        init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def is_shifted(self):
         return bool(self.shift_a or self.shift_b)
 
 
-def _remember(t, scope, key, compute):
-    """t's memoised value under key, computed on first use; its arrays are
-    made read-only, as every holder of t shares them."""
-    store = t._memo[scope]
-    if key not in store:
+def _remember(t, key, compute):
+    """The build's memoised value under key, computed on first use; its
+    arrays are made read-only, as every image of the build shares them."""
+    if key not in t._memo:
         value = compute()
         for a in value if isinstance(value, tuple) else (value,):
             if isinstance(a, np.ndarray):
                 a.setflags(write=False)
-        store[key] = value
-    return store[key]
+        t._memo[key] = value
+    return t._memo[key]
 
 
-def _image_of(t, nilpotent=None, **changes):
-    """replace(t, **changes), sharing t's "module" scope and, unless
-    nilpotent is the image's own "nilpotent" scope, t's (computed already or
-    later, by either triplet).  Only for images at the same (rep, h, k) that
-    the sign table in the module docstring covers, and without nilpotent,
-    whose nilpotent part is t's."""
+def _image_of(t, **changes):
+    """replace(t, **changes), sharing t's memo (computed already or later, by
+    either triplet).  Only for images of t's build under the read rule of
+    the module docstring."""
     image = replace(t, **changes)
-    image._memo["module"] = t._memo["module"]
-    if nilpotent is None:
-        image._memo["nilpotent"] = t._memo["nilpotent"]
-    else:
-        for key, value in nilpotent.items():
-            _remember(image, "nilpotent", key, lambda value=value: value)
+    object.__setattr__(image, "_memo", t._memo)
     return image
 
 
@@ -342,17 +330,19 @@ def _x_nilpotent(t):
 def _at_raising(t):
     """F, cosh, dressing and rescaled sinh at J+ (see `_raising_terms`): the
     builder's gather made them, or one gather on first use."""
-    return _remember(t, "module", "at J+", lambda: tuple(densify(_at_half_h(
+    return _remember(t, "at J+", lambda: tuple(densify(_at_half_h(
         t.rep.raising, t.params.h, *_raising_terms(t.params.k, t.rep.dim)))))
 
 
 def _at_nilpotent_part(t):
     """(G, F, sn, (cn dn)**(-1/2)) at the nilpotent part x of Xhat, G and sn
-    rescaled by 2/h, from one power table of x and one gather."""
+    rescaled by 2/h: the build's, from one power table of its x, sign * x,
+    and one gather, with the odd G and sn times the sign."""
     k, h, order = t.params.k, t.params.h, t.rep.dim
-    return _remember(t, "nilpotent", "G F sn m", lambda: tuple(densify(_at_half_h(
-        t.x, h, (_G_series(k, order), 1), (_F_series(k, order), 0),
+    g, f, sn, m = _remember(t, "G F sn m", lambda: tuple(densify(_at_half_h(
+        t.x if t.sign > 0 else -t.x, h, (_G_series(k, order), 1), (_F_series(k, order), 0),
         (_sncndn(k, order)[0], 1), (_g_inv_of_u(k, order), 0)))))
+    return (g, f, sn, m) if t.sign > 0 else (-g, f, -sn, m)
 
 
 def _parity_sign(t):
@@ -362,28 +352,20 @@ def _parity_sign(t):
     return -1.0 if t.shift_b % 2 else 1.0
 
 
-def _sign_image_scope(t):
-    """The "nilpotent" scope of t's sign image, from t's own (made first if
-    need be): G and sn negated, F, (cn dn)**(-1/2) and the relation norms as
-    they are (see the sign table in the module docstring)."""
-    g, f, sn, m = _at_nilpotent_part(t)
-    return {"G F sn m": (-g, f, -sn, m), "relations": _relations_at_nilpotent_part(t)}
-
-
 # -- construction -------------------------------------------------------------
 
 
 def build_elliptic_triplet(rep, params):
     """Deformed triplet (Xhat, Yhat, J0) on the spin-j module, from one gather
-    at J+ that also fills the module scope (`_at_raising`); the triplet keeps
-    Xhat's element x."""
+    at J+ that also gives every other function of J+ (`_at_raising`); the
+    triplet keeps Xhat's element x."""
     k, order = params.k, rep.dim
     elements = _at_half_h(rep.raising, params.h, (_asn(k, order), 1), (_g_of_v(k, order), 0),
                           *_raising_terms(k, order))
     xhat, d, *at_raising = densify(elements)
     t = DeformedTriplet(Xhat=xhat, Yhat=d @ rep.Jm @ d, J0=rep.J0.copy(), params=params,
                         rep=rep, provenance="direct", x=elements[0])
-    _remember(t, "module", "at J+", lambda: tuple(at_raising))
+    _remember(t, "at J+", lambda: tuple(at_raising))
     return t
 
 
@@ -436,12 +418,14 @@ def invert_map(t):
     if t.shift_a % 4 or t.shift_b % 2:
         raise DomainError("inverse map needs a shift by a period of sn "
                           "(a multiple of 4K plus an even multiple of i K')")
-    return _remember(t, "own", "inverse", lambda: _inverse(t))
+    jp, jm = _remember(t, "inverse", lambda: _build_inverse(t))
+    return (jp, jm) if t.sign > 0 else (-jp, -jm)
 
 
-def _inverse(t):
+def _build_inverse(t):
+    """The build's (J+, J-): sign times t's."""
     _, _, jp, m = _at_nilpotent_part(t)
-    return jp, m @ t.Yhat @ m
+    return t.sign * jp, t.sign * (m @ t.Yhat @ m)
 
 
 # -- structure functions and relations ----------------------------------------
@@ -504,13 +488,13 @@ def _series_gaps(k, dim):
 def _relations_at_nilpotent_part(t):
     """The relation norms at the nilpotent part N of Xhat (`_relation_norms`
     with the parity on G and F) and f_eq15_vs_eq17, the relative gap between
-    the two routes to F, memoised in the "nilpotent" scope."""
+    the two routes to F, the build's (see the module docstring)."""
     def compute():
-        g, fm, sign = structure_matrices(t)
+        g, fm, parity = structure_matrices(t)
         f = fm["primary"]
-        return (_relation_norms(_x_nilpotent(t), t.Yhat, t.J0, sign * g, sign * f),
+        return (_relation_norms(_x_nilpotent(t), t.Yhat, t.J0, parity * g, parity * f),
                 frobenius(f - fm["algebraic"]) / max(1.0, frobenius(f)))
-    return _remember(t, "nilpotent", "relations", compute)
+    return _remember(t, "relations", compute)
 
 
 def relation_residuals(t):
@@ -521,12 +505,12 @@ def relation_residuals(t):
     The relation products are formed once per triplet and its images, at the
     nilpotent part N of Xhat (`_relations_at_nilpotent_part`): o I commutes
     with everything, so [Xhat, Y] = [N, Y] and [J0, Xhat] = [J0, N] with no
-    rounding of o, and an image reads its base's norms, which the sign table
-    in the module docstring makes its own.  Each triplet divides them by its own
-    max(1, |Xhat|, ...); the series gaps come from the module scope."""
+    rounding of o, and an image reads its build's norms, which the read rule
+    in the module docstring makes its own.  Each triplet divides them by its
+    own max(1, |Xhat|, ...)."""
     norms, f_routes = _relations_at_nilpotent_part(t)
     out = _relative(norms, frobenius(t.Xhat), t.params.ksq == 1)
-    out.update(_remember(t, "module", "gaps", lambda: _series_gaps(t.params.k, t.rep.dim)))
+    out.update(_remember(t, "gaps", lambda: _series_gaps(t.params.k, t.rep.dim)))
     out["f_eq15_vs_eq17"] = f_routes
     return out
 
@@ -544,7 +528,7 @@ def casimir(t, form):
     at the triplet's h, Y = d J- d with d = (1 - v**2)**(1/2), the map's g
     at k = 1.  Since (h/2) X = arctanh((h/2) J+), its cosh and sinh are
     closed-form functions of J+ (`_jordanian_factors`), so this form is
-    C d J- d S + J0**2 + J0 from the module scope's gather at J+ and no
+    C d J- d S + J0**2 + J0 from the build's gather at J+ and no
     matrix X is formed: it measures the Jordanian dressing against cosh and
     sinh of arctanh, C d = I and d S = J+, for every triplet alike.  All must
     equal j(j+1) I.

@@ -134,8 +134,8 @@ class CoproductTriple:
     r1: SpinRep
     r2: SpinRep
     source: str  # "delta1" | "delta_uh" | "delta2"
-    base: RaisingPoly                # DX = (2/h) outer((h/2) base), a sum in A,
-    outer: TruncatedSeries | None    # or DX = base where outer is None (delta_uh)
+    base: RaisingPoly                # DX = (2/h) outer((h/2) base), a sum in A, or
+                                     # DX = base where series.outer is None (delta_uh)
     NX: np.ndarray                   # DX's element of A, coefficients c[a1, a2]
     NY: np.ndarray                   # normal forms c[kind] (see _KINDS)
     NJ0: np.ndarray
@@ -324,8 +324,7 @@ def coproduct(source, params, r1, r2):
     grids = _grids(r1, r2)
     dx, dy, dj0 = (real_if_exact(m) for m in _gather(np.array([_image(x), ny, nj0]), *grids))
     return CoproductTriple(DX=dx, DY=dy, DJ0=dj0, params=params, r1=r1, r2=r2, source=source,
-                           base=base, outer=series.outer, NX=x, NY=ny, NJ0=nj0, grids=grids,
-                           series=series)
+                           base=base, NX=x, NY=ny, NJ0=nj0, grids=grids, series=series)
 
 
 def delta1(params, r1, r2):
@@ -438,7 +437,7 @@ def _x_from_factor_sn(ct):
 
     first = factor(ct.r1)       # equal factors give equal bits: build_spin is deterministic
     second = first if ct.r2.j == ct.r1.j else factor(ct.r2)
-    return _at_half_h(first.tensor_sum(second), h, (ct.outer, 1))[0]
+    return _at_half_h(first.tensor_sum(second), h, (ct.series.outer, 1))[0]
 
 
 # -- verification ---------------------------------------------------------------
@@ -490,8 +489,9 @@ def verify_coproduct(ct):
     k, h = ct.params.k, ct.params.h
     g, f = (s(k, _pair_order(ct.r1, ct.r2)) for s in (_G_series, _F_series))
     alt = []
-    if ct.outer is not None:     # both compositions from one power table of outer
-        powers = power_table(ct.outer.coeffs)
+    outer = ct.series.outer
+    if outer is not None:     # both compositions from one power table of outer
+        powers = power_table(outer.coeffs)
         g, f = (TruncatedSeries(s.coeffs @ powers) for s in (g, f))
         alt = [_x_from_factor_sn(ct)]
     g, f, *alt = (e.coeffs for e in _at_half_h(ct.base, h, (g, 1), (f, 0)) + alt)

@@ -270,6 +270,57 @@ def test_images_share_only_values_equal_to_their_own(j):
             assert np.array_equal(a, b)
 
 
+def _evaluate(t):
+    """Every check that reads the memo: relations, structure functions and,
+    where t admits it, the inverse map."""
+    relation_residuals(t)
+    structure_matrices(t)
+    if not (t.shift_a % 4 or t.shift_b % 2):
+        invert_map(t)
+
+
+@pytest.mark.parametrize("base_first", [True, False])
+@pytest.mark.parametrize("h", [0.45, 0.8 - 0.3j])
+@pytest.mark.parametrize("j", [0.5, 2.5, 8.0])
+def test_images_of_the_sign_image_read_the_bits_of_their_own_evaluation(j, h, base_first,
+                                                                        calculus_calls):
+    """Both elliptic shifts and the sign involution of a sign image, and the
+    uh half and full shifts of one (sign -1 with odd and with even i K'
+    count), read what a fresh evaluation of each gives, bit for bit,
+    whether the base is evaluated before its images or after them.  Each
+    build makes one power table and one gather at x and forms the relation
+    products once."""
+    rep = build_spin(j)
+    t, uh = build_elliptic_triplet(rep, DeformParams(h=h, k=0.6)), build_jordanian_triplet(rep, h)
+    calculus_calls.clear()
+    if base_first:
+        for base in (t, uh):
+            _evaluate(base)
+    made = len(calculus_calls.log)
+    s, su = sign_involution(t), sign_involution(uh)
+    assert len(calculus_calls.log) == made   # making a sign image evaluates nothing
+    images = [s, *(period_shift_elliptic(s, spec)[0] for spec in (ELL_IKP, ELL_2K_IKP)),
+              sign_involution(s), su, half_period_shift_uh(su)]
+    images.append(half_period_shift_uh(images[-1]))
+    assert [(i.sign, i.shift_b) for i in images] == [(-1, 0), (-1, 1), (-1, 1), (1, 0),
+                                                      (-1, 0), (-1, 1), (-1, 2)]
+    for image in images:
+        _evaluate(image)
+    if not base_first:
+        for base in (t, uh):
+            _evaluate(base)
+    at_x = [b.x.coeffs for b in (t, uh) if rep.dim > 2]   # at j = 1/2, x is J+: no table
+    tables = calculus_calls.tables()
+    assert len(tables) == len(at_x) and all(map(np.array_equal, tables, at_x))
+    assert calculus_calls.counts() == (len(at_x), 2) and calculus_calls.relations() == 2
+    for image in images:
+        fresh = _by_hand(image)
+        assert relation_residuals(image) == relation_residuals(fresh)
+        assert np.array_equal(structure_matrices(image)[0], structure_matrices(fresh)[0])
+    for a, b in zip(invert_map(images[-1]), invert_map(uh)):
+        assert np.array_equal(a, -b)
+
+
 def _shift_images(j):
     """A base whose relations are computed, and its three shift images."""
     rep = build_spin(j)

@@ -186,6 +186,29 @@ def test_config_file_defaults_and_flag_precedence(tmp_path):
     assert json.loads(over.stdout)["k"] == 0.9
 
 
+@pytest.mark.parametrize("value,provenance", [("true", "uh"), ("false", "direct"),
+                                              ("True", "uh")])
+def test_config_file_sets_the_jordanian_switch(tmp_path, capsys, value, provenance):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"jordanian = {value}\n")
+    for sub in ("build", "verify"):
+        code, payload = main_json(capsys, "deform", sub, "--j", "1", "--h", "0.8", "--k", "0.6",
+                                  "--config", str(cfg))
+        assert (code, payload["provenance"]) == (0, provenance), sub
+    # an explicit flag wins over the file
+    code, payload = main_json(capsys, "deform", "build", "--j", "1", "--h", "0.8", "--k", "0.6",
+                              "--jordanian", "--config", str(cfg))
+    assert (code, payload["provenance"]) == (0, "uh")
+
+
+def test_config_file_rejects_a_jordanian_value_that_is_not_a_boolean(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("jordanian = yes\n")
+    proc = run("deform", "verify", "--j", "1", "--h", "0.8", "--k", "0.6", "--config", str(cfg))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert json.loads(proc.stderr)["error"]["type"] == "UsageError"
+
+
 def test_config_rejects_malformed_lines(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("this is not a pair\n")

@@ -522,8 +522,9 @@ def test_coproduct_dispatch_builds_each_source_and_refuses_an_unknown_one():
         for a, b in ((got.DX, ct.DX), (got.DY, ct.DY), (got.DJ0, ct.DJ0),
                      (got.base.coeffs, ct.base.coeffs)):
             assert np.array_equal(a, b)
-        assert (got.outer is None) == (ct.outer is None) == (ct.source == "delta_uh")
-        assert ct.outer is None or np.array_equal(got.outer.coeffs, ct.outer.coeffs)
+        outer = ct.series.outer
+        assert (got.series.outer is None) == (outer is None) == (ct.source == "delta_uh")
+        assert outer is None or np.array_equal(got.series.outer.coeffs, outer.coeffs)
     for source in ("delta3", "uh", "1"):
         with pytest.raises(DomainError, match="unknown coproduct source"):
             coproduct(source, p, r1, r2)
@@ -546,11 +547,12 @@ def test_every_coproduct_image_dx_is_odd_under_the_weight_parity(h, k):
             c = ct.base.coeffs
             assert c.shape == (r1.dim, r2.dim) and c[~even].any()
             assert not c[even].any(), (source, j1, j2)
-            if ct.outer is None:
+            outer = ct.series.outer
+            if outer is None:
                 image = ct.base
             else:
-                assert not ct.outer.coeffs[::2].any() and ct.outer.coeffs[1] == 1
-                image, = _at_half_h(ct.base, p.h, (ct.outer, 1))
+                assert not outer.coeffs[::2].any() and outer.coeffs[1] == 1
+                image, = _at_half_h(ct.base, p.h, (outer, 1))
             assert np.array_equal(image.dense(), ct.DX), (source, j1, j2)
 
 
