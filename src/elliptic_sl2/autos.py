@@ -181,6 +181,15 @@ _EXTRA_RATIONAL_SAMPLES = (
 )
 
 
+def _rational(x):
+    """x as the nearest fraction with denominator at most 10**12, or, when
+    that is 0 but x is not, as the exact binary rational of float(x)."""
+    if isinstance(x, Fraction):
+        return x
+    q = Fraction(float(x))
+    return q.limit_denominator(10 ** 12) or q
+
+
 def inversion_symbolic_report(h, k, eps):
     """Exact check, on the localized algebra, that the induced generator map
 
@@ -193,9 +202,7 @@ def inversion_symbolic_report(h, k, eps):
     """
     from .rewrite import inversion_map, verify_automorphism, verify_involution
 
-    h_r = h if isinstance(h, Fraction) else Fraction(float(h)).limit_denominator(10 ** 12)
-    k_r = k if isinstance(k, Fraction) else Fraction(float(k)).limit_denominator(10 ** 12)
-    samples = [(h_r, k_r), *_EXTRA_RATIONAL_SAMPLES]
+    samples = [(_rational(h), _rational(k)), *_EXTRA_RATIONAL_SAMPLES]
     rows = []
     all_pass = True
     for hs, ks in samples:

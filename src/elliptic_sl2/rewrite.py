@@ -8,6 +8,11 @@ with Jpinv a two-sided formal inverse of Jp.  All coefficients are exact
 rationals; nothing in this module touches floating point except the spin
 evaluation helpers used to cross-check against matrices.
 
+An ``NCPoly`` holds its coefficients as integer numerators over one
+positive denominator, in lowest terms.  Sums, scalings and products work on
+those integers and divide out one gcd at the end; ``Fraction``s are built
+only when ``terms`` is read.
+
 Products are computed in closed form (``_monomial_product``).  Three
 identities, valid for every integer power c of Jp, carry Jp**c past Jm**a
 and J0-polynomials past both (Kassel, *Quantum Groups*, GTM 155, ch. V):
@@ -53,7 +58,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 import numpy as np
 
@@ -227,20 +232,18 @@ def _monomial_product(k1, k2):
     return out
 
 
-def _integral(terms):
-    """A polynomial's terms as integer numerators over one common denominator."""
-    d = lcm(*(q.denominator for q in terms.values()))
-    return [(key, q.numerator * (d // q.denominator)) for key, q in terms.items()], d
-
-
 class NCPoly:
     """Exact polynomial in the ordered basis Jm**a J0**b Jp**c.
 
-    Immutable by convention: every operation returns a fresh instance.
-    Coefficients are Fractions; zero coefficients are dropped eagerly.
+    Immutable by convention: every operation returns a fresh instance.  Held
+    as integer numerators over one positive denominator in lowest terms,
+    ``_num`` (key -> nonzero int) over ``_den``, gcd(_den, *_num) = 1; the
+    form is canonical, so equality and hashing read the two fields.
+    ``terms``, the same coefficients as nonzero lowest-terms Fractions, is
+    built when first read.  The constructor takes any dict of numbers.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_num", "_den", "_terms")
 
     def __init__(self, terms=None):
         clean = {}
@@ -248,65 +251,93 @@ class NCPoly:
             q = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
             if q:
                 clean[tuple(key)] = q
-        self.terms = clean
+        # in lowest terms: each prime power of the lcm of reduced denominators
+        # comes from a denominator whose numerator the prime does not divide
+        d = lcm(*(q.denominator for q in clean.values()))
+        self._num = {key: q.numerator * (d // q.denominator) for key, q in clean.items()}
+        self._den = d
+        self._terms = clean
 
     # -- constructors --
 
     @classmethod
-    def _exact(cls, terms):
-        """Wrap a dict of nonzero Fractions as it is, without re-validating."""
+    def _raw(cls, num, den):
+        """Wrap nonzero integer numerators over a positive denominator that
+        are already in lowest terms."""
         poly = object.__new__(cls)
-        poly.terms = terms
+        poly._num = num
+        poly._den = den
+        poly._terms = None
         return poly
 
     @classmethod
+    def _reduced(cls, num, den):
+        """Wrap nonzero integer numerators over a positive denominator,
+        dividing out their common factor."""
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {key: n // g for key, n in num.items()}
+            den //= g
+        return cls._raw(num, den)
+
+    @classmethod
     def zero(cls):
-        return cls()
+        return cls._raw({}, 1)
 
     @classmethod
     def one(cls):
-        return cls({(0, 0, 0): Fraction(1)})
+        return cls._raw({(0, 0, 0): 1}, 1)
 
     @classmethod
     def generator(cls, name):
         if name not in LETTERS:
             raise DomainError(f"unknown generator {name!r}")
         key = {"Jm": (1, 0, 0), "J0": (0, 1, 0), "Jp": (0, 0, 1), "Jpinv": (0, 0, -1)}[name]
-        return cls({key: Fraction(1)})
+        return cls._raw({key: 1}, 1)
 
     @classmethod
     def scalar(cls, value):
-        return cls({(0, 0, 0): Fraction(value)})
+        return cls({(0, 0, 0): value})
+
+    @property
+    def terms(self):
+        """{key: nonzero Fraction in lowest terms}, built on first read."""
+        if self._terms is None:
+            d = self._den
+            self._terms = {key: Fraction(n, d) for key, n in self._num.items()}
+        return self._terms
 
     # -- predicates --
 
     def is_zero(self):
-        return not self.terms
+        return not self._num
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._num)
 
     def __eq__(self, other):
         if not isinstance(other, NCPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self._den, frozenset(self._num.items())))
 
     # -- ring operations --
 
     def __add__(self, other):
         if not isinstance(other, NCPoly):
             return NotImplemented
-        out = dict(self.terms)
-        for key, q in other.terms.items():
-            prev = out.get(key)
-            out[key] = q if prev is None else prev + q
-        return NCPoly._exact({key: q for key, q in out.items() if q})
+        dx, dy = self._den, other._den
+        d = lcm(dx, dy)
+        fx, fy = d // dx, d // dy
+        out = {key: n * fx for key, n in self._num.items()}
+        for key, n in other._num.items():
+            out[key] = out.get(key, 0) + n * fy
+        return NCPoly._reduced({key: n for key, n in out.items() if n}, d)
 
     def __neg__(self):
-        return NCPoly._exact({k: -q for k, q in self.terms.items()})
+        return NCPoly._raw({key: -n for key, n in self._num.items()}, self._den)
 
     def __sub__(self, other):
         if not isinstance(other, NCPoly):
@@ -315,26 +346,29 @@ class NCPoly:
 
     def scale(self, value):
         q = Fraction(value)
-        return NCPoly._exact({k: q * c for k, c in self.terms.items()} if q else {})
+        if not q:
+            return NCPoly.zero()
+        p = q.numerator
+        return NCPoly._reduced({key: p * n for key, n in self._num.items()},
+                               self._den * q.denominator)
 
     def __mul__(self, other):
         """Closed-form product: integer structure coefficients from
-        ``_monomial_product``, over the common denominator of both factors."""
+        ``_monomial_product`` on the numerators, over the product of the
+        denominators, reduced once."""
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, NCPoly):
             return NotImplemented
-        _check_product(self.terms, other.terms)
-        xs, dx = _integral(self.terms)
-        ys, dy = _integral(other.terms)
+        _check_product(self._num, other._num)
+        ys = other._num.items()
         acc = {}
-        for k1, n1 in xs:
+        for k1, n1 in self._num.items():
             for k2, n2 in ys:
                 n12 = n1 * n2
                 for key, n in _monomial_product(k1, k2):
                     acc[key] = acc.get(key, 0) + n12 * n
-        d = dx * dy
-        return NCPoly._exact({key: Fraction(n, d) for key, n in acc.items() if n})
+        return NCPoly._reduced({key: n for key, n in acc.items() if n}, self._den * other._den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -343,13 +377,14 @@ class NCPoly:
 
     def inverse(self):
         """Inverse of a monomial with no lowering or Cartan part."""
-        if len(self.terms) != 1:
+        if len(self._num) != 1:
             raise DomainError("only monomials are invertible here")
-        (key, coeff), = self.terms.items()
+        (key, n), = self._num.items()
         a, b, c = key
         if a or b:
             raise DomainError("only pure raiser powers (times scalars) are invertible")
-        return NCPoly({(0, 0, -c): 1 / coeff})
+        # (n/d)**-1 = d/n, still in lowest terms once the sign is on top
+        return NCPoly._raw({(0, 0, -c): self._den if n > 0 else -self._den}, abs(n))
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -358,7 +393,7 @@ class NCPoly:
             return self.inverse() ** (-n)
         if n > MAX_DEGREE:
             raise DomainError(f"exponent {n} exceeds MAX_DEGREE = {MAX_DEGREE}")
-        _check_degree(_power_degree(self.terms, n), "power")
+        _check_degree(_power_degree(self._num, n), "power")
         out = self if n else NCPoly.one()
         for _ in range(n - 1):
             out = out * self
@@ -367,18 +402,20 @@ class NCPoly:
     # -- serialization --
 
     def to_terms(self):
+        terms = self.terms
         return [
-            {"a": a, "b": b, "c": c, "coeff": str(self.terms[(a, b, c)])}
-            for (a, b, c) in sorted(self.terms)
+            {"a": a, "b": b, "c": c, "coeff": str(terms[(a, b, c)])}
+            for (a, b, c) in sorted(terms)
         ]
 
     def __repr__(self):
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "NCPoly(0)"
         bits = []
-        for key in sorted(self.terms):
+        for key in sorted(terms):
             word = "*".join(_monomial_word(key)) or "1"
-            bits.append(f"({self.terms[key]})*{word}")
+            bits.append(f"({terms[key]})*{word}")
         return "NCPoly(" + " + ".join(bits) + ")"
 
 
@@ -407,7 +444,7 @@ def nf_word(word, strategy="leftmost"):
         while len(_NF_MEMO) > start:
             _NF_MEMO.popitem()
         raise
-    return NCPoly._exact({key: Fraction(n) for key, n in result.items()})
+    return NCPoly._raw(result, 1)
 
 
 def _rewrite(word, strategy, limit):
@@ -448,14 +485,16 @@ def _rewrite(word, strategy, limit):
 
 def nf(obj, strategy="leftmost"):
     """Normal form of an iterable of (coeff, word) pairs, the words
-    normalised by the reference rewriter."""
+    normalised by the reference rewriter, summed on integers over the lcm of
+    the coefficients' denominators."""
+    pairs = [(Fraction(coeff), word) for coeff, word in obj]
+    d = lcm(*(q.denominator for q, _ in pairs))
     acc = {}
-    for coeff, word in obj:
-        coeff = Fraction(coeff)
-        for key, q in nf_word(word, strategy).terms.items():
-            prev = acc.get(key)
-            acc[key] = coeff * q if prev is None else prev + coeff * q
-    return NCPoly._exact({key: q for key, q in acc.items() if q})
+    for q, word in pairs:
+        m = q.numerator * (d // q.denominator)
+        for key, n in nf_word(word, strategy)._num.items():
+            acc[key] = acc.get(key, 0) + m * n
+    return NCPoly._reduced({key: n for key, n in acc.items() if n}, d)
 
 
 # -- generator maps ------------------------------------------------------------
@@ -485,7 +524,8 @@ def inversion_map(h, k, eps):
         Jm -> eps k (h/2)**2 Jp Jm Jp
         J0 -> -J0
 
-    h and k must be exact rationals; eps is +1 or -1.
+    h and k must be exact rationals; eps is +1 or -1.  Jp Jm Jp is written
+    as its normal form Jm Jp**2 + 2 J0 Jp, by [Jp, Jm] = 2 J0.
     """
     h = Fraction(h)
     k = Fraction(k)
@@ -494,8 +534,8 @@ def inversion_map(h, k, eps):
     if h == 0 or k == 0:
         raise DomainError("inversion map needs nonzero h and k")
     jp = NCPoly({(0, 0, -1): eps * Fraction(4) / (k * h * h)})
-    jp_gen = NCPoly.generator("Jp")
-    jm = (jp_gen * NCPoly.generator("Jm") * jp_gen).scale(eps * k * h * h / 4)
+    q = eps * k * h * h / 4
+    jm = NCPoly({(1, 0, 2): q, (0, 1, 1): 2 * q})
     j0 = -NCPoly.generator("J0")
     return GeneratorMap(jp=jp, jm=jm, j0=j0)
 
@@ -504,11 +544,12 @@ def apply_map(m, poly):
     """Push an NCPoly through a generator map (ordered-monomial by monomial)."""
     acc = NCPoly.zero()
     for (a, b, c), coeff in poly.terms.items():
-        img = NCPoly.scalar(coeff)
+        img = None
         for image, n in ((m.jm, a), (m.j0, b), (m.jp, c)):
             if n:
-                img = img * image ** n
-        acc = acc + img
+                factor = image if n == 1 else image ** n
+                img = factor if img is None else img * factor
+        acc = acc + (NCPoly.one() if img is None else img).scale(coeff)
     return acc
 
 

@@ -3,6 +3,7 @@ scalar half-period identities, the exact induced maps."""
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -232,6 +233,15 @@ def test_induced_inversion_map_is_exact(eps):
     for row in report["samples"]:
         assert row["automorphism"] is True
         assert row["involution"] is True
+
+
+def test_induced_inversion_samples_round_to_small_denominators_but_never_to_zero():
+    row = inversion_symbolic_report(0.7, 0.6, 1)["samples"][0]
+    assert (row["h"], row["k"]) == ("7/10", "3/5")
+    row = inversion_symbolic_report(0.7, 4e-13, 1)["samples"][0]
+    assert row["k"] == str(Fraction(4e-13)) and row["automorphism"] and row["involution"]
+    with pytest.raises(DomainError, match="nonzero"):
+        inversion_symbolic_report(0.7, 0.0, 1)
 
 
 def _by_hand(t):

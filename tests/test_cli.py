@@ -89,6 +89,29 @@ def test_auto_shift_all_kinds():
         assert json.loads(proc.stdout)["pass"] is True
 
 
+@pytest.mark.parametrize("h, k", [("0.7", "1e-13"), ("0.7", "4e-13"), ("0.7", "1e-300"),
+                                  ("1e-13", "0.6"), ("1e-300", "0.6")])
+def test_auto_shift_at_a_tiny_h_or_k_checks_the_induced_map_exactly(capsys, h, k):
+    # a modulus that rounds to 0 at denominator 10**12 is taken as its exact
+    # binary rational, not refused as a zero sample
+    from elliptic_sl2 import cli
+
+    code = cli.main(["auto", "shift", "--which", "ell-iKp", "--j", "1", "--h", h, "--k", k])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0, payload
+    assert payload["pass"] is True
+    assert payload["report"]["induced_map_exact"] is True
+
+
+def test_verify_all_at_a_tiny_modulus(capsys):
+    from elliptic_sl2 import cli
+
+    code = cli.main(["verify-all", "--k", "1e-13"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0, payload
+    assert payload["induced_maps_exact"] is True
+
+
 def test_rewrite_nf_and_strategies():
     from elliptic_sl2 import rewrite
 

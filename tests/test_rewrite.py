@@ -1,6 +1,7 @@
 """Exact normal ordering: rule identities, matrix cross-checks, strategy
 independence, localization consistency, generator maps, the parser."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -167,6 +168,80 @@ def test_inversion_map_exact(eps):
     expect = nf_word(("Jp", "Jm", "Jp")).scale(Fraction(eps) * Fraction(3, 5)
                                                * Fraction(7, 10) ** 2 / 4)
     assert m.jm == expect
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+@pytest.mark.parametrize("h, k", [(Fraction(7, 10), Fraction(3, 5)), (Fraction(-2, 9), Fraction(5, 4)),
+                                  (Fraction(3), Fraction(-1, 12)), (Fraction(1, 10 ** 13), Fraction(8))])
+def test_inversion_map_closed_form_is_the_sandwich_product(eps, h, k):
+    assert inversion_map(h, k, eps).jm == (Jp * Jm * Jp).scale(eps * k * h * h / 4)
+
+
+def _spy(monkeypatch, name):
+    calls = []
+    method = getattr(NCPoly, name)
+
+    def spy(self, other):
+        calls.append(other)
+        return method(self, other)
+
+    monkeypatch.setattr(NCPoly, name, spy)
+    return calls
+
+
+def test_inversion_map_makes_no_product(monkeypatch):
+    products = _spy(monkeypatch, "__mul__")
+    powers = _spy(monkeypatch, "__pow__")
+    inversion_map(Fraction(7, 10), Fraction(3, 5), -1)
+    assert products == [] and powers == []
+
+
+def test_apply_map_takes_no_power_of_a_letter_at_power_one(monkeypatch):
+    m = inversion_map(Fraction(1, 2), Fraction(2, 3), 1)
+    ones = (Jm * J0 * Jp).scale(Fraction(-3, 4)) + Jm * Jp + NCPoly.scalar(2)
+    squared = (Jm ** 2 * Jp).scale(5)
+    expect = apply_map(m, ones), apply_map(m, squared)
+    powers = _spy(monkeypatch, "__pow__")
+    assert apply_map(m, ones) == expect[0]
+    assert powers == []
+    assert apply_map(m, squared) == expect[1] == (m.jm * m.jm * m.jp).scale(5)
+    assert powers == [2]
+
+
+# -- the integer representation --
+
+def test_equal_polynomials_share_numerators_denominator_and_hash():
+    base = NCPoly({(1, 0, 2): Fraction(3, 4), (0, 1, -1): Fraction(-5, 6)})
+    for same in (NCPoly({(1, 0, 2): Fraction(9, 12), (0, 1, -1): Fraction(-10, 12)}),
+                 NCPoly({(1, 0, 2): 0.75, (0, 1, -1): Fraction(-5, 6), (0, 0, 0): 0}),
+                 NCPoly({(1, 0, 2): Fraction(9, 2), (0, 1, -1): -5}).scale(Fraction(1, 6)),
+                 NCPoly({(1, 0, 2): 9, (0, 1, -1): -10}).scale(Fraction(2, 24))):
+        assert same == base
+        assert (same._num, same._den) == (base._num, base._den) == ({(1, 0, 2): 9, (0, 1, -1): -10}, 12)
+        assert hash(same) == hash(base)
+
+
+def test_a_sum_that_cancels_to_a_common_factor_comes_back_reduced():
+    x = NCPoly({(0, 0, 1): Fraction(1, 6), (1, 0, 0): Fraction(1, 3)})
+    y = NCPoly({(0, 0, 1): Fraction(1, 3), (1, 0, 0): Fraction(-1, 12), (0, 1, 0): Fraction(1, 12)})
+    got = x + y   # 1/2 Jp + 1/4 Jm + 1/12 J0 over 12
+    assert (got._num, got._den) == ({(0, 0, 1): 6, (1, 0, 0): 3, (0, 1, 0): 1}, 12)
+    got = got - NCPoly({(0, 1, 0): Fraction(1, 12)})
+    assert (got._num, got._den) == ({(0, 0, 1): 2, (1, 0, 0): 1}, 4)
+    got = got - got
+    assert (got._num, got._den) == ({}, 1) and got == NCPoly.zero()
+
+
+def test_terms_hold_only_nonzero_lowest_terms_fractions():
+    rng = random.Random(31)
+    for _ in range(40):
+        x = NCPoly({(rng.randint(0, 2), rng.randint(0, 2), rng.randint(-2, 2)):
+                    Fraction(rng.randint(-6, 6), rng.randint(1, 9)) for _ in range(3)})
+        for poly in (x * x, x + x.scale(Fraction(-1, 3)), apply_map(sign_map(), x)):
+            assert poly.terms == {key: Fraction(n, poly._den) for key, n in poly._num.items()}
+            for q in poly.terms.values():
+                assert type(q) is Fraction and q != 0
+            assert math.gcd(poly._den, *poly._num.values()) == 1 and poly._den > 0
 
 
 def test_inversion_map_validates_input():

@@ -58,6 +58,10 @@ COMMANDS = (
     "auto shift --which ell-iKp --j 2 --h 0.8 --k 0.6",
     "auto shift --which ell-2KiKp --j 8 --h 0.45 --k 0.7",
     "auto shift --which sign --j 2 --h 0.8 --k 0.6",
+    "auto shift --which ell-iKp --j 1 --h 0.7 --k 4e-13",
+    'rewrite nf --expr "(2/3 Jp + Jm - 5/7 J0)^5"',
+    'rewrite nf --expr "[Jpinv Jm, 3/4 J0 Jp^2] - (2 Jp)^-1"',
+    'rewrite nf --expr "(Jpinv Jm + 1/2 J0)^3"',
     "elliptic eval --k 0.5",
     "elliptic eval --k 0.5 --u 0.3+0.2i",
 )
